@@ -20,6 +20,7 @@ import numpy as np
 from .lattice import Lattice, LatticeError, build_lattice
 from .fields import (BOND, SITE, BondField, LinearMap, ScalarField,
                      SpaceDescriptor)
+from .gaussian import kernel_basis
 
 
 @lru_cache(maxsize=None)
@@ -327,13 +328,6 @@ def solve_central(lattice: Lattice, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _orthonormal_kernel(mat: np.ndarray, tol: float) -> np.ndarray:
-    u, s, vt = np.linalg.svd(mat, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
-    return vt[rank:].T
-
-
 @lru_cache(maxsize=None)
 def fluctuation_basis(lattice: Lattice, tol: float = 1e-9) -> np.ndarray:
     """Columns parametrizing {bond average = 0, path average = 0}.
@@ -350,7 +344,7 @@ def fluctuation_basis(lattice: Lattice, tol: float = 1e-9) -> np.ndarray:
     if np.any(tau[:, [b for b in range(lattice.n_bonds)
                       if b not in set(z1)]] != 0):
         raise LatticeError("path averages touch linking bonds")
-    kernel = _orthonormal_kernel(tau[:, z1], tol)
+    kernel = kernel_basis(tau[:, z1], tol)
     cols = []
     for t in kernel.T:
         v = np.zeros(lattice.n_bonds)

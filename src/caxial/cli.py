@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -28,10 +29,10 @@ from .fields import ext_d_matrix, grad_matrix, random_field, scale_field, \
 from .gauge_ops import change_of_gauge_check, decay_profile, get_context
 from .gaussian import QuadraticDensity, surface_min_eig
 from .lattice import build_lattice, LatticeSpec, open_cube, unit_torus
-from .rg_flow import (ResourceCapExceeded, curl_energy_form, final_step,
-                      fluctuation_step, flow_states, max_ambient_dim,
-                      minimizer_composition_residual, one_shot_final,
-                      one_shot_state, z_constants)
+from .rg_flow import (ResourceCapExceeded, _guard, curl_energy_form,
+                      final_step, fluctuation_step, flow_states,
+                      max_ambient_dim, minimizer_composition_residual,
+                      one_shot_final, one_shot_state, z_constants)
 
 SCHEMA_VERSION = 1
 
@@ -80,6 +81,10 @@ class RunConfig:
             raise ConfigError("tolerances must be positive")
         if self.npoints < 2:
             raise ConfigError("npoints must be at least 2")
+        try:
+            max_ambient_dim()
+        except ValueError as exc:
+            raise ConfigError(f"CAXIAL_MAX_DIM: {exc}") from None
         return self
 
 
@@ -160,11 +165,7 @@ class Runner:
         self.checks.append(record)
         return record
 
-    def guard(self, n: int):
-        cap = max_ambient_dim()
-        if n > cap:
-            raise ResourceCapExceeded(
-                f"ambient dimension {n} exceeds cap {cap}")
+    guard = staticmethod(_guard)
 
     def rng(self, *salt) -> np.random.Generator:
         return np.random.default_rng((self.config.seed,) + salt)
@@ -669,6 +670,9 @@ def suite_appendix(run: Runner, inst):
         run.guard(out.fine.n_bonds)
         return out
 
+    # both checks read one computation; an exception is not cached, so
+    # each check records it
+    @functools.cache
     def result():
         c = ctx()
         rng = run.rng(9, *inst)

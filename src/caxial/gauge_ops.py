@@ -25,8 +25,8 @@ from scipy.special import roots_legendre
 
 from . import averaging as av
 from .fields import ext_d_matrix, grad_matrix, laplacian_matrix
-from .gaussian import (IndefiniteOnSurface, SingularOperator, kernel_basis,
-                       minimizer_map)
+from .gaussian import (IndefiniteOnSurface, SingularOperator, minimizer_map,
+                       positive_cholesky)
 from .lattice import LatticeSpec, build_lattice
 
 
@@ -132,10 +132,8 @@ class GaugeContext:
 
     def _green_for(self, q: np.ndarray, q_adj: np.ndarray) -> np.ndarray:
         op = self.lap_fine + self.a * q_adj @ q
-        try:
-            chol = np.linalg.cholesky(0.5 * (op + op.T))
-        except np.linalg.LinAlgError:
-            raise SingularOperator("-Lap + a Q^T Q is not positive definite")
+        chol = positive_cholesky(0.5 * (op + op.T), SingularOperator,
+                                 "-Lap + a Q^T Q")
         return sla.cho_solve((chol, True), np.eye(op.shape[0]))
 
     @cached_property
@@ -214,12 +212,11 @@ class GaugeContext:
 
     def fluct_cov(self, x: float = 0.0) -> np.ndarray:
         """(C^T Delta C + x)^-1; x = 0 gives the fluctuation covariance."""
-        m = self.reduced_delta + x * np.eye(self.reduced_delta.shape[0])
-        w = np.linalg.eigvalsh(m)
-        if w[0] <= 0:
-            raise IndefiniteOnSurface(
-                f"reduced fluctuation form has eigenvalue {w[0]:g}")
-        return np.linalg.inv(m)
+        n = self.reduced_delta.shape[0]
+        chol = positive_cholesky(self.reduced_delta + x * np.eye(n),
+                                 IndefiniteOnSurface,
+                                 "reduced fluctuation form")
+        return sla.cho_solve((chol, True), np.eye(n))
 
     # -- scalar potential for the covariance representation -----------------
 
@@ -250,12 +247,9 @@ class GaugeContext:
         if x:
             xm = self._x_map()
             op = op + x * xm.T @ xm
-        op = 0.5 * (op + op.T)
-        w = np.linalg.eigvalsh(op)
-        if w[0] <= 0:
-            raise SingularOperator(
-                f"regularized bond operator has eigenvalue {w[0]:g}")
-        return np.linalg.inv(op)
+        chol = positive_cholesky(0.5 * (op + op.T), SingularOperator,
+                                 "regularized bond operator")
+        return sla.cho_solve((chol, True), np.eye(op.shape[0]))
 
     def tilde_green(self, x: float = 0.0) -> np.ndarray:
         """Green's function constrained to the kernel of the next averaging."""

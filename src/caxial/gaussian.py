@@ -20,7 +20,7 @@ that are normalized (moments, covariances, minimizers) are convention-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -37,19 +37,41 @@ class SingularOperator(Exception):
     """An operator expected to be invertible is numerically singular."""
 
 
+def positive_cholesky(m: np.ndarray, error=IndefiniteOnSurface,
+                      what: str = "reduced form") -> np.ndarray:
+    """Lower Cholesky factor of the symmetric matrix m.
+
+    The factor exists exactly when m is positive definite, so it is the
+    positivity certificate; otherwise raises `error` (an exception type),
+    quoting the smallest eigenvalue.
+    """
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        low = np.linalg.eigvalsh(m)[0]
+        raise error(f"{what} is not positive definite "
+                    f"(smallest eigenvalue {low:g})") from None
+
+
+def _constraint_svd(K: np.ndarray, tol: float):
+    """One SVD K = U S V^T, and all that is taken from it: the orthonormal
+    kernel basis V[:, r:], the row rank r (singular values above
+    tol * sigma_max), the log-Gram logdet(K_r K_r^T) = 2 sum_{i<r} log s_i,
+    and E -> pinv(K) E applied as V_r S_r^-1 U_r^T E, never formed."""
+    u, s, vt = np.linalg.svd(np.atleast_2d(np.asarray(K, dtype=float)))
+    r = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+    u, s, v = u[:, :r], s[:r], vt[:r].T
+    return (vt[r:].T, r, float(2.0 * np.sum(np.log(s))),
+            lambda E: v @ ((u.T @ E).T / s).T)
+
+
 def kernel_basis(K: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the numerical null space of K.
 
     Singular values below tol * sigma_max count as zero.  Deterministic
     given K (SVD right singular vectors).
     """
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    if K.shape[0] == 0:
-        return np.eye(K.shape[1])
-    _, s, vt = np.linalg.svd(K)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
-    return vt[rank:].T
+    return _constraint_svd(K, tol)[0]
 
 
 @dataclass
@@ -98,19 +120,13 @@ class AffineSurface:
         if b is None:
             b = np.zeros(K.shape[0])
         b = np.asarray(b, dtype=float)
-        basis = kernel_basis(K, tol)
-        if K.shape[0] == 0:
-            particular = np.zeros(K.shape[1])
-            rank, log_gram = 0, 0.0
-        else:
-            particular, *_ = np.linalg.lstsq(K, b, rcond=None)
+        basis, rank, log_gram, pinv = _constraint_svd(K, tol)
+        particular = pinv(b)
+        if K.shape[0]:
             res = np.abs(K @ particular - b).max()
             if res > 1e-8 * max(1.0, np.abs(b).max()):
                 raise SingularOperator(
                     f"constraints inconsistent (residual {res:g})")
-            s = np.linalg.svd(K, compute_uv=False)
-            rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
-            log_gram = float(2.0 * np.sum(np.log(s[:rank])))
         return cls(K, b, basis, particular, rank, log_gram)
 
     @classmethod
@@ -133,15 +149,14 @@ def _reduced_form(density: QuadraticDensity, surface: AffineSurface):
     return 0.5 * (R + R.T), g
 
 
-def _check_positive(R: np.ndarray) -> np.ndarray:
-    """Cholesky of the reduced form, via an explicit smallest-eigenvalue check."""
-    if R.shape[0] == 0:
-        return np.zeros((0, 0))
-    w = np.linalg.eigvalsh(R)
-    if w[0] <= 0:
-        raise IndefiniteOnSurface(
-            f"reduced form has nonpositive eigenvalue {w[0]:g}")
-    return np.linalg.cholesky(R)
+def _inverse_on_basis(basis: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """B R^-1 B^T for the reduced form R = L L^T."""
+    return basis @ sla.cho_solve((chol, True), basis.T)
+
+
+def _minimizer(surface: AffineSurface, chol: np.ndarray,
+               g: np.ndarray) -> np.ndarray:
+    return surface.particular + surface.basis @ sla.cho_solve((chol, True), g)
 
 
 def surface_min_eig(density: QuadraticDensity, surface: AffineSurface) -> float:
@@ -156,21 +171,17 @@ def constrained_minimize(density: QuadraticDensity,
                          surface: AffineSurface) -> np.ndarray:
     """Unique minimizer of 1/2 <v,Fv> - <l,v> subject to the constraints."""
     R, g = _reduced_form(density, surface)
-    chol = _check_positive(R)
-    if R.shape[0] == 0:
-        return surface.particular.copy()
-    t = sla.cho_solve((chol, True), g)
-    return surface.particular + surface.basis @ t
+    return _minimizer(surface, positive_cholesky(R), g)
 
 
 def log_partition(density: QuadraticDensity, surface: AffineSurface,
                   convention: str = "surface") -> float:
     """Log of the Gaussian integral of the density over the surface."""
-    R, _ = _reduced_form(density, surface)
-    chol = _check_positive(R)
+    R, g = _reduced_form(density, surface)
+    chol = positive_cholesky(R)
     n = R.shape[0]
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol)))) if n else 0.0
-    vstar = constrained_minimize(density, surface)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    vstar = _minimizer(surface, chol, g)
     value = (0.5 * n * LOG_2PI - 0.5 * logdet
              - 0.5 * vstar @ density.form @ vstar + density.linear @ vstar
              + density.log_const)
@@ -188,12 +199,7 @@ def subspace_covariance(density: QuadraticDensity,
                         surface: AffineSurface) -> np.ndarray:
     """Ambient covariance of the surface Gaussian (kills the row space of K)."""
     R, _ = _reduced_form(density, surface)
-    chol = _check_positive(R)
-    B = surface.basis
-    if R.shape[0] == 0:
-        return np.zeros((density.dim, density.dim))
-    Rinv = sla.cho_solve((chol, True), np.eye(R.shape[0]))
-    cov = B @ Rinv @ B.T
+    cov = _inverse_on_basis(surface.basis, positive_cholesky(R))
     return 0.5 * (cov + cov.T)
 
 
@@ -201,9 +207,21 @@ def moment_generating(density: QuadraticDensity, surface: AffineSurface,
                       J: np.ndarray) -> float:
     """log E[exp(<v,J>)] under the normalized surface Gaussian."""
     J = np.asarray(J, dtype=float)
-    mean = constrained_minimize(density, surface)
-    cov = subspace_covariance(density, surface)
+    R, g = _reduced_form(density, surface)
+    chol = positive_cholesky(R)
+    mean = _minimizer(surface, chol, g)
+    cov = _inverse_on_basis(surface.basis, chol)
     return float(mean @ J + 0.5 * J @ cov @ J)
+
+
+def _fiber_reduction(form: np.ndarray, K, E, tol: float):
+    """What the parallel fibers {v : K v = E A} share: the SVD of K, the
+    particular-solution map W = pinv(K) E, and the Cholesky factor of the
+    form restricted to ker K."""
+    basis, rank, log_gram, pinv = _constraint_svd(K, tol)
+    W = pinv(np.asarray(E, dtype=float))
+    R = basis.T @ form @ basis
+    return basis, rank, log_gram, W, positive_cholesky(0.5 * (R + R.T))
 
 
 def minimizer_map(form: np.ndarray, K: np.ndarray, E: np.ndarray,
@@ -213,13 +231,7 @@ def minimizer_map(form: np.ndarray, K: np.ndarray, E: np.ndarray,
     The minimizer of a homogeneous quadratic on the fiber {K v = E A} is
     linear in A; this returns that linear map explicitly.
     """
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    B = kernel_basis(K, tol)
-    W = np.linalg.pinv(K, rcond=tol) @ np.asarray(E, dtype=float)
-    R = B.T @ form @ B
-    chol = _check_positive(0.5 * (R + R.T))
-    if R.shape[0] == 0:
-        return W
+    B, _, _, W, chol = _fiber_reduction(form, K, E, tol)
     return W - B @ sla.cho_solve((chol, True), B.T @ form @ W)
 
 
@@ -234,33 +246,21 @@ def push_constraint(density: QuadraticDensity, K: np.ndarray, E: np.ndarray,
     W = pinv(K) E.
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
-    E = np.asarray(E, dtype=float)
     F, l = density.form, density.linear
-    B = kernel_basis(K, tol)
-    W = np.linalg.pinv(K, rcond=tol) @ E
-    R = B.T @ F @ B
-    R = 0.5 * (R + R.T)
-    chol = _check_positive(R)
-    n = R.shape[0]
-    if n:
-        Rinv = sla.cho_solve((chol, True), np.eye(n))
-        M = B @ Rinv @ B.T
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    else:
-        M = np.zeros((K.shape[1], K.shape[1]))
-        logdet = 0.0
+    B, rank, log_gram, W, chol = _fiber_reduction(F, K, E, tol)
+    n = chol.shape[0]
+    M = _inverse_on_basis(B, chol)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     FW = F @ W
     phi = W.T @ FW - FW.T @ M @ FW
     psi = W.T @ l - FW.T @ M @ l
     const = (density.log_const + 0.5 * l @ M @ l
              + 0.5 * n * LOG_2PI - 0.5 * logdet)
     if convention == "dirac":
-        s = np.linalg.svd(K, compute_uv=False)
-        rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
         if rank < K.shape[0]:
             raise SingularOperator(
                 "dirac convention needs independent constraint rows")
-        const -= float(np.sum(np.log(s[:rank])))
+        const -= 0.5 * log_gram
     elif convention != "surface":
         raise ValueError(f"unknown convention {convention!r}")
     return QuadraticDensity(0.5 * (phi + phi.T), psi, float(const))

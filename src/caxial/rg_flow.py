@@ -25,7 +25,7 @@ from math import log
 import numpy as np
 
 from . import averaging as av
-from .fields import ext_d_matrix, grad_matrix
+from .fields import DENSE_LIMIT, ext_d_matrix, grad_matrix
 from .gauge_ops import get_context
 from .gaussian import (AffineSurface, QuadraticDensity, log_partition,
                        push_constraint, subspace_covariance, surface_min_eig)
@@ -37,19 +37,27 @@ class ResourceCapExceeded(RuntimeError):
     """The requested instance is larger than the configured ambient cap."""
 
 
-DEFAULT_MAX_DIM = 5000
+DEFAULT_MAX_DIM = DENSE_LIMIT
 
 
 def max_ambient_dim() -> int:
-    return int(os.environ.get("CAXIAL_MAX_DIM", DEFAULT_MAX_DIM))
+    """The ambient-dimension cap: CAXIAL_MAX_DIM if set, else the default.
+
+    Operators above fields.DENSE_LIMIT are assembled sparse, which the dense
+    linear algebra of the checks cannot take, so a larger cap, like a value
+    that is not an integer, raises ValueError.
+    """
+    cap = int(os.environ.get("CAXIAL_MAX_DIM", DEFAULT_MAX_DIM))
+    if cap > DENSE_LIMIT:
+        raise ValueError(f"{cap} exceeds {DENSE_LIMIT}, above which "
+                         "operators are assembled sparse")
+    return cap
 
 
 def _guard(n: int):
     cap = max_ambient_dim()
     if n > cap:
-        raise ResourceCapExceeded(
-            f"ambient dimension {n} exceeds cap {cap} "
-            "(set CAXIAL_MAX_DIM to override)")
+        raise ResourceCapExceeded(f"ambient dimension {n} exceeds cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -210,8 +218,7 @@ class FlowConstants:
 
 
 def fluctuation_surface(lattice: Lattice) -> AffineSurface:
-    K = np.vstack([av.bond_average_matrix(lattice, 1),
-                   av.path_average_matrix(lattice).matrix])
+    K, _ = _step_constraints(lattice)
     return AffineSurface.from_constraints(K)
 
 
@@ -255,14 +262,9 @@ def coarse_minimizer_map(dim: int, L: int, n_levels: int, k: int) -> np.ndarray:
     to the relabeled next-level field (unit bonds <- next-level bonds)."""
     from .gaussian import minimizer_map
     ctx = get_context(dim, L, n_levels, k)
-    lat = ctx.unit
-    qb = av.bond_average_matrix(lat, 1)
-    tau = av.path_average_matrix(lat).matrix
-    K = np.vstack([qb, tau])
+    K, E = _step_constraints(ctx.unit)
     s = float(L) ** ((dim - 2) / 2.0)
-    E = np.vstack([s * np.eye(qb.shape[0]),
-                   np.zeros((tau.shape[0], qb.shape[0]))])
-    return minimizer_map(ctx.delta, K, E)
+    return minimizer_map(ctx.delta, K, s * E)
 
 
 def minimizer_composition_residual(dim: int, L: int, n_levels: int,

@@ -19,10 +19,8 @@ import numpy as np
 
 from . import averaging as av
 from .fields import ext_d_matrix
-from .gaussian import kernel_basis
+from .gaussian import RANK_TOL, kernel_basis
 from .lattice import Lattice
-
-RANK_TOL = 1e-9
 
 
 def _min_max_sv(mat: np.ndarray):

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from caxial import cli
 from caxial.cli import ConfigError, RunConfig, main, run_verification
 
 
@@ -46,6 +47,37 @@ def test_resource_cap_records_skip(monkeypatch):
     assert statuses == {"SKIPPED"}
     for c in report["checks"]:
         assert "reason" in c
+
+
+@pytest.mark.parametrize("cap", ["20000", "abc"])
+def test_unusable_cap_is_config_error(cap, tmp_path, monkeypatch, capsys):
+    # above fields.DENSE_LIMIT the operators are sparse and every check
+    # would crash; a non-integer cap crashed the report itself
+    monkeypatch.setenv("CAXIAL_MAX_DIM", cap)
+    path = tmp_path / "report.json"
+    assert main(["verify", "--dim", "2", "--L", "3", "--levels", "4",
+                 "--suite", "rg", "--report", str(path)]) == 2
+    assert "CAXIAL_MAX_DIM" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_appendix_runs_change_of_gauge_once(monkeypatch):
+    original = cli.change_of_gauge_check
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(cli, "change_of_gauge_check", counted)
+    report, _ = run_verification(small_config(suites=("appendix",)))
+    assert len(calls) == 1
+    assert [c["status"] for c in report["checks"]] == ["PASS", "PASS"]
+
+    def broken(*args):
+        raise RuntimeError("broken")
+    monkeypatch.setattr(cli, "change_of_gauge_check", broken)
+    report, _ = run_verification(small_config(suites=("appendix",)))
+    assert [c["status"] for c in report["checks"]] == ["ERROR", "ERROR"]
 
 
 def test_exit_code_zero_and_report_file(tmp_path, capsys):

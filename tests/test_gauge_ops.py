@@ -3,7 +3,8 @@ import pytest
 
 from caxial.gauge_ops import (GaugeContext, change_of_gauge_check,
                               decay_profile, get_context)
-from caxial.gaussian import (AffineSurface, QuadraticDensity, SingularOperator,
+from caxial.gaussian import (AffineSurface, IndefiniteOnSurface,
+                             QuadraticDensity, SingularOperator,
                              kernel_basis, surface_min_eig)
 
 TOL = 1e-10
@@ -161,6 +162,17 @@ def test_cov_sqrt_spectral_squares_to_covariance():
     c = ctx1()
     root = c.cov_sqrt_spectral()
     assert np.abs(root @ root - c.fluct_cov(0.0)).max() < 1e-9
+
+
+def test_cholesky_certificates_raise_the_callers_errors():
+    # a shift far below the spectrum makes both operators indefinite
+    c = ctx1()
+    with pytest.raises(IndefiniteOnSurface):
+        c.fluct_cov(-1e6)
+    with pytest.raises(SingularOperator):
+        c.fine_green(-1e6)
+    assert np.allclose(c.fluct_cov(0.0) @ c.reduced_delta,
+                       np.eye(c.reduced_delta.shape[0]), atol=1e-9)
 
 
 def test_cov_sqrt_quadrature_matches_spectral():

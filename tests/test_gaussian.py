@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from caxial.gaussian import (AffineSurface, IndefiniteOnSurface,
+from caxial.gaussian import (RANK_TOL, AffineSurface, IndefiniteOnSurface,
                              QuadraticDensity, SingularOperator, kernel_basis,
                              constrained_minimize, log_partition,
                              subspace_covariance, moment_generating,
-                             push_constraint, surface_min_eig)
+                             positive_cholesky, push_constraint,
+                             surface_min_eig, _constraint_svd)
+from caxial.lattice import fine_torus, unit_torus
+from caxial.rg_flow import _step_constraints, one_shot_constraints
 
 
 def rng(seed=3):
@@ -85,6 +88,62 @@ def test_indefinite_raises():
     # but a constraint removing the bad direction makes it fine
     s2 = AffineSurface.from_constraints(np.array([[0.0, 1.0]]))
     assert surface_min_eig(d, s2) > 0
+
+
+def test_zero_eigenvalue_is_not_positive_definite():
+    # the boundary case: a form with an exact zero eigenvalue on the surface
+    d = QuadraticDensity(np.diag([1.0, 0.0]))
+    s = AffineSurface.unconstrained(2)
+    for integrate in (constrained_minimize, log_partition,
+                      subspace_covariance):
+        with pytest.raises(IndefiniteOnSurface):
+            integrate(d, s)
+    with pytest.raises(IndefiniteOnSurface):
+        push_constraint(d, np.zeros((0, 2)), np.zeros((0, 1)))
+    for error in (IndefiniteOnSurface, SingularOperator):
+        with pytest.raises(error):
+            positive_cholesky(np.diag([1.0, 0.0]), error)
+    assert np.allclose(positive_cholesky(np.diag([4.0, 1.0])),
+                       np.diag([2.0, 1.0]))
+
+
+def _constraint_cases():
+    r = rng(11)
+    full = r.standard_normal((3, 8))
+    deficient = r.standard_normal((4, 2)) @ r.standard_normal((2, 8))
+    yield "full_rank", full, r.standard_normal((3, 2))
+    yield "rank_deficient", deficient, deficient @ r.standard_normal((8, 3))
+    yield "empty", np.zeros((0, 5)), np.zeros((0, 2))
+    yield "step_2_3_1", *_step_constraints(unit_torus(2, 3, 1))
+    yield "one_shot_2_3_1", *one_shot_constraints(fine_torus(2, 3, 1, 0), 1)
+
+
+@pytest.mark.parametrize("case", list(_constraint_cases()),
+                         ids=lambda case: case[0])
+def test_single_svd_matches_dense_references(case):
+    # the one SVD per constraint matrix against the dense calls it replaced
+    _, K, E = case
+    tol = RANK_TOL
+    b = E @ rng(12).standard_normal(E.shape[1])
+
+    def close(a, ref):
+        assert a.shape == ref.shape
+        scale = max(1.0, np.abs(ref).max()) if ref.size else 1.0
+        assert np.abs(a - ref).max(initial=0.0) <= 1e-12 * scale
+
+    basis, rank, log_gram, pinv = _constraint_svd(K, tol)
+    surface = AffineSurface.from_constraints(K, b, tol)
+    pinv_ref = np.linalg.pinv(K, rcond=tol)
+    s = np.linalg.svd(K, compute_uv=False)
+    rank_ref = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+    assert rank == surface.row_rank == rank_ref
+    assert log_gram == surface.log_gram
+    log_gram_ref = 2.0 * np.sum(np.log(s[:rank_ref]))
+    assert abs(log_gram - log_gram_ref) <= 1e-12 * max(1.0, abs(log_gram_ref))
+    close(basis @ basis.T, np.eye(K.shape[1]) - pinv_ref @ K)
+    close(surface.basis, basis)
+    close(surface.particular, np.linalg.lstsq(K, b, rcond=None)[0])
+    close(pinv(E), pinv_ref @ E)
 
 
 def test_log_partition_1d():
