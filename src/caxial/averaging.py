@@ -12,14 +12,14 @@ together with the lattices involved; field-level wrappers are provided.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .lattice import Lattice, LatticeError, build_lattice
-from .fields import (BOND, SITE, BondField, LinearMap, ScalarField,
-                     SpaceDescriptor)
+from .fields import BondField, ScalarField
 from .gaussian import kernel_basis
 
 
@@ -35,6 +35,46 @@ def _fine_center(fine: Lattice, coarse: Lattice, y_ord: int, n: int = 1):
     return tuple(fine.L**n * c for c in coarse.site_coords(y_ord))
 
 
+def _blocks(fine: Lattice, coarse: Lattice, n: int = 1) -> np.ndarray:
+    """Coarse sites x block offsets: row y lists the fine sites of the
+    side-L**n block of y in block_offsets order."""
+    centers = coarse.sites * fine.L**n
+    return fine.site_ordinals(centers[:, None, :] + fine.block_offsets(n))
+
+
+def _densify(rows, cols, vals, shape) -> np.ndarray:
+    """Dense matrix of (row, col, value) triplets, duplicates summed in the
+    order given (as `out[r, c] += v` over the triplets would)."""
+    flat = np.ravel(rows) * shape[1] + np.ravel(cols)
+    out = np.bincount(flat, weights=np.broadcast_to(vals, flat.shape),
+                      minlength=shape[0] * shape[1])
+    return out.reshape(shape)
+
+
+def _path_sums(fine: Lattice, row_of, starts, deltas, orders, w,
+               n_rows: int) -> np.ndarray:
+    """n_rows x bonds matrix of weighted path sums.
+
+    Path start i walks by deltas[i] once per axis order in orders; each step
+    adds w times its orientation sign to row row_of[i].  The triplets are
+    summed start by start, path by path, step by step.
+    """
+    walks = [fine.walk_bonds(starts, deltas, order) for order in orders]
+    bonds = np.hstack([b for b, _, _ in walks])
+    signs = np.hstack([s for _, s, _ in walks])
+    step = signs != 0
+    rows = np.broadcast_to(np.asarray(row_of)[:, None], step.shape)
+    return _densify(rows[step], bonds[step], w * signs[step],
+                    (n_rows, fine.n_bonds))
+
+
+def _axis_deltas(axes, length: int, dim: int) -> np.ndarray:
+    """Displacements length * e_axis, one row per entry of axes."""
+    out = np.zeros((len(axes), dim), dtype=int)
+    out[np.arange(len(axes)), axes] = length
+    return out
+
+
 # -- block averages ----------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -42,31 +82,28 @@ def scalar_average_matrix(fine: Lattice, n: int = 1) -> np.ndarray:
     """Block average of site fields over side-L**n blocks, weight L**(-dim*n)."""
     coarse = coarsened(fine, n)
     w = float(fine.L) ** (-fine.dim * n)
-    out = np.zeros((coarse.n_sites, fine.n_sites))
-    for y in range(coarse.n_sites):
-        for x in fine.block_members(_fine_center(fine, coarse, y, n), n):
-            out[y, x] += w
-    return out
+    members = _blocks(fine, coarse, n)
+    rows = np.broadcast_to(np.arange(coarse.n_sites)[:, None], members.shape)
+    return _densify(rows, members, w, (coarse.n_sites, fine.n_sites))
+
+
+def _straight_average(fine: Lattice, n: int) -> np.ndarray:
+    """Row (y, mu) of the coarse lattice n levels up: weight L**-(dim+1)n
+    times the sum over block sites x of the unweighted sum of the L**n bonds
+    on the straight path from x to x + L**n e_mu."""
+    coarse = coarsened(fine, n)
+    w = float(fine.L) ** (-(fine.dim + 1) * n)
+    starts = _blocks(fine, coarse, n)[coarse.bond_sites]
+    row_of = np.repeat(np.arange(coarse.n_bonds), starts.shape[1])
+    deltas = _axis_deltas(coarse.bond_axes[row_of], fine.L**n, fine.dim)
+    return _path_sums(fine, row_of, starts.ravel(), deltas,
+                      [range(fine.dim)], w, coarse.n_bonds)
 
 
 @lru_cache(maxsize=None)
 def _bond_average_one(fine: Lattice) -> np.ndarray:
-    """One level of bond blocking: average of straight-path sums.
-
-    Row (y, mu): weight L**-(dim+1) times the sum over block sites x of the
-    unweighted sum of the L bonds on the straight path from x to x + L e_mu.
-    """
-    coarse = coarsened(fine)
-    L, dim = fine.L, fine.dim
-    w = float(L) ** (-(dim + 1))
-    out = np.zeros((coarse.n_bonds, fine.n_bonds))
-    for cb, (y, mu) in enumerate(coarse.bonds):
-        center = _fine_center(fine, coarse, y)
-        for x in fine.block_members(center, 1):
-            path = fine.straight_path(fine.site_coords(x), mu, L)
-            for b, sign in path.steps:
-                out[cb, b] += w * sign
-    return out
+    """One level of bond blocking: average of straight-path sums."""
+    return _straight_average(fine, 1)
 
 
 @lru_cache(maxsize=None)
@@ -85,17 +122,7 @@ def bond_average_direct_matrix(fine: Lattice, n: int) -> np.ndarray:
 
     Equal to the composed form; kept as an independent cross-check.
     """
-    coarse = coarsened(fine, n)
-    L, dim = fine.L, fine.dim
-    w = float(L) ** (-(dim + 1) * n)
-    out = np.zeros((coarse.n_bonds, fine.n_bonds))
-    for cb, (y, mu) in enumerate(coarse.bonds):
-        center = _fine_center(fine, coarse, y, n)
-        for x in fine.block_members(center, n):
-            path = fine.straight_path(fine.site_coords(x), mu, L**n)
-            for b, sign in path.steps:
-                out[cb, b] += w * sign
-    return out
+    return _straight_average(fine, n)
 
 
 # -- toron averages ----------------------------------------------------------
@@ -106,13 +133,11 @@ def toron_average_matrix(lattice: Lattice) -> np.ndarray:
     if not lattice.is_torus:
         raise LatticeError("toron averages require a torus")
     w = 1.0 / lattice.n_sites
-    out = np.zeros((lattice.dim, lattice.n_bonds))
-    for mu in range(lattice.dim):
-        for x in range(lattice.n_sites):
-            loop = lattice.toron_loop(lattice.site_coords(x), mu)
-            for b, sign in loop.steps:
-                out[mu, b] += w * sign
-    return out
+    row_of = np.repeat(np.arange(lattice.dim), lattice.n_sites)
+    starts = np.tile(np.arange(lattice.n_sites), lattice.dim)
+    deltas = _axis_deltas(row_of, lattice.n_side, lattice.dim)
+    return _path_sums(lattice, row_of, starts, deltas, [range(lattice.dim)],
+                      w, lattice.dim)
 
 
 def toron_average_full_matrix(fine: Lattice, n_levels: int) -> np.ndarray:
@@ -135,27 +160,21 @@ class PathAverageMap:
 
 def _path_average_build(fine: Lattice, all_orders: bool) -> PathAverageMap:
     coarse = coarsened(fine)
-    rows = []
-    data = []
-    for y in range(coarse.n_sites):
-        center = _fine_center(fine, coarse, y)
-        for off in fine.block_offsets(1):
-            if all(o == 0 for o in off):
-                continue
-            x_coords = tuple(c + o for c, o in zip(center, off))
-            rows.append((y, fine.site_ordinal(x_coords)))
-            row = np.zeros(fine.n_bonds)
-            if all_orders:
-                fam = fine.path_family(center, x_coords)
-                w = 1.0 / len(fam)
-            else:
-                fam = [fine.rectilinear_path(center, x_coords)]
-                w = 1.0
-            for path in fam:
-                for b, sign in path.steps:
-                    row[b] += w * sign
-            data.append(row)
-    return PathAverageMap(np.array(data), tuple(rows), fine, coarse)
+    blocks = _blocks(fine, coarse)
+    offsets = fine.block_offsets(1)
+    keep = offsets.any(axis=1)                  # every block site but the center
+    sites = blocks[:, keep]
+    n_rows = sites.size
+    ys = np.repeat(np.arange(coarse.n_sites), sites.shape[1])
+    rows = tuple(zip(ys.tolist(), sites.ravel().tolist()))
+    centers = np.repeat(blocks[:, ~keep], sites.shape[1])
+    # within a block the offset is already the centered displacement
+    deltas = np.tile(offsets[keep], (coarse.n_sites, 1))
+    orders = (list(itertools.permutations(range(fine.dim))) if all_orders
+              else [range(fine.dim)])
+    matrix = _path_sums(fine, np.arange(n_rows), centers, deltas, orders,
+                        1.0 / len(orders), n_rows)
+    return PathAverageMap(matrix, rows, fine, coarse)
 
 
 @lru_cache(maxsize=None)
@@ -224,13 +243,10 @@ def hierarchical_scalar_bijection_matrix(fine: Lattice,
     for j in range(n_levels):
         lat_j = coarsened(fine, j)
         qj = scalar_average_matrix(fine, j) if j else np.eye(fine.n_sites)
-        coarse = coarsened(lat_j, 1)
-        for y in range(coarse.n_sites):
-            center_coords = _fine_center(lat_j, coarse, y)
-            center = lat_j.site_ordinal(center_coords)
-            for x in lat_j.block_members(center_coords, 1):
-                if x != center:
-                    rows.append((qj[x] - qj[center])[None, :])
+        blocks = _blocks(lat_j, coarsened(lat_j, 1))
+        keep = lat_j.block_offsets(1).any(axis=1)
+        diff = qj[blocks[:, keep]] - qj[blocks[:, ~keep]]
+        rows.append(diff.reshape(-1, fine.n_sites))
     return np.vstack(rows)
 
 
@@ -245,19 +261,16 @@ def scalar_recovery_matrix(lattice: Lattice) -> np.ndarray:
     the block of y, and at centers mu(y) = L**-dim * sum_{x' != y}(tau Z).
     """
     tau = path_average_matrix(lattice)
-    dim, L = lattice.dim, lattice.L
-    w = float(L) ** (-dim)
-    out = np.zeros((lattice.n_sites, lattice.n_bonds))
-    block_sum = {}
-    for (y, x), row in zip(tau.rows, tau.matrix):
-        block_sum.setdefault(y, np.zeros(lattice.n_bonds))
-        block_sum[y] += row
-    for (y, x), row in zip(tau.rows, tau.matrix):
-        out[x] = -row + w * block_sum[y]
     coarse = tau.coarse
-    for y in range(coarse.n_sites):
-        center = lattice.site_ordinal(_fine_center(lattice, coarse, y))
-        out[center] = w * block_sum[y]
+    w = float(lattice.L) ** (-lattice.dim)
+    per_block = tau.matrix.reshape(coarse.n_sites, -1, lattice.n_bonds)
+    block_sum = np.zeros((coarse.n_sites, lattice.n_bonds))
+    for j in range(per_block.shape[1]):     # the rows of a block in order
+        block_sum += per_block[:, j]
+    ys, xs = np.array(tau.rows).T
+    out = np.zeros((lattice.n_sites, lattice.n_bonds))
+    out[xs] = -tau.matrix + w * block_sum[ys]
+    out[lattice.site_ordinals(coarse.sites * lattice.L)] = w * block_sum
     return out
 
 
@@ -392,14 +405,3 @@ def q_bond(A: BondField, n: int = 1) -> BondField:
 def q_toron(A: BondField) -> np.ndarray:
     return toron_average_matrix(A.lattice) @ A.values
 
-
-def scalar_average_map(fine: Lattice, n: int = 1) -> LinearMap:
-    coarse = coarsened(fine, n)
-    return LinearMap(scalar_average_matrix(fine, n),
-                     SpaceDescriptor(fine, SITE), SpaceDescriptor(coarse, SITE))
-
-
-def bond_average_map(fine: Lattice, n: int = 1) -> LinearMap:
-    coarse = coarsened(fine, n)
-    return LinearMap(bond_average_matrix(fine, n),
-                     SpaceDescriptor(fine, BOND), SpaceDescriptor(coarse, BOND))

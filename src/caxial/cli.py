@@ -28,7 +28,7 @@ from .fields import ext_d_matrix, grad_matrix, random_field, scale_field, \
     inner, norm_sq
 from .gauge_ops import change_of_gauge_check, decay_profile, get_context
 from .gaussian import QuadraticDensity, surface_min_eig
-from .lattice import build_lattice, LatticeSpec, open_cube, unit_torus
+from .lattice import LatticeSpec, fine_torus, open_cube, unit_torus
 from .rg_flow import (ResourceCapExceeded, _guard, curl_energy_form,
                       final_step, fluctuation_step, flow_states,
                       max_ambient_dim, minimizer_composition_residual,
@@ -167,6 +167,12 @@ class Runner:
 
     guard = staticmethod(_guard)
 
+    def torus(self, dim, L, scale, levels):
+        """fine_torus(dim, L, scale, levels), guarded on its closed-form bond
+        count before anything is built."""
+        self.guard(LatticeSpec(dim, L, scale, levels).n_bonds)
+        return fine_torus(dim, L, scale, levels)
+
     def rng(self, *salt) -> np.random.Generator:
         return np.random.default_rng((self.config.seed,) + salt)
 
@@ -186,8 +192,7 @@ def suite_geometry(run: Runner, inst):
     tol = 0
 
     def counts():
-        lat = unit_torus(dim, L, levels)
-        run.guard(lat.n_bonds)
+        lat = run.torus(dim, L, 0, levels)
         sites = L ** (dim * levels)
         plaq = dim * (dim - 1) // 2 * sites
         return (abs(lat.n_sites - sites) + abs(lat.n_bonds - dim * sites)
@@ -204,8 +209,7 @@ def suite_geometry(run: Runner, inst):
               inst, tree, tol, "exact")
 
     def blocks():
-        lat = unit_torus(dim, L, levels)
-        run.guard(lat.n_bonds)
+        lat = run.torus(dim, L, 0, levels)
         members = list(lat.block_members((0,) * dim, 1))
         return abs(len(members) - L ** dim)
     run.check("geometry.block_size",
@@ -218,9 +222,7 @@ def suite_calculus(run: Runner, inst):
     tol = run.config.identity_tol
 
     def lat():
-        out = unit_torus(dim, L, levels)
-        run.guard(out.n_bonds)
-        return out
+        return run.torus(dim, L, 0, levels)
 
     run.check("calculus.curl_of_gradient",
               "the curl of every gradient vanishes identically", inst,
@@ -242,8 +244,7 @@ def suite_calculus(run: Runner, inst):
               adjoint, tol)
 
     def scale_inv():
-        fine = build_lattice(LatticeSpec(dim, L, 1, levels))
-        run.guard(fine.n_bonds)
+        fine = run.torus(dim, L, 1, levels)
         A = random_field(fine, "bond", run.rng(2, *inst))
         from .fields import ext_d
         before = norm_sq(ext_d(A))
@@ -263,12 +264,10 @@ def suite_calculus(run: Runner, inst):
         for sym in lattice.symmetries()[:6]:
             lhs = tau.matrix @ apply_symmetry(sym, A).values
             rinv = sym.inverse()
-            moved = np.array([by_pair[(
-                tau.coarse.site_ordinal(
-                    rinv.apply_site(tau.coarse.site_coords(y))),
-                lattice.site_ordinal(
-                    rinv.apply_site(lattice.site_coords(x))))]
-                for (y, x) in tau.rows])
+            coarse_dest = tau.coarse.site_permutation(rinv).tolist()
+            fine_dest = lattice.site_permutation(rinv).tolist()
+            moved = np.array([by_pair[(coarse_dest[y], fine_dest[x])]
+                              for (y, x) in tau.rows])
             worst = max(worst, _maxabs(lhs - moved))
         return worst
     run.check("calculus.path_average_symmetry",
@@ -281,9 +280,7 @@ def suite_averaging(run: Runner, inst):
     tol = run.config.identity_tol
 
     def lat():
-        out = unit_torus(dim, L, levels)
-        run.guard(out.n_bonds)
-        return out
+        return run.torus(dim, L, 0, levels)
 
     def intertwine():
         lattice = lat()
@@ -358,8 +355,7 @@ def suite_gauge_surface(run: Runner, inst):
                   rank_tol, "floor")
 
     def closure():
-        lattice = unit_torus(dim, L, 1)
-        run.guard(lattice.n_bonds)
+        lattice = run.torus(dim, L, 0, 1)
         out = spectral.toron_closure_kernel(lattice)
         return out["min_sv"] / out["max_sv"]
     run.check("gauge_surface.toron_closure",
@@ -367,8 +363,8 @@ def suite_gauge_surface(run: Runner, inst):
               inst, closure, rank_tol, "floor")
 
     def bijection():
+        run.guard(LatticeSpec(dim, L, 0, levels).n_sites * 4)
         fine = unit_torus(dim, L, levels)
-        run.guard(fine.n_sites * 4)
         m = av.hierarchical_scalar_bijection_matrix(fine, levels)
         s = np.linalg.svd(m, compute_uv=False)
         return s[-1] / s[0]
@@ -454,8 +450,7 @@ def suite_lower_bound(run: Runner, inst):
               "floor")
 
     def coercive():
-        lattice = unit_torus(dim, L, 1)
-        run.guard(lattice.n_bonds)
+        lattice = run.torus(dim, L, 0, 1)
         out = spectral.global_coercivity(lattice)
         return out["min_eig"] - out["floor"]
     run.check("lower_bound.global_coercivity",
@@ -480,7 +475,7 @@ def suite_lower_bound(run: Runner, inst):
 
 def _iterated_states(run: Runner, inst):
     dim, L, levels = inst
-    run.guard(dim * L ** (dim * levels))
+    run.guard(LatticeSpec(dim, L, 0, levels).n_bonds)
     return flow_states(dim, L, levels)
 
 
@@ -554,7 +549,7 @@ def suite_rg(run: Runner, inst):
               "form", inst, final, tol)
 
     def recursion():
-        run.guard(dim * L ** (dim * levels))
+        run.guard(LatticeSpec(dim, L, 0, levels).n_bonds)
         fc = z_constants(dim, L, levels)
         return max(fc.recursion_residuals.values())
     run.check("rg.partition_recursion",
@@ -562,7 +557,7 @@ def suite_rg(run: Runner, inst):
               "exactly", inst, recursion, tol)
 
     def composition():
-        run.guard(dim * L ** (dim * levels))
+        run.guard(LatticeSpec(dim, L, 0, levels).n_bonds)
         return max(minimizer_composition_residual(dim, L, levels, k)
                    for k in range(levels))
     run.check("rg.minimizer_composition",
@@ -570,7 +565,7 @@ def suite_rg(run: Runner, inst):
               "finer level", inst, composition, tol)
 
     def fluct():
-        run.guard(dim * L ** (dim * levels))
+        run.guard(LatticeSpec(dim, L, 0, levels).n_bonds)
         ctx = get_context(dim, L, levels, 0)
         m = curl_energy_form(ctx.unit)
         return fluctuation_step(dim, L, levels, 0, m).cross_residual
@@ -624,8 +619,7 @@ def suite_decay(run: Runner, inst):
     dim, L, levels = inst
 
     def massive():
-        lattice = unit_torus(dim, L, 1)
-        run.guard(lattice.n_bonds)
+        lattice = run.torus(dim, L, 0, 1)
         from .fields import laplacian_matrix
         g0 = np.linalg.inv(laplacian_matrix(lattice)
                            + np.eye(lattice.n_sites))

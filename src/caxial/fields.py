@@ -96,10 +96,6 @@ class Field:
         if other.lattice is not self.lattice or other.kind != self.kind:
             raise LatticeError("field descriptors do not match")
 
-    def to_json(self) -> dict:
-        return {"lattice": self.lattice.spec.to_json(), "kind": self.kind,
-                "values": self.values.tolist()}
-
 
 class ScalarField(Field):
     kind = SITE
@@ -110,13 +106,6 @@ class ScalarField(Field):
 
 class BondField(Field):
     kind = BOND
-
-    def on_bond(self, site_ordinal: int, axis: int, sign: int = 1) -> float:
-        """Value on the oriented bond from the site along +-axis."""
-        if sign > 0:
-            return self.values[self.lattice.bond_ordinal(site_ordinal, axis)]
-        prev = self.lattice.shift_site(site_ordinal, axis, -1)
-        return -self.values[self.lattice.bond_ordinal(prev, axis)]
 
 
 class PlaquetteField(Field):
@@ -176,12 +165,11 @@ def _maybe_dense(mat: sp.spmatrix) -> np.ndarray:
 def grad_matrix(lattice: Lattice) -> np.ndarray:
     """Bonds x sites matrix of the divided-difference gradient."""
     inv_eta = 1.0 / lattice.spacing
-    rows, cols, vals = [], [], []
-    for b, (s, mu) in enumerate(lattice.bonds):
-        t = lattice.shift_site(s, mu)
-        rows += [b, b]
-        cols += [s, t]
-        vals += [-inv_eta, inv_eta]
+    s, mu = lattice.bond_sites, lattice.bond_axes
+    # per bond b = (s, mu): -1/eta at s, then +1/eta at s + e_mu
+    rows = np.repeat(np.arange(lattice.n_bonds), 2)
+    cols = np.stack([s, lattice.next[mu, s]], axis=1).ravel()
+    vals = np.tile([-inv_eta, inv_eta], lattice.n_bonds)
     mat = sp.coo_matrix((vals, (rows, cols)),
                         shape=(lattice.n_bonds, lattice.n_sites))
     return _maybe_dense(mat)
@@ -191,15 +179,16 @@ def grad_matrix(lattice: Lattice) -> np.ndarray:
 def ext_d_matrix(lattice: Lattice) -> np.ndarray:
     """Plaquettes x bonds matrix of the oriented boundary sum over 1/eta."""
     inv_eta = 1.0 / lattice.spacing
-    rows, cols, vals = [], [], []
-    for p, (s, mu, nu) in enumerate(lattice.plaquettes):
-        s_mu = lattice.shift_site(s, mu)
-        s_nu = lattice.shift_site(s, nu)
-        for bond, sign in (((s, mu), 1), ((s_mu, nu), 1),
-                           ((s_nu, mu), -1), ((s, nu), -1)):
-            rows.append(p)
-            cols.append(lattice.bond_ordinal(*bond))
-            vals.append(sign * inv_eta)
+    s = lattice.plaq_sites
+    mu, nu = lattice.plaq_axes.T
+    bond = lattice.bond_index
+    # per plaquette: +(s, mu), +(s + e_mu, nu), -(s + e_nu, mu), -(s, nu)
+    cols = np.stack([bond[s, mu], bond[lattice.next[mu, s], nu],
+                     bond[lattice.next[nu, s], mu], bond[s, nu]],
+                    axis=1).ravel()
+    rows = np.repeat(np.arange(lattice.n_plaquettes), 4)
+    vals = np.tile([inv_eta, inv_eta, -inv_eta, -inv_eta],
+                   lattice.n_plaquettes)
     mat = sp.coo_matrix((vals, (rows, cols)),
                         shape=(lattice.n_plaquettes, lattice.n_bonds))
     return _maybe_dense(mat)
@@ -296,9 +285,8 @@ def apply_symmetry(r, A):
         out[dest] = A.values
         return ScalarField(lat, out)
     if A.kind == BOND:
-        for b in range(lat.n_bonds):
-            img, sgn = lat.bond_image(r, b)
-            out[img] = sgn * A.values[b]
+        dest, sign = lat.bond_permutation(r)
+        out[dest] = sign * A.values
         return BondField(lat, out)
     raise LatticeError("symmetry action implemented for site and bond fields")
 

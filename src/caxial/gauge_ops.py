@@ -363,12 +363,9 @@ def _element_points(lattice, kind: str) -> np.ndarray:
     """Physical coordinates of sites, or of bond midpoints."""
     if kind == "site":
         return np.asarray(lattice.sites, dtype=float) * lattice.spacing
-    pts = np.empty((lattice.n_bonds, lattice.dim))
-    for b, (s, mu) in enumerate(lattice.bonds):
-        c = np.array(lattice.site_coords(s), dtype=float)
-        c[mu] += 0.5
-        pts[b] = c * lattice.spacing
-    return pts
+    pts = np.asarray(lattice.sites[lattice.bond_sites], dtype=float)
+    pts[np.arange(lattice.n_bonds), lattice.bond_axes] += 0.5
+    return pts * lattice.spacing
 
 
 def decay_profile(matrix: np.ndarray, row_lattice, col_lattice,
@@ -387,18 +384,13 @@ def decay_profile(matrix: np.ndarray, row_lattice, col_lattice,
     diff = rp[:, None, :] - cp[None, :, :]
     diff -= period * np.round(diff / period)
     dist = np.sqrt((diff**2).sum(axis=2))
-    classes = {}
-    for i in range(matrix.shape[0]):
-        for j in range(matrix.shape[1]):
-            d = round(dist[i, j], 9)
-            v = abs(matrix[i, j])
-            cur = classes.get(d)
-            if cur is None:
-                classes[d] = [v, 1]
-            else:
-                cur[0] = max(cur[0], v)
-                cur[1] += 1
-    table = sorted((d, mx, n) for d, (mx, n) in classes.items())
+    # one class per distance rounded to 9 digits, rounded once per value
+    uniq, inverse = np.unique(dist, return_inverse=True)
+    keys, key_of = np.unique([round(u, 9) for u in uniq], return_inverse=True)
+    cls = key_of[inverse.ravel()]
+    peak = np.zeros(len(keys))
+    np.maximum.at(peak, cls, np.abs(matrix).ravel())
+    table = list(zip(keys, peak, np.bincount(cls).tolist()))
     xs = np.array([d for d, mx, _ in table if mx > floor])
     ys = np.array([np.log(mx) for _, mx, _ in table if mx > floor])
     if len(xs) >= 2:

@@ -13,7 +13,7 @@ Every matrix built elsewhere in this package uses this ordering.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,6 +65,27 @@ class LatticeSpec:
         if exp < 0:
             raise LatticeError("lattice has fewer than one site per side")
         return self.L**exp
+
+    # closed-form element counts, known before anything is built
+
+    @property
+    def n_sites(self) -> int:
+        return self.n_side**self.dim
+
+    @property
+    def n_bonds(self) -> int:
+        n, dim = self.n_side, self.dim
+        if self.boundary == TORUS:
+            return dim * n**dim
+        return dim * (n - 1) * n ** (dim - 1)
+
+    @property
+    def n_plaquettes(self) -> int:
+        n, dim = self.n_side, self.dim
+        pairs = dim * (dim - 1) // 2
+        if self.boundary == TORUS:
+            return pairs * n**dim
+        return pairs * (n - 1) ** 2 * n ** (dim - 2)
 
     def coarsened(self) -> "LatticeSpec":
         """Spec of the lattice one blocking level up (spacing multiplied by L)."""
@@ -136,35 +157,50 @@ class LatticeSymmetry:
 
 
 class Lattice:
-    """Concrete lattice with enumerated sites, bonds and plaquettes."""
+    """Concrete lattice with enumerated sites, bonds and plaquettes.
+
+    The geometry is held in index tables built by whole-array arithmetic:
+
+    next[axis, s], prev[axis, s] -- the site one step from s along +-axis,
+                                    -1 where an open-cube step leaves it;
+    bond_index[s, axis]          -- ordinal of the bond (s, axis), or -1;
+    bond_sites, bond_axes        -- the bonds as arrays (site, axis);
+    plaq_sites, plaq_axes        -- the plaquettes as arrays (site, (mu, nu)).
+
+    `bonds` and `plaquettes` list the same elements as tuples.
+    """
 
     def __init__(self, spec: LatticeSpec):
         self.spec = spec
-        self.dim = spec.dim
+        self.dim = dim = spec.dim
         self.L = spec.L
-        self.n_side = spec.n_side
-        self.half = (self.n_side - 1) // 2
-        rng = range(-self.half, self.half + 1)
-        self.sites = np.array(list(itertools.product(rng, repeat=self.dim)),
-                              dtype=int)
-        self._site_lookup = {tuple(c): i for i, c in enumerate(self.sites)}
+        self.n_side = n = spec.n_side
+        self.half = (n - 1) // 2
+        self._radix = n ** np.arange(dim - 1, -1, -1)
+        self.sites = np.indices((n,) * dim).reshape(dim, -1).T - self.half
 
-        bonds = []
-        for s in range(self.n_sites):
-            for mu in range(self.dim):
-                if self.shift_site(s, mu) is not None:
-                    bonds.append((s, mu))
-        self.bonds = bonds
-        self._bond_lookup = {b: i for i, b in enumerate(bonds)}
+        grid = np.arange(n**dim).reshape((n,) * dim)
+        self.next = np.stack([np.roll(grid, -1, mu).ravel()
+                              for mu in range(dim)])
+        self.prev = np.stack([np.roll(grid, 1, mu).ravel()
+                              for mu in range(dim)])
+        if not self.is_torus:
+            self.next[self.sites.T == self.half] = -1
+            self.prev[self.sites.T == -self.half] = -1
 
-        plaqs = []
-        for s in range(self.n_sites):
-            for mu in range(self.dim):
-                for nu in range(mu + 1, self.dim):
-                    if (self.shift_site(s, mu) is not None
-                            and self.shift_site(s, nu) is not None):
-                        plaqs.append((s, mu, nu))
-        self.plaquettes = plaqs
+        has_bond = self.next.T >= 0
+        self.bond_sites, self.bond_axes = np.nonzero(has_bond)
+        self.bond_index = np.full(has_bond.shape, -1)
+        self.bond_index[has_bond] = np.arange(len(self.bond_sites))
+        self.bonds = list(zip(self.bond_sites.tolist(),
+                              self.bond_axes.tolist()))
+
+        pairs = np.array(list(itertools.combinations(range(dim), 2)))
+        has_plaq = has_bond[:, pairs[:, 0]] & has_bond[:, pairs[:, 1]]
+        self.plaq_sites, pair = np.nonzero(has_plaq)
+        self.plaq_axes = pairs[pair]
+        self.plaquettes = list(zip(self.plaq_sites.tolist(),
+                                   *self.plaq_axes.T.tolist()))
 
     # -- basic counts -------------------------------------------------------
 
@@ -190,30 +226,38 @@ class Lattice:
 
     # -- coordinates --------------------------------------------------------
 
-    def wrap(self, coords):
-        """Reduce coordinates to the centered fundamental domain (torus only)."""
-        n = self.n_side
-        return tuple((c + self.half) % n - self.half for c in coords)
+    def site_ordinals(self, coords) -> np.ndarray:
+        """Ordinals of sites given by coordinates along the last axis.
+
+        Radix arithmetic sum_i (c_i + half) n**(dim-1-i), after wrapping
+        into the fundamental domain on a torus.
+        """
+        c = np.asarray(coords, dtype=int) + self.half
+        if c.ndim == 0 or c.shape[-1] != self.dim:
+            raise LatticeError(f"site {coords} not on lattice")
+        if self.is_torus:
+            c %= self.n_side
+        else:
+            off = ((c < 0) | (c >= self.n_side)).any(axis=-1)
+            if off.any():
+                bad = c.reshape(-1, self.dim)[off.ravel()][0] - self.half
+                raise LatticeError(f"site {tuple(bad.tolist())} not on lattice")
+        return c @ self._radix
 
     def site_ordinal(self, coords) -> int:
-        coords = tuple(int(c) for c in coords)
-        if self.is_torus:
-            coords = self.wrap(coords)
-        try:
-            return self._site_lookup[coords]
-        except KeyError:
-            raise LatticeError(f"site {coords} not on lattice") from None
+        return int(self.site_ordinals(coords))
 
     def site_coords(self, ordinal: int) -> tuple:
         return tuple(self.sites[ordinal])
 
     def shift_site(self, ordinal: int, axis: int, steps: int = 1):
         """Ordinal of the site displaced by steps*e_axis, or None if outside."""
-        c = list(self.sites[ordinal])
-        c[axis] += steps
-        if self.is_torus:
-            return self._site_lookup[self.wrap(c)]
-        return self._site_lookup.get(tuple(c))
+        table = self.next if steps > 0 else self.prev
+        for _ in range(abs(steps)):
+            ordinal = table[axis, ordinal]
+            if ordinal < 0:
+                return None
+        return int(ordinal)
 
     def centered_delta(self, y_coords, x_coords):
         """Displacement x - y, wrapped into the centered window on a torus."""
@@ -226,10 +270,10 @@ class Lattice:
     # -- bonds --------------------------------------------------------------
 
     def bond_ordinal(self, site_ordinal: int, axis: int) -> int:
-        try:
-            return self._bond_lookup[(site_ordinal, axis)]
-        except KeyError:
-            raise LatticeError("no such bond") from None
+        if not (0 <= site_ordinal < self.n_sites and 0 <= axis < self.dim
+                and self.bond_index[site_ordinal, axis] >= 0):
+            raise LatticeError("no such bond")
+        return int(self.bond_index[site_ordinal, axis])
 
     def step(self, site_ordinal: int, axis: int, direction: int):
         """One oriented step from a site; returns (bond ordinal, sign, new site)."""
@@ -247,27 +291,53 @@ class Lattice:
         """All canonical bonds incident to a site, with incidence sign."""
         out = []
         for mu in range(self.dim):
-            if (site_ordinal, mu) in self._bond_lookup:
-                out.append((self._bond_lookup[(site_ordinal, mu)], 1))
-            prev = self.shift_site(site_ordinal, mu, -1)
-            if prev is not None and (prev, mu) in self._bond_lookup:
-                out.append((self._bond_lookup[(prev, mu)], -1))
+            if self.bond_index[site_ordinal, mu] >= 0:
+                out.append((int(self.bond_index[site_ordinal, mu]), 1))
+            prev = self.prev[mu, site_ordinal]
+            if prev >= 0:
+                out.append((int(self.bond_index[prev, mu]), -1))
         return out
 
     # -- paths --------------------------------------------------------------
 
     def walk(self, start_coords, deltas_by_axis, axis_order) -> Path:
         """Move each coordinate to its target in the given axis order."""
-        cur = self.site_ordinal(start_coords)
-        start = cur
-        steps = []
-        for axis in axis_order:
-            d = deltas_by_axis[axis]
-            sgn = 1 if d > 0 else -1
-            for _ in range(abs(d)):
-                b, s, cur = self.step(cur, axis, sgn)
-                steps.append((b, s))
-        return Path(tuple(steps), start, cur)
+        start = self.site_ordinal(start_coords)
+        bonds, signs, end = self.walk_bonds([start], [deltas_by_axis],
+                                            axis_order)
+        taken = signs[0] != 0
+        steps = zip(bonds[0, taken].tolist(), signs[0, taken].tolist())
+        return Path(tuple(steps), start, int(end[0]))
+
+    def walk_bonds(self, starts, deltas, axis_order):
+        """`walk` for many paths at once, by whole-array table lookups.
+
+        Path i moves site starts[i] by deltas[i], axis by axis in axis_order.
+        Returns (bonds, signs, ends): bonds and signs have shape
+        (len(starts), len(axis_order) * reach), reach = max |delta|, where
+        step t along the j-th axis of the order is slot j * reach + t and the
+        slots a path does not use hold bond -1 and sign 0; ends are the
+        sites the paths end at.
+        """
+        cur = np.array(starts)
+        deltas = np.asarray(deltas)
+        reach = int(np.abs(deltas).max(initial=0))
+        bonds = np.full((len(cur), len(axis_order) * reach), -1)
+        signs = np.zeros_like(bonds)
+        for j, axis in enumerate(axis_order):
+            for t in range(reach):
+                slot = j * reach + t
+                fwd = deltas[:, axis] > t
+                back = deltas[:, axis] < -t
+                bonds[fwd, slot] = self.bond_index[cur[fwd], axis]
+                cur[fwd] = self.next[axis, cur[fwd]]
+                cur[back] = self.prev[axis, cur[back]]
+                if (cur < 0).any():
+                    raise LatticeError("step leaves the lattice")
+                bonds[back, slot] = self.bond_index[cur[back], axis]
+                signs[fwd, slot] = 1
+                signs[back, slot] = -1
+        return bonds, signs, cur
 
     def rectilinear_path(self, y_coords, x_coords, perm=None) -> Path:
         """Coordinate-ordered path from y to x (identity order by default).
@@ -306,36 +376,28 @@ class Lattice:
         the origin to every other site.  On a torus the same (non-wrapping)
         tree is used; it cannot include the wrap bonds.
         """
-        tree = set()
-        origin = (0,) * self.dim
-        for s in range(self.n_sites):
-            coords = self.site_coords(s)
-            if coords == origin:
-                continue
-            # Plain (unwrapped) deltas keep the tree inside the fundamental
-            # domain on a torus as well.
-            delta = tuple(coords)
-            path = self.walk(origin, delta, tuple(range(self.dim)))
-            tree.update(b for b, _ in path.steps)
-        return tree
+        # Plain (unwrapped) deltas keep the tree inside the fundamental
+        # domain on a torus as well.
+        origin = self.site_ordinal((0,) * self.dim)
+        bonds, signs, _ = self.walk_bonds(
+            np.full(self.n_sites, origin), self.sites, tuple(range(self.dim)))
+        return set(bonds[signs != 0].tolist())
 
     # -- blocks -------------------------------------------------------------
 
-    def block_offsets(self, n: int = 1):
-        half = (self.L**n - 1) // 2
-        rng = range(-half, half + 1)
-        return list(itertools.product(rng, repeat=self.dim))
+    def block_offsets(self, n: int = 1) -> np.ndarray:
+        """Offsets of an L^n-cube from its center, lexicographic, one per row."""
+        side = self.L**n
+        return np.indices((side,) * self.dim).reshape(self.dim, -1).T \
+            - (side - 1) // 2
 
     def block_members(self, y_coords, n: int = 1):
         """Ordinals of the L^n-cube of fine sites centered on a coarse center y."""
         for c in y_coords:
             if int(c) % self.L**n != 0:
                 raise LatticeError(f"{tuple(y_coords)} is not a level-{n} center")
-        out = []
-        for off in self.block_offsets(n):
-            coords = tuple(int(y) + o for y, o in zip(y_coords, off))
-            out.append(self.site_ordinal(coords))
-        return out
+        y = np.asarray(y_coords, dtype=int)
+        return self.site_ordinals(y + self.block_offsets(n)).tolist()
 
     def coarsen(self) -> "Lattice":
         return Lattice(self.spec.coarsened())
@@ -392,21 +454,24 @@ class Lattice:
 
     def site_permutation(self, r: LatticeSymmetry) -> np.ndarray:
         """dest[i] = ordinal of r(site i)."""
-        dest = np.empty(self.n_sites, dtype=int)
-        for s in range(self.n_sites):
-            dest[s] = self.site_ordinal(r.apply_site(self.site_coords(s)))
-        return dest
+        image = np.empty_like(self.sites)
+        image[:, list(r.perm)] = self.sites * np.array(r.signs)
+        return self.site_ordinals(image)
+
+    def bond_permutation(self, r: LatticeSymmetry):
+        """Images of all canonical bonds under r: (ordinals, signs) arrays."""
+        perm, signs = np.array(r.perm), np.array(r.signs)
+        start = self.site_permutation(r)[self.bond_sites]
+        nu = perm[self.bond_axes]
+        sign = signs[self.bond_axes]
+        # a reversed bond is the canonical bond one step back along nu
+        start = np.where(sign > 0, start, self.prev[nu, start])
+        return self.bond_index[start, nu], sign
 
     def bond_image(self, r: LatticeSymmetry, bond_ordinal: int):
         """Image of a canonical bond under r: (canonical ordinal, sign)."""
-        s, mu = self.bonds[bond_ordinal]
-        y = list(r.apply_site(self.site_coords(s)))
-        nu = r.perm[mu]
-        sgn = r.signs[mu]
-        if sgn > 0:
-            return self.bond_ordinal(self.site_ordinal(y), nu), 1
-        y[nu] -= 1
-        return self.bond_ordinal(self.site_ordinal(y), nu), -1
+        dest, sign = self.bond_permutation(r)
+        return int(dest[bond_ordinal]), int(sign[bond_ordinal])
 
     def __repr__(self):
         return (f"Lattice(dim={self.dim}, L={self.L}, "

@@ -123,3 +123,26 @@ def test_csv_export(tmp_path):
     body = (tmp_path / files[0]).read_text().splitlines()
     assert body[0] == "distance,max_abs,count"
     assert len(body) > 2
+
+
+@pytest.mark.parametrize("suite, inst, check_id, spec_args, cap, n", [
+    # the fine lattice of the scale-invariance check, guarded on its
+    # closed-form bond count
+    ("calculus", (2, 3, 1), "calculus.curl_energy_scale_invariance",
+     (2, 3, 1, 1), 100, 162),
+    # the unit torus of the bijection check, guarded on 4 * its site count
+    ("gauge_surface", (2, 3, 2), "gauge_surface.scalar_hierarchy_bijection",
+     (2, 3, 0, 2), 300, 324),
+], ids=["calculus", "gauge_surface"])
+def test_skipped_check_builds_no_lattice(monkeypatch, suite, inst, check_id,
+                                         spec_args, cap, n):
+    from caxial.lattice import LatticeSpec, _lattice_cache
+    spec = LatticeSpec(*spec_args)
+    monkeypatch.delitem(_lattice_cache, spec, raising=False)
+    monkeypatch.setenv("CAXIAL_MAX_DIM", str(cap))
+    report, _ = run_verification(small_config(instances=(inst,),
+                                              suites=(suite,)))
+    check = next(c for c in report["checks"] if c["check_id"] == check_id)
+    assert check["status"] == "SKIPPED"
+    assert check["reason"] == f"ambient dimension {n} exceeds cap {cap}"
+    assert spec not in _lattice_cache
