@@ -223,9 +223,10 @@ class ConstraintStack:
 def axial_constraint_stack(fine: Lattice, k: int) -> ConstraintStack:
     levels = []
     for j in range(k):
-        level_lat = coarsened(fine, j)
-        tau = path_average_matrix(level_lat)
-        levels.append(tau.matrix @ bond_average_matrix(fine, j))
+        tau = path_average_matrix(coarsened(fine, j)).matrix
+        # level 0 blocks nothing: a copy, not a product with the identity,
+        # and not the cached matrix itself
+        levels.append(tau @ bond_average_matrix(fine, j) if j else tau.copy())
     return ConstraintStack(tuple(levels), fine)
 
 

@@ -74,6 +74,22 @@ def kernel_basis(K: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     return _constraint_svd(K, tol)[0]
 
 
+def kernel_residual(T: np.ndarray, K: np.ndarray,
+                    tol: float = RANK_TOL) -> float:
+    """max |T - X K| for X the least-squares solution of X K = T.
+
+    X K is T projected onto the numerical row space of K (same rank rule as
+    kernel_basis), so T - X K = T V V^T for V = kernel_basis(K), and
+    T v = (T - X K) v for every v in ker K: the value certifies that T
+    vanishes on ker K without forming that basis.
+    """
+    T = np.atleast_2d(np.asarray(T, dtype=float))
+    K = np.atleast_2d(np.asarray(K, dtype=float))
+    X = np.linalg.lstsq(K.T, T.T, rcond=tol)[0].T
+    res = T - X @ K
+    return float(np.abs(res).max()) if res.size else 0.0
+
+
 @dataclass
 class QuadraticDensity:
     """c * exp(-1/2 <v, form v> + <linear, v>) with log c = log_const."""

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from caxial.lattice import LatticeError, build_lattice, open_cube, unit_torus, \
-    fine_torus
+from caxial.lattice import LatticeError, open_cube, unit_torus, fine_torus
 from caxial.fields import (BOND, SITE, BondField, ScalarField, apply_symmetry,
                            grad, grad_matrix, random_field, scale_field)
 from caxial import averaging as av

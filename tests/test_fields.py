@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from caxial.lattice import build_lattice, open_cube, unit_torus, fine_torus
-from caxial.fields import (ScalarField, BondField, grad, ext_d, codiff,
+from caxial.lattice import open_cube, unit_torus, fine_torus
+from caxial.fields import (ScalarField, grad, ext_d, codiff,
                            gauge_transform, path_sum, scale_field, inner,
                            norm_sq, as_matrix, apply_symmetry, random_field,
                            grad_matrix, ext_d_matrix, laplacian_matrix,

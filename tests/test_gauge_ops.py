@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from caxial.gauge_ops import (GaugeContext, change_of_gauge_check,
-                              decay_profile, get_context)
-from caxial.gaussian import (AffineSurface, IndefiniteOnSurface,
-                             QuadraticDensity, SingularOperator,
-                             kernel_basis, surface_min_eig)
+                              decay_profile, get_context, sym_norm2)
+from caxial.gaussian import (IndefiniteOnSurface, QuadraticDensity,
+                             SingularOperator, kernel_basis,
+                             surface_min_eig)
 
 TOL = 1e-10
 
@@ -156,6 +156,27 @@ def test_fluctuation_covariance_representation_level_one():
     c = get_context(2, 3, 2, 1)
     res = c.rep_check((0.0, 1.0))
     assert max(res.values()) < 1e-9
+
+
+@pytest.mark.parametrize("inst", [(2, 3, 1, 0), (2, 3, 2, 1), (3, 3, 1, 0)])
+def test_symmetric_norm_matches_svd_norm(inst):
+    # the spectral norms of rep_check and change_of_gauge_check come from
+    # eigvalsh; norm(., 2), the SVD they replaced, is the reference
+    c = get_context(*inst)
+    C, ipd, qb = c.fluct_basis, c.one_plus_grad_recovery, c.bond_average
+    sym = np.random.default_rng(5).standard_normal((40, 40))
+    mats = [sym + sym.T, c.green_scalar, -c.green_scalar, c.proj_div]
+    for x in (0.0, 1.0):
+        lhs = C @ c.fluct_cov(x) @ C.T
+        rhs = ipd @ qb @ c.tilde_green(x) @ qb.T @ ipd.T
+        mats += [lhs, rhs]
+        # the residual is round-off, so its asymmetric part is too: compare
+        # the check value on the scale of its denominator
+        old = np.linalg.norm(lhs - rhs, 2) / np.linalg.norm(lhs, 2)
+        assert abs(c.rep_check((x,))[x] - old) <= 1e-12
+    for m in mats:
+        ref = np.linalg.norm(m, 2)
+        assert abs(sym_norm2(m) - ref) <= 1e-12 * ref
 
 
 def test_cov_sqrt_spectral_squares_to_covariance():

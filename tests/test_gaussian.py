@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from caxial import averaging as av
+from caxial.fields import ext_d_matrix, grad_matrix
 from caxial.gaussian import (RANK_TOL, AffineSurface, IndefiniteOnSurface,
                              QuadraticDensity, SingularOperator, kernel_basis,
-                             constrained_minimize, log_partition,
-                             subspace_covariance, moment_generating,
-                             positive_cholesky, push_constraint,
-                             surface_min_eig, _constraint_svd)
+                             constrained_minimize, kernel_residual,
+                             log_partition, subspace_covariance,
+                             moment_generating, positive_cholesky,
+                             push_constraint, surface_min_eig,
+                             _constraint_svd)
 from caxial.lattice import fine_torus, unit_torus
 from caxial.rg_flow import _step_constraints, one_shot_constraints
 
@@ -144,6 +147,58 @@ def test_single_svd_matches_dense_references(case):
     close(surface.basis, basis)
     close(surface.particular, np.linalg.lstsq(K, b, rcond=None)[0])
     close(pinv(E), pinv_ref @ E)
+
+
+def _kernel_basis_residual(T, K):
+    """The former certificate: max |T V| over an orthonormal basis V of
+    ker K, kept as the reference for kernel_residual."""
+    tv = T @ kernel_basis(K)
+    return float(np.abs(tv).max()) if tv.size else 0.0
+
+
+def _averaging_kernel_identities(dim, L, levels):
+    """(T, K) of the averaging suite's two kernel identities: the block
+    average of a curl-free field is curl-free, and the recovery operator
+    inverts minus the gradient on zero-average scalars."""
+    lat = unit_torus(dim, L, levels)
+    coarse = av.coarsened(lat)
+    closed = (ext_d_matrix(coarse) @ av.bond_average_matrix(lat, 1),
+              ext_d_matrix(lat))
+    recovery = (av.scalar_recovery_matrix(lat) @ grad_matrix(lat)
+                + np.eye(lat.n_sites), av.scalar_average_matrix(lat, 1))
+    return {"closed": closed, "recovery": recovery}
+
+
+@pytest.mark.parametrize("dim,L,levels",
+                         [(2, 3, 1), (2, 3, 2), (2, 5, 1), (3, 3, 1)])
+def test_kernel_residual_matches_kernel_basis(dim, L, levels):
+    r = rng(dim * L + levels)
+    cases = _averaging_kernel_identities(dim, L, levels)
+    # ext_d has dependent rows (in 2-D the plaquettes of the torus sum to
+    # zero, in 3-D the six faces of every cube do), so the rank rule is used
+    d = cases["closed"][1]
+    assert _constraint_svd(d, RANK_TOL)[1] < d.shape[0]
+    for T, K in cases.values():
+        # lstsq's rcond cut is kernel_basis's rank rule
+        assert np.linalg.lstsq(K.T, T.T, rcond=RANK_TOL)[2] \
+            == _constraint_svd(K, RANK_TOL)[1]
+        assert kernel_residual(T, K) <= 1e-13
+        assert _kernel_basis_residual(T, K) <= 1e-13
+        # a row that does not vanish on ker K shows in both paths
+        bad = np.vstack([T, r.standard_normal(K.shape[1])])
+        assert kernel_residual(bad, K) > 1e-2
+        assert _kernel_basis_residual(bad, K) > 1e-2
+
+
+def test_kernel_residual_degenerate_constraints():
+    T = rng().standard_normal((2, 5))
+    # no constraint rows, or only zero rows: the kernel is everything
+    for K in (np.zeros((0, 5)), np.zeros((3, 5))):
+        assert kernel_residual(T, K) == np.abs(T).max()
+    assert kernel_residual(np.zeros((0, 5)), np.eye(5)) == 0.0
+    # T in the row space of K vanishes on ker K
+    K = rng(4).standard_normal((3, 5))
+    assert kernel_residual(rng(5).standard_normal((4, 3)) @ K, K) < 1e-13
 
 
 def test_log_partition_1d():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from caxial.lattice import (LatticeSpec, LatticeError, build_lattice,
-                            open_cube, unit_torus, TORUS, OPEN_CUBE)
+                            open_cube, unit_torus, OPEN_CUBE)
 
 
 def test_open_cube_counts_d2_l5():

@@ -492,6 +492,21 @@ def test_averaging_matrices_match_loops(spec):
                               loop_toron_average_matrix(ref))
 
 
+@pytest.mark.parametrize("spec", BLOCKED, ids=_id)
+def test_axial_stack_level_zero_is_an_unaliased_copy(spec):
+    lat = build_lattice(spec)
+    stack = av.axial_constraint_stack(lat, _levels(spec))
+    # every level equals the path averages times the j-fold bond blocking,
+    # level 0 included, where that blocking is the identity
+    for j, level in enumerate(stack.levels):
+        tau = av.path_average_matrix(av.coarsened(lat, j)).matrix
+        assert np.array_equal(level, tau @ av.bond_average_matrix(lat, j))
+    cached = av.path_average_matrix(lat).matrix
+    before = cached.copy()
+    stack.levels[0][...] = 7.0
+    assert np.array_equal(cached, before)
+
+
 def test_toron_average_of_one_site_torus_matches_loops():
     lat, ref = _pair(LatticeSpec(2, 3, -1, 1))
     assert np.array_equal(av.toron_average_matrix(lat),
