@@ -520,14 +520,20 @@ def suite_rg(run: Runner, inst):
     dim, L, levels = inst
     tol = run.config.identity_tol
 
+    # three checks read one flow; an exception is not cached, so each
+    # check records it
+    @functools.cache
+    def iterated():
+        return _iterated_states(run, inst)
+
     def gauge_invariant():
-        return max(s.gauge_residual() for s in _iterated_states(run, inst))
+        return max(s.gauge_residual() for s in iterated())
     run.check("rg.flow_gauge_invariance",
               "every density of the flow annihilates coarse gradients",
               inst, gauge_invariant, tol)
 
     def one_shot_agree():
-        states = _iterated_states(run, inst)
+        states = iterated()
         worst = 0.0
         for k in range(1, levels + 1):
             direct = one_shot_state(dim, L, levels, k)
@@ -542,7 +548,7 @@ def suite_rg(run: Runner, inst):
               one_shot_agree, tol)
 
     def final():
-        states = _iterated_states(run, inst)
+        states = iterated()
         return abs(final_step(states[levels - 1])
                    - one_shot_final(dim, L, levels))
     run.check("rg.final_winding_step",
@@ -586,20 +592,26 @@ def suite_sqrt(run: Runner, inst):
         run.guard(out.fine.n_bonds)
         return out
 
+    # each root is computed once per instance; an exception is not cached,
+    # so each check records it
+    @functools.cache
+    def spectral_root():
+        return ctx().cov_sqrt_spectral()
+
+    @functools.cache
+    def quadrature_root(npoints):
+        return ctx().cov_sqrt_quadrature(npoints)
+
     def quadrature():
-        c = ctx()
-        ref = c.cov_sqrt_spectral()
-        return _maxabs(c.cov_sqrt_quadrature(run.config.npoints) - ref)
+        return _maxabs(quadrature_root(run.config.npoints) - spectral_root())
     run.check("sqrt.quadrature_matches_spectral",
               "the quadrature square root matches the spectral one", inst,
               quadrature, 1e-6)
 
     def converges():
-        c = ctx()
-        ref = c.cov_sqrt_spectral()
         half = max(run.config.npoints // 2, 2)
-        e_half = _maxabs(c.cov_sqrt_quadrature(half) - ref)
-        e_full = _maxabs(c.cov_sqrt_quadrature(run.config.npoints) - ref)
+        e_half = _maxabs(quadrature_root(half) - spectral_root())
+        e_full = _maxabs(quadrature_root(run.config.npoints) - spectral_root())
         # both may already sit on the rounding floor; only a genuine
         # regression above it counts against convergence
         return e_full / max(e_half, 1e-12)
@@ -608,9 +620,8 @@ def suite_sqrt(run: Runner, inst):
               "error", inst, converges, 1.0)
 
     def square():
-        c = ctx()
-        root = c.cov_sqrt_spectral()
-        return _maxabs(root @ root - c.fluct_cov(0.0))
+        root = spectral_root()
+        return _maxabs(root @ root - ctx().fluct_cov(0.0))
     run.check("sqrt.root_squares_to_covariance",
               "the square of the computed root is the fluctuation "
               "covariance", inst, square, run.config.identity_tol)

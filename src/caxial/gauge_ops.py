@@ -25,9 +25,10 @@ from scipy.special import roots_legendre
 
 from . import averaging as av
 from .fields import ext_d_matrix, grad_matrix, laplacian_matrix
-from .gaussian import (IndefiniteOnSurface, SingularOperator, minimizer_map,
+from .gaussian import (FACTOR_CACHE_SIZE, ConstraintFactor,
+                       IndefiniteOnSurface, SingularOperator, minimizer_map,
                        positive_cholesky)
-from .lattice import LatticeSpec, build_lattice
+from .lattice import Lattice, LatticeSpec, build_lattice
 
 
 def sym_norm2(m: np.ndarray) -> float:
@@ -111,10 +112,11 @@ class GaugeContext:
         """Hierarchical path-average constraints below the unit scale."""
         return av.axial_constraint_stack(self.fine, self.level).matrix
 
-    @cached_property
-    def axial_surface(self) -> np.ndarray:
-        """Constraint matrix of the axial minimization (averages + stack)."""
-        return np.vstack([self.bond_average, self.axial_stack])
+    @property
+    def axial_surface(self) -> ConstraintFactor:
+        """Factored constraints of the axial minimization (averages + stack),
+        shared with the one-shot RG integration at this level."""
+        return one_shot_constraints(self.fine, self.level)
 
     @cached_property
     def recovery(self) -> np.ndarray:
@@ -181,11 +183,7 @@ class GaugeContext:
     @cached_property
     def axial_minimizer(self) -> np.ndarray:
         """Unit bonds -> fine bonds: least curl energy on the axial surface."""
-        K = self.axial_surface
-        E = np.vstack([np.eye(self.unit.n_bonds),
-                       np.zeros((self.axial_stack.shape[0],
-                                 self.unit.n_bonds))])
-        return minimizer_map(self.curl_form, K, E)
+        return minimizer_map(self.curl_form, self.axial_surface)
 
     def feynman_minimizer(self, alpha=None) -> np.ndarray:
         """Least curl energy + projected-divergence penalty, averages fixed."""
@@ -194,8 +192,7 @@ class GaugeContext:
         dg = self.grad_fine
         form = self.curl_form + (self.weight / alpha) * \
             dg @ self.proj_div @ dg.T
-        return minimizer_map(form, self.bond_average,
-                             np.eye(self.unit.n_bonds))
+        return minimizer_map(form, average_constraints(self.fine, self.level))
 
     def effective_form(self, which: str = "axial") -> np.ndarray:
         """Delta: the curl energy of the minimizer, as a unit-bond form."""
@@ -321,6 +318,31 @@ class GaugeContext:
             - dg @ self.green_scalar @ self.proj_div @ dg.T
 
 
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def average_constraints(fine: Lattice, k: int) -> ConstraintFactor:
+    """Factor of the k-fold block average fixed to the coarse field A,
+    K = Q_b and E = I: the surface of the Feynman minimizer."""
+    qb = av.bond_average_matrix(fine, k)
+    return ConstraintFactor(qb, np.eye(qb.shape[0]))
+
+
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def one_shot_constraints(fine: Lattice, k: int) -> ConstraintFactor:
+    """Factor of the level-k axial surface on the fine lattice: the k-fold
+    block average fixed to the coarse field A and the hierarchical path
+    averages to zero, K = [Q_b; stack] and E = [I; 0]."""
+    stack = av.axial_constraint_stack(fine, k).matrix
+    if not stack.shape[0]:
+        # no path averages below the unit scale (k = 0): the axial surface
+        # is the block-average one
+        return average_constraints(fine, k)
+    qb = av.bond_average_matrix(fine, k)
+    K = np.vstack([qb, stack])
+    E = np.vstack([np.eye(qb.shape[0]),
+                   np.zeros((stack.shape[0], qb.shape[0]))])
+    return ConstraintFactor(K, E)
+
+
 @lru_cache(maxsize=None)
 def get_context(dim, L, n_levels, level, a=1.0, alpha=1.0) -> GaugeContext:
     return GaugeContext(dim, L, n_levels, level, a, alpha)
@@ -342,7 +364,8 @@ def change_of_gauge_check(ctx: GaugeContext, coarse_field: np.ndarray) -> dict:
     qb = ctx.bond_average
     dg = ctx.grad_fine
     form_f = ctx.curl_form + ctx.weight * dg @ ctx.proj_div @ dg.T
-    surf_f = AffineSurface.from_constraints(qb, coarse_field)
+    surf_f = AffineSurface.from_constraints(
+        average_constraints(ctx.fine, ctx.level), coarse_field)
     mean_f = constrained_minimize(QuadraticDensity(form_f), surf_f)
     cov_f = subspace_covariance(QuadraticDensity(form_f), surf_f)
     u = ctx.div_range_basis()

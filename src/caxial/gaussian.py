@@ -3,7 +3,9 @@
 A QuadraticDensity is c * exp(-1/2 <v, F v> + <l, v>) on a coordinate space;
 an AffineSurface is {v : K v = b} carried with an orthonormal basis of
 ker K and a particular solution.  All integrals are reduced to the kernel
-coordinates, where the Gaussian is finite-dimensional and explicit.
+coordinates, where the Gaussian is finite-dimensional and explicit.  What
+they take from K comes from one SVD, held by a ConstraintFactor; callers
+that meet the same constraints again pass the factor instead of K.
 
 Two measure conventions are supported for delta-function constraints:
 
@@ -20,12 +22,16 @@ that are normalized (moments, covariances, minimizers) are convention-free.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
 RANK_TOL = 1e-9
+# bound of each lattice-keyed cache of ConstraintFactors: one builder sees
+# at most four keys (levels 0..3) on a three-level instance
+FACTOR_CACHE_SIZE = 4
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
@@ -53,25 +59,69 @@ def positive_cholesky(m: np.ndarray, error=IndefiniteOnSurface,
                     f"(smallest eigenvalue {low:g})") from None
 
 
-def _constraint_svd(K: np.ndarray, tol: float):
-    """One SVD K = U S V^T, and all that is taken from it: the orthonormal
-    kernel basis V[:, r:], the row rank r (singular values above
-    tol * sigma_max), the log-Gram logdet(K_r K_r^T) = 2 sum_{i<r} log s_i,
-    and E -> pinv(K) E applied as V_r S_r^-1 U_r^T E, never formed."""
-    u, s, vt = np.linalg.svd(np.atleast_2d(np.asarray(K, dtype=float)))
-    r = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
-    u, s, v = u[:, :r], s[:r], vt[:r].T
-    return (vt[r:].T, r, float(2.0 * np.sum(np.log(s))),
-            lambda E: v @ ((u.T @ E).T / s).T)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only view of a (the caller's array keeps its own flags)."""
+    a = a.view()
+    a.flags.writeable = False
+    return a
+
+
+class ConstraintFactor:
+    """The constraints K v = E A, factored by one SVD K = U S V^T.
+
+    Everything a constrained integration takes from K comes from that SVD:
+    the orthonormal kernel basis V[:, r:], the row rank r (singular values
+    above tol * sigma_max), the log-Gram logdet(K_r K_r^T) = 2 sum_{i<r}
+    log s_i, and pinv(K) applied as V_r S_r^-1 U_r^T, never formed.  With a
+    fiber map E it also holds lift = pinv(K) E, the particular point of the
+    fiber over A being lift @ A.  All arrays are read-only, so a factor can
+    be cached and shared.
+    """
+
+    def __init__(self, K, E=None, tol: float = RANK_TOL):
+        K = np.atleast_2d(np.asarray(K, dtype=float))
+        u, s, vt = np.linalg.svd(K)
+        r = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+        self.matrix = _frozen(K)
+        self.basis = _frozen(vt[r:].T)
+        self.rank = r
+        self.log_gram = float(2.0 * np.sum(np.log(s[:r])))
+        self._u, self._s, self._v = (_frozen(u[:, :r]), _frozen(s[:r]),
+                                     _frozen(vt[:r].T))
+        self._set_fiber(E)
+
+    def _set_fiber(self, E):
+        self.fiber = self.lift = None
+        if E is not None:
+            self.fiber = _frozen(np.asarray(E, dtype=float))
+            self.lift = _frozen(self.pinv(self.fiber))
+
+    def pinv(self, E) -> np.ndarray:
+        """pinv(K) E, as V_r S_r^-1 U_r^T E."""
+        return self._v @ ((self._u.T @ E).T / self._s).T
+
+    def with_fiber(self, E) -> "ConstraintFactor":
+        """The same factor over another fiber map E (no new SVD)."""
+        out = copy.copy(self)
+        out._set_fiber(E)
+        return out
+
+
+def _factored(K, E=None, tol: float = RANK_TOL) -> ConstraintFactor:
+    """K itself if it is a ConstraintFactor (over E, if E is given), else
+    the factor of the raw matrix K: one constructor for both."""
+    if isinstance(K, ConstraintFactor):
+        return K if E is None else K.with_fiber(E)
+    return ConstraintFactor(K, E, tol)
 
 
 def kernel_basis(K: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis of the numerical null space of K.
+    """Orthonormal basis of the numerical null space of K (read-only).
 
     Singular values below tol * sigma_max count as zero.  Deterministic
     given K (SVD right singular vectors).
     """
-    return _constraint_svd(K, tol)[0]
+    return ConstraintFactor(K, tol=tol).basis
 
 
 def kernel_residual(T: np.ndarray, K: np.ndarray,
@@ -132,18 +182,19 @@ class AffineSurface:
 
     @classmethod
     def from_constraints(cls, K, b=None, tol: float = RANK_TOL):
-        K = np.atleast_2d(np.asarray(K, dtype=float))
+        """The surface K v = b; K is a raw matrix or its ConstraintFactor."""
+        f = _factored(K, tol=tol)
+        K = f.matrix
         if b is None:
             b = np.zeros(K.shape[0])
         b = np.asarray(b, dtype=float)
-        basis, rank, log_gram, pinv = _constraint_svd(K, tol)
-        particular = pinv(b)
+        particular = f.pinv(b)
         if K.shape[0]:
             res = np.abs(K @ particular - b).max()
             if res > 1e-8 * max(1.0, np.abs(b).max()):
                 raise SingularOperator(
                     f"constraints inconsistent (residual {res:g})")
-        return cls(K, b, basis, particular, rank, log_gram)
+        return cls(K, b, f.basis, particular, f.rank, f.log_gram)
 
     @classmethod
     def unconstrained(cls, n: int):
@@ -230,40 +281,44 @@ def moment_generating(density: QuadraticDensity, surface: AffineSurface,
     return float(mean @ J + 0.5 * J @ cov @ J)
 
 
-def _fiber_reduction(form: np.ndarray, K, E, tol: float):
-    """What the parallel fibers {v : K v = E A} share: the SVD of K, the
-    particular-solution map W = pinv(K) E, and the Cholesky factor of the
-    form restricted to ker K."""
-    basis, rank, log_gram, pinv = _constraint_svd(K, tol)
-    W = pinv(np.asarray(E, dtype=float))
-    R = basis.T @ form @ basis
-    return basis, rank, log_gram, W, positive_cholesky(0.5 * (R + R.T))
+def _fiber_reduction(form: np.ndarray, f: ConstraintFactor):
+    """The Cholesky factor of the form restricted to ker K, which the
+    parallel fibers {v : K v = E A} share."""
+    if f.lift is None:
+        raise ValueError("the constraints carry no fiber map E")
+    R = f.basis.T @ form @ f.basis
+    return positive_cholesky(0.5 * (R + R.T))
 
 
-def minimizer_map(form: np.ndarray, K: np.ndarray, E: np.ndarray,
+def minimizer_map(form: np.ndarray, K, E: np.ndarray = None,
                   tol: float = RANK_TOL) -> np.ndarray:
     """Matrix H with H @ A = argmin 1/2 <v, form v> subject to K v = E A.
 
-    The minimizer of a homogeneous quadratic on the fiber {K v = E A} is
-    linear in A; this returns that linear map explicitly.
+    K is a raw matrix (then E is required) or a ConstraintFactor, over its
+    own fiber map unless E is given.  The minimizer of a homogeneous
+    quadratic on the fiber {K v = E A} is linear in A; this returns that
+    linear map explicitly.
     """
-    B, _, _, W, chol = _fiber_reduction(form, K, E, tol)
+    f = _factored(K, E, tol)
+    chol = _fiber_reduction(form, f)
+    B, W = f.basis, f.lift
     return W - B @ sla.cho_solve((chol, True), B.T @ form @ W)
 
 
-def push_constraint(density: QuadraticDensity, K: np.ndarray, E: np.ndarray,
+def push_constraint(density: QuadraticDensity, K, E: np.ndarray = None,
                     tol: float = RANK_TOL,
                     convention: str = "surface") -> QuadraticDensity:
     """Integrate the density over the fibers {v : K v = E A}.
 
-    Returns the quadratic density of the coarse variable A.  The fibers are
-    parallel affine surfaces, so the reduced factorization is shared; the
-    A-dependence enters only through the particular solution W A with
-    W = pinv(K) E.
+    K and E as in minimizer_map.  Returns the quadratic density of the
+    coarse variable A.  The fibers are parallel affine surfaces, so the
+    reduced factorization is shared; the A-dependence enters only through
+    the particular solution W A with W = pinv(K) E.
     """
-    K = np.atleast_2d(np.asarray(K, dtype=float))
+    f = _factored(K, E, tol)
     F, l = density.form, density.linear
-    B, rank, log_gram, W, chol = _fiber_reduction(F, K, E, tol)
+    chol = _fiber_reduction(F, f)
+    B, W = f.basis, f.lift
     n = chol.shape[0]
     M = _inverse_on_basis(B, chol)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
@@ -273,10 +328,10 @@ def push_constraint(density: QuadraticDensity, K: np.ndarray, E: np.ndarray,
     const = (density.log_const + 0.5 * l @ M @ l
              + 0.5 * n * LOG_2PI - 0.5 * logdet)
     if convention == "dirac":
-        if rank < K.shape[0]:
+        if f.rank < f.matrix.shape[0]:
             raise SingularOperator(
                 "dirac convention needs independent constraint rows")
-        const -= 0.5 * log_gram
+        const -= 0.5 * f.log_gram
     elif convention != "surface":
         raise ValueError(f"unknown convention {convention!r}")
     return QuadraticDensity(0.5 * (phi + phi.T), psi, float(const))

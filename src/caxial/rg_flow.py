@@ -20,14 +20,16 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from math import log
 
 import numpy as np
 
 from . import averaging as av
 from .fields import DENSE_LIMIT, ext_d_matrix, grad_matrix
-from .gauge_ops import get_context
-from .gaussian import (AffineSurface, QuadraticDensity, log_partition,
+from .gauge_ops import get_context, one_shot_constraints
+from .gaussian import (FACTOR_CACHE_SIZE, AffineSurface, ConstraintFactor,
+                       QuadraticDensity, log_partition, minimizer_map,
                        push_constraint, subspace_covariance, surface_min_eig)
 from .lattice import Lattice, LatticeSpec, build_lattice, fine_torus, \
     unit_torus
@@ -113,12 +115,15 @@ def init_rho0(dim: int, L: int, n_levels: int, source=None) -> RGState:
     return RGState(0, lat, density, FlowCounts(dim, L, n_levels))
 
 
-def _step_constraints(lattice: Lattice):
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _step_constraints(lattice: Lattice) -> ConstraintFactor:
+    """Factor of one blocking step: block average fixed to the coarse
+    field, path averages to zero, K = [Q_b; tau] and E = [I; 0]."""
     qb = av.bond_average_matrix(lattice, 1)
     tau = av.path_average_matrix(lattice).matrix
     K = np.vstack([qb, tau])
     E = np.vstack([np.eye(qb.shape[0]), np.zeros((tau.shape[0], qb.shape[0]))])
-    return K, E
+    return ConstraintFactor(K, E)
 
 
 def rg_step(state: RGState, convention: str = "dirac") -> RGState:
@@ -127,9 +132,8 @@ def rg_step(state: RGState, convention: str = "dirac") -> RGState:
     counts = state.counts
     if state.level >= counts.n_levels:
         raise ValueError("flow already at the last level")
-    lat = state.lattice
-    K, E = _step_constraints(lat)
-    pushed = push_constraint(state.density, K, E, convention=convention)
+    pushed = push_constraint(state.density, _step_constraints(state.lattice),
+                             convention=convention)
     # relabeling to unit spacing multiplies values by L**((dim-2)/2), so
     # the form and linear coefficients divide by its square and itself
     s = float(counts.L) ** ((counts.dim - 2) / 2.0)
@@ -147,21 +151,27 @@ def final_step(state: RGState, convention: str = "dirac") -> float:
     counts = state.counts
     if state.level != counts.n_levels - 1:
         raise ValueError("final step applies at the next-to-last level")
-    lat = state.lattice
-    K = np.vstack([av.toron_average_matrix(lat),
-                   av.path_average_matrix(lat).matrix])
-    surface = AffineSurface.from_constraints(K)
+    surface = AffineSurface.from_constraints(
+        _winding_constraints(state.lattice))
     return log_partition(state.density, surface, convention) \
         + counts.scale_log(counts.n_levels)
 
 
-def one_shot_constraints(fine: Lattice, k: int):
-    qb = av.bond_average_matrix(fine, k)
-    stack = av.axial_constraint_stack(fine, k).matrix
-    K = np.vstack([qb, stack])
-    E = np.vstack([np.eye(qb.shape[0]),
-                   np.zeros((stack.shape[0], qb.shape[0]))])
-    return K, E
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _winding_constraints(lattice: Lattice) -> ConstraintFactor:
+    """Factor of the last step: winding and path averages fixed to zero."""
+    return ConstraintFactor(np.vstack([av.toron_average_matrix(lattice),
+                                       av.path_average_matrix(lattice).matrix]))
+
+
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _one_shot_winding_constraints(fine: Lattice,
+                                  n_levels: int) -> ConstraintFactor:
+    """Factor of the one-shot last level: winding averages of the fully
+    blocked field and the hierarchical path averages fixed to zero."""
+    return ConstraintFactor(np.vstack([
+        av.toron_average_full_matrix(fine, n_levels),
+        av.axial_constraint_stack(fine, n_levels).matrix]))
 
 
 def one_shot_state(dim: int, L: int, n_levels: int, k: int,
@@ -177,8 +187,8 @@ def one_shot_state(dim: int, L: int, n_levels: int, k: int,
         # the level-0 functional reads the fine field in level-0 values
         linear = np.asarray(source) / float(L) ** (k * (dim - 2) / 2.0)
     density = QuadraticDensity(curl_energy_form(fine), linear)
-    K, E = one_shot_constraints(fine, k)
-    pushed = push_constraint(density, K, E, convention=convention)
+    pushed = push_constraint(density, one_shot_constraints(fine, k),
+                             convention=convention)
     counts = FlowCounts(dim, L, n_levels)
     return RGState(k, build_lattice(LatticeSpec(dim, L, 0, n_levels - k)),
                    pushed, counts, "one-shot")
@@ -191,9 +201,8 @@ def one_shot_final(dim: int, L: int, n_levels: int,
     fine = fine_torus(dim, L, n_levels, 0)
     _guard(fine.n_bonds)
     density = QuadraticDensity(curl_energy_form(fine))
-    K = np.vstack([av.toron_average_full_matrix(fine, n_levels),
-                   av.axial_constraint_stack(fine, n_levels).matrix])
-    surface = AffineSurface.from_constraints(K)
+    surface = AffineSurface.from_constraints(
+        _one_shot_winding_constraints(fine, n_levels))
     return log_partition(density, surface, convention)
 
 
@@ -218,8 +227,7 @@ class FlowConstants:
 
 
 def fluctuation_surface(lattice: Lattice) -> AffineSurface:
-    K, _ = _step_constraints(lattice)
-    return AffineSurface.from_constraints(K)
+    return AffineSurface.from_constraints(_step_constraints(lattice))
 
 
 def z_constants(dim: int, L: int, n_levels: int,
@@ -238,8 +246,8 @@ def z_constants(dim: int, L: int, n_levels: int,
         fine = fine_torus(dim, L, k, n_levels - k)
         _guard(fine.n_bonds)
         density = QuadraticDensity(curl_energy_form(fine))
-        K, _ = one_shot_constraints(fine, k)
-        surface = AffineSurface.from_constraints(K)
+        surface = AffineSurface.from_constraints(
+            one_shot_constraints(fine, k))
         min_eigs[k] = surface_min_eig(density, surface)
         log_z[k] = log_partition(density, surface, convention)
     for k in range(0, n_levels):
@@ -260,11 +268,10 @@ def z_constants(dim: int, L: int, n_levels: int,
 def coarse_minimizer_map(dim: int, L: int, n_levels: int, k: int) -> np.ndarray:
     """Minimizer of the level-k effective form with the block average fixed
     to the relabeled next-level field (unit bonds <- next-level bonds)."""
-    from .gaussian import minimizer_map
     ctx = get_context(dim, L, n_levels, k)
-    K, E = _step_constraints(ctx.unit)
+    step = _step_constraints(ctx.unit)
     s = float(L) ** ((dim - 2) / 2.0)
-    return minimizer_map(ctx.delta, K, s * E)
+    return minimizer_map(ctx.delta, step, s * step.fiber)
 
 
 def minimizer_composition_residual(dim: int, L: int, n_levels: int,
@@ -314,7 +321,7 @@ def fluctuation_step(dim: int, L: int, n_levels: int, k: int,
             @ functional / (s * s)
         pushed = push_constraint(
             QuadraticDensity(ctx.delta, functional),
-            *_step_constraints(ctx.unit), convention="dirac")
+            _step_constraints(ctx.unit), convention="dirac")
         cross = float(np.linalg.norm(shift - pushed.linear / s)
                       / max(np.linalg.norm(shift), 1e-300))
         return FluctuationStep(shift, 0.0, cross)

@@ -1,10 +1,13 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from caxial import cli
+from caxial import averaging as av
+from caxial import cli, gauge_ops, rg_flow
 from caxial.cli import ConfigError, RunConfig, main, run_verification
+from caxial.gauge_ops import GaugeContext
 
 
 def small_config(**kw):
@@ -78,6 +81,98 @@ def test_appendix_runs_change_of_gauge_once(monkeypatch):
     monkeypatch.setattr(cli, "change_of_gauge_check", broken)
     report, _ = run_verification(small_config(suites=("appendix",)))
     assert [c["status"] for c in report["checks"]] == ["ERROR", "ERROR"]
+
+
+FLOW_CHECKS = ("rg.flow_gauge_invariance", "rg.iterated_matches_one_shot",
+               "rg.final_winding_step")
+
+
+def test_rg_runs_the_flow_once_per_instance(monkeypatch):
+    original = cli.flow_states
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(cli, "flow_states", counted)
+    config = small_config(instances=((2, 3, 1), (2, 5, 1)), suites=("rg",))
+    report, _ = run_verification(config)
+    assert calls == [(2, 3, 1), (2, 5, 1)]
+    assert {c["status"] for c in report["checks"]} == {"PASS"}
+
+    # an exception is not cached: every check that reads the flow records
+    # it, and the checks that do not read it still pass
+    for error, status in ((RuntimeError("broken"), "ERROR"),
+                          (rg_flow.ResourceCapExceeded("too big"),
+                           "SKIPPED")):
+        def broken(*args, error=error):
+            calls.append(args)
+            raise error
+        monkeypatch.setattr(cli, "flow_states", broken)
+        calls.clear()
+        report, _ = run_verification(small_config(suites=("rg",)))
+        assert len(calls) == len(FLOW_CHECKS)
+        for c in report["checks"]:
+            assert c["status"] == (status if c["check_id"] in FLOW_CHECKS
+                                   else "PASS")
+
+
+def test_sqrt_evaluates_each_root_once_per_instance(monkeypatch):
+    quadrature, spectral = GaugeContext.cov_sqrt_quadrature, \
+        GaugeContext.cov_sqrt_spectral
+    nodes, roots = [], []
+
+    def counted_quadrature(self, npoints=200):
+        nodes.append(npoints)
+        return quadrature(self, npoints)
+
+    def counted_spectral(self):
+        roots.append(self)
+        return spectral(self)
+    monkeypatch.setattr(GaugeContext, "cov_sqrt_quadrature",
+                        counted_quadrature)
+    monkeypatch.setattr(GaugeContext, "cov_sqrt_spectral", counted_spectral)
+    config = small_config(instances=((2, 3, 1), (2, 5, 1)), suites=("sqrt",))
+    report, _ = run_verification(config)
+    assert {c["status"] for c in report["checks"]} == {"PASS"}
+    n = config.npoints
+    assert nodes == [n, n // 2] * 2
+    assert len(roots) == 2
+
+    def broken(self):
+        roots.append(self)
+        raise RuntimeError("broken")
+    monkeypatch.setattr(GaugeContext, "cov_sqrt_spectral", broken)
+    roots.clear()
+    report, _ = run_verification(small_config(suites=("sqrt",)))
+    assert [c["status"] for c in report["checks"]] == ["ERROR"] * 3
+    assert len(roots) == 3
+
+
+RG_BUILDERS = (rg_flow._step_constraints, rg_flow._winding_constraints,
+               rg_flow._one_shot_winding_constraints,
+               gauge_ops.one_shot_constraints, gauge_ops.average_constraints)
+
+
+def test_rg_factors_each_builder_key_once(monkeypatch):
+    for cache in (*RG_BUILDERS, gauge_ops.get_context, av.fluctuation_basis):
+        cache.cache_clear()
+    original = np.linalg.svd
+    shapes = []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    report, _ = run_verification(small_config(instances=((2, 3, 2),),
+                                              suites=("rg",)))
+    assert {c["status"] for c in report["checks"]} == {"PASS"}
+    infos = [f.cache_info() for f in RG_BUILDERS]
+    # each key is factored once and then shared by the iterated and
+    # one-shot flows, the constants and the minimizers
+    assert all(i.misses == i.currsize for i in infos)
+    assert sum(i.hits for i in infos) > 0
+    assert len(shapes) <= sum(i.currsize for i in infos)
 
 
 def test_exit_code_zero_and_report_file(tmp_path, capsys):

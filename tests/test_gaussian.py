@@ -4,15 +4,19 @@ from hypothesis import given, settings, strategies as st
 
 from caxial import averaging as av
 from caxial.fields import ext_d_matrix, grad_matrix
-from caxial.gaussian import (RANK_TOL, AffineSurface, IndefiniteOnSurface,
-                             QuadraticDensity, SingularOperator, kernel_basis,
+from caxial.gaussian import (RANK_TOL, AffineSurface, ConstraintFactor,
+                             IndefiniteOnSurface, QuadraticDensity,
+                             SingularOperator, kernel_basis,
                              constrained_minimize, kernel_residual,
-                             log_partition, subspace_covariance,
-                             moment_generating, positive_cholesky,
-                             push_constraint, surface_min_eig,
-                             _constraint_svd)
+                             log_partition, minimizer_map,
+                             subspace_covariance, moment_generating,
+                             positive_cholesky, push_constraint,
+                             surface_min_eig)
+from caxial.gauge_ops import average_constraints, get_context
 from caxial.lattice import fine_torus, unit_torus
-from caxial.rg_flow import _step_constraints, one_shot_constraints
+from caxial.rg_flow import (_one_shot_winding_constraints, _step_constraints,
+                            _winding_constraints, curl_energy_form,
+                            one_shot_constraints)
 
 
 def rng(seed=3):
@@ -117,8 +121,10 @@ def _constraint_cases():
     yield "full_rank", full, r.standard_normal((3, 2))
     yield "rank_deficient", deficient, deficient @ r.standard_normal((8, 3))
     yield "empty", np.zeros((0, 5)), np.zeros((0, 2))
-    yield "step_2_3_1", *_step_constraints(unit_torus(2, 3, 1))
-    yield "one_shot_2_3_1", *one_shot_constraints(fine_torus(2, 3, 1, 0), 1)
+    step = _step_constraints(unit_torus(2, 3, 1))
+    yield "step_2_3_1", step.matrix, step.fiber
+    one_shot = one_shot_constraints(fine_torus(2, 3, 1, 0), 1)
+    yield "one_shot_2_3_1", one_shot.matrix, one_shot.fiber
 
 
 @pytest.mark.parametrize("case", list(_constraint_cases()),
@@ -134,7 +140,8 @@ def test_single_svd_matches_dense_references(case):
         scale = max(1.0, np.abs(ref).max()) if ref.size else 1.0
         assert np.abs(a - ref).max(initial=0.0) <= 1e-12 * scale
 
-    basis, rank, log_gram, pinv = _constraint_svd(K, tol)
+    f = ConstraintFactor(K, tol=tol)
+    basis, rank, log_gram, pinv = f.basis, f.rank, f.log_gram, f.pinv
     surface = AffineSurface.from_constraints(K, b, tol)
     pinv_ref = np.linalg.pinv(K, rcond=tol)
     s = np.linalg.svd(K, compute_uv=False)
@@ -177,11 +184,11 @@ def test_kernel_residual_matches_kernel_basis(dim, L, levels):
     # ext_d has dependent rows (in 2-D the plaquettes of the torus sum to
     # zero, in 3-D the six faces of every cube do), so the rank rule is used
     d = cases["closed"][1]
-    assert _constraint_svd(d, RANK_TOL)[1] < d.shape[0]
+    assert ConstraintFactor(d).rank < d.shape[0]
     for T, K in cases.values():
         # lstsq's rcond cut is kernel_basis's rank rule
         assert np.linalg.lstsq(K.T, T.T, rcond=RANK_TOL)[2] \
-            == _constraint_svd(K, RANK_TOL)[1]
+            == ConstraintFactor(K).rank
         assert kernel_residual(T, K) <= 1e-13
         assert _kernel_basis_residual(T, K) <= 1e-13
         # a row that does not vanish on ker K shows in both paths
@@ -358,3 +365,78 @@ def test_minimizer_feasible_property(seed):
     s = AffineSurface.from_constraints(K, b)
     v = constrained_minimize(d, s)
     assert np.abs(K @ v - b).max() < 1e-8
+
+
+def _builder_factors(dim, L, levels):
+    """(name, lattice, factor) of every lattice-keyed constraint builder of
+    one instance: the flow's step surfaces, the one-shot (axial) surfaces
+    at k = 0 .. levels, and the two winding stacks of the last level."""
+    for j in range(levels):
+        lat = unit_torus(dim, L, levels - j)
+        yield f"step_{j}", lat, _step_constraints(lat)
+    for k in range(levels + 1):
+        fine = fine_torus(dim, L, k, levels - k)
+        yield f"one_shot_{k}", fine, one_shot_constraints(fine, k)
+    lat = unit_torus(dim, L, 1)
+    yield "winding", lat, _winding_constraints(lat)
+    fine = fine_torus(dim, L, levels, 0)
+    yield "one_shot_winding", fine, _one_shot_winding_constraints(fine, levels)
+
+
+@pytest.mark.parametrize("dim,L,levels",
+                         [(2, 3, 1), (2, 3, 2), (2, 5, 1), (3, 3, 1)])
+def test_cached_factor_matches_fresh_factorization(dim, L, levels):
+    # a raw K is factored on entry by the same constructor, so the cached
+    # factor must reproduce it bit for bit
+    r = rng(dim * L + levels)
+    for name, lat, f in _builder_factors(dim, L, levels):
+        K = np.array(f.matrix)
+        form = curl_energy_form(lat)
+        density = QuadraticDensity(form, r.standard_normal(lat.n_bonds))
+        cached = AffineSurface.from_constraints(f)
+        fresh = AffineSurface.from_constraints(K)
+        assert np.array_equal(cached.basis, fresh.basis), name
+        assert np.array_equal(cached.particular, fresh.particular), name
+        assert (cached.row_rank, cached.log_gram) \
+            == (fresh.row_rank, fresh.log_gram), name
+        for convention in ("surface", "dirac"):
+            assert log_partition(density, cached, convention) \
+                == log_partition(density, fresh, convention), name
+        if f.fiber is None:
+            continue
+        E = np.array(f.fiber)
+        for convention in ("surface", "dirac"):
+            p_cached = push_constraint(density, f, convention=convention)
+            p_fresh = push_constraint(density, K, E, convention=convention)
+            assert np.array_equal(p_cached.form, p_fresh.form), name
+            assert np.array_equal(p_cached.linear, p_fresh.linear), name
+            assert p_cached.log_const == p_fresh.log_const, name
+        assert np.array_equal(minimizer_map(form, f),
+                              minimizer_map(form, K, E)), name
+        # the same factor over another fiber map (the coarse minimizer's)
+        s = float(L) ** ((dim - 2) / 2.0)
+        assert np.array_equal(minimizer_map(form, f, s * E),
+                              minimizer_map(form, K, s * E)), name
+
+
+def test_cached_factors_are_read_only_bounded_and_shared():
+    f = _step_constraints(unit_torus(2, 3, 1))
+    for a in (f.matrix, f.fiber, f.basis, f.lift,
+              AffineSurface.from_constraints(f).basis):
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1.0
+    # the caller's raw K keeps its own flags
+    K = np.eye(3)
+    ConstraintFactor(K)
+    K[0, 0] = 2.0
+    for builder in (_step_constraints, _winding_constraints,
+                    _one_shot_winding_constraints, one_shot_constraints,
+                    average_constraints):
+        assert builder.cache_info().maxsize is not None
+    # the axial minimizer factors the one-shot surface of its level; at
+    # level 0 that is the block-average surface of the Feynman minimizer
+    for level in (0, 1, 2):
+        ctx = get_context(2, 3, 2, level)
+        assert ctx.axial_surface is one_shot_constraints(ctx.fine, level)
+    ctx = get_context(2, 3, 2, 0)
+    assert ctx.axial_surface is average_constraints(ctx.fine, 0)
