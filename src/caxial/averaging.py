@@ -189,12 +189,6 @@ def tree_path_matrix(fine: Lattice) -> PathAverageMap:
     return _path_average_build(fine, all_orders=False)
 
 
-def path_average(A: BondField, all_orders: bool = True) -> np.ndarray:
-    """Values (tau A)(y, x) in the row order of the corresponding map."""
-    pam = (path_average_matrix if all_orders else tree_path_matrix)(A.lattice)
-    return pam.matrix @ A.values
-
-
 # -- hierarchical constraint stack ------------------------------------------
 
 @dataclass(frozen=True)

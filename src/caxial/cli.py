@@ -4,9 +4,14 @@
 lattice instances and writes a machine-readable JSON report.  Checks are
 grouped into suites; each produces one record per (check, instance) with
 the measured residual or eigenvalue, the threshold it is held to, and a
-pass/fail flag.  Instances larger than the resource cap are recorded as
-skipped, never dropped silently.  Given the same config and seed the
-report is reproducible bit for bit except for the wall_time fields.
+pass/fail flag.  The run is instance-major: every suite runs on one
+instance before the next instance starts, so that the suites share that
+instance's level contexts and its iterated flow; the report lists the
+records suite by suite, each suite over the instances in config order.
+Instances larger than the resource cap are recorded as skipped, never
+dropped silently; the cap is checked on closed-form lattice counts before
+anything is built.  Given the same config and seed the report is
+reproducible bit for bit except for the wall_time fields.
 """
 
 from __future__ import annotations
@@ -25,14 +30,14 @@ import scipy.sparse as sp
 
 from . import averaging as av
 from . import spectral
-from .fields import ext_d_matrix, grad_matrix, random_field, scale_field, \
-    inner, norm_sq
+from .fields import (ResourceCapExceeded, _guard, ext_d_matrix, grad_matrix,
+                     inner, max_ambient_dim, norm_sq, random_field,
+                     scale_field)
 from .gauge_ops import change_of_gauge_check, decay_profile, get_context
 from .gaussian import QuadraticDensity, kernel_residual, surface_min_eig
 from .lattice import LatticeSpec, fine_torus, open_cube, unit_torus
-from .rg_flow import (ResourceCapExceeded, _guard, curl_energy_form,
-                      final_step, fluctuation_step, flow_states,
-                      max_ambient_dim, minimizer_composition_residual,
+from .rg_flow import (curl_energy_form, final_step, fluctuation_step,
+                      flow_states, minimizer_composition_residual,
                       one_shot_final, one_shot_state, z_constants)
 
 SCHEMA_VERSION = 1
@@ -132,6 +137,7 @@ class Runner:
         self.config = config
         self.checks = []
         self.decay_tables = {}
+        self._flow = (None, None)     # (instance, its iterated flow)
 
     def check(self, check_id, anchor, instance, fn, threshold,
               mode="residual"):
@@ -166,13 +172,20 @@ class Runner:
         self.checks.append(record)
         return record
 
-    guard = staticmethod(_guard)
-
     def torus(self, dim, L, scale, levels):
         """fine_torus(dim, L, scale, levels), guarded on its closed-form bond
         count before anything is built."""
-        self.guard(LatticeSpec(dim, L, scale, levels).n_bonds)
+        _guard(LatticeSpec(dim, L, scale, levels).n_bonds)
         return fine_torus(dim, L, scale, levels)
+
+    def flow(self, inst):
+        """The iterated flow of inst, built once and shared by the checks of
+        every suite on inst.  An exception is not stored, so each check
+        that reads the flow records its own ERROR or SKIPPED."""
+        if self._flow[0] != inst or self._flow[1] is None:
+            self._flow = (inst, None)   # drop the previous instance's flow
+            self._flow = (inst, flow_states(*inst))
+        return self._flow[1]
 
     def rng(self, *salt) -> np.random.Generator:
         return np.random.default_rng((self.config.seed,) + salt)
@@ -364,7 +377,7 @@ def suite_gauge_surface(run: Runner, inst):
               inst, closure, rank_tol, "floor")
 
     def bijection():
-        run.guard(LatticeSpec(dim, L, 0, levels).n_sites * 4)
+        _guard(LatticeSpec(dim, L, 0, levels).n_sites * 4)
         fine = unit_torus(dim, L, levels)
         m = av.hierarchical_scalar_bijection_matrix(fine, levels)
         s = np.linalg.svd(m, compute_uv=False)
@@ -377,35 +390,30 @@ def suite_gauge_surface(run: Runner, inst):
 def suite_feynman_landau(run: Runner, inst):
     dim, L, levels = inst
     tol = run.config.identity_tol
-    level = min(1, levels)
+    ctx = functools.partial(get_context, dim, L, levels, min(1, levels))
 
-    def ctx(a=1.0, alpha=1.0):
-        out = get_context(dim, L, levels, level, a=a, alpha=alpha)
-        run.guard(out.fine.n_bonds)
-        return out
-
+    def idempotent():
+        r = ctx().proj_div()
+        return max(_maxabs(r @ r - r), _maxabs(r - r.T))
     run.check("feynman_landau.projector_idempotent",
               "the divergence projector is symmetric idempotent", inst,
-              lambda: max(_maxabs(ctx().proj_div @ ctx().proj_div
-                                  - ctx().proj_div),
-                          _maxabs(ctx().proj_div - ctx().proj_div.T)),
-              tol)
+              idempotent, tol)
 
     run.check("feynman_landau.average_green_projector",
               "averaging through the Green's function annihilates the "
               "divergence projector", inst,
-              lambda: _maxabs(ctx().scalar_average @ ctx().green_scalar
-                              @ ctx().proj_div), tol)
+              lambda: _maxabs(ctx().scalar_average @ ctx().green_scalar()
+                              @ ctx().proj_div()), tol)
 
     def a_indep():
         a1, a2 = run.config.a_list[0], run.config.a_list[-1]
-        return _maxabs(ctx(a=a1).proj_div - ctx(a=a2).proj_div)
+        return _maxabs(ctx().proj_div(a1) - ctx().proj_div(a2))
     run.check("feynman_landau.projector_regulator_independence",
               "the divergence projector does not depend on the regulator",
               inst, a_indep, tol)
 
     def alpha_indep():
-        forms = [ctx(alpha=al).effective_form("feynman")
+        forms = [ctx().effective_form("feynman", al)
                  for al in run.config.alpha_list]
         return max(_rel(f, forms[0]) for f in forms[1:])
     run.check("feynman_landau.alpha_independence",
@@ -433,7 +441,7 @@ def suite_feynman_landau(run: Runner, inst):
         lam = c.lambda0_map()
         return max(_maxabs(c.scalar_average @ lam
                            - np.eye(c.unit.n_sites)),
-                   _maxabs(c.proj_div @ c.lap_fine @ lam))
+                   _maxabs(c.proj_div() @ c.lap_fine @ lam))
     run.check("feynman_landau.scalar_potential_equations",
               "the distinguished scalar potential solves its defining "
               "equations", inst, lambda0, tol)
@@ -461,7 +469,7 @@ def suite_lower_bound(run: Runner, inst):
 
     def surface_positive():
         worst = np.inf
-        for state in _iterated_states(run, inst):
+        for state in run.flow(inst):
             if state.level >= levels:
                 break
             from .rg_flow import fluctuation_surface
@@ -474,25 +482,16 @@ def suite_lower_bound(run: Runner, inst):
               "surface", inst, surface_positive, 0.0, "floor")
 
 
-def _iterated_states(run: Runner, inst):
-    dim, L, levels = inst
-    run.guard(LatticeSpec(dim, L, 0, levels).n_bonds)
-    return flow_states(dim, L, levels)
-
-
 def suite_representation(run: Runner, inst):
     dim, L, levels = inst
     tol = run.config.identity_tol
 
-    def ctx(a=1.0):
-        out = get_context(dim, L, levels, 0, a=a)
-        run.guard(out.fine.n_bonds)
-        return out
+    ctx = functools.partial(get_context, dim, L, levels, 0)
 
     for a in run.config.a_list:
         def rep(a=a):
             xs = (0.0,) + tuple(run.config.x_list)
-            return max(ctx(a).rep_check(xs).values())
+            return max(ctx().rep_check(xs, a).values())
         run.check(f"representation.covariance_identity_a{a:g}",
                   "the fluctuation covariance equals the compressed "
                   "Green's-function representation for all configured "
@@ -520,20 +519,14 @@ def suite_rg(run: Runner, inst):
     dim, L, levels = inst
     tol = run.config.identity_tol
 
-    # three checks read one flow; an exception is not cached, so each
-    # check records it
-    @functools.cache
-    def iterated():
-        return _iterated_states(run, inst)
-
     def gauge_invariant():
-        return max(s.gauge_residual() for s in iterated())
+        return max(s.gauge_residual() for s in run.flow(inst))
     run.check("rg.flow_gauge_invariance",
               "every density of the flow annihilates coarse gradients",
               inst, gauge_invariant, tol)
 
     def one_shot_agree():
-        states = iterated()
+        states = run.flow(inst)
         worst = 0.0
         for k in range(1, levels + 1):
             direct = one_shot_state(dim, L, levels, k)
@@ -548,7 +541,7 @@ def suite_rg(run: Runner, inst):
               one_shot_agree, tol)
 
     def final():
-        states = iterated()
+        states = run.flow(inst)
         return abs(final_step(states[levels - 1])
                    - one_shot_final(dim, L, levels))
     run.check("rg.final_winding_step",
@@ -556,7 +549,6 @@ def suite_rg(run: Runner, inst):
               "form", inst, final, tol)
 
     def recursion():
-        run.guard(LatticeSpec(dim, L, 0, levels).n_bonds)
         fc = z_constants(dim, L, levels)
         return max(fc.recursion_residuals.values())
     run.check("rg.partition_recursion",
@@ -564,7 +556,6 @@ def suite_rg(run: Runner, inst):
               "exactly", inst, recursion, tol)
 
     def composition():
-        run.guard(LatticeSpec(dim, L, 0, levels).n_bonds)
         return max(minimizer_composition_residual(dim, L, levels, k)
                    for k in range(levels))
     run.check("rg.minimizer_composition",
@@ -572,7 +563,6 @@ def suite_rg(run: Runner, inst):
               "finer level", inst, composition, tol)
 
     def fluct():
-        run.guard(LatticeSpec(dim, L, 0, levels).n_bonds)
         ctx = get_context(dim, L, levels, 0)
         m = curl_energy_form(ctx.unit)
         return fluctuation_step(dim, L, levels, 0, m).cross_residual
@@ -585,12 +575,8 @@ def suite_rg(run: Runner, inst):
 def suite_sqrt(run: Runner, inst):
     dim, L, levels = inst
     # at a single level the blocked lattice degenerates; stay at level 0
-    level = 1 if levels >= 2 else 0
-
-    def ctx():
-        out = get_context(dim, L, levels, level)
-        run.guard(out.fine.n_bonds)
-        return out
+    ctx = functools.partial(get_context, dim, L, levels,
+                            1 if levels >= 2 else 0)
 
     # each root is computed once per instance; an exception is not cached,
     # so each check records it
@@ -645,7 +631,6 @@ def suite_decay(run: Runner, inst):
     if levels >= 2:
         def minimizer():
             c = get_context(dim, L, levels, 1)
-            run.guard(c.fine.n_bonds)
             prof = decay_profile(c.axial_minimizer, c.fine, c.unit)
             run.decay_tables[("minimizer", dim, L, levels)] = prof["table"]
             return prof["slope"]
@@ -657,7 +642,6 @@ def suite_decay(run: Runner, inst):
     if dim == 2 and L ** levels >= 27:
         def correlated():
             c = get_context(dim, L, levels, 1)
-            run.guard(c.fine.n_bonds)
             prof = decay_profile(c.axial_minimizer, c.fine, c.unit)
             return -prof["correlation"]
         run.check("decay.minimizer_fit_quality",
@@ -669,12 +653,7 @@ def suite_decay(run: Runner, inst):
 def suite_appendix(run: Runner, inst):
     dim, L, levels = inst
     tol = run.config.identity_tol
-    level = min(1, levels)
-
-    def ctx():
-        out = get_context(dim, L, levels, level)
-        run.guard(out.fine.n_bonds)
-        return out
+    ctx = functools.partial(get_context, dim, L, levels, min(1, levels))
 
     # both checks read one computation; an exception is not cached, so
     # each check records it
@@ -754,13 +733,20 @@ def write_csv_tables(run: Runner, directory: str):
 
 def run_verification(config: RunConfig) -> tuple:
     run = Runner(config)
+    keys = []       # per record: (suite position, instance position)
     try:
-        for suite in config.suites:
-            fn = SUITE_FUNCS[suite]
-            for inst in config.instances:
-                fn(run, inst)
+        # instance-major, so that the suites of one instance share its
+        # contexts and its flow
+        for i, inst in enumerate(config.instances):
+            for s, suite in enumerate(config.suites):
+                try:
+                    SUITE_FUNCS[suite](run, inst)
+                finally:
+                    keys += [(s, i)] * (len(run.checks) - len(keys))
     finally:
-        # a partial report is still a report
+        # the report is suite-major; a partial report is still a report
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        run.checks[:] = [run.checks[j] for j in order]
         report = build_report(config, run.checks)
         if config.report:
             with open(config.report, "w") as fh:

@@ -18,6 +18,7 @@ and the curl energy is invariant under field rescaling.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,6 +33,35 @@ PLAQUETTE = "plaquette"
 
 # Assembled operators are dense below this ambient dimension, sparse above.
 DENSE_LIMIT = 5000
+
+
+class ResourceCapExceeded(RuntimeError):
+    """The requested instance is larger than the configured ambient cap."""
+
+
+DEFAULT_MAX_DIM = DENSE_LIMIT
+
+
+def max_ambient_dim() -> int:
+    """The ambient-dimension cap: CAXIAL_MAX_DIM if set, else the default.
+
+    Operators above DENSE_LIMIT are assembled sparse, which the dense linear
+    algebra of the checks cannot take, so a larger cap, like a value that is
+    not an integer, raises ValueError.
+    """
+    cap = int(os.environ.get("CAXIAL_MAX_DIM", DEFAULT_MAX_DIM))
+    if cap > DENSE_LIMIT:
+        raise ValueError(f"{cap} exceeds {DENSE_LIMIT}, above which "
+                         "operators are assembled sparse")
+    return cap
+
+
+def _guard(n: int):
+    """Raise ResourceCapExceeded if an ambient dimension n is over the cap;
+    callers pass closed-form LatticeSpec counts, before anything is built."""
+    cap = max_ambient_dim()
+    if n > cap:
+        raise ResourceCapExceeded(f"ambient dimension {n} exceeds cap {cap}")
 
 
 def element_count(lattice: Lattice, kind: str) -> int:
@@ -145,12 +175,6 @@ class LinearMap:
         """Adjoint with respect to the weighted inner products."""
         ratio = self.codomain.weight / self.domain.weight
         return LinearMap(ratio * self.matrix.T, self.codomain, self.domain)
-
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        if other.codomain != self.domain:
-            raise LatticeError("operator domains do not chain")
-        return LinearMap(self.matrix @ other.matrix, other.domain,
-                         self.codomain)
 
 
 # -- operator assembly -------------------------------------------------------

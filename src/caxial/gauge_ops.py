@@ -3,7 +3,9 @@ fluctuation-covariance representation identities.
 
 A GaugeContext fixes a level k of the flow on an N-level torus: the fine
 lattice has spacing L**-k and the coarse (unit) lattice is its k-fold
-blocking.  On top of it live
+blocking.  The regulator a and the gauge-fixing weight alpha are arguments
+of the members that read them, not part of the context: the identities
+hold for every value.  On top of it live
 
 * the scalar Green's function G = (-Lap + a Q^T Q)^-1,
 * the projector R onto Lap(ker Q) and its complement P,
@@ -24,7 +26,7 @@ import scipy.linalg as sla
 from scipy.special import roots_legendre
 
 from . import averaging as av
-from .fields import ext_d_matrix, grad_matrix, laplacian_matrix
+from .fields import _guard, ext_d_matrix, grad_matrix, laplacian_matrix
 from .gaussian import (FACTOR_CACHE_SIZE, ConstraintFactor,
                        IndefiniteOnSurface, SingularOperator, minimizer_map,
                        positive_cholesky)
@@ -41,22 +43,27 @@ def sym_norm2(m: np.ndarray) -> float:
 class GaugeContext:
     """Operators of one RG level: fine torus at spacing L**-k, unit blocking."""
 
-    def __init__(self, dim, L, n_levels, level, a=1.0, alpha=1.0):
+    def __init__(self, dim, L, n_levels, level, /):
         # level == n_levels is allowed: the unit lattice degenerates to a
         # single site and only the minimizer machinery remains meaningful
         if not 0 <= level <= n_levels:
             raise ValueError("level must satisfy 0 <= level <= n_levels")
-        if a <= 0:
-            raise SingularOperator(
-                "regulator a must be positive: constants are in ker(-Lap)")
         self.dim = dim
         self.L = L
         self.n_levels = n_levels
         self.level = level
-        self.a = float(a)
-        self.alpha = float(alpha)
-        self.fine = build_lattice(LatticeSpec(dim, L, level, n_levels - level))
+        spec = LatticeSpec(dim, L, level, n_levels - level)
+        _guard(spec.n_bonds)
+        self.fine = build_lattice(spec)
         self.unit = build_lattice(LatticeSpec(dim, L, 0, n_levels - level))
+        self._by_a = {}     # (name, a) -> matrix that depends on a
+
+    def _per_a(self, name, a, build):
+        """The matrix `name` at regulator a, built once per value of a."""
+        key = (name, a)
+        if key not in self._by_a:
+            self._by_a[key] = build()
+        return self._by_a[key]
 
     # -- raw ingredients ----------------------------------------------------
 
@@ -139,44 +146,45 @@ class GaugeContext:
 
     # -- scalar Green's function and projectors -----------------------------
 
-    def _green_for(self, q: np.ndarray, q_adj: np.ndarray) -> np.ndarray:
-        op = self.lap_fine + self.a * q_adj @ q
+    def _green_for(self, q: np.ndarray, q_adj: np.ndarray,
+                   a: float) -> np.ndarray:
+        if a <= 0:
+            raise SingularOperator(
+                "regulator a must be positive: constants are in ker(-Lap)")
+        op = self.lap_fine + a * q_adj @ q
         chol = positive_cholesky(0.5 * (op + op.T), SingularOperator,
                                  "-Lap + a Q^T Q")
         return sla.cho_solve((chol, True), np.eye(op.shape[0]))
 
-    @cached_property
-    def green_scalar(self) -> np.ndarray:
+    def green_scalar(self, a: float = 1.0) -> np.ndarray:
         """G = (-Lap + a Q^T Q)^-1 on fine scalars."""
-        return self._green_for(self.scalar_average, self.scalar_average_adj)
+        return self._per_a("green", a, lambda: self._green_for(
+            self.scalar_average, self.scalar_average_adj, a))
 
-    def _projectors_for(self, q, q_adj):
-        g = self._green_for(q, q_adj)
+    def _projectors_for(self, q, q_adj, a):
+        g = self._green_for(q, q_adj, a)
         core = q @ g @ g @ q_adj
         p = g @ q_adj @ np.linalg.solve(core, q @ g)
         return 0.5 * (p + p.T), np.eye(p.shape[0]) - 0.5 * (p + p.T)
 
-    @cached_property
-    def _pr(self):
-        return self._projectors_for(self.scalar_average,
-                                    self.scalar_average_adj)
+    def _pr(self, a):
+        return self._per_a("projectors", a, lambda: self._projectors_for(
+            self.scalar_average, self.scalar_average_adj, a))
 
-    @property
-    def proj_range(self) -> np.ndarray:
+    def proj_range(self, a: float = 1.0) -> np.ndarray:
         """P: orthogonal projector onto range(G Q^T)."""
-        return self._pr[0]
+        return self._pr(a)[0]
 
-    @property
-    def proj_div(self) -> np.ndarray:
+    def proj_div(self, a: float = 1.0) -> np.ndarray:
         """R = I - P: orthogonal projector onto Lap(ker Q)."""
-        return self._pr[1]
+        return self._pr(a)[1]
 
-    @cached_property
-    def proj_div_next(self) -> np.ndarray:
+    def proj_div_next(self, a: float = 1.0) -> np.ndarray:
         """R built from the (k+1)-level scalar average."""
         q = self.scalar_average_next
         q_adj = float(self.L) ** ((self.level + 1) * self.dim) * q.T
-        return self._projectors_for(q, q_adj)[1]
+        return self._per_a("proj_div_next", a,
+                           lambda: self._projectors_for(q, q_adj, a)[1])
 
     # -- minimizers and the effective form ----------------------------------
 
@@ -185,21 +193,21 @@ class GaugeContext:
         """Unit bonds -> fine bonds: least curl energy on the axial surface."""
         return minimizer_map(self.curl_form, self.axial_surface)
 
-    def feynman_minimizer(self, alpha=None) -> np.ndarray:
+    def feynman_minimizer(self, alpha: float = 1.0) -> np.ndarray:
         """Least curl energy + projected-divergence penalty, averages fixed."""
-        if alpha is None:
-            alpha = self.alpha
         dg = self.grad_fine
         form = self.curl_form + (self.weight / alpha) * \
-            dg @ self.proj_div @ dg.T
+            dg @ self.proj_div() @ dg.T
         return minimizer_map(form, average_constraints(self.fine, self.level))
 
-    def effective_form(self, which: str = "axial") -> np.ndarray:
-        """Delta: the curl energy of the minimizer, as a unit-bond form."""
+    def effective_form(self, which: str = "axial",
+                       alpha: float = 1.0) -> np.ndarray:
+        """Delta: the curl energy of the minimizer, as a unit-bond form;
+        alpha is the gauge-fixing weight of the Feynman minimizer."""
         h = {"axial": lambda: self.axial_minimizer,
-             "feynman": self.feynman_minimizer}[which]()
-        d = 0.5 * (h.T @ self.curl_form @ h + (h.T @ self.curl_form @ h).T)
-        return d
+             "feynman": lambda: self.feynman_minimizer(alpha)}[which]()
+        m = h.T @ self.curl_form @ h
+        return 0.5 * (m + m.T)
 
     @cached_property
     def delta(self) -> np.ndarray:
@@ -224,15 +232,15 @@ class GaugeContext:
 
     # -- scalar potential for the covariance representation -----------------
 
-    def lambda0_map(self) -> np.ndarray:
+    def lambda0_map(self, a: float = 1.0) -> np.ndarray:
         """Unit scalars -> fine scalars solving Q lambda = mu, R Lap lambda = 0."""
-        g = self.green_scalar
+        g = self.green_scalar(a)
         q, qt = self.scalar_average, self.scalar_average_adj
         g2qt = g @ g @ qt
         core = q @ g2qt
         first = g2qt @ np.linalg.solve(
-            core, np.eye(core.shape[0]) - self.a * q @ g @ qt)
-        return first + self.a * g @ qt
+            core, np.eye(core.shape[0]) - a * q @ g @ qt)
+        return first + a * g @ qt
 
     # -- bond-space Green's functions ---------------------------------------
 
@@ -241,13 +249,13 @@ class GaugeContext:
         return (self.chi_star[:, None] * self.one_plus_grad_recovery) \
             @ self.bond_average
 
-    def fine_green(self, x: float = 0.0) -> np.ndarray:
+    def fine_green(self, x: float = 0.0, a: float = 1.0) -> np.ndarray:
         """Inverse of the regularized bond operator used in the covariance
         representation: curl part + projected divergence part + average
-        regulator + x times the gauge-fixed compression term."""
+        regulator a + x times the gauge-fixed compression term."""
         dg = self.grad_fine
-        op = (self.curl_form + self.weight * dg @ self.proj_div_next @ dg.T
-              + self.a * self.bond_average_next.T @ self.bond_average_next)
+        op = (self.curl_form + self.weight * dg @ self.proj_div_next(a) @ dg.T
+              + a * self.bond_average_next.T @ self.bond_average_next)
         if x:
             xm = self._x_map()
             op = op + x * xm.T @ xm
@@ -255,24 +263,24 @@ class GaugeContext:
                                  "regularized bond operator")
         return sla.cho_solve((chol, True), np.eye(op.shape[0]))
 
-    def tilde_green(self, x: float = 0.0) -> np.ndarray:
+    def tilde_green(self, x: float = 0.0, a: float = 1.0) -> np.ndarray:
         """Green's function constrained to the kernel of the next averaging."""
-        g = self.fine_green(x)
+        g = self.fine_green(x, a)
         qn = self.bond_average_next
         core = qn @ g @ qn.T
         out = g - g @ qn.T @ np.linalg.solve(core, qn @ g)
         return 0.5 * (out + out.T)
 
-    def rep_check(self, xs=(0.0,)) -> dict:
+    def rep_check(self, xs=(0.0,), a: float = 1.0) -> dict:
         """Relative residuals of C (C^T Delta C + x)^-1 C^T against the
-        compressed Green's-function representation, per x."""
+        compressed Green's-function representation at regulator a, per x."""
         C = self.fluct_basis
         ipd = self.one_plus_grad_recovery
         qb = self.bond_average
         out = {}
         for x in xs:
             lhs = C @ self.fluct_cov(x) @ C.T
-            rhs = ipd @ qb @ self.tilde_green(x) @ qb.T @ ipd.T
+            rhs = ipd @ qb @ self.tilde_green(x, a) @ qb.T @ ipd.T
             out[x] = sym_norm2(lhs - rhs) / sym_norm2(lhs)
         return out
 
@@ -301,7 +309,7 @@ class GaugeContext:
 
     def div_range_basis(self, projector=None) -> np.ndarray:
         """Orthonormal basis of the range of R (columns)."""
-        r = self.proj_div if projector is None else projector
+        r = self.proj_div() if projector is None else projector
         w, v = np.linalg.eigh(r)
         return v[:, w > 0.5]
 
@@ -309,13 +317,13 @@ class GaugeContext:
         """The square map lambda -> (Q lambda, R(-Lap) lambda)."""
         u = self.div_range_basis()
         return np.vstack([self.scalar_average,
-                          u.T @ self.proj_div @ self.lap_fine])
+                          u.T @ self.proj_div() @ self.lap_fine])
 
     def feynman_to_landau(self) -> np.ndarray:
         """The substitution map A -> A - grad G R div A."""
         dg = self.grad_fine
         return np.eye(self.fine.n_bonds) \
-            - dg @ self.green_scalar @ self.proj_div @ dg.T
+            - dg @ self.green_scalar() @ self.proj_div() @ dg.T
 
 
 @lru_cache(maxsize=FACTOR_CACHE_SIZE)
@@ -343,9 +351,11 @@ def one_shot_constraints(fine: Lattice, k: int) -> ConstraintFactor:
     return ConstraintFactor(K, E)
 
 
-@lru_cache(maxsize=None)
-def get_context(dim, L, n_levels, level, a=1.0, alpha=1.0) -> GaugeContext:
-    return GaugeContext(dim, L, n_levels, level, a, alpha)
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def get_context(dim, L, n_levels, level, /) -> GaugeContext:
+    """The context of one instance level: levels 0..3 of an instance fit
+    in the cache when the checks run one instance at a time."""
+    return GaugeContext(dim, L, n_levels, level)
 
 
 def change_of_gauge_check(ctx: GaugeContext, coarse_field: np.ndarray) -> dict:
@@ -363,7 +373,7 @@ def change_of_gauge_check(ctx: GaugeContext, coarse_field: np.ndarray) -> dict:
     cond = float(np.linalg.cond(m)) if square else np.inf
     qb = ctx.bond_average
     dg = ctx.grad_fine
-    form_f = ctx.curl_form + ctx.weight * dg @ ctx.proj_div @ dg.T
+    form_f = ctx.curl_form + ctx.weight * dg @ ctx.proj_div() @ dg.T
     surf_f = AffineSurface.from_constraints(
         average_constraints(ctx.fine, ctx.level), coarse_field)
     mean_f = constrained_minimize(QuadraticDensity(form_f), surf_f)
@@ -379,7 +389,7 @@ def change_of_gauge_check(ctx: GaugeContext, coarse_field: np.ndarray) -> dict:
         / max(np.linalg.norm(mean_l), 1e-300)
     cov_res = sym_norm2(t @ cov_f @ t.T - cov_l) \
         / max(sym_norm2(cov_l), 1e-300)
-    n_div = int(np.round(np.trace(ctx.proj_div)))
+    n_div = int(np.round(np.trace(ctx.proj_div())))
     return {
         "square": square,
         "condition": cond,

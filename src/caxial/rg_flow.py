@@ -18,7 +18,6 @@ the value scaling of the relabeled field (trivial at dim = 2).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import log
@@ -26,40 +25,19 @@ from math import log
 import numpy as np
 
 from . import averaging as av
-from .fields import DENSE_LIMIT, ext_d_matrix, grad_matrix
+from .fields import _guard, ext_d_matrix, grad_matrix
 from .gauge_ops import get_context, one_shot_constraints
 from .gaussian import (FACTOR_CACHE_SIZE, AffineSurface, ConstraintFactor,
                        QuadraticDensity, log_partition, minimizer_map,
                        push_constraint, subspace_covariance, surface_min_eig)
-from .lattice import Lattice, LatticeSpec, build_lattice, fine_torus, \
-    unit_torus
+from .lattice import Lattice, LatticeSpec, build_lattice, fine_torus
 
 
-class ResourceCapExceeded(RuntimeError):
-    """The requested instance is larger than the configured ambient cap."""
-
-
-DEFAULT_MAX_DIM = DENSE_LIMIT
-
-
-def max_ambient_dim() -> int:
-    """The ambient-dimension cap: CAXIAL_MAX_DIM if set, else the default.
-
-    Operators above fields.DENSE_LIMIT are assembled sparse, which the dense
-    linear algebra of the checks cannot take, so a larger cap, like a value
-    that is not an integer, raises ValueError.
-    """
-    cap = int(os.environ.get("CAXIAL_MAX_DIM", DEFAULT_MAX_DIM))
-    if cap > DENSE_LIMIT:
-        raise ValueError(f"{cap} exceeds {DENSE_LIMIT}, above which "
-                         "operators are assembled sparse")
-    return cap
-
-
-def _guard(n: int):
-    cap = max_ambient_dim()
-    if n > cap:
-        raise ResourceCapExceeded(f"ambient dimension {n} exceeds cap {cap}")
+def _fine_torus(dim: int, L: int, k: int, n_levels: int) -> Lattice:
+    """The level-k fine torus of an n_levels flow, guarded on its
+    closed-form bond count before it is built."""
+    _guard(LatticeSpec(dim, L, k, n_levels - k).n_bonds)
+    return fine_torus(dim, L, k, n_levels - k)
 
 
 @dataclass(frozen=True)
@@ -109,8 +87,7 @@ def curl_energy_form(lattice: Lattice) -> np.ndarray:
 
 def init_rho0(dim: int, L: int, n_levels: int, source=None) -> RGState:
     """Level-0 state: curl-energy Gaussian, optional linear source term."""
-    lat = unit_torus(dim, L, n_levels)
-    _guard(lat.n_bonds)
+    lat = _fine_torus(dim, L, 0, n_levels)
     density = QuadraticDensity(curl_energy_form(lat), source)
     return RGState(0, lat, density, FlowCounts(dim, L, n_levels))
 
@@ -180,8 +157,7 @@ def one_shot_state(dim: int, L: int, n_levels: int, k: int,
     field at spacing L**-k with the full hierarchical stack."""
     if not 1 <= k <= n_levels:
         raise ValueError("need 1 <= k <= n_levels")
-    fine = fine_torus(dim, L, k, n_levels - k)
-    _guard(fine.n_bonds)
+    fine = _fine_torus(dim, L, k, n_levels)
     linear = None
     if source is not None:
         # the level-0 functional reads the fine field in level-0 values
@@ -198,8 +174,7 @@ def one_shot_final(dim: int, L: int, n_levels: int,
                    convention: str = "dirac") -> float:
     """One-shot version of the last level: winding averages of the fully
     blocked field are fixed to zero; returns the log constant."""
-    fine = fine_torus(dim, L, n_levels, 0)
-    _guard(fine.n_bonds)
+    fine = _fine_torus(dim, L, n_levels, n_levels)
     density = QuadraticDensity(curl_energy_form(fine))
     surface = AffineSurface.from_constraints(
         _one_shot_winding_constraints(fine, n_levels))
@@ -243,8 +218,7 @@ def z_constants(dim: int, L: int, n_levels: int,
     counts = FlowCounts(dim, L, n_levels)
     log_z, log_zf, min_eigs = {}, {}, {}
     for k in range(1, n_levels + 1):
-        fine = fine_torus(dim, L, k, n_levels - k)
-        _guard(fine.n_bonds)
+        fine = _fine_torus(dim, L, k, n_levels)
         density = QuadraticDensity(curl_energy_form(fine))
         surface = AffineSurface.from_constraints(
             one_shot_constraints(fine, k))

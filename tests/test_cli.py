@@ -7,6 +7,7 @@ import pytest
 from caxial import averaging as av
 from caxial import cli, gauge_ops, rg_flow
 from caxial.cli import ConfigError, RunConfig, main, run_verification
+from caxial.fields import ResourceCapExceeded
 from caxial.gauge_ops import GaugeContext
 
 
@@ -44,6 +45,9 @@ def test_report_records_every_check_with_anchor():
 
 
 def test_resource_cap_records_skip(monkeypatch):
+    # the cap is checked when a context is built: start cold, as a new
+    # `caxial verify` process does
+    gauge_ops.get_context.cache_clear()
     monkeypatch.setenv("CAXIAL_MAX_DIM", "5")
     report, _ = run_verification(small_config(suites=("rg",)))
     statuses = {c["status"] for c in report["checks"]}
@@ -83,8 +87,8 @@ def test_appendix_runs_change_of_gauge_once(monkeypatch):
     assert [c["status"] for c in report["checks"]] == ["ERROR", "ERROR"]
 
 
-FLOW_CHECKS = ("rg.flow_gauge_invariance", "rg.iterated_matches_one_shot",
-               "rg.final_winding_step")
+FLOW_CHECKS = ("lower_bound.flow_forms_positive", "rg.flow_gauge_invariance",
+               "rg.iterated_matches_one_shot", "rg.final_winding_step")
 
 
 def test_rg_runs_the_flow_once_per_instance(monkeypatch):
@@ -95,22 +99,23 @@ def test_rg_runs_the_flow_once_per_instance(monkeypatch):
         calls.append(args)
         return original(*args)
     monkeypatch.setattr(cli, "flow_states", counted)
-    config = small_config(instances=((2, 3, 1), (2, 5, 1)), suites=("rg",))
+    suites = ("lower_bound", "rg")
+    config = small_config(instances=((2, 3, 1), (2, 5, 1)), suites=suites)
     report, _ = run_verification(config)
+    # one flow per instance, shared by the two suites
     assert calls == [(2, 3, 1), (2, 5, 1)]
     assert {c["status"] for c in report["checks"]} == {"PASS"}
 
     # an exception is not cached: every check that reads the flow records
     # it, and the checks that do not read it still pass
     for error, status in ((RuntimeError("broken"), "ERROR"),
-                          (rg_flow.ResourceCapExceeded("too big"),
-                           "SKIPPED")):
+                          (ResourceCapExceeded("too big"), "SKIPPED")):
         def broken(*args, error=error):
             calls.append(args)
             raise error
         monkeypatch.setattr(cli, "flow_states", broken)
         calls.clear()
-        report, _ = run_verification(small_config(suites=("rg",)))
+        report, _ = run_verification(small_config(suites=suites))
         assert len(calls) == len(FLOW_CHECKS)
         for c in report["checks"]:
             assert c["status"] == (status if c["check_id"] in FLOW_CHECKS
@@ -175,6 +180,41 @@ def test_rg_factors_each_builder_key_once(monkeypatch):
     assert len(shapes) <= sum(i.currsize for i in infos)
 
 
+GAUGE_SUITES = ("feynman_landau", "representation", "sqrt", "decay",
+                "appendix")
+
+
+def test_gauge_suites_build_one_context_per_level(monkeypatch):
+    gauge_ops.get_context.cache_clear()
+    init = GaugeContext.__init__
+    built = []
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setattr(GaugeContext, "__init__", counted)
+    config = small_config(instances=((2, 3, 2), (2, 5, 1)),
+                          suites=GAUGE_SUITES)
+    report, _ = run_verification(config)
+    assert {c["status"] for c in report["checks"]} == {"PASS"}
+    # the regulator a and the weight alpha are method arguments, so every
+    # check of one level shares its context
+    assert sorted(built) == [(2, 3, 2, 0), (2, 3, 2, 1),
+                             (2, 5, 1, 0), (2, 5, 1, 1)]
+
+
+def test_report_is_suite_major():
+    # the run is instance-major, the report suite-major as before
+    suites = ("geometry", "lower_bound", "decay")
+    instances = ((2, 3, 1), (2, 3, 2))
+    report, _ = run_verification(small_config(instances=instances,
+                                              suites=suites))
+    seen = [(c["check_id"].split(".")[0], tuple(c["instance"]))
+            for c in report["checks"]]
+    assert list(dict.fromkeys(seen)) == [(s, i) for s in suites
+                                         for i in instances]
+
+
 def test_exit_code_zero_and_report_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code = main(["verify", "--dim", "2", "--L", "3", "--levels", "1",
@@ -228,10 +268,16 @@ def test_csv_export(tmp_path):
     # the unit torus of the bijection check, guarded on 4 * its site count
     ("gauge_surface", (2, 3, 2), "gauge_surface.scalar_hierarchy_bijection",
      (2, 3, 0, 2), 300, 324),
-], ids=["calculus", "gauge_surface"])
+    # the fine lattice of a level-1 context, guarded in GaugeContext
+    ("feynman_landau", (2, 3, 2), "feynman_landau.projector_idempotent",
+     (2, 3, 1, 1), 100, 162),
+    # the unit torus of the flow, guarded in rg_flow
+    ("rg", (2, 3, 2), "rg.flow_gauge_invariance", (2, 3, 0, 2), 100, 162),
+], ids=["calculus", "gauge_surface", "context", "rg"])
 def test_skipped_check_builds_no_lattice(monkeypatch, suite, inst, check_id,
                                          spec_args, cap, n):
     from caxial.lattice import LatticeSpec, _lattice_cache
+    gauge_ops.get_context.cache_clear()
     spec = LatticeSpec(*spec_args)
     monkeypatch.delitem(_lattice_cache, spec, raising=False)
     monkeypatch.setenv("CAXIAL_MAX_DIM", str(cap))

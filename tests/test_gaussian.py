@@ -431,7 +431,7 @@ def test_cached_factors_are_read_only_bounded_and_shared():
     K[0, 0] = 2.0
     for builder in (_step_constraints, _winding_constraints,
                     _one_shot_winding_constraints, one_shot_constraints,
-                    average_constraints):
+                    average_constraints, get_context):
         assert builder.cache_info().maxsize is not None
     # the axial minimizer factors the one-shot surface of its level; at
     # level 0 that is the block-average surface of the Feynman minimizer

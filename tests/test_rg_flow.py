@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from caxial.rg_flow import (FlowCounts, ResourceCapExceeded, final_step,
-                            fluctuation_step, fluctuation_surface,
-                            flow_states, init_rho0,
+from caxial.fields import ResourceCapExceeded
+from caxial.rg_flow import (FlowCounts, final_step, fluctuation_step,
+                            fluctuation_surface, flow_states, init_rho0,
                             minimizer_composition_residual, one_shot_final,
                             one_shot_state, rg_step, z_constants)
 from caxial.gaussian import QuadraticDensity, subspace_covariance
 from caxial.gauge_ops import get_context
+from caxial.lattice import LatticeSpec, _lattice_cache
 
 REL_TOL = 1e-9
 
@@ -121,3 +122,20 @@ def test_resource_cap(monkeypatch):
         init_rho0(2, 3, 1)
     monkeypatch.delenv("CAXIAL_MAX_DIM")
     init_rho0(2, 3, 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: init_rho0(2, 3, 2), lambda: one_shot_state(2, 3, 2, 1),
+    lambda: one_shot_final(2, 3, 2), lambda: z_constants(2, 3, 2)],
+    ids=["init_rho0", "one_shot_state", "one_shot_final", "z_constants"])
+def test_flow_guards_before_building(monkeypatch, build):
+    # every torus of a two-level flow has 162 bonds; the cap is checked on
+    # that closed-form count before any of them is built
+    specs = [LatticeSpec(2, 3, k, 2 - k) for k in range(3)]
+    for spec in specs:
+        monkeypatch.delitem(_lattice_cache, spec, raising=False)
+    monkeypatch.setenv("CAXIAL_MAX_DIM", "100")
+    with pytest.raises(ResourceCapExceeded,
+                       match="ambient dimension 162 exceeds cap 100"):
+        build()
+    assert not any(spec in _lattice_cache for spec in specs)
