@@ -31,11 +31,12 @@ import scipy.sparse as sp
 from . import averaging as av
 from . import spectral
 from .fields import (ResourceCapExceeded, _guard, ext_d_matrix, grad_matrix,
-                     inner, max_ambient_dim, norm_sq, random_field,
-                     scale_field)
-from .gauge_ops import change_of_gauge_check, decay_profile, get_context
+                     guarded_torus, inner, max_ambient_dim, norm_sq,
+                     random_field, scale_field)
+from .gauge_ops import (_guard_level, change_of_gauge_check, decay_profile,
+                        get_context)
 from .gaussian import QuadraticDensity, kernel_residual, surface_min_eig
-from .lattice import LatticeSpec, fine_torus, open_cube, unit_torus
+from .lattice import LatticeSpec, open_cube, unit_torus
 from .rg_flow import (curl_energy_form, final_step, fluctuation_step,
                       flow_states, minimizer_composition_residual,
                       one_shot_final, one_shot_state, z_constants)
@@ -172,11 +173,11 @@ class Runner:
         self.checks.append(record)
         return record
 
-    def torus(self, dim, L, scale, levels):
-        """fine_torus(dim, L, scale, levels), guarded on its closed-form bond
-        count before anything is built."""
-        _guard(LatticeSpec(dim, L, scale, levels).n_bonds)
-        return fine_torus(dim, L, scale, levels)
+    @staticmethod
+    def context(inst, level):
+        """get_context of an inst level, guarded on every fetch."""
+        _guard_level(*inst, level)
+        return get_context(*inst, level)
 
     def flow(self, inst):
         """The iterated flow of inst, built once and shared by the checks of
@@ -206,7 +207,7 @@ def suite_geometry(run: Runner, inst):
     tol = 0
 
     def counts():
-        lat = run.torus(dim, L, 0, levels)
+        lat = guarded_torus(dim, L, 0, levels)
         sites = L ** (dim * levels)
         plaq = dim * (dim - 1) // 2 * sites
         return (abs(lat.n_sites - sites) + abs(lat.n_bonds - dim * sites)
@@ -223,7 +224,7 @@ def suite_geometry(run: Runner, inst):
               inst, tree, tol, "exact")
 
     def blocks():
-        lat = run.torus(dim, L, 0, levels)
+        lat = guarded_torus(dim, L, 0, levels)
         members = list(lat.block_members((0,) * dim, 1))
         return abs(len(members) - L ** dim)
     run.check("geometry.block_size",
@@ -236,7 +237,7 @@ def suite_calculus(run: Runner, inst):
     tol = run.config.identity_tol
 
     def lat():
-        return run.torus(dim, L, 0, levels)
+        return guarded_torus(dim, L, 0, levels)
 
     def curl_grad():
         lattice = lat()
@@ -261,7 +262,7 @@ def suite_calculus(run: Runner, inst):
               adjoint, tol)
 
     def scale_inv():
-        fine = run.torus(dim, L, 1, levels)
+        fine = guarded_torus(dim, L, 1, levels)
         A = random_field(fine, "bond", run.rng(2, *inst))
         from .fields import ext_d
         before = norm_sq(ext_d(A))
@@ -297,7 +298,7 @@ def suite_averaging(run: Runner, inst):
     tol = run.config.identity_tol
 
     def lat():
-        return run.torus(dim, L, 0, levels)
+        return guarded_torus(dim, L, 0, levels)
 
     def intertwine():
         lattice = lat()
@@ -369,7 +370,7 @@ def suite_gauge_surface(run: Runner, inst):
                   rank_tol, "floor")
 
     def closure():
-        lattice = run.torus(dim, L, 0, 1)
+        lattice = guarded_torus(dim, L, 0, 1)
         out = spectral.toron_closure_kernel(lattice)
         return out["min_sv"] / out["max_sv"]
     run.check("gauge_surface.toron_closure",
@@ -388,9 +389,9 @@ def suite_gauge_surface(run: Runner, inst):
 
 
 def suite_feynman_landau(run: Runner, inst):
-    dim, L, levels = inst
+    levels = inst[2]
     tol = run.config.identity_tol
-    ctx = functools.partial(get_context, dim, L, levels, min(1, levels))
+    ctx = functools.partial(run.context, inst, min(1, levels))
 
     def idempotent():
         r = ctx().proj_div()
@@ -459,7 +460,7 @@ def suite_lower_bound(run: Runner, inst):
               "floor")
 
     def coercive():
-        lattice = run.torus(dim, L, 0, 1)
+        lattice = guarded_torus(dim, L, 0, 1)
         out = spectral.global_coercivity(lattice)
         return out["min_eig"] - out["floor"]
     run.check("lower_bound.global_coercivity",
@@ -483,10 +484,9 @@ def suite_lower_bound(run: Runner, inst):
 
 
 def suite_representation(run: Runner, inst):
-    dim, L, levels = inst
     tol = run.config.identity_tol
 
-    ctx = functools.partial(get_context, dim, L, levels, 0)
+    ctx = functools.partial(run.context, inst, 0)
 
     for a in run.config.a_list:
         def rep(a=a):
@@ -563,7 +563,7 @@ def suite_rg(run: Runner, inst):
               "finer level", inst, composition, tol)
 
     def fluct():
-        ctx = get_context(dim, L, levels, 0)
+        ctx = run.context(inst, 0)
         m = curl_energy_form(ctx.unit)
         return fluctuation_step(dim, L, levels, 0, m).cross_residual
     run.check("rg.fluctuation_transport",
@@ -573,10 +573,9 @@ def suite_rg(run: Runner, inst):
 
 
 def suite_sqrt(run: Runner, inst):
-    dim, L, levels = inst
+    levels = inst[2]
     # at a single level the blocked lattice degenerates; stay at level 0
-    ctx = functools.partial(get_context, dim, L, levels,
-                            1 if levels >= 2 else 0)
+    ctx = functools.partial(run.context, inst, 1 if levels >= 2 else 0)
 
     # each root is computed once per instance; an exception is not cached,
     # so each check records it
@@ -617,7 +616,7 @@ def suite_decay(run: Runner, inst):
     dim, L, levels = inst
 
     def massive():
-        lattice = run.torus(dim, L, 0, 1)
+        lattice = guarded_torus(dim, L, 0, 1)
         from .fields import laplacian_matrix
         g0 = np.linalg.inv(laplacian_matrix(lattice)
                            + np.eye(lattice.n_sites))
@@ -630,7 +629,7 @@ def suite_decay(run: Runner, inst):
 
     if levels >= 2:
         def minimizer():
-            c = get_context(dim, L, levels, 1)
+            c = run.context(inst, 1)
             prof = decay_profile(c.axial_minimizer, c.fine, c.unit)
             run.decay_tables[("minimizer", dim, L, levels)] = prof["table"]
             return prof["slope"]
@@ -641,7 +640,7 @@ def suite_decay(run: Runner, inst):
     # the fit-quality gate needs enough distance classes: side >= 27
     if dim == 2 and L ** levels >= 27:
         def correlated():
-            c = get_context(dim, L, levels, 1)
+            c = run.context(inst, 1)
             prof = decay_profile(c.axial_minimizer, c.fine, c.unit)
             return -prof["correlation"]
         run.check("decay.minimizer_fit_quality",
@@ -651,9 +650,9 @@ def suite_decay(run: Runner, inst):
 
 
 def suite_appendix(run: Runner, inst):
-    dim, L, levels = inst
+    levels = inst[2]
     tol = run.config.identity_tol
-    ctx = functools.partial(get_context, dim, L, levels, min(1, levels))
+    ctx = functools.partial(run.context, inst, min(1, levels))
 
     # both checks read one computation; an exception is not cached, so
     # each check records it

@@ -25,7 +25,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import Lattice, LatticeError, Path, build_lattice
+from .lattice import (Lattice, LatticeError, LatticeSpec, Path, build_lattice,
+                      fine_torus)
 
 SITE = "site"
 BOND = "bond"
@@ -62,6 +63,13 @@ def _guard(n: int):
     cap = max_ambient_dim()
     if n > cap:
         raise ResourceCapExceeded(f"ambient dimension {n} exceeds cap {cap}")
+
+
+def guarded_torus(dim: int, L: int, scale: int, levels: int) -> Lattice:
+    """fine_torus(dim, L, scale, levels), guarded on its closed-form bond
+    count before it is built."""
+    _guard(LatticeSpec(dim, L, scale, levels).n_bonds)
+    return fine_torus(dim, L, scale, levels)
 
 
 def element_count(lattice: Lattice, kind: str) -> int:

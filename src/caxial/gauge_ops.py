@@ -40,6 +40,12 @@ def sym_norm2(m: np.ndarray) -> float:
     return float(max(-w[0], w[-1]))
 
 
+def _guard_level(dim, L, n_levels, level):
+    """The cap on the closed-form bond count of an instance level's fine
+    lattice; a context cached under a larger cap passed it only then."""
+    _guard(LatticeSpec(dim, L, level, n_levels - level).n_bonds)
+
+
 class GaugeContext:
     """Operators of one RG level: fine torus at spacing L**-k, unit blocking."""
 
@@ -52,9 +58,8 @@ class GaugeContext:
         self.L = L
         self.n_levels = n_levels
         self.level = level
-        spec = LatticeSpec(dim, L, level, n_levels - level)
-        _guard(spec.n_bonds)
-        self.fine = build_lattice(spec)
+        _guard_level(dim, L, n_levels, level)
+        self.fine = build_lattice(LatticeSpec(dim, L, level, n_levels - level))
         self.unit = build_lattice(LatticeSpec(dim, L, 0, n_levels - level))
         self._by_a = {}     # (name, a) -> matrix that depends on a
 
@@ -351,10 +356,13 @@ def one_shot_constraints(fine: Lattice, k: int) -> ConstraintFactor:
     return ConstraintFactor(K, E)
 
 
-@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+CONTEXT_CACHE_SIZE = 4    # levels 0..3 of one instance, run one at a time
+
+
+@lru_cache(maxsize=CONTEXT_CACHE_SIZE)
 def get_context(dim, L, n_levels, level, /) -> GaugeContext:
-    """The context of one instance level: levels 0..3 of an instance fit
-    in the cache when the checks run one instance at a time."""
+    """The context of one instance level.  The cap is checked when it is
+    built; a caller that may fetch it under a lower cap calls _guard_level."""
     return GaugeContext(dim, L, n_levels, level)
 
 

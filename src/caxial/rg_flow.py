@@ -25,19 +25,12 @@ from math import log
 import numpy as np
 
 from . import averaging as av
-from .fields import _guard, ext_d_matrix, grad_matrix
-from .gauge_ops import get_context, one_shot_constraints
+from .fields import ext_d_matrix, grad_matrix, guarded_torus
+from .gauge_ops import _guard_level, get_context, one_shot_constraints
 from .gaussian import (FACTOR_CACHE_SIZE, AffineSurface, ConstraintFactor,
                        QuadraticDensity, log_partition, minimizer_map,
                        push_constraint, subspace_covariance, surface_min_eig)
-from .lattice import Lattice, LatticeSpec, build_lattice, fine_torus
-
-
-def _fine_torus(dim: int, L: int, k: int, n_levels: int) -> Lattice:
-    """The level-k fine torus of an n_levels flow, guarded on its
-    closed-form bond count before it is built."""
-    _guard(LatticeSpec(dim, L, k, n_levels - k).n_bonds)
-    return fine_torus(dim, L, k, n_levels - k)
+from .lattice import Lattice, LatticeSpec, build_lattice
 
 
 @dataclass(frozen=True)
@@ -87,7 +80,7 @@ def curl_energy_form(lattice: Lattice) -> np.ndarray:
 
 def init_rho0(dim: int, L: int, n_levels: int, source=None) -> RGState:
     """Level-0 state: curl-energy Gaussian, optional linear source term."""
-    lat = _fine_torus(dim, L, 0, n_levels)
+    lat = guarded_torus(dim, L, 0, n_levels)
     density = QuadraticDensity(curl_energy_form(lat), source)
     return RGState(0, lat, density, FlowCounts(dim, L, n_levels))
 
@@ -157,7 +150,7 @@ def one_shot_state(dim: int, L: int, n_levels: int, k: int,
     field at spacing L**-k with the full hierarchical stack."""
     if not 1 <= k <= n_levels:
         raise ValueError("need 1 <= k <= n_levels")
-    fine = _fine_torus(dim, L, k, n_levels)
+    fine = guarded_torus(dim, L, k, n_levels - k)
     linear = None
     if source is not None:
         # the level-0 functional reads the fine field in level-0 values
@@ -174,7 +167,7 @@ def one_shot_final(dim: int, L: int, n_levels: int,
                    convention: str = "dirac") -> float:
     """One-shot version of the last level: winding averages of the fully
     blocked field are fixed to zero; returns the log constant."""
-    fine = _fine_torus(dim, L, n_levels, n_levels)
+    fine = guarded_torus(dim, L, n_levels, 0)
     density = QuadraticDensity(curl_energy_form(fine))
     surface = AffineSurface.from_constraints(
         _one_shot_winding_constraints(fine, n_levels))
@@ -218,7 +211,7 @@ def z_constants(dim: int, L: int, n_levels: int,
     counts = FlowCounts(dim, L, n_levels)
     log_z, log_zf, min_eigs = {}, {}, {}
     for k in range(1, n_levels + 1):
-        fine = _fine_torus(dim, L, k, n_levels)
+        fine = guarded_torus(dim, L, k, n_levels - k)
         density = QuadraticDensity(curl_energy_form(fine))
         surface = AffineSurface.from_constraints(
             one_shot_constraints(fine, k))
@@ -252,6 +245,7 @@ def minimizer_composition_residual(dim: int, L: int, n_levels: int,
                                    k: int) -> float:
     """Relative residual of: fine minimizer of the coarse minimizer of the
     relabeled field  ==  relabeled next-level fine minimizer."""
+    _guard_level(dim, L, n_levels, k)
     ctx_k = get_context(dim, L, n_levels, k)
     ctx_k1 = get_context(dim, L, n_levels, k + 1)
     s = float(L) ** ((dim - 2) / 2.0)
@@ -281,6 +275,7 @@ def fluctuation_step(dim: int, L: int, n_levels: int, k: int,
     also assembled through its symmetric square root in the whitened
     parametrization and the two agree for gauge-invariant functionals.
     """
+    _guard_level(dim, L, n_levels, k)
     ctx = get_context(dim, L, n_levels, k)
     s = float(L) ** ((dim - 2) / 2.0)
     density = QuadraticDensity(ctx.delta)

@@ -11,6 +11,10 @@ from caxial.fields import ResourceCapExceeded
 from caxial.gauge_ops import GaugeContext
 
 
+GAUGE_SUITES = ("feynman_landau", "representation", "sqrt", "decay",
+                "appendix")
+
+
 def small_config(**kw):
     base = dict(instances=((2, 3, 1),), suites=("geometry", "averaging"))
     base.update(kw)
@@ -45,15 +49,29 @@ def test_report_records_every_check_with_anchor():
 
 
 def test_resource_cap_records_skip(monkeypatch):
-    # the cap is checked when a context is built: start cold, as a new
-    # `caxial verify` process does
-    gauge_ops.get_context.cache_clear()
     monkeypatch.setenv("CAXIAL_MAX_DIM", "5")
     report, _ = run_verification(small_config(suites=("rg",)))
     statuses = {c["status"] for c in report["checks"]}
     assert statuses == {"SKIPPED"}
     for c in report["checks"]:
         assert "reason" in c
+
+
+@pytest.mark.parametrize("suite", ["rg", *GAUGE_SUITES])
+def test_cached_context_is_not_served_over_the_cap(monkeypatch, suite):
+    # warm every level context of the instance under the default cap; a
+    # lower cap must still skip every check, not serve the cached contexts
+    config = small_config(instances=((2, 3, 2),), suites=(suite,))
+    report, _ = run_verification(config)
+    assert {c["status"] for c in report["checks"]} == {"PASS"}
+    monkeypatch.setenv("CAXIAL_MAX_DIM", "100")
+    report, _ = run_verification(config)
+    # decay.massive_green_function builds its own one-level torus
+    capped = [c for c in report["checks"]
+              if c["check_id"] != "decay.massive_green_function"]
+    assert capped and {c["status"] for c in capped} == {"SKIPPED"}
+    assert {c["reason"] for c in capped} == {
+        "ambient dimension 162 exceeds cap 100"}
 
 
 @pytest.mark.parametrize("cap", ["20000", "abc"])
@@ -178,10 +196,6 @@ def test_rg_factors_each_builder_key_once(monkeypatch):
     assert all(i.misses == i.currsize for i in infos)
     assert sum(i.hits for i in infos) > 0
     assert len(shapes) <= sum(i.currsize for i in infos)
-
-
-GAUGE_SUITES = ("feynman_landau", "representation", "sqrt", "decay",
-                "appendix")
 
 
 def test_gauge_suites_build_one_context_per_level(monkeypatch):

@@ -139,3 +139,18 @@ def test_flow_guards_before_building(monkeypatch, build):
                        match="ambient dimension 162 exceeds cap 100"):
         build()
     assert not any(spec in _lattice_cache for spec in specs)
+
+
+@pytest.mark.parametrize("identity", [
+    lambda: minimizer_composition_residual(2, 3, 2, 0),
+    lambda: fluctuation_step(2, 3, 2, 0, np.zeros(162))],
+    ids=["minimizer_composition", "fluctuation_step"])
+def test_cached_contexts_are_guarded(monkeypatch, identity):
+    # the contexts are cached under the default cap; a lower cap still
+    # rejects the identities that read them
+    for level in (0, 1):
+        get_context(2, 3, 2, level)
+    monkeypatch.setenv("CAXIAL_MAX_DIM", "100")
+    with pytest.raises(ResourceCapExceeded,
+                       match="ambient dimension 162 exceeds cap 100"):
+        identity()
