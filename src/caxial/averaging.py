@@ -14,16 +14,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .lattice import Lattice, LatticeError, build_lattice
+from .lattice import Lattice, LatticeError, build_lattice, instance_cache
 from .fields import BondField, ScalarField
 from .gaussian import kernel_basis
 
 
-@lru_cache(maxsize=None)
+@instance_cache
 def coarsened(lattice: Lattice, n: int = 1) -> Lattice:
     lat = lattice
     for _ in range(n):
@@ -77,7 +76,7 @@ def _axis_deltas(axes, length: int, dim: int) -> np.ndarray:
 
 # -- block averages ----------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@instance_cache
 def scalar_average_matrix(fine: Lattice, n: int = 1) -> np.ndarray:
     """Block average of site fields over side-L**n blocks, weight L**(-dim*n)."""
     coarse = coarsened(fine, n)
@@ -100,13 +99,13 @@ def _straight_average(fine: Lattice, n: int) -> np.ndarray:
                       [range(fine.dim)], w, coarse.n_bonds)
 
 
-@lru_cache(maxsize=None)
+@instance_cache
 def _bond_average_one(fine: Lattice) -> np.ndarray:
     """One level of bond blocking: average of straight-path sums."""
     return _straight_average(fine, 1)
 
 
-@lru_cache(maxsize=None)
+@instance_cache
 def bond_average_matrix(fine: Lattice, n: int = 1) -> np.ndarray:
     """n-fold bond blocking (composition of single levels)."""
     if n == 0:
@@ -127,7 +126,7 @@ def bond_average_direct_matrix(fine: Lattice, n: int) -> np.ndarray:
 
 # -- toron averages ----------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@instance_cache
 def toron_average_matrix(lattice: Lattice) -> np.ndarray:
     """dim x n_bonds matrix of site-averaged winding-loop sums."""
     if not lattice.is_torus:
@@ -177,13 +176,13 @@ def _path_average_build(fine: Lattice, all_orders: bool) -> PathAverageMap:
     return PathAverageMap(matrix, rows, fine, coarse)
 
 
-@lru_cache(maxsize=None)
+@instance_cache
 def path_average_matrix(fine: Lattice) -> PathAverageMap:
     """All-orderings path average from each block center (1/dim! weights)."""
     return _path_average_build(fine, all_orders=True)
 
 
-@lru_cache(maxsize=None)
+@instance_cache
 def tree_path_matrix(fine: Lattice) -> PathAverageMap:
     """Single-path (identity axis order) version; its bonds form the tree."""
     return _path_average_build(fine, all_orders=False)
@@ -247,7 +246,7 @@ def hierarchical_scalar_bijection_matrix(fine: Lattice,
 
 # -- scalar recovery ---------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@instance_cache
 def scalar_recovery_matrix(lattice: Lattice) -> np.ndarray:
     """Site x bond matrix turning Z into the potential mu with
     path-average(Z + grad mu) = 0 on every block and block-average(mu) = 0.
@@ -295,7 +294,7 @@ class FluctuationSplit:
     coarse: Lattice
 
 
-@lru_cache(maxsize=None)
+@instance_cache
 def fluctuation_split(lattice: Lattice) -> FluctuationSplit:
     coarse = coarsened(lattice)
     if coarse.n_sites == lattice.n_sites:
@@ -309,9 +308,9 @@ def fluctuation_split(lattice: Lattice) -> FluctuationSplit:
     linking_set = set(linking)
     in_block = tuple(b for b in range(lattice.n_bonds)
                      if b not in linking_set)
-    noncentral = tuple(b for b in linking if b not in set(central))
     chi = np.ones(lattice.n_bonds)
     chi[list(central)] = 0.0
+    noncentral = tuple(b for b in linking if chi[b])
     return FluctuationSplit(in_block, tuple(linking), tuple(central),
                             noncentral, chi, lattice, coarse)
 
@@ -336,7 +335,7 @@ def solve_central(lattice: Lattice, values: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
+@instance_cache
 def fluctuation_basis(lattice: Lattice, tol: float = 1e-9) -> np.ndarray:
     """Columns parametrizing {bond average = 0, path average = 0}.
 
@@ -349,8 +348,7 @@ def fluctuation_basis(lattice: Lattice, tol: float = 1e-9) -> np.ndarray:
     split = fluctuation_split(lattice)
     tau = path_average_matrix(lattice).matrix
     z1 = list(split.in_block)
-    if np.any(tau[:, [b for b in range(lattice.n_bonds)
-                      if b not in set(z1)]] != 0):
+    if np.any(tau[:, list(split.linking)] != 0):
         raise LatticeError("path averages touch linking bonds")
     kernel = kernel_basis(tau[:, z1], tol)
     cols = []

@@ -4,10 +4,10 @@
 lattice instances and writes a machine-readable JSON report.  Checks are
 grouped into suites; each produces one record per (check, instance) with
 the measured residual or eigenvalue, the threshold it is held to, and a
-pass/fail flag.  The run is instance-major: every suite runs on one
-instance before the next instance starts, so that the suites share that
-instance's level contexts and its iterated flow; the report lists the
-records suite by suite, each suite over the instances in config order.
+pass/fail flag.  The run is instance-major: the suites of one instance
+share its cached level contexts and iterated flow, which are dropped
+before the next instance starts; the report lists the records suite by
+suite, each suite over the instances in config order.
 Instances larger than the resource cap are recorded as skipped, never
 dropped silently; the cap is checked on closed-form lattice counts before
 anything is built.  Given the same config and seed the report is
@@ -33,10 +33,10 @@ from . import spectral
 from .fields import (ResourceCapExceeded, _guard, ext_d_matrix, grad_matrix,
                      guarded_torus, inner, max_ambient_dim, norm_sq,
                      random_field, scale_field)
-from .gauge_ops import (_guard_level, change_of_gauge_check, decay_profile,
-                        get_context)
+from .gauge_ops import change_of_gauge_check, decay_profile, get_context
 from .gaussian import QuadraticDensity, kernel_residual, surface_min_eig
-from .lattice import LatticeSpec, open_cube, unit_torus
+from .lattice import (LatticeSpec, clear_caches, instance_cache, open_cube,
+                      unit_torus)
 from .rg_flow import (curl_energy_form, final_step, fluctuation_step,
                       flow_states, minimizer_composition_residual,
                       one_shot_final, one_shot_state, z_constants)
@@ -138,7 +138,6 @@ class Runner:
         self.config = config
         self.checks = []
         self.decay_tables = {}
-        self._flow = (None, None)     # (instance, its iterated flow)
 
     def check(self, check_id, anchor, instance, fn, threshold,
               mode="residual"):
@@ -173,23 +172,15 @@ class Runner:
         self.checks.append(record)
         return record
 
-    @staticmethod
-    def context(inst, level):
-        """get_context of an inst level, guarded on every fetch."""
-        _guard_level(*inst, level)
-        return get_context(*inst, level)
-
-    def flow(self, inst):
-        """The iterated flow of inst, built once and shared by the checks of
-        every suite on inst.  An exception is not stored, so each check
-        that reads the flow records its own ERROR or SKIPPED."""
-        if self._flow[0] != inst or self._flow[1] is None:
-            self._flow = (inst, None)   # drop the previous instance's flow
-            self._flow = (inst, flow_states(*inst))
-        return self._flow[1]
-
     def rng(self, *salt) -> np.random.Generator:
         return np.random.default_rng((self.config.seed,) + salt)
+
+
+@instance_cache
+def _flow(dim, L, n_levels):
+    """The iterated flow of an instance, shared by its suites; an exception
+    is not cached, so each check that reads the flow records its own."""
+    return flow_states(dim, L, n_levels)
 
 
 def _rel(a, b):
@@ -391,7 +382,7 @@ def suite_gauge_surface(run: Runner, inst):
 def suite_feynman_landau(run: Runner, inst):
     levels = inst[2]
     tol = run.config.identity_tol
-    ctx = functools.partial(run.context, inst, min(1, levels))
+    ctx = functools.partial(get_context, *inst, min(1, levels))
 
     def idempotent():
         r = ctx().proj_div()
@@ -470,7 +461,7 @@ def suite_lower_bound(run: Runner, inst):
 
     def surface_positive():
         worst = np.inf
-        for state in run.flow(inst):
+        for state in _flow(*inst):
             if state.level >= levels:
                 break
             from .rg_flow import fluctuation_surface
@@ -486,7 +477,7 @@ def suite_lower_bound(run: Runner, inst):
 def suite_representation(run: Runner, inst):
     tol = run.config.identity_tol
 
-    ctx = functools.partial(run.context, inst, 0)
+    ctx = functools.partial(get_context, *inst, 0)
 
     for a in run.config.a_list:
         def rep(a=a):
@@ -520,13 +511,13 @@ def suite_rg(run: Runner, inst):
     tol = run.config.identity_tol
 
     def gauge_invariant():
-        return max(s.gauge_residual() for s in run.flow(inst))
+        return max(s.gauge_residual() for s in _flow(*inst))
     run.check("rg.flow_gauge_invariance",
               "every density of the flow annihilates coarse gradients",
               inst, gauge_invariant, tol)
 
     def one_shot_agree():
-        states = run.flow(inst)
+        states = _flow(*inst)
         worst = 0.0
         for k in range(1, levels + 1):
             direct = one_shot_state(dim, L, levels, k)
@@ -541,7 +532,7 @@ def suite_rg(run: Runner, inst):
               one_shot_agree, tol)
 
     def final():
-        states = run.flow(inst)
+        states = _flow(*inst)
         return abs(final_step(states[levels - 1])
                    - one_shot_final(dim, L, levels))
     run.check("rg.final_winding_step",
@@ -563,7 +554,7 @@ def suite_rg(run: Runner, inst):
               "finer level", inst, composition, tol)
 
     def fluct():
-        ctx = run.context(inst, 0)
+        ctx = get_context(*inst, 0)
         m = curl_energy_form(ctx.unit)
         return fluctuation_step(dim, L, levels, 0, m).cross_residual
     run.check("rg.fluctuation_transport",
@@ -575,7 +566,7 @@ def suite_rg(run: Runner, inst):
 def suite_sqrt(run: Runner, inst):
     levels = inst[2]
     # at a single level the blocked lattice degenerates; stay at level 0
-    ctx = functools.partial(run.context, inst, 1 if levels >= 2 else 0)
+    ctx = functools.partial(get_context, *inst, 1 if levels >= 2 else 0)
 
     # each root is computed once per instance; an exception is not cached,
     # so each check records it
@@ -627,10 +618,16 @@ def suite_decay(run: Runner, inst):
               "the massive Green's function decays (negative fitted "
               "log-slope)", inst, massive, 0.0)
 
+    # both minimizer checks read one profile; an exception is not cached,
+    # so each check records it
+    @functools.cache
+    def minimizer_profile():
+        c = get_context(*inst, 1)
+        return decay_profile(c.axial_minimizer, c.fine, c.unit)
+
     if levels >= 2:
         def minimizer():
-            c = run.context(inst, 1)
-            prof = decay_profile(c.axial_minimizer, c.fine, c.unit)
+            prof = minimizer_profile()
             run.decay_tables[("minimizer", dim, L, levels)] = prof["table"]
             return prof["slope"]
         run.check("decay.minimizer_kernel_slope",
@@ -640,9 +637,7 @@ def suite_decay(run: Runner, inst):
     # the fit-quality gate needs enough distance classes: side >= 27
     if dim == 2 and L ** levels >= 27:
         def correlated():
-            c = run.context(inst, 1)
-            prof = decay_profile(c.axial_minimizer, c.fine, c.unit)
-            return -prof["correlation"]
+            return -minimizer_profile()["correlation"]
         run.check("decay.minimizer_fit_quality",
                   "on a large instance the exponential fit of the "
                   "minimizer kernel is tight", inst, correlated,
@@ -652,7 +647,7 @@ def suite_decay(run: Runner, inst):
 def suite_appendix(run: Runner, inst):
     levels = inst[2]
     tol = run.config.identity_tol
-    ctx = functools.partial(run.context, inst, min(1, levels))
+    ctx = functools.partial(get_context, *inst, min(1, levels))
 
     # both checks read one computation; an exception is not cached, so
     # each check records it
@@ -735,8 +730,9 @@ def run_verification(config: RunConfig) -> tuple:
     keys = []       # per record: (suite position, instance position)
     try:
         # instance-major, so that the suites of one instance share its
-        # contexts and its flow
+        # contexts and its flow, and nothing later needs what it cached
         for i, inst in enumerate(config.instances):
+            clear_caches()
             for s, suite in enumerate(config.suites):
                 try:
                     SUITE_FUNCS[suite](run, inst)

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
 from .lattice import (Lattice, LatticeError, LatticeSpec, Path, build_lattice,
-                      fine_torus)
+                      fine_torus, instance_cache)
 
 SITE = "site"
 BOND = "bond"
@@ -193,7 +192,7 @@ def _maybe_dense(mat: sp.spmatrix) -> np.ndarray:
     return mat.tocsr()
 
 
-@lru_cache(maxsize=None)
+@instance_cache
 def grad_matrix(lattice: Lattice) -> np.ndarray:
     """Bonds x sites matrix of the divided-difference gradient."""
     inv_eta = 1.0 / lattice.spacing
@@ -207,7 +206,7 @@ def grad_matrix(lattice: Lattice) -> np.ndarray:
     return _maybe_dense(mat)
 
 
-@lru_cache(maxsize=None)
+@instance_cache
 def ext_d_matrix(lattice: Lattice) -> np.ndarray:
     """Plaquettes x bonds matrix of the oriented boundary sum over 1/eta."""
     inv_eta = 1.0 / lattice.spacing

@@ -3,9 +3,11 @@ fluctuation-covariance representation identities.
 
 A GaugeContext fixes a level k of the flow on an N-level torus: the fine
 lattice has spacing L**-k and the coarse (unit) lattice is its k-fold
-blocking.  The regulator a and the gauge-fixing weight alpha are arguments
-of the members that read them, not part of the context: the identities
-hold for every value.  On top of it live
+blocking.  `get_context` caches one per instance level until a run moves
+to the next instance, and checks the resource cap on every fetch.  The
+regulator a and the gauge-fixing weight alpha are arguments of the members
+that read them, not part of the context: the identities hold for every
+value.  On top of it live
 
 * the scalar Green's function G = (-Lap + a Q^T Q)^-1,
 * the projector R onto Lap(ker Q) and its complement P,
@@ -19,7 +21,7 @@ hold for every value.  On top of it live
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -27,10 +29,9 @@ from scipy.special import roots_legendre
 
 from . import averaging as av
 from .fields import _guard, ext_d_matrix, grad_matrix, laplacian_matrix
-from .gaussian import (FACTOR_CACHE_SIZE, ConstraintFactor,
-                       IndefiniteOnSurface, SingularOperator, minimizer_map,
-                       positive_cholesky)
-from .lattice import Lattice, LatticeSpec, build_lattice
+from .gaussian import (ConstraintFactor, IndefiniteOnSurface,
+                       SingularOperator, minimizer_map, positive_cholesky)
+from .lattice import Lattice, LatticeSpec, build_lattice, instance_cache
 
 
 def sym_norm2(m: np.ndarray) -> float:
@@ -41,8 +42,7 @@ def sym_norm2(m: np.ndarray) -> float:
 
 
 def _guard_level(dim, L, n_levels, level):
-    """The cap on the closed-form bond count of an instance level's fine
-    lattice; a context cached under a larger cap passed it only then."""
+    """The cap on the bond count of an instance level's fine lattice."""
     _guard(LatticeSpec(dim, L, level, n_levels - level).n_bonds)
 
 
@@ -331,7 +331,7 @@ class GaugeContext:
             - dg @ self.green_scalar() @ self.proj_div() @ dg.T
 
 
-@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+@instance_cache
 def average_constraints(fine: Lattice, k: int) -> ConstraintFactor:
     """Factor of the k-fold block average fixed to the coarse field A,
     K = Q_b and E = I: the surface of the Feynman minimizer."""
@@ -339,7 +339,7 @@ def average_constraints(fine: Lattice, k: int) -> ConstraintFactor:
     return ConstraintFactor(qb, np.eye(qb.shape[0]))
 
 
-@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+@instance_cache
 def one_shot_constraints(fine: Lattice, k: int) -> ConstraintFactor:
     """Factor of the level-k axial surface on the fine lattice: the k-fold
     block average fixed to the coarse field A and the hierarchical path
@@ -356,14 +356,15 @@ def one_shot_constraints(fine: Lattice, k: int) -> ConstraintFactor:
     return ConstraintFactor(K, E)
 
 
-CONTEXT_CACHE_SIZE = 4    # levels 0..3 of one instance, run one at a time
-
-
-@lru_cache(maxsize=CONTEXT_CACHE_SIZE)
-def get_context(dim, L, n_levels, level, /) -> GaugeContext:
-    """The context of one instance level.  The cap is checked when it is
-    built; a caller that may fetch it under a lower cap calls _guard_level."""
+@instance_cache
+def _get_context(dim, L, n_levels, level, /) -> GaugeContext:
     return GaugeContext(dim, L, n_levels, level)
+
+
+def get_context(dim, L, n_levels, level, /) -> GaugeContext:
+    """The cached context of an instance level, guarded on every fetch."""
+    _guard_level(dim, L, n_levels, level)
+    return _get_context(dim, L, n_levels, level)
 
 
 def change_of_gauge_check(ctx: GaugeContext, coarse_field: np.ndarray) -> dict:

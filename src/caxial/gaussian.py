@@ -29,9 +29,6 @@ import numpy as np
 import scipy.linalg as sla
 
 RANK_TOL = 1e-9
-# bound of each lattice-keyed cache of ConstraintFactors: one builder sees
-# at most four keys (levels 0..3) on a three-level instance
-FACTOR_CACHE_SIZE = 4
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 

@@ -8,17 +8,36 @@ open cube and a torus of the same side have identical site coordinates.
 Canonical ordinals: sites are ordered lexicographically by coordinates,
 bonds by (site ordinal, axis), plaquettes by (site ordinal, axis pair).
 Every matrix built elsewhere in this package uses this ordering.
+
+Every cache of the package is an `instance_cache`, keyed directly or through
+a lattice on one instance's tower of blocked lattices; `clear_caches` drops
+them all when a run moves to the next instance.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 TORUS = "torus"
 OPEN_CUBE = "open"
+CACHE_SIZE = 64    # above the keys any cache meets on one default instance
+_caches = []
+
+
+def instance_cache(fn):
+    """lru_cache(maxsize=CACHE_SIZE), emptied by clear_caches."""
+    _caches.append(lru_cache(maxsize=CACHE_SIZE)(fn))
+    return _caches[-1]
+
+
+def clear_caches():
+    """Drop everything cached for the instance a run has moved past."""
+    for cached in _caches:
+        cached.cache_clear()
 
 
 class LatticeError(ValueError):
@@ -399,9 +418,6 @@ class Lattice:
         y = np.asarray(y_coords, dtype=int)
         return self.site_ordinals(y + self.block_offsets(n)).tolist()
 
-    def coarsen(self) -> "Lattice":
-        return Lattice(self.spec.coarsened())
-
     def boundary_bonds(self, coarse: "Lattice", y_ord: int, axis: int):
         """Fine bonds leaving the block of coarse site y through its +axis face.
 
@@ -479,14 +495,10 @@ class Lattice:
                 f"{self.spec.boundary}, {self.n_sites} sites)")
 
 
-_lattice_cache: dict = {}
-
-
+@instance_cache
 def build_lattice(spec: LatticeSpec) -> Lattice:
-    """Construct (and memoize) the lattice for a spec."""
-    if spec not in _lattice_cache:
-        _lattice_cache[spec] = Lattice(spec)
-    return _lattice_cache[spec]
+    """The lattice of a spec, built once per instance."""
+    return Lattice(spec)
 
 
 def open_cube(dim: int, L: int) -> Lattice:

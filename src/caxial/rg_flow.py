@@ -19,18 +19,17 @@ the value scaling of the relabeled field (trivial at dim = 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import log
 
 import numpy as np
 
 from . import averaging as av
 from .fields import ext_d_matrix, grad_matrix, guarded_torus
-from .gauge_ops import _guard_level, get_context, one_shot_constraints
-from .gaussian import (FACTOR_CACHE_SIZE, AffineSurface, ConstraintFactor,
-                       QuadraticDensity, log_partition, minimizer_map,
-                       push_constraint, subspace_covariance, surface_min_eig)
-from .lattice import Lattice, LatticeSpec, build_lattice
+from .gauge_ops import get_context, one_shot_constraints
+from .gaussian import (AffineSurface, ConstraintFactor, QuadraticDensity,
+                       log_partition, minimizer_map, push_constraint,
+                       subspace_covariance, surface_min_eig)
+from .lattice import Lattice, LatticeSpec, build_lattice, instance_cache
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,7 @@ def init_rho0(dim: int, L: int, n_levels: int, source=None) -> RGState:
     return RGState(0, lat, density, FlowCounts(dim, L, n_levels))
 
 
-@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+@instance_cache
 def _step_constraints(lattice: Lattice) -> ConstraintFactor:
     """Factor of one blocking step: block average fixed to the coarse
     field, path averages to zero, K = [Q_b; tau] and E = [I; 0]."""
@@ -127,14 +126,14 @@ def final_step(state: RGState, convention: str = "dirac") -> float:
         + counts.scale_log(counts.n_levels)
 
 
-@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+@instance_cache
 def _winding_constraints(lattice: Lattice) -> ConstraintFactor:
     """Factor of the last step: winding and path averages fixed to zero."""
     return ConstraintFactor(np.vstack([av.toron_average_matrix(lattice),
                                        av.path_average_matrix(lattice).matrix]))
 
 
-@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+@instance_cache
 def _one_shot_winding_constraints(fine: Lattice,
                                   n_levels: int) -> ConstraintFactor:
     """Factor of the one-shot last level: winding averages of the fully
@@ -245,7 +244,6 @@ def minimizer_composition_residual(dim: int, L: int, n_levels: int,
                                    k: int) -> float:
     """Relative residual of: fine minimizer of the coarse minimizer of the
     relabeled field  ==  relabeled next-level fine minimizer."""
-    _guard_level(dim, L, n_levels, k)
     ctx_k = get_context(dim, L, n_levels, k)
     ctx_k1 = get_context(dim, L, n_levels, k + 1)
     s = float(L) ** ((dim - 2) / 2.0)
@@ -275,7 +273,6 @@ def fluctuation_step(dim: int, L: int, n_levels: int, k: int,
     also assembled through its symmetric square root in the whitened
     parametrization and the two agree for gauge-invariant functionals.
     """
-    _guard_level(dim, L, n_levels, k)
     ctx = get_context(dim, L, n_levels, k)
     s = float(L) ** ((dim - 2) / 2.0)
     density = QuadraticDensity(ctx.delta)

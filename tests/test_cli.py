@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from caxial import cli, gauge_ops, rg_flow
 from caxial.cli import ConfigError, RunConfig, main, run_verification
 from caxial.fields import ResourceCapExceeded
 from caxial.gauge_ops import GaugeContext
+from caxial.lattice import LatticeSpec, clear_caches, unit_torus
 
 
 GAUGE_SUITES = ("feynman_landau", "representation", "sqrt", "decay",
@@ -59,8 +62,8 @@ def test_resource_cap_records_skip(monkeypatch):
 
 @pytest.mark.parametrize("suite", ["rg", *GAUGE_SUITES])
 def test_cached_context_is_not_served_over_the_cap(monkeypatch, suite):
-    # warm every level context of the instance under the default cap; a
-    # lower cap must still skip every check, not serve the cached contexts
+    # a run under a lower cap skips every check of an instance whose
+    # contexts an earlier run built under the default cap
     config = small_config(instances=((2, 3, 2),), suites=(suite,))
     report, _ = run_verification(config)
     assert {c["status"] for c in report["checks"]} == {"PASS"}
@@ -178,8 +181,7 @@ RG_BUILDERS = (rg_flow._step_constraints, rg_flow._winding_constraints,
 
 
 def test_rg_factors_each_builder_key_once(monkeypatch):
-    for cache in (*RG_BUILDERS, gauge_ops.get_context, av.fluctuation_basis):
-        cache.cache_clear()
+    clear_caches()
     original = np.linalg.svd
     shapes = []
 
@@ -199,7 +201,7 @@ def test_rg_factors_each_builder_key_once(monkeypatch):
 
 
 def test_gauge_suites_build_one_context_per_level(monkeypatch):
-    gauge_ops.get_context.cache_clear()
+    clear_caches()
     init = GaugeContext.__init__
     built = []
 
@@ -215,6 +217,45 @@ def test_gauge_suites_build_one_context_per_level(monkeypatch):
     # check of one level shares its context
     assert sorted(built) == [(2, 3, 2, 0), (2, 3, 2, 1),
                              (2, 5, 1, 0), (2, 5, 1, 1)]
+
+
+def test_run_drops_each_instance_state_before_the_next(monkeypatch):
+    suite = cli.SUITE_FUNCS["averaging"]
+    refs = []
+
+    def recording(run, inst):
+        suite(run, inst)
+        if not refs:
+            # a lattice and an operator the suite cached on the first
+            # instance
+            lattice = unit_torus(*inst)
+            refs.extend([weakref.ref(lattice),
+                         weakref.ref(av.path_average_matrix(lattice))])
+    monkeypatch.setitem(cli.SUITE_FUNCS, "averaging", recording)
+    config = small_config(instances=((2, 3, 1), (2, 3, 2)),
+                          suites=("averaging",))
+    report, _ = run_verification(config)
+    assert {c["status"] for c in report["checks"]} == {"PASS"}
+    gc.collect()
+    assert refs and all(ref() is None for ref in refs)
+
+
+def test_decay_profiles_the_minimizer_once_per_instance(monkeypatch):
+    original = cli.decay_profile
+    kinds = []
+
+    def counted(*args, **kwargs):
+        kinds.append(kwargs.get("kind", "bond"))
+        return original(*args, **kwargs)
+    monkeypatch.setattr(cli, "decay_profile", counted)
+    report, _ = run_verification(small_config(instances=((2, 3, 3),),
+                                              suites=("decay",)))
+    assert [(c["check_id"], c["status"]) for c in report["checks"]] == [
+        ("decay.massive_green_function", "PASS"),
+        ("decay.minimizer_kernel_slope", "PASS"),
+        ("decay.minimizer_fit_quality", "PASS")]
+    # the slope and the fit quality read one profile of the minimizer
+    assert kinds == ["site", "bond"]
 
 
 def test_report_is_suite_major():
@@ -288,16 +329,14 @@ def test_csv_export(tmp_path):
     # the unit torus of the flow, guarded in rg_flow
     ("rg", (2, 3, 2), "rg.flow_gauge_invariance", (2, 3, 0, 2), 100, 162),
 ], ids=["calculus", "gauge_surface", "context", "rg"])
-def test_skipped_check_builds_no_lattice(monkeypatch, suite, inst, check_id,
-                                         spec_args, cap, n):
-    from caxial.lattice import LatticeSpec, _lattice_cache
-    gauge_ops.get_context.cache_clear()
+def test_skipped_check_builds_no_lattice(monkeypatch, lattice_builds, suite,
+                                         inst, check_id, spec_args, cap, n):
+    # the run starts the instance with every cache empty
     spec = LatticeSpec(*spec_args)
-    monkeypatch.delitem(_lattice_cache, spec, raising=False)
     monkeypatch.setenv("CAXIAL_MAX_DIM", str(cap))
     report, _ = run_verification(small_config(instances=(inst,),
                                               suites=(suite,)))
     check = next(c for c in report["checks"] if c["check_id"] == check_id)
     assert check["status"] == "SKIPPED"
     assert check["reason"] == f"ambient dimension {n} exceeds cap {cap}"
-    assert spec not in _lattice_cache
+    assert spec not in lattice_builds

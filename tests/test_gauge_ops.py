@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from caxial.fields import ResourceCapExceeded
 from caxial.gauge_ops import (GaugeContext, change_of_gauge_check,
                               decay_profile, get_context, sym_norm2)
 from caxial.gaussian import (IndefiniteOnSurface, QuadraticDensity,
@@ -16,6 +17,17 @@ def ctx0():
 
 def ctx1():
     return get_context(2, 3, 2, 1)
+
+
+def test_get_context_guards_every_fetch(monkeypatch):
+    ctx = get_context(2, 3, 2, 0)
+    assert get_context(2, 3, 2, 0) is ctx
+    # cached under the default cap, the context is not served under a
+    # lower one
+    monkeypatch.setenv("CAXIAL_MAX_DIM", "100")
+    with pytest.raises(ResourceCapExceeded,
+                       match="ambient dimension 162 exceeds cap 100"):
+        get_context(2, 3, 2, 0)
 
 
 def test_level_range_validated():

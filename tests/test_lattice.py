@@ -1,8 +1,12 @@
+import importlib
 import itertools
+import pkgutil
 
 import numpy as np
 import pytest
 
+import caxial
+from caxial import lattice
 from caxial.lattice import (LatticeSpec, LatticeError, build_lattice,
                             open_cube, unit_torus, OPEN_CUBE)
 
@@ -64,7 +68,7 @@ def test_block_members():
 
 def test_block_members_partition():
     fine = unit_torus(2, 3, 2)
-    coarse = fine.coarsen()
+    coarse = build_lattice(fine.spec.coarsened())
     seen = []
     for y in range(coarse.n_sites):
         yf = tuple(3 * c for c in coarse.site_coords(y))
@@ -177,7 +181,7 @@ def test_axial_tree_spans_and_acyclic():
 @pytest.mark.parametrize("dim,L,nlink", [(2, 3, 3), (3, 3, 9)])
 def test_linking_bonds(dim, L, nlink):
     fine = unit_torus(dim, L, 2)
-    coarse = fine.coarsen()
+    coarse = build_lattice(fine.spec.coarsened())
     y = coarse.site_ordinal((0,) * dim)
     yp = coarse.site_ordinal((1,) + (0,) * (dim - 1))
     bonds, central = fine.linking_bonds(coarse, y, yp)
@@ -190,7 +194,7 @@ def test_linking_bonds(dim, L, nlink):
 
 def test_linking_bonds_partition():
     fine = unit_torus(2, 3, 2)
-    coarse = fine.coarsen()
+    coarse = build_lattice(fine.spec.coarsened())
     linking = set()
     for y in range(coarse.n_sites):
         for mu in range(2):
@@ -211,7 +215,7 @@ def test_linking_bonds_partition():
 
 def test_linking_bonds_non_adjacent():
     fine = unit_torus(2, 3, 2)
-    coarse = fine.coarsen()
+    coarse = build_lattice(fine.spec.coarsened())
     with pytest.raises(LatticeError):
         fine.linking_bonds(coarse, 0, 0)
 
@@ -247,3 +251,17 @@ def test_symmetry_path_family_covariance():
 def test_spec_json_roundtrip():
     spec = LatticeSpec(3, 3, 1, 1, OPEN_CUBE)
     assert LatticeSpec.from_json(spec.to_json()) == spec
+
+
+def test_every_cache_is_one_bounded_instance_cache():
+    # every cache of the package is registered with clear_caches and has
+    # the one finite bound
+    caches = {}
+    for info in pkgutil.iter_modules(caxial.__path__):
+        mod = importlib.import_module(f"caxial.{info.name}")
+        for name, obj in vars(mod).items():
+            if hasattr(obj, "cache_info"):
+                caches[id(obj)] = (f"{info.name}.{name}", obj)
+    assert caches.keys() == {id(c) for c in lattice._caches}
+    for name, obj in caches.values():
+        assert obj.cache_info().maxsize == lattice.CACHE_SIZE, name

@@ -8,7 +8,7 @@ from caxial.rg_flow import (FlowCounts, final_step, fluctuation_step,
                             one_shot_state, rg_step, z_constants)
 from caxial.gaussian import QuadraticDensity, subspace_covariance
 from caxial.gauge_ops import get_context
-from caxial.lattice import LatticeSpec, _lattice_cache
+from caxial.lattice import LatticeSpec, clear_caches
 
 REL_TOL = 1e-9
 
@@ -128,17 +128,16 @@ def test_resource_cap(monkeypatch):
     lambda: init_rho0(2, 3, 2), lambda: one_shot_state(2, 3, 2, 1),
     lambda: one_shot_final(2, 3, 2), lambda: z_constants(2, 3, 2)],
     ids=["init_rho0", "one_shot_state", "one_shot_final", "z_constants"])
-def test_flow_guards_before_building(monkeypatch, build):
+def test_flow_guards_before_building(monkeypatch, lattice_builds, build):
     # every torus of a two-level flow has 162 bonds; the cap is checked on
     # that closed-form count before any of them is built
     specs = [LatticeSpec(2, 3, k, 2 - k) for k in range(3)]
-    for spec in specs:
-        monkeypatch.delitem(_lattice_cache, spec, raising=False)
+    clear_caches()
     monkeypatch.setenv("CAXIAL_MAX_DIM", "100")
     with pytest.raises(ResourceCapExceeded,
                        match="ambient dimension 162 exceeds cap 100"):
         build()
-    assert not any(spec in _lattice_cache for spec in specs)
+    assert not any(spec in lattice_builds for spec in specs)
 
 
 @pytest.mark.parametrize("identity", [
