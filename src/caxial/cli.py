@@ -59,6 +59,19 @@ class ConfigError(Exception):
     pass
 
 
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _list_of(value, check) -> bool:
+    """value is a list or tuple whose items all pass check."""
+    return isinstance(value, (list, tuple)) and all(map(check, value))
+
+
 @dataclass
 class RunConfig:
     instances: tuple = DEFAULT_INSTANCES
@@ -75,19 +88,39 @@ class RunConfig:
     csv_dir: str = None
 
     def validate(self):
+        """Raise ConfigError unless every field has its type and range;
+        the values come from a JSON file or the command line."""
+        if not _list_of(self.suites, lambda s: isinstance(s, str)):
+            raise ConfigError(f"suites must be a list of names, got "
+                              f"{self.suites!r}")
         for s in self.suites:
             if s not in SUITES:
                 raise ConfigError(f"unknown suite {s!r}")
-        if not self.instances:
+        if not isinstance(self.instances, (list, tuple)) or not self.instances:
             raise ConfigError("no instances configured")
         for inst in self.instances:
+            if not _list_of(inst, _integer) or len(inst) != 3:
+                raise ConfigError(f"instances: {inst!r} is not three "
+                                  "integers [dim, L, levels]")
             dim, L, levels = inst
             if dim not in (2, 3) or L < 3 or L % 2 == 0 or levels < 1:
                 raise ConfigError(f"bad instance {inst}")
-        if self.identity_tol <= 0 or self.rank_tol <= 0:
+        for name in ("identity_tol", "rank_tol", "decay_min_corr"):
+            if not _number(getattr(self, name)):
+                raise ConfigError(f"{name} must be a number")
+        for name in ("a_list", "alpha_list", "x_list"):
+            value = getattr(self, name)
+            if not _list_of(value, _number) or not value:
+                raise ConfigError(f"{name} must be a list of numbers")
+        if not (self.identity_tol > 0 and self.rank_tol > 0):
             raise ConfigError("tolerances must be positive")
-        if self.npoints < 2:
-            raise ConfigError("npoints must be at least 2")
+        if not _integer(self.npoints) or self.npoints < 2:
+            raise ConfigError("npoints must be an integer of at least 2")
+        if not _integer(self.seed) or self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
+        for name in ("report", "csv_dir"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ConfigError(f"{name} must be a path")
         try:
             max_ambient_dim()
         except ValueError as exc:
@@ -304,11 +337,7 @@ def suite_averaging(run: Runner, inst):
               "average", inst, intertwine, tol)
 
     def stokes():
-        lattice = lat()
-        coarse = av.coarsened(lattice)
-        qb = av.bond_average_matrix(lattice, 1)
-        dc = np.asarray(ext_d_matrix(coarse))
-        return kernel_residual(dc @ qb, ext_d_matrix(lattice))
+        return kernel_residual(*av.closed_average_symbols(lat()))
     run.check("averaging.closed_fields_average_closed",
               "the block average of a curl-free field is curl-free", inst,
               stokes, tol)
@@ -326,12 +355,7 @@ def suite_averaging(run: Runner, inst):
               "and has zero block average", inst, recovery, tol)
 
     def recovery_inverse():
-        lattice = lat()
-        qs = av.scalar_average_matrix(lattice, 1)
-        m = av.scalar_recovery_matrix(lattice)
-        # two nonzero gradient entries per bond: a sparse right factor
-        mg = m @ sp.csr_matrix(grad_matrix(lattice))
-        return kernel_residual(mg + np.eye(lattice.n_sites), qs)
+        return kernel_residual(*av.recovery_inverse_symbols(lat()))
     run.check("averaging.recovery_inverts_gradient",
               "on zero-average scalars the recovery operator inverts minus "
               "the gradient", inst, recovery_inverse, tol)

@@ -14,6 +14,11 @@ Conventions (fixed once, used by every other module):
 These are the unique choices under which block averaging commutes with
 the gradient, path averages of gradients telescope with an L**k factor,
 and the curl energy is invariant under field rescaling.
+
+On a torus the calculus and averaging operators commute with translations
+by a block; `block_symbol` verifies that exactly for a dense operator and
+returns its block-Fourier symbol, one small block per momentum
+(docs/indexing.md, "Block translations on a torus").
 """
 
 from __future__ import annotations
@@ -47,9 +52,12 @@ def max_ambient_dim() -> int:
 
     Operators above DENSE_LIMIT are assembled sparse, which the dense linear
     algebra of the checks cannot take, so a larger cap, like a value that is
-    not an integer, raises ValueError.
+    not a positive integer (which would skip every check), raises
+    ValueError.
     """
     cap = int(os.environ.get("CAXIAL_MAX_DIM", DEFAULT_MAX_DIM))
+    if cap < 1:
+        raise ValueError(f"{cap} is not a positive dimension")
     if cap > DENSE_LIMIT:
         raise ValueError(f"{cap} exceeds {DENSE_LIMIT}, above which "
                          "operators are assembled sparse")
@@ -182,6 +190,59 @@ class LinearMap:
         """Adjoint with respect to the weighted inner products."""
         ratio = self.codomain.weight / self.domain.weight
         return LinearMap(ratio * self.matrix.T, self.codomain, self.domain)
+
+
+# -- block translations on a torus -------------------------------------------
+
+def _block_split(space: SpaceDescriptor, grid: int):
+    """The ordinal axis of a torus space split per lattice axis into (block
+    position, offset) and then the component, and the size of one block."""
+    lat = space.lattice
+    if not lat.is_torus or grid < 1 or lat.n_side % grid:
+        raise LatticeError(f"a {lat.n_side}-site side does not split into "
+                           f"{grid} block positions on a torus")
+    side = lat.n_side // grid
+    comps = space.size // lat.n_sites
+    return (grid, side) * lat.dim + (comps,), side**lat.dim * comps
+
+
+def block_symbol(matrix, codomain: SpaceDescriptor, domain: SpaceDescriptor,
+                 grid: int) -> np.ndarray:
+    """Block-Fourier symbol of a dense operator between torus spaces.
+
+    Both spaces are cut into grid**dim blocks, so a fine index L*g + r
+    along each axis is (block position g, offset r); a space whose side
+    equals grid has one site per block.  The operator must commute exactly
+    with the block translations: it is compared with its copy shifted by
+    one block position along each axis, rows and columns together, and
+    LatticeError is raised if any entry differs.  Then it is the block
+    convolution by its first block column C[g] (rows of block g, columns
+    of block 0), and the symbol is the unnormalized DFT
+    S[k] = sum_g C[g] exp(-2 pi i k.g / grid), an array of shape
+    (grid,)*dim + (a, b) for blocks of a rows and b columns.
+    """
+    dim = domain.lattice.dim
+    rows, a = _block_split(codomain, grid)
+    cols, b = _block_split(domain, grid)
+    m = np.asarray(matrix, dtype=float)
+    if m.shape != (codomain.size, domain.size):
+        raise LatticeError(f"matrix shape {m.shape} != "
+                           f"{(codomain.size, domain.size)}")
+    t = m.reshape(rows + cols)
+    row_pos = tuple(range(0, 2 * dim, 2))
+    col_pos = tuple(len(rows) + p for p in row_pos)
+    for axis in range(dim):
+        shifted = np.roll(t, 1, axis=(row_pos[axis], col_pos[axis]))
+        if not np.array_equal(t, shifted):
+            raise LatticeError("operator does not commute with the block "
+                               f"translations along axis {axis}")
+    first = [slice(None)] * t.ndim
+    for p in col_pos:
+        first[p] = 0
+    column = t[tuple(first)]            # (g, r) per axis, comp, cols of g=0
+    order = row_pos + tuple(p for p in range(column.ndim) if p not in row_pos)
+    column = column.transpose(order).reshape((grid,) * dim + (a, b))
+    return np.fft.fftn(column, axes=tuple(range(dim)))
 
 
 # -- operator assembly -------------------------------------------------------

@@ -18,6 +18,11 @@ Two measure conventions are supported for delta-function constraints:
 Identities that track multiplicative constants through a chain of
 delta-function insertions only close under the "dirac" convention; results
 that are normalized (moments, covariances, minimizers) are convention-free.
+
+`kernel_residual` certifies that T vanishes on ker K by projecting onto the
+row space of K.  For block-Fourier symbol stacks (fields.block_symbol) it
+takes one batched SVD of the small blocks, with the rank rule applied to
+all of them at once.
 """
 
 from __future__ import annotations
@@ -121,19 +126,39 @@ def kernel_basis(K: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     return ConstraintFactor(K, tol=tol).basis
 
 
+def row_space(K: np.ndarray, tol: float = RANK_TOL):
+    """Orthonormal rows spanning the numerical row space of each block of K.
+
+    K is one matrix or a stack of blocks (leading axes).  One batched SVD;
+    singular values above tol times the largest over all blocks count, which
+    is kernel_basis's rank rule for the block-diagonal whole.  Returns the
+    rows of V^* of every block, the rows past its rank zeroed, and the
+    summed rank.
+    """
+    if 0 in K.shape[-2:]:
+        return np.zeros(K.shape[:-2] + (0, K.shape[-1]), K.dtype), 0
+    _, s, vh = np.linalg.svd(K, full_matrices=False)
+    keep = s > tol * s.max()
+    return vh * keep[..., None], int(keep.sum())
+
+
 def kernel_residual(T: np.ndarray, K: np.ndarray,
                     tol: float = RANK_TOL) -> float:
-    """max |T - X K| for X the least-squares solution of X K = T.
+    """max |T (I - P)| for P the orthogonal projector onto the numerical
+    row space of K (row_space's rank rule).
 
-    X K is T projected onto the numerical row space of K (same rank rule as
-    kernel_basis), so T - X K = T V V^T for V = kernel_basis(K), and
-    T v = (T - X K) v for every v in ker K: the value certifies that T
-    vanishes on ker K without forming that basis.
+    T v = T (I - P) v for every v in ker K, so the value certifies that T
+    vanishes on ker K without forming that basis.  T and K are matrices, or
+    block-Fourier symbol stacks over one grid (fields.block_symbol): the
+    singular values of a block-circulant K are those of its blocks, so the
+    projector is taken block by block, and T (I - P) is block-circulant
+    too, its first block column (the inverse DFT) holding every entry.
     """
-    T = np.atleast_2d(np.asarray(T, dtype=float))
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    X = np.linalg.lstsq(K.T, T.T, rcond=tol)[0].T
-    res = T - X @ K
+    T, K = np.atleast_2d(T), np.atleast_2d(K)
+    vh, _ = row_space(K, tol)
+    res = T - (T @ vh.conj().swapaxes(-1, -2)) @ vh
+    if res.ndim > 2:
+        res = np.fft.ifftn(res, axes=tuple(range(res.ndim - 2)))
     return float(np.abs(res).max()) if res.size else 0.0
 
 

@@ -9,7 +9,6 @@ the calculus on every default instance that fits the resource cap.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 from caxial import averaging as av
 from caxial.cli import DEFAULT_INSTANCES
@@ -182,11 +181,10 @@ def _structural_residuals(dim, L, levels, rng):
             xi = lat.site_ordinal(rinv.apply_site(lat.site_coords(x)))
             worst = max(worst, abs(v - by_pair[(yi, xi)]))
     res["symmetry covariance"] = worst
-    dc = np.asarray(ext_d_matrix(coarse))
-    res["closed averages closed"] = kernel_residual(dc @ qb, d)
-    mg = av.scalar_recovery_matrix(lat) @ sp.csr_matrix(g)
+    res["closed averages closed"] = kernel_residual(
+        *av.closed_average_symbols(lat))
     res["recovery inverts gradient"] = kernel_residual(
-        mg + np.eye(lat.n_sites), qs)
+        *av.recovery_inverse_symbols(lat))
     ctx = get_context(dim, L, levels, min(1, levels))
     res["average Green projector"] = np.abs(
         ctx.scalar_average @ ctx.green_scalar() @ ctx.proj_div()).max()

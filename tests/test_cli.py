@@ -77,10 +77,11 @@ def test_cached_context_is_not_served_over_the_cap(monkeypatch, suite):
         "ambient dimension 162 exceeds cap 100"}
 
 
-@pytest.mark.parametrize("cap", ["20000", "abc"])
+@pytest.mark.parametrize("cap", ["20000", "abc", "0", "-3"])
 def test_unusable_cap_is_config_error(cap, tmp_path, monkeypatch, capsys):
     # above fields.DENSE_LIMIT the operators are sparse and every check
-    # would crash; a non-integer cap crashed the report itself
+    # would crash; a non-integer cap crashed the report itself; a cap below
+    # 1 would skip every check and exit 0
     monkeypatch.setenv("CAXIAL_MAX_DIM", cap)
     path = tmp_path / "report.json"
     assert main(["verify", "--dim", "2", "--L", "3", "--levels", "4",
@@ -289,6 +290,34 @@ def test_exit_code_two_on_bad_config(tmp_path, capsys):
     good.write_text(json.dumps({"suites": ["no-such-suite"]}))
     assert main(["verify", "--config", str(good)]) == 2
     assert main(["verify", "--dim", "2", "--L", "3"]) == 2  # missing levels
+
+
+@pytest.mark.parametrize("key, value", [
+    ("instances", [[2, 3]]),
+    ("instances", [[2, 3.0, 1]]),
+    ("instances", [[2, 3, True]]),
+    ("npoints", "x"),
+    ("seed", -1),
+    ("seed", 1.5),
+    ("suites", "rg"),
+    ("identity_tol", "1e-8"),
+    ("a_list", []),
+    ("csv_dir", 5),
+], ids=["short-instance", "float-L", "bool-levels", "text-npoints",
+        "negative-seed", "float-seed", "suites-string", "text-tolerance",
+        "empty-a-list", "number-csv-dir"])
+def test_malformed_config_value_is_config_error(key, value, tmp_path,
+                                                capsys):
+    data = {"instances": [[2, 3, 1]], "suites": ["calculus"], key: value}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    report = tmp_path / "report.json"
+    assert main(["verify", "--config", str(cfg),
+                 "--report", str(report)]) == 2
+    # the message names the offending key ("suites": "rg" once read as
+    # the suites 'r' and 'g')
+    assert key in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_config_file_round_trip(tmp_path):
