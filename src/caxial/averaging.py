@@ -238,11 +238,37 @@ def hierarchical_scalar_bijection_matrix(fine: Lattice,
     for j in range(n_levels):
         lat_j = coarsened(fine, j)
         qj = scalar_average_matrix(fine, j) if j else np.eye(fine.n_sites)
-        blocks = _blocks(lat_j, coarsened(lat_j, 1))
+        blocks = _level_blocks(fine, j)
         keep = lat_j.block_offsets(1).any(axis=1)
         diff = qj[blocks[:, keep]] - qj[blocks[:, ~keep]]
         rows.append(diff.reshape(-1, fine.n_sites))
     return np.vstack(rows)
+
+
+def _level_blocks(fine: Lattice, j: int) -> np.ndarray:
+    """Level-(j+1) sites x block offsets: the level-j sites of each block."""
+    lat_j = coarsened(fine, j)
+    return _blocks(lat_j, coarsened(lat_j, 1))
+
+
+def hierarchical_scalar_row_groups(fine: Lattice, n_levels: int) -> tuple:
+    """Row groups of hierarchical_scalar_bijection_matrix, in row order, as
+    (rows per group, supports) pairs for spectral.grouped_singular_values.
+
+    The top row is one group on every site.  Level j has one group of
+    L**dim - 1 rows per level-(j+1) block B, the differences of the level-j
+    averages in B against B's center; its supports array, of shape
+    (n_{j+1}, L**(dim (j+1))), lists the fine sites of each B.  They are
+    gathered from the blocks the matrix is built from: the fine sites the
+    level-j averages average, over the level-j sites of each B.
+    """
+    layout = [(1, np.arange(fine.n_sites)[None, :])]
+    for j in range(n_levels):
+        members = _blocks(fine, coarsened(fine, j), j)
+        blocks = _level_blocks(fine, j)
+        layout.append((blocks.shape[1] - 1,
+                       members[blocks].reshape(len(blocks), -1)))
+    return tuple(layout)
 
 
 # -- scalar recovery ---------------------------------------------------------

@@ -206,6 +206,20 @@ def _block_split(space: SpaceDescriptor, grid: int):
     return (grid, side) * lat.dim + (comps,), side**lat.dim * comps
 
 
+def _shift_invariant(t: np.ndarray, r: int, c: int) -> bool:
+    """t[.., g, .., h, ..] == t[.., g-1, .., h-1, ..] (mod the grid) for all
+    g, h on axes r and c, compared on views: the interior, the two edges
+    and the corner of the wrap-around."""
+    def at(g, h):
+        index = [slice(None)] * t.ndim
+        index[r], index[c] = g, h
+        return t[tuple(index)]
+    head, tail, first, last = slice(1, None), slice(None, -1), 0, -1
+    return all(np.array_equal(at(*new), at(*old)) for new, old in (
+        ((head, head), (tail, tail)), ((first, head), (last, tail)),
+        ((head, first), (tail, last)), ((first, first), (last, last))))
+
+
 def block_symbol(matrix, codomain: SpaceDescriptor, domain: SpaceDescriptor,
                  grid: int) -> np.ndarray:
     """Block-Fourier symbol of a dense operator between torus spaces.
@@ -232,8 +246,7 @@ def block_symbol(matrix, codomain: SpaceDescriptor, domain: SpaceDescriptor,
     row_pos = tuple(range(0, 2 * dim, 2))
     col_pos = tuple(len(rows) + p for p in row_pos)
     for axis in range(dim):
-        shifted = np.roll(t, 1, axis=(row_pos[axis], col_pos[axis]))
-        if not np.array_equal(t, shifted):
+        if not _shift_invariant(t, row_pos[axis], col_pos[axis]):
             raise LatticeError("operator does not commute with the block "
                                f"translations along axis {axis}")
     first = [slice(None)] * t.ndim

@@ -11,16 +11,102 @@ eigenvalue / singular-value computation on a desk-scale lattice:
 
 Norms here are plain coordinate sums (unit spacing), matching the scale
 on which the constants below are stated.
+
+The hierarchical scalar change of variables M is certified by its row
+groups (`grouped_singular_values` on
+`averaging.hierarchical_scalar_row_groups`).  It is a Haar multiresolution
+transform: the top row averages all n sites with weight L**(-dim N), and
+level j has, per level-(j+1) block B, the L**dim - 1 differences of the
+level-j averages in B against B's center, supported on B's
+L**(dim (j+1)) fine sites.  Rows of different groups are orthogonal: a
+coarser row (or the top row) is constant on B while a level-j row of B
+sums to zero over B, and the groups of one level have disjoint supports.
+So M M^T is block diagonal over the groups, and the singular values of M
+are the union of the groups' sigmahat.  The certificate does not assume
+this.  It checks exactly that every entry off its group's support is
+zero, and bounds the Frobenius norm E of the cross-group part of M M^T:
+by Weyl, every |sigma_i**2 - sigmahat_i**2| <= E, and E must be at most
+GRAM_TOL * sigmahat_min**2.  In exact arithmetic a level-j group has Gram
+L**(-dim j) (I + 1 1^T), so singular values L**(-dim j/2) and, once,
+L**(-dim (j-1)/2); the top row's norm is L**(-dim N/2).  The ratio is
+therefore L**(-dim N/2) / L**(dim/2) = L**(-dim (N+1)/2).
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import averaging as av
 from .fields import ext_d_matrix
 from .gaussian import RANK_TOL, kernel_basis
 from .lattice import Lattice
+
+
+# Relative size, against the smallest squared singular value, up to which
+# the cross-group part of M M^T is accepted: the values are then those of
+# M to about GRAM_TOL relative.
+GRAM_TOL = 1e-12
+
+
+def grouped_singular_values(matrix: np.ndarray, layout) -> np.ndarray:
+    """Singular values, largest first, of a matrix whose rows fall into
+    mutually orthogonal groups with known column supports.
+
+    layout lists (rows per group, supports) pairs in row order: supports is
+    an int array with one row of column indices per group, and each pair's
+    supports partition the columns.  The certificate (module docstring)
+    verifies that every entry off its group's support is exactly zero and
+    that the cross-group part of M M^T is within GRAM_TOL of the smallest
+    squared singular value, then takes one batched SVD per pair of the
+    (groups, rows, support) stack.  It raises LinAlgError if any of this
+    fails; there is no dense fallback.
+    """
+    m = np.asarray(matrix, dtype=float)
+    n_rows, n_cols = m.shape
+    values, group_of, row_nnz, cols, entries = [], [], [], [], []
+    start = 0
+    for rows, supports in layout:
+        supports = np.asarray(supports)
+        n_groups, width = supports.shape
+        if not np.array_equal(np.sort(supports, axis=None),
+                              np.arange(n_cols)):
+            raise np.linalg.LinAlgError("group supports do not partition "
+                                        "the columns")
+        stop = start + n_groups * rows
+        if stop > n_rows:
+            raise np.linalg.LinAlgError("layout has more rows than the "
+                                        "matrix")
+        block = m[start:stop].reshape(n_groups, rows, n_cols)
+        stack = np.take_along_axis(block, supports[:, None, :], axis=2)
+        # a row meets each support column once, so equal counts leave no
+        # nonzero entry off the support
+        if np.count_nonzero(stack) != np.count_nonzero(block):
+            raise np.linalg.LinAlgError("a row has an entry off its group's "
+                                        "support")
+        values.append(np.linalg.svd(stack, compute_uv=False).ravel())
+        # each row's group, named by the group's first row
+        group_of.append(np.repeat(np.arange(start, stop, rows), rows))
+        row_nnz.append(np.full(stop - start, width))
+        cols.append(np.repeat(supports, rows, axis=0).ravel())
+        entries.append(stack.ravel())
+        start = stop
+    if start != n_rows:
+        raise np.linalg.LinAlgError("layout leaves matrix rows ungrouped")
+    s = np.sort(np.concatenate(values))[::-1]
+    # M in CSR, gathered from the stacks, which hold all its nonzeros
+    # (sp.csr_matrix(m) would scan every entry of the dense matrix again)
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(row_nnz))])
+    csr = sp.csr_matrix((np.concatenate(entries), np.concatenate(cols),
+                         indptr), shape=m.shape)
+    csr.eliminate_zeros()
+    gram = (csr @ csr.T).tocoo()
+    group_of = np.concatenate(group_of)
+    cross = gram.data[group_of[gram.row] != group_of[gram.col]]
+    if not np.linalg.norm(cross) <= GRAM_TOL * s[-1]**2:
+        raise np.linalg.LinAlgError("row groups are not orthogonal to "
+                                    "within GRAM_TOL")
+    return s
 
 
 def _min_max_sv(mat: np.ndarray):

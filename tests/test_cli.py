@@ -369,3 +369,23 @@ def test_skipped_check_builds_no_lattice(monkeypatch, lattice_builds, suite,
     assert check["status"] == "SKIPPED"
     assert check["reason"] == f"ambient dimension {n} exceeds cap {cap}"
     assert spec not in lattice_builds
+
+
+def test_rank_tol_is_the_rank_cut_of_the_averaging_certificates():
+    # a cut at the largest singular value keeps no row space of K, so each
+    # certificate reports max |T| instead of round-off; on (2,3,2) neither
+    # T vanishes (on (2,3,1) the coarse curl of a one-site torus does)
+    names = ("averaging.closed_fields_average_closed",
+             "averaging.recovery_inverts_gradient")
+
+    def values(**kw):
+        report, _ = run_verification(small_config(
+            instances=((2, 3, 2),), suites=("averaging",), **kw))
+        return {c["check_id"]: c["value"] for c in report["checks"]
+                if c["check_id"] in names}
+
+    default, cut = values(), values(rank_tol=1.0)
+    assert set(default) == set(names)
+    for name in names:
+        assert default[name] < 1e-12
+        assert cut[name] > 1e-3

@@ -115,6 +115,22 @@ def test_perturbed_operator_is_not_reduced():
             block_symbol(bad, codomain, domain, grid)
 
 
+def test_operator_broken_only_at_the_wrap_around_is_not_reduced():
+    # grad without the couplings of the last block position along axis 0 to
+    # the first: every translation that does not wrap around still commutes
+    # with it, so only the edge pairs of the comparison can refuse it
+    lat = unit_torus(2, 3, 2)
+    grid = av.coarsened(lat).n_side
+    side = lat.n_side // grid
+    bad = grad_matrix(lat).copy()
+    t = bad.reshape((grid, side) * 2 + (2,) + (grid, side) * 2)
+    assert np.any(t[-1, :, :, :, :, 0])
+    t[-1, :, :, :, :, 0] = 0.0
+    with pytest.raises(LatticeError, match="translations along axis 0"):
+        block_symbol(bad, SpaceDescriptor(lat, BOND),
+                     SpaceDescriptor(lat, SITE), grid)
+
+
 def test_symbol_needs_whole_blocks_on_a_torus():
     lat = unit_torus(2, 3, 2)
     fb, fp = SpaceDescriptor(lat, BOND), SpaceDescriptor(lat, PLAQUETTE)
