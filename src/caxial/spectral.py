@@ -15,21 +15,10 @@ on which the constants below are stated.
 The hierarchical scalar change of variables M is certified by its row
 groups (`grouped_singular_values` on
 `averaging.hierarchical_scalar_row_groups`).  It is a Haar multiresolution
-transform: the top row averages all n sites with weight L**(-dim N), and
-level j has, per level-(j+1) block B, the L**dim - 1 differences of the
-level-j averages in B against B's center, supported on B's
-L**(dim (j+1)) fine sites.  Rows of different groups are orthogonal: a
-coarser row (or the top row) is constant on B while a level-j row of B
-sums to zero over B, and the groups of one level have disjoint supports.
-So M M^T is block diagonal over the groups, and the singular values of M
-are the union of the groups' sigmahat.  The certificate does not assume
-this.  It checks exactly that every entry off its group's support is
-zero, and bounds the Frobenius norm E of the cross-group part of M M^T:
-by Weyl, every |sigma_i**2 - sigmahat_i**2| <= E, and E must be at most
-GRAM_TOL * sigmahat_min**2.  In exact arithmetic a level-j group has Gram
-L**(-dim j) (I + 1 1^T), so singular values L**(-dim j/2) and, once,
-L**(-dim (j-1)/2); the top row's norm is L**(-dim N/2).  The ratio is
-therefore L**(-dim N/2) / L**(dim/2) = L**(-dim (N+1)/2).
+transform, so rows of different groups are orthogonal and the singular
+values of M are the union of the groups'; the certificate verifies this
+rather than assuming it (docs/indexing.md, "Hierarchical scalar change of
+variables", with the Weyl bound and the closed form L**(-dim (N+1)/2)).
 """
 
 from __future__ import annotations
@@ -55,11 +44,11 @@ def grouped_singular_values(matrix: np.ndarray, layout) -> np.ndarray:
 
     layout lists (rows per group, supports) pairs in row order: supports is
     an int array with one row of column indices per group, and each pair's
-    supports partition the columns.  The certificate (module docstring)
+    supports partition the columns.  The certificate (docs/indexing.md)
     verifies that every entry off its group's support is exactly zero and
-    that the cross-group part of M M^T is within GRAM_TOL of the smallest
-    squared singular value, then takes one batched SVD per pair of the
-    (groups, rows, support) stack.  It raises LinAlgError if any of this
+    that the Frobenius norm of the cross-group part of M M^T is at most
+    GRAM_TOL times the smallest squared singular value, taking one batched
+    SVD per pair of the (groups, rows, support) stack.  It raises LinAlgError if any of this
     fails; there is no dense fallback.
     """
     m = np.asarray(matrix, dtype=float)
