@@ -26,7 +26,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import averaging as av
 from . import spectral
@@ -273,8 +272,7 @@ def suite_calculus(run: Runner, inst):
 
     def curl_grad():
         lattice = lat()
-        prod = sp.csr_matrix(ext_d_matrix(lattice)) \
-            @ sp.csr_matrix(grad_matrix(lattice))
+        prod = ext_d_matrix(lattice) @ grad_matrix(lattice)
         return _maxabs(prod.data)       # the entries not stored are 0
     run.check("calculus.curl_of_gradient",
               "the curl of every gradient vanishes identically", inst,
@@ -338,8 +336,8 @@ def suite_averaging(run: Runner, inst):
         coarse = av.coarsened(lattice)
         qb = av.bond_average_matrix(lattice, 1)
         qs = av.scalar_average_matrix(lattice, 1)
-        gf = np.asarray(grad_matrix(lattice))
-        gc = np.asarray(grad_matrix(coarse))
+        gf = grad_matrix(lattice).toarray()
+        gc = grad_matrix(coarse).toarray()
         return _maxabs(qb @ gf - gc @ qs)
     run.check("averaging.gradient_intertwining",
               "bond averaging of a gradient is the gradient of the scalar "
@@ -357,7 +355,7 @@ def suite_averaging(run: Runner, inst):
         Z = random_field(lattice, "bond", run.rng(4, *inst))
         mu = av.scalar_recovery_matrix(lattice) @ Z.values
         tau = av.path_average_matrix(lattice).matrix
-        g = np.asarray(grad_matrix(lattice))
+        g = grad_matrix(lattice).toarray()
         qs = av.scalar_average_matrix(lattice, 1)
         return max(_maxabs(tau @ (Z.values + g @ mu)), _maxabs(qs @ mu))
     run.check("averaging.scalar_recovery",
@@ -645,7 +643,7 @@ def suite_decay(run: Runner, inst):
     def massive():
         lattice = guarded_torus(dim, L, 0, 1)
         from .fields import laplacian_matrix
-        g0 = np.linalg.inv(laplacian_matrix(lattice)
+        g0 = np.linalg.inv(laplacian_matrix(lattice).toarray()
                            + np.eye(lattice.n_sites))
         prof = decay_profile(g0, lattice, lattice, kind="site")
         run.decay_tables[("massive_green", dim, L, 1)] = prof["table"]

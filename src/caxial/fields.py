@@ -15,10 +15,13 @@ These are the unique choices under which block averaging commutes with
 the gradient, path averages of gradients telescope with an L**k factor,
 and the curl energy is invariant under field rescaling.
 
+The calculus operators are assembled as CSR at every size; checks that
+need dense linear algebra densify them with `.toarray()`.
+
 On a torus the calculus and averaging operators commute with translations
-by a block; `block_symbol` verifies that exactly for a dense operator and
-returns its block-Fourier symbol, one small block per momentum
-(docs/indexing.md, "Block translations on a torus").
+by a block; `block_symbol` verifies that exactly and returns the
+block-Fourier symbol, one small block per momentum (docs/indexing.md,
+"Block translations on a torus").
 """
 
 from __future__ import annotations
@@ -36,31 +39,22 @@ SITE = "site"
 BOND = "bond"
 PLAQUETTE = "plaquette"
 
-# Assembled operators are dense below this ambient dimension, sparse above.
-DENSE_LIMIT = 5000
+DEFAULT_MAX_DIM = 5000
 
 
 class ResourceCapExceeded(RuntimeError):
     """The requested instance is larger than the configured ambient cap."""
 
 
-DEFAULT_MAX_DIM = DENSE_LIMIT
-
-
 def max_ambient_dim() -> int:
     """The ambient-dimension cap: CAXIAL_MAX_DIM if set, else the default.
 
-    Operators above DENSE_LIMIT are assembled sparse, which the dense linear
-    algebra of the checks cannot take, so a larger cap, like a value that is
-    not a positive integer (which would skip every check), raises
-    ValueError.
+    A value that is not a positive integer (which would skip every check)
+    raises ValueError.
     """
     cap = int(os.environ.get("CAXIAL_MAX_DIM", DEFAULT_MAX_DIM))
     if cap < 1:
         raise ValueError(f"{cap} is not a positive dimension")
-    if cap > DENSE_LIMIT:
-        raise ValueError(f"{cap} exceeds {DENSE_LIMIT}, above which "
-                         "operators are assembled sparse")
     return cap
 
 
@@ -162,9 +156,10 @@ FIELD_CLASS = {SITE: ScalarField, BOND: BondField, PLAQUETTE: PlaquetteField}
 
 @dataclass
 class LinearMap:
-    """A linear operator between field spaces with explicit coefficients."""
+    """A linear operator between field spaces with explicit coefficients,
+    dense or sparse."""
 
-    matrix: np.ndarray
+    matrix: np.ndarray | sp.spmatrix
     domain: SpaceDescriptor
     codomain: SpaceDescriptor
 
@@ -173,11 +168,6 @@ class LinearMap:
         shape = (self.codomain.size, self.domain.size)
         if m.shape != shape:
             raise LatticeError(f"matrix shape {m.shape} != {shape}")
-
-    @property
-    def dense(self) -> np.ndarray:
-        m = self.matrix
-        return m.toarray() if sp.issparse(m) else m
 
     def __call__(self, field: Field) -> Field:
         if field.descriptor != self.domain:
@@ -194,65 +184,54 @@ class LinearMap:
 
 # -- block translations on a torus -------------------------------------------
 
-def _block_split(space: SpaceDescriptor, grid: int):
-    """The ordinal axis of a torus space split per lattice axis into (block
-    position, offset) and then the component, and the size of one block."""
+def _block_ordinals(space: SpaceDescriptor, grid: int):
+    """The ordinals of a torus space in an array indexed by (block position,
+    offset) per lattice axis and then the component, and the size of one
+    block."""
     lat = space.lattice
     if not lat.is_torus or grid < 1 or lat.n_side % grid:
         raise LatticeError(f"a {lat.n_side}-site side does not split into "
                            f"{grid} block positions on a torus")
     side = lat.n_side // grid
     comps = space.size // lat.n_sites
-    return (grid, side) * lat.dim + (comps,), side**lat.dim * comps
-
-
-def _shift_invariant(t: np.ndarray, r: int, c: int) -> bool:
-    """t[.., g, .., h, ..] == t[.., g-1, .., h-1, ..] (mod the grid) for all
-    g, h on axes r and c, compared on views: the interior, the two edges
-    and the corner of the wrap-around."""
-    def at(g, h):
-        index = [slice(None)] * t.ndim
-        index[r], index[c] = g, h
-        return t[tuple(index)]
-    head, tail, first, last = slice(1, None), slice(None, -1), 0, -1
-    return all(np.array_equal(at(*new), at(*old)) for new, old in (
-        ((head, head), (tail, tail)), ((first, head), (last, tail)),
-        ((head, first), (tail, last)), ((first, first), (last, last))))
+    split = (grid, side) * lat.dim + (comps,)
+    return np.arange(space.size).reshape(split), side**lat.dim * comps
 
 
 def block_symbol(matrix, codomain: SpaceDescriptor, domain: SpaceDescriptor,
                  grid: int) -> np.ndarray:
-    """Block-Fourier symbol of a dense operator between torus spaces.
+    """Block-Fourier symbol of an operator, dense or sparse, between torus
+    spaces.
 
     Both spaces are cut into grid**dim blocks, so a fine index L*g + r
     along each axis is (block position g, offset r); a space whose side
     equals grid has one site per block.  The operator must commute exactly
-    with the block translations: it is compared with its copy shifted by
-    one block position along each axis, rows and columns together, and
-    LatticeError is raised if any entry differs.  Then it is the block
-    convolution by its first block column C[g] (rows of block g, columns
-    of block 0), and the symbol is the unnormalized DFT
+    with the block translations: it is compared, on its nonzeros, with its
+    conjugate by the shift of one block position along each axis, rows and
+    columns together, and LatticeError is raised if any entry differs.
+    Then it is the block convolution by its first block column C[g] (rows
+    of block g, columns of block 0), and the symbol is the unnormalized DFT
     S[k] = sum_g C[g] exp(-2 pi i k.g / grid), an array of shape
     (grid,)*dim + (a, b) for blocks of a rows and b columns.
     """
     dim = domain.lattice.dim
-    rows, a = _block_split(codomain, grid)
-    cols, b = _block_split(domain, grid)
-    m = np.asarray(matrix, dtype=float)
+    rows, a = _block_ordinals(codomain, grid)
+    cols, b = _block_ordinals(domain, grid)
+    m = sp.csr_matrix(matrix, dtype=float)
     if m.shape != (codomain.size, domain.size):
         raise LatticeError(f"matrix shape {m.shape} != "
                            f"{(codomain.size, domain.size)}")
-    t = m.reshape(rows + cols)
-    row_pos = tuple(range(0, 2 * dim, 2))
-    col_pos = tuple(len(rows) + p for p in row_pos)
     for axis in range(dim):
-        if not _shift_invariant(t, row_pos[axis], col_pos[axis]):
+        # p[.., g, ..] = index[.., g - 1, ..]: M commutes with the shift
+        # when M[p_rows][:, p_cols] == M
+        p_rows = np.roll(rows, 1, axis=2 * axis).ravel()
+        p_cols = np.roll(cols, 1, axis=2 * axis).ravel()
+        if (m[p_rows][:, p_cols] != m).nnz:
             raise LatticeError("operator does not commute with the block "
                                f"translations along axis {axis}")
-    first = [slice(None)] * t.ndim
-    for p in col_pos:
-        first[p] = 0
-    column = t[tuple(first)]            # (g, r) per axis, comp, cols of g=0
+    first = cols[(0, slice(None)) * dim].ravel()    # block 0, within order
+    column = m[:, first].toarray().reshape(rows.shape + (b,))
+    row_pos = tuple(range(0, 2 * dim, 2))
     order = row_pos + tuple(p for p in range(column.ndim) if p not in row_pos)
     column = column.transpose(order).reshape((grid,) * dim + (a, b))
     return np.fft.fftn(column, axes=tuple(range(dim)))
@@ -260,49 +239,49 @@ def block_symbol(matrix, codomain: SpaceDescriptor, domain: SpaceDescriptor,
 
 # -- operator assembly -------------------------------------------------------
 
-def _maybe_dense(mat: sp.spmatrix) -> np.ndarray:
-    if max(mat.shape) <= DENSE_LIMIT:
-        return mat.toarray()
-    return mat.tocsr()
+def _rows_csr(vals, cols, per_row: int, n_cols: int) -> sp.csr_matrix:
+    """CSR matrix of consecutive rows of per_row entries each, in canonical
+    form (sorted columns, repeats summed), as from the same COO triplets."""
+    indptr = np.arange(0, cols.size + 1, per_row)
+    mat = sp.csr_matrix((vals, cols, indptr),
+                        shape=(cols.size // per_row, n_cols))
+    mat.sum_duplicates()
+    return mat
 
 
 @instance_cache
-def grad_matrix(lattice: Lattice) -> np.ndarray:
-    """Bonds x sites matrix of the divided-difference gradient."""
+def grad_matrix(lattice: Lattice) -> sp.csr_matrix:
+    """Bonds x sites CSR matrix of the divided-difference gradient."""
     inv_eta = 1.0 / lattice.spacing
     s, mu = lattice.bond_sites, lattice.bond_axes
-    # per bond b = (s, mu): -1/eta at s, then +1/eta at s + e_mu
-    rows = np.repeat(np.arange(lattice.n_bonds), 2)
+    # row b = (s, mu): -1/eta at s, then +1/eta at s + e_mu
     cols = np.stack([s, lattice.next[mu, s]], axis=1).ravel()
     vals = np.tile([-inv_eta, inv_eta], lattice.n_bonds)
-    mat = sp.coo_matrix((vals, (rows, cols)),
-                        shape=(lattice.n_bonds, lattice.n_sites))
-    return _maybe_dense(mat)
+    return _rows_csr(vals, cols, 2, lattice.n_sites)
 
 
 @instance_cache
-def ext_d_matrix(lattice: Lattice) -> np.ndarray:
-    """Plaquettes x bonds matrix of the oriented boundary sum over 1/eta."""
+def ext_d_matrix(lattice: Lattice) -> sp.csr_matrix:
+    """Plaquettes x bonds CSR matrix of the oriented boundary sum over
+    1/eta."""
     inv_eta = 1.0 / lattice.spacing
     s = lattice.plaq_sites
     mu, nu = lattice.plaq_axes.T
     bond = lattice.bond_index
-    # per plaquette: +(s, mu), +(s + e_mu, nu), -(s + e_nu, mu), -(s, nu)
+    # row p: +(s, mu), +(s + e_mu, nu), -(s + e_nu, mu), -(s, nu)
     cols = np.stack([bond[s, mu], bond[lattice.next[mu, s], nu],
                      bond[lattice.next[nu, s], mu], bond[s, nu]],
                     axis=1).ravel()
-    rows = np.repeat(np.arange(lattice.n_plaquettes), 4)
     vals = np.tile([inv_eta, inv_eta, -inv_eta, -inv_eta],
                    lattice.n_plaquettes)
-    mat = sp.coo_matrix((vals, (rows, cols)),
-                        shape=(lattice.n_plaquettes, lattice.n_bonds))
-    return _maybe_dense(mat)
+    return _rows_csr(vals, cols, 4, lattice.n_bonds)
 
 
-def laplacian_matrix(lattice: Lattice) -> np.ndarray:
-    """Matrix of -Laplacian = (codiff of grad) of grad; positive semidefinite."""
+def laplacian_matrix(lattice: Lattice) -> sp.csr_matrix:
+    """CSR matrix of -Laplacian = (codiff of grad) of grad; positive
+    semidefinite."""
     g = grad_matrix(lattice)
-    return np.asarray((g.T @ g).todense()) if sp.issparse(g) else g.T @ g
+    return (g.T @ g).tocsr()
 
 
 def as_matrix(name: str, lattice: Lattice) -> LinearMap:

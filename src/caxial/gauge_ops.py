@@ -28,7 +28,7 @@ import scipy.linalg as sla
 from scipy.special import roots_legendre
 
 from . import averaging as av
-from .fields import _guard, ext_d_matrix, grad_matrix, laplacian_matrix
+from .fields import _guard, ext_d_matrix, grad_matrix
 from .gaussian import (ConstraintFactor, IndefiniteOnSurface,
                        SingularOperator, minimizer_map, positive_cholesky)
 from .lattice import Lattice, LatticeSpec, build_lattice, instance_cache
@@ -79,16 +79,16 @@ class GaugeContext:
 
     @cached_property
     def grad_fine(self) -> np.ndarray:
-        return np.asarray(grad_matrix(self.fine))
+        return grad_matrix(self.fine).toarray()
 
     @cached_property
     def curl_fine(self) -> np.ndarray:
-        return np.asarray(ext_d_matrix(self.fine))
+        return ext_d_matrix(self.fine).toarray()
 
     @cached_property
     def lap_fine(self) -> np.ndarray:
         """Matrix of -Laplacian on fine scalars (positive semidefinite)."""
-        return laplacian_matrix(self.fine)
+        return self.grad_fine.T @ self.grad_fine
 
     @cached_property
     def curl_form(self) -> np.ndarray:
@@ -139,7 +139,7 @@ class GaugeContext:
     def one_plus_grad_recovery(self) -> np.ndarray:
         """I + grad o recovery on unit bonds."""
         return np.eye(self.unit.n_bonds) \
-            + np.asarray(grad_matrix(self.unit)) @ self.recovery
+            + grad_matrix(self.unit).toarray() @ self.recovery
 
     @cached_property
     def chi_star(self) -> np.ndarray:

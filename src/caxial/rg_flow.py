@@ -68,12 +68,12 @@ class RGState:
 
     def gauge_residual(self) -> float:
         """Max of form @ grad: the density must not see pure gauges."""
-        g = np.asarray(grad_matrix(self.lattice))
+        g = grad_matrix(self.lattice).toarray()
         return float(np.abs(self.density.form @ g).max())
 
 
 def curl_energy_form(lattice: Lattice) -> np.ndarray:
-    d = np.asarray(ext_d_matrix(lattice))
+    d = ext_d_matrix(lattice).toarray()
     return lattice.spacing**lattice.dim * d.T @ d
 
 

@@ -106,7 +106,7 @@ def _min_max_sv(mat: np.ndarray):
 def curl_path_kernel(lattice: Lattice, all_orders: bool = True) -> dict:
     """Smallest/largest singular value of the stacked (curl; path-average)
     map on bond fields; a trivial kernel means the pair is gauge-rigid."""
-    d = np.asarray(ext_d_matrix(lattice))
+    d = ext_d_matrix(lattice).toarray()
     tau = (av.path_average_matrix(lattice) if all_orders
            else av.tree_path_matrix(lattice)).matrix
     lo, hi = _min_max_sv(np.vstack([d, tau]))
@@ -116,7 +116,7 @@ def curl_path_kernel(lattice: Lattice, all_orders: bool = True) -> dict:
 def toron_closure_kernel(lattice: Lattice) -> dict:
     """As curl_path_kernel (tree version) with the winding averages added;
     on a torus this is what removes the constant-shift kernel."""
-    d = np.asarray(ext_d_matrix(lattice))
+    d = ext_d_matrix(lattice).toarray()
     stack = np.vstack([d, av.tree_path_matrix(lattice).matrix,
                        av.toron_average_matrix(lattice)])
     lo, hi = _min_max_sv(stack)
@@ -126,7 +126,7 @@ def toron_closure_kernel(lattice: Lattice) -> dict:
 def block_curl_ratio(lattice: Lattice) -> dict:
     """Largest value of |A|^2 / |dA|^2 over the kernel of the path average
     on a single open block, with the bound 3 L**dim it must satisfy."""
-    d = np.asarray(ext_d_matrix(lattice))
+    d = ext_d_matrix(lattice).toarray()
     tau = av.path_average_matrix(lattice).matrix
     B = kernel_basis(tau)
     w = np.linalg.eigvalsh(B.T @ (d.T @ d) @ B)
@@ -139,7 +139,7 @@ def global_coercivity(lattice: Lattice) -> dict:
     """Smallest eigenvalue of |dA|^2 + |block average A|^2 on the kernel of
     the path average (one blocking level), with its guaranteed floor
     1 / (108 L**4)."""
-    d = np.asarray(ext_d_matrix(lattice))
+    d = ext_d_matrix(lattice).toarray()
     qb = av.bond_average_matrix(lattice, 1)
     tau = av.path_average_matrix(lattice).matrix
     B = kernel_basis(tau)

@@ -152,8 +152,8 @@ def test_criterion_10_kernel_decay():
 def _structural_residuals(dim, L, levels, rng):
     lat = unit_torus(dim, L, levels)
     res = {}
-    d = np.asarray(ext_d_matrix(lat))
-    g = np.asarray(grad_matrix(lat))
+    d = ext_d_matrix(lat).toarray()
+    g = grad_matrix(lat).toarray()
     res["curl of gradient"] = np.abs(d @ g).max()
     f = random_field(lat, "site", rng)
     A = random_field(lat, "bond", rng)
@@ -162,7 +162,7 @@ def _structural_residuals(dim, L, levels, rng):
     qb = av.bond_average_matrix(lat, 1)
     qs = av.scalar_average_matrix(lat, 1)
     coarse = av.coarsened(lat)
-    gc = np.asarray(grad_matrix(coarse))
+    gc = grad_matrix(coarse).toarray()
     res["average intertwining"] = np.abs(qb @ g - gc @ qs).max()
     fine = build_lattice(LatticeSpec(dim, L, 1, levels))
     Af = random_field(fine, "bond", rng)

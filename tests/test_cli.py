@@ -77,17 +77,30 @@ def test_cached_context_is_not_served_over_the_cap(monkeypatch, suite):
         "ambient dimension 162 exceeds cap 100"}
 
 
-@pytest.mark.parametrize("cap", ["20000", "abc", "0", "-3"])
+@pytest.mark.parametrize("cap", ["abc", "0", "-3"])
 def test_unusable_cap_is_config_error(cap, tmp_path, monkeypatch, capsys):
-    # above fields.DENSE_LIMIT the operators are sparse and every check
-    # would crash; a non-integer cap crashed the report itself; a cap below
-    # 1 would skip every check and exit 0
+    # a non-integer cap crashed the report itself; a cap below 1 would skip
+    # every check and exit 0
     monkeypatch.setenv("CAXIAL_MAX_DIM", cap)
     path = tmp_path / "report.json"
     assert main(["verify", "--dim", "2", "--L", "3", "--levels", "4",
                  "--suite", "rg", "--report", str(path)]) == 2
     assert "CAXIAL_MAX_DIM" in capsys.readouterr().err
     assert not path.exists()
+
+
+def test_cap_above_the_default_runs_the_larger_instance(tmp_path,
+                                                       monkeypatch):
+    # (3, 13, 1) has 6,591 bonds, over the default cap of 5000; the fine
+    # torus of the scale-invariance check has 14,480,427 and stays skipped
+    monkeypatch.setenv("CAXIAL_MAX_DIM", "7000")
+    path = tmp_path / "report.json"
+    assert main(["verify", "--dim", "3", "--L", "13", "--levels", "1",
+                 "--suite", "geometry,calculus", "--report", str(path)]) == 0
+    status = {c["check_id"]: c["status"]
+              for c in json.loads(path.read_text())["checks"]}
+    assert status.pop("calculus.curl_energy_scale_invariance") == "SKIPPED"
+    assert status and set(status.values()) == {"PASS"}
 
 
 def test_appendix_runs_change_of_gauge_once(monkeypatch):

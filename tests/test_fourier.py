@@ -6,6 +6,7 @@ symbol path of `gaussian.kernel_residual`.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from caxial import averaging as av
 from caxial.fields import (BOND, PLAQUETTE, SITE, SpaceDescriptor,
@@ -28,9 +29,9 @@ def _lstsq_residual(T, K):
 def _dense_identities(lat):
     """Dense (T, K) of the averaging suite's two kernel identities."""
     coarse = av.coarsened(lat)
-    closed = (ext_d_matrix(coarse) @ av.bond_average_matrix(lat, 1),
-              ext_d_matrix(lat))
-    recovery = (av.scalar_recovery_matrix(lat) @ grad_matrix(lat)
+    closed = (ext_d_matrix(coarse).toarray() @ av.bond_average_matrix(lat, 1),
+              ext_d_matrix(lat).toarray())
+    recovery = (av.scalar_recovery_matrix(lat) @ grad_matrix(lat).toarray()
                 + np.eye(lat.n_sites), av.scalar_average_matrix(lat, 1))
     return {"closed": closed, "recovery": recovery}
 
@@ -61,6 +62,14 @@ def _operators(lat):
             (av.bond_average_matrix(lat, 1), cb, fb),
             (av.scalar_average_matrix(lat, 1), cs, fs),
             (av.scalar_recovery_matrix(lat), fs, fb)]
+
+
+def _dense(matrix):
+    return matrix.toarray() if sp.issparse(matrix) else np.array(matrix)
+
+
+# block_symbol reads either kind of input; each refusal is tested on both
+AS_KIND = {"csr": sp.csr_matrix, "dense": _dense}
 
 
 def _canonical_order(space, grid):
@@ -101,33 +110,38 @@ def test_inverse_transform_rebuilds_the_operator(dim, L, levels):
         assert S.shape == ((grid,) * dim
                            + (codomain.size // grid**dim,
                               domain.size // grid**dim))
+        for as_kind in AS_KIND.values():
+            assert block_symbol(as_kind(matrix), codomain, domain,
+                                grid).tobytes() == S.tobytes()
         rebuilt = _dense_from_symbol(S, codomain, domain, grid)
-        assert np.abs(rebuilt - matrix).max() <= 1e-15
+        assert np.abs(rebuilt - _dense(matrix)).max() <= 1e-15
 
 
-def test_perturbed_operator_is_not_reduced():
+@pytest.mark.parametrize("kind", sorted(AS_KIND))
+def test_perturbed_operator_is_not_reduced(kind):
     lat = unit_torus(2, 3, 2)
     grid = av.coarsened(lat).n_side
     for matrix, codomain, domain in _operators(lat):
-        bad = matrix.copy()
+        bad = _dense(matrix)
         bad[-1, -1] = np.nextafter(bad[-1, -1], np.inf)    # one ulp
         with pytest.raises(LatticeError, match="block translations"):
-            block_symbol(bad, codomain, domain, grid)
+            block_symbol(AS_KIND[kind](bad), codomain, domain, grid)
 
 
-def test_operator_broken_only_at_the_wrap_around_is_not_reduced():
+@pytest.mark.parametrize("kind", sorted(AS_KIND))
+def test_operator_broken_only_at_the_wrap_around_is_not_reduced(kind):
     # grad without the couplings of the last block position along axis 0 to
     # the first: every translation that does not wrap around still commutes
     # with it, so only the edge pairs of the comparison can refuse it
     lat = unit_torus(2, 3, 2)
     grid = av.coarsened(lat).n_side
     side = lat.n_side // grid
-    bad = grad_matrix(lat).copy()
+    bad = grad_matrix(lat).toarray()
     t = bad.reshape((grid, side) * 2 + (2,) + (grid, side) * 2)
     assert np.any(t[-1, :, :, :, :, 0])
     t[-1, :, :, :, :, 0] = 0.0
     with pytest.raises(LatticeError, match="translations along axis 0"):
-        block_symbol(bad, SpaceDescriptor(lat, BOND),
+        block_symbol(AS_KIND[kind](bad), SpaceDescriptor(lat, BOND),
                      SpaceDescriptor(lat, SITE), grid)
 
 

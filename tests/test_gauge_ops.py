@@ -114,7 +114,7 @@ def test_minimizers_differ_by_pure_gauge():
 def test_effective_form_kills_coarse_gradients():
     from caxial.fields import grad_matrix
     c = ctx1()
-    g = np.asarray(grad_matrix(c.unit))
+    g = grad_matrix(c.unit).toarray()
     assert np.abs(c.delta @ g).max() < 1e-9
 
 

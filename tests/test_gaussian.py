@@ -169,9 +169,9 @@ def _averaging_kernel_identities(dim, L, levels):
     inverts minus the gradient on zero-average scalars."""
     lat = unit_torus(dim, L, levels)
     coarse = av.coarsened(lat)
-    closed = (ext_d_matrix(coarse) @ av.bond_average_matrix(lat, 1),
-              ext_d_matrix(lat))
-    recovery = (av.scalar_recovery_matrix(lat) @ grad_matrix(lat)
+    closed = (ext_d_matrix(coarse).toarray() @ av.bond_average_matrix(lat, 1),
+              ext_d_matrix(lat).toarray())
+    recovery = (av.scalar_recovery_matrix(lat) @ grad_matrix(lat).toarray()
                 + np.eye(lat.n_sites), av.scalar_average_matrix(lat, 1))
     return {"closed": closed, "recovery": recovery}
 
