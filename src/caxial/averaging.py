@@ -6,8 +6,13 @@ the stacked hierarchical constraint map, the scalar-recovery operator that
 turns a bond field into the gauge potential solving the path-average
 equations, and the in-block/linking-bond fluctuation parametrization.
 
-All builders return plain coefficient matrices in canonical ordinals
-together with the lattices involved; field-level wrappers are provided.
+All builders return coefficient matrices in canonical ordinals, as CSR
+in canonical form (sorted columns, no repeats), together with the lattices
+involved.  The local averages are assembled from (row, column, value)
+triplets by `_csr`, which sums repeated triplets; the composite maps are
+sparse products, sums and row gathers of them.  Checks that need dense
+linear algebra densify with `.toarray()`.  Field-level wrappers are
+provided.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .lattice import Lattice, LatticeError, build_lattice, instance_cache
 from .fields import (BOND, PLAQUETTE, SITE, BondField, ScalarField,
@@ -42,17 +48,30 @@ def _blocks(fine: Lattice, coarse: Lattice, n: int = 1) -> np.ndarray:
     return fine.site_ordinals(centers[:, None, :] + fine.block_offsets(n))
 
 
-def _densify(rows, cols, vals, shape) -> np.ndarray:
-    """Dense matrix of (row, col, value) triplets, duplicates summed in the
-    order given (as `out[r, c] += v` over the triplets would)."""
-    flat = np.ravel(rows) * shape[1] + np.ravel(cols)
-    out = np.bincount(flat, weights=np.broadcast_to(vals, flat.shape),
-                      minlength=shape[0] * shape[1])
-    return out.reshape(shape)
+def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
+    """Canonical CSR matrix of (row, col, value) triplets, repeats summed.
+
+    The builders repeat a triplet only with the same value (a bond met by
+    several paths of one row, always in the same direction), so the sum
+    does not depend on the order in which repeats are added.
+    """
+    rows, cols = np.ravel(rows), np.ravel(cols)
+    order = np.argsort(rows, kind="stable")
+    indptr = np.searchsorted(rows[order], np.arange(shape[0] + 1))
+    return _canonical(sp.csr_matrix(
+        (np.broadcast_to(vals, rows.shape)[order], cols[order], indptr),
+        shape=shape))
+
+
+def _canonical(m: sp.csr_matrix) -> sp.csr_matrix:
+    """m in canonical form, in place: repeats summed and the column indices
+    of each row sorted (a sparse product leaves them unsorted)."""
+    m.sum_duplicates()
+    return m
 
 
 def _path_sums(fine: Lattice, row_of, starts, deltas, orders, w,
-               n_rows: int) -> np.ndarray:
+               n_rows: int) -> sp.csr_matrix:
     """n_rows x bonds matrix of weighted path sums.
 
     Path start i walks by deltas[i] once per axis order in orders; each step
@@ -64,8 +83,8 @@ def _path_sums(fine: Lattice, row_of, starts, deltas, orders, w,
     signs = np.hstack([s for _, s, _ in walks])
     step = signs != 0
     rows = np.broadcast_to(np.asarray(row_of)[:, None], step.shape)
-    return _densify(rows[step], bonds[step], w * signs[step],
-                    (n_rows, fine.n_bonds))
+    return _csr(rows[step], bonds[step], w * signs[step],
+                (n_rows, fine.n_bonds))
 
 
 def _axis_deltas(axes, length: int, dim: int) -> np.ndarray:
@@ -78,16 +97,16 @@ def _axis_deltas(axes, length: int, dim: int) -> np.ndarray:
 # -- block averages ----------------------------------------------------------
 
 @instance_cache
-def scalar_average_matrix(fine: Lattice, n: int = 1) -> np.ndarray:
+def scalar_average_matrix(fine: Lattice, n: int = 1) -> sp.csr_matrix:
     """Block average of site fields over side-L**n blocks, weight L**(-dim*n)."""
     coarse = coarsened(fine, n)
     w = float(fine.L) ** (-fine.dim * n)
     members = _blocks(fine, coarse, n)
     rows = np.broadcast_to(np.arange(coarse.n_sites)[:, None], members.shape)
-    return _densify(rows, members, w, (coarse.n_sites, fine.n_sites))
+    return _csr(rows, members, w, (coarse.n_sites, fine.n_sites))
 
 
-def _straight_average(fine: Lattice, n: int) -> np.ndarray:
+def _straight_average(fine: Lattice, n: int) -> sp.csr_matrix:
     """Row (y, mu) of the coarse lattice n levels up: weight L**-(dim+1)n
     times the sum over block sites x of the unweighted sum of the L**n bonds
     on the straight path from x to x + L**n e_mu."""
@@ -101,23 +120,24 @@ def _straight_average(fine: Lattice, n: int) -> np.ndarray:
 
 
 @instance_cache
-def _bond_average_one(fine: Lattice) -> np.ndarray:
+def _bond_average_one(fine: Lattice) -> sp.csr_matrix:
     """One level of bond blocking: average of straight-path sums."""
     return _straight_average(fine, 1)
 
 
 @instance_cache
-def bond_average_matrix(fine: Lattice, n: int = 1) -> np.ndarray:
-    """n-fold bond blocking (composition of single levels)."""
+def bond_average_matrix(fine: Lattice, n: int = 1) -> sp.csr_matrix:
+    """n-fold bond blocking (composition of single levels; n = 0 blocks
+    nothing, the straight paths of length 1)."""
     if n == 0:
-        return np.eye(fine.n_bonds)
+        return _straight_average(fine, 0)
     if n == 1:
         return _bond_average_one(fine)
-    return _bond_average_one(coarsened(fine, n - 1)) \
-        @ bond_average_matrix(fine, n - 1)
+    return _canonical(_bond_average_one(coarsened(fine, n - 1))
+                      @ bond_average_matrix(fine, n - 1))
 
 
-def bond_average_direct_matrix(fine: Lattice, n: int) -> np.ndarray:
+def bond_average_direct_matrix(fine: Lattice, n: int) -> sp.csr_matrix:
     """Direct n-level form: paths of length L**n, weight L**-(dim+1)n.
 
     Equal to the composed form; kept as an independent cross-check.
@@ -128,7 +148,7 @@ def bond_average_direct_matrix(fine: Lattice, n: int) -> np.ndarray:
 # -- toron averages ----------------------------------------------------------
 
 @instance_cache
-def toron_average_matrix(lattice: Lattice) -> np.ndarray:
+def toron_average_matrix(lattice: Lattice) -> sp.csr_matrix:
     """dim x n_bonds matrix of site-averaged winding-loop sums."""
     if not lattice.is_torus:
         raise LatticeError("toron averages require a torus")
@@ -140,10 +160,11 @@ def toron_average_matrix(lattice: Lattice) -> np.ndarray:
                       w, lattice.dim)
 
 
-def toron_average_full_matrix(fine: Lattice, n_levels: int) -> np.ndarray:
+def toron_average_full_matrix(fine: Lattice,
+                              n_levels: int) -> sp.csr_matrix:
     """Toron average after n_levels - 1 bond blockings (the last-step map)."""
     qb = bond_average_matrix(fine, n_levels - 1)
-    return toron_average_matrix(coarsened(fine, n_levels - 1)) @ qb
+    return _canonical(toron_average_matrix(coarsened(fine, n_levels - 1)) @ qb)
 
 
 # -- path averages from block centers ---------------------------------------
@@ -152,7 +173,7 @@ def toron_average_full_matrix(fine: Lattice, n_levels: int) -> np.ndarray:
 class PathAverageMap:
     """Rows indexed by (coarse site ordinal, fine site ordinal), x != center."""
 
-    matrix: np.ndarray
+    matrix: sp.csr_matrix
     rows: tuple
     fine: Lattice
     coarse: Lattice
@@ -196,36 +217,29 @@ class ConstraintStack:
     """Stack of per-level path-average constraints on a fine bond field.
 
     Level j rows are the all-orderings path averages of the j-fold bond
-    blocking of the field; level row counts telescope so that together with
-    one global average they exhaust the scalar degrees of freedom.
+    blocking of the field, stacked in level order in one matrix on fine
+    bonds; level row counts telescope so that together with one global
+    average they exhaust the scalar degrees of freedom.
     """
 
-    levels: tuple          # per level: coefficient matrix on fine bonds
+    matrix: sp.csr_matrix
+    rows_per_level: tuple
     fine: Lattice
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if not self.levels:
-            return np.zeros((0, self.fine.n_bonds))
-        return np.vstack(self.levels)
-
-    @property
-    def rows_per_level(self) -> tuple:
-        return tuple(m.shape[0] for m in self.levels)
 
 
 def axial_constraint_stack(fine: Lattice, k: int) -> ConstraintStack:
-    levels = []
-    for j in range(k):
-        tau = path_average_matrix(coarsened(fine, j)).matrix
-        # level 0 blocks nothing: a copy, not a product with the identity,
-        # and not the cached matrix itself
-        levels.append(tau @ bond_average_matrix(fine, j) if j else tau.copy())
-    return ConstraintStack(tuple(levels), fine)
+    # each level is a new product, level 0 included: the stack never
+    # shares storage with a cached path-average matrix
+    levels = [path_average_matrix(coarsened(fine, j)).matrix
+              @ bond_average_matrix(fine, j) for j in range(k)]
+    matrix = (sp.vstack(levels, format="csr") if levels
+              else sp.csr_matrix((0, fine.n_bonds)))
+    return ConstraintStack(_canonical(matrix),
+                           tuple(m.shape[0] for m in levels), fine)
 
 
 def hierarchical_scalar_bijection_matrix(fine: Lattice,
-                                         n_levels: int) -> np.ndarray:
+                                         n_levels: int) -> sp.csr_matrix:
     """Square change of variables on fine scalars: one fully blocked average
     plus, per level j, the in-block differences of the level-j averages
     against their block centers.
@@ -236,13 +250,13 @@ def hierarchical_scalar_bijection_matrix(fine: Lattice,
     """
     rows = [scalar_average_matrix(fine, n_levels)]
     for j in range(n_levels):
-        lat_j = coarsened(fine, j)
-        qj = scalar_average_matrix(fine, j) if j else np.eye(fine.n_sites)
+        qj = scalar_average_matrix(fine, j)
         blocks = _level_blocks(fine, j)
-        keep = lat_j.block_offsets(1).any(axis=1)
-        diff = qj[blocks[:, keep]] - qj[blocks[:, ~keep]]
-        rows.append(diff.reshape(-1, fine.n_sites))
-    return np.vstack(rows)
+        keep = coarsened(fine, j).block_offsets(1).any(axis=1)
+        # block by block, each non-center site against the block's center
+        centers = np.repeat(blocks[:, ~keep], keep.sum(), axis=1)
+        rows.append(qj[blocks[:, keep].ravel()] - qj[centers.ravel()])
+    return _canonical(sp.vstack(rows, format="csr"))
 
 
 def _level_blocks(fine: Lattice, j: int) -> np.ndarray:
@@ -274,7 +288,7 @@ def hierarchical_scalar_row_groups(fine: Lattice, n_levels: int) -> tuple:
 # -- scalar recovery ---------------------------------------------------------
 
 @instance_cache
-def scalar_recovery_matrix(lattice: Lattice) -> np.ndarray:
+def scalar_recovery_matrix(lattice: Lattice) -> sp.csr_matrix:
     """Site x bond matrix turning Z into the potential mu with
     path-average(Z + grad mu) = 0 on every block and block-average(mu) = 0.
 
@@ -284,15 +298,18 @@ def scalar_recovery_matrix(lattice: Lattice) -> np.ndarray:
     tau = path_average_matrix(lattice)
     coarse = tau.coarse
     w = float(lattice.L) ** (-lattice.dim)
-    per_block = tau.matrix.reshape(coarse.n_sites, -1, lattice.n_bonds)
-    block_sum = np.zeros((coarse.n_sites, lattice.n_bonds))
-    for j in range(per_block.shape[1]):     # the rows of a block in order
-        block_sum += per_block[:, j]
     ys, xs = np.array(tau.rows).T
-    out = np.zeros((lattice.n_sites, lattice.n_bonds))
-    out[xs] = -tau.matrix + w * block_sum[ys]
-    out[lattice.site_ordinals(coarse.sites * lattice.L)] = w * block_sum
-    return out
+    rows = np.arange(len(ys))
+    # block_of[x]: the coarse site whose block holds the fine site x
+    block_of = np.empty(lattice.n_sites, dtype=int)
+    block_of[xs] = ys
+    block_of[lattice.site_ordinals(coarse.sites * lattice.L)] = \
+        np.arange(coarse.n_sites)
+    # the rows of each block summed in row order, and each row moved to
+    # its site (the centers get none)
+    block_sum = _csr(ys, rows, 1.0, (coarse.n_sites, len(rows))) @ tau.matrix
+    at_sites = _csr(xs, rows, 1.0, (lattice.n_sites, len(rows))) @ tau.matrix
+    return _canonical(w * block_sum[block_of] - at_sites)
 
 
 def scalar_recovery(Z: BondField) -> ScalarField:
@@ -378,23 +395,21 @@ def fluctuation_split(lattice: Lattice) -> FluctuationSplit:
 
 
 def solve_central(lattice: Lattice, values: np.ndarray) -> np.ndarray:
-    """Central-bond values making every coarse bond average vanish.
+    """Central-bond values making every coarse bond average vanish, for a
+    bond field or for each column of a (bonds, m) array of them.
 
     The coarse-bond average is linear with coefficient L**-dim on its central
     bond, so each central value is determined locally by the other bonds of
     the two blocks it joins.
     """
-    split = fluctuation_split(lattice)
+    central = list(fluctuation_split(lattice).central)
     qb = bond_average_matrix(lattice, 1)
+    c0 = np.asarray(qb[np.arange(len(central)), central]).ravel()
+    if not c0.all():
+        raise LatticeError("central bond has zero averaging coefficient")
     v = np.array(values, dtype=float)
-    v[list(split.central)] = 0.0
-    out = np.empty(len(split.central))
-    for cb, c in enumerate(split.central):
-        c0 = qb[cb, c]
-        if c0 == 0:
-            raise LatticeError("central bond has zero averaging coefficient")
-        out[cb] = -(qb[cb] @ v) / c0
-    return out
+    v[central] = 0.0
+    return (-(qb @ v).T / c0).T
 
 
 @instance_cache
@@ -408,23 +423,18 @@ def fluctuation_basis(lattice: Lattice, tol: float = 1e-9) -> np.ndarray:
     homogeneous constraint surface.
     """
     split = fluctuation_split(lattice)
-    tau = path_average_matrix(lattice).matrix
+    # dense for the kernel basis's SVD
+    tau = path_average_matrix(lattice).matrix.toarray()
     z1 = list(split.in_block)
     if np.any(tau[:, list(split.linking)] != 0):
         raise LatticeError("path averages touch linking bonds")
     kernel = kernel_basis(tau[:, z1], tol)
-    cols = []
-    for t in kernel.T:
-        v = np.zeros(lattice.n_bonds)
-        v[z1] = t
-        v[list(split.central)] = solve_central(lattice, v)
-        cols.append(v)
-    for b in split.noncentral:
-        v = np.zeros(lattice.n_bonds)
-        v[b] = 1.0
-        v[list(split.central)] = solve_central(lattice, v)
-        cols.append(v)
-    return np.array(cols).T
+    n_kernel, noncentral = kernel.shape[1], list(split.noncentral)
+    cols = np.zeros((lattice.n_bonds, n_kernel + len(noncentral)))
+    cols[z1, :n_kernel] = kernel
+    cols[noncentral, n_kernel + np.arange(len(noncentral))] = 1.0
+    cols[list(split.central)] = solve_central(lattice, cols)
+    return cols
 
 
 def fluctuation_parametrize(lattice: Lattice, values, tol: float = 1e-9,

@@ -15,8 +15,11 @@ These are the unique choices under which block averaging commutes with
 the gradient, path averages of gradients telescope with an L**k factor,
 and the curl energy is invariant under field rescaling.
 
-The calculus operators are assembled as CSR at every size; checks that
-need dense linear algebra densify them with `.toarray()`.
+The calculus operators, like the averaging operators of `averaging`, are
+assembled as CSR at every size; checks that need dense linear algebra
+densify them with `.toarray()`.  The curl-energy form is the one operator
+kept dense: it is formed once per lattice as a sparse product and densified
+for the factorizations it feeds.
 
 On a torus the calculus and averaging operators commute with translations
 by a block; `block_symbol` verifies that exactly and returns the
@@ -282,6 +285,16 @@ def laplacian_matrix(lattice: Lattice) -> sp.csr_matrix:
     semidefinite."""
     g = grad_matrix(lattice)
     return (g.T @ g).tocsr()
+
+
+@instance_cache
+def curl_energy_form(lattice: Lattice) -> np.ndarray:
+    """Dense quadratic form eta**dim d^T d of the curl energy on bonds,
+    read-only, from the CSR product of the curl with itself."""
+    d = ext_d_matrix(lattice)
+    form = (lattice.spacing**lattice.dim * d.T @ d).toarray()
+    form.flags.writeable = False
+    return form
 
 
 def as_matrix(name: str, lattice: Lattice) -> LinearMap:

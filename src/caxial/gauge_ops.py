@@ -25,10 +25,11 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 from scipy.special import roots_legendre
 
 from . import averaging as av
-from .fields import _guard, ext_d_matrix, grad_matrix
+from .fields import _guard, curl_energy_form, grad_matrix
 from .gaussian import (ConstraintFactor, IndefiniteOnSurface,
                        SingularOperator, minimizer_map, positive_cholesky)
 from .lattice import Lattice, LatticeSpec, build_lattice, instance_cache
@@ -82,23 +83,14 @@ class GaugeContext:
         return grad_matrix(self.fine).toarray()
 
     @cached_property
-    def curl_fine(self) -> np.ndarray:
-        return ext_d_matrix(self.fine).toarray()
-
-    @cached_property
     def lap_fine(self) -> np.ndarray:
         """Matrix of -Laplacian on fine scalars (positive semidefinite)."""
         return self.grad_fine.T @ self.grad_fine
 
     @cached_property
-    def curl_form(self) -> np.ndarray:
-        """Quadratic form of the curl energy on fine bonds."""
-        return self.weight * self.curl_fine.T @ self.curl_fine
-
-    @cached_property
     def scalar_average(self) -> np.ndarray:
         """Q: fine scalars -> unit scalars (k levels of blocking)."""
-        return av.scalar_average_matrix(self.fine, self.level)
+        return av.scalar_average_matrix(self.fine, self.level).toarray()
 
     @cached_property
     def scalar_average_adj(self) -> np.ndarray:
@@ -108,21 +100,16 @@ class GaugeContext:
     @cached_property
     def bond_average(self) -> np.ndarray:
         """Bond blocking fine -> unit (identity at level 0)."""
-        return av.bond_average_matrix(self.fine, self.level)
+        return av.bond_average_matrix(self.fine, self.level).toarray()
 
     @cached_property
     def bond_average_next(self) -> np.ndarray:
         """Bond blocking fine -> one level above the unit lattice."""
-        return av.bond_average_matrix(self.fine, self.level + 1)
+        return av.bond_average_matrix(self.fine, self.level + 1).toarray()
 
     @cached_property
     def scalar_average_next(self) -> np.ndarray:
-        return av.scalar_average_matrix(self.fine, self.level + 1)
-
-    @cached_property
-    def axial_stack(self) -> np.ndarray:
-        """Hierarchical path-average constraints below the unit scale."""
-        return av.axial_constraint_stack(self.fine, self.level).matrix
+        return av.scalar_average_matrix(self.fine, self.level + 1).toarray()
 
     @property
     def axial_surface(self) -> ConstraintFactor:
@@ -131,15 +118,10 @@ class GaugeContext:
         return one_shot_constraints(self.fine, self.level)
 
     @cached_property
-    def recovery(self) -> np.ndarray:
-        """Scalar-recovery operator on the unit lattice."""
-        return av.scalar_recovery_matrix(self.unit)
-
-    @cached_property
     def one_plus_grad_recovery(self) -> np.ndarray:
         """I + grad o recovery on unit bonds."""
-        return np.eye(self.unit.n_bonds) \
-            + grad_matrix(self.unit).toarray() @ self.recovery
+        gr = grad_matrix(self.unit) @ av.scalar_recovery_matrix(self.unit)
+        return np.eye(self.unit.n_bonds) + gr.toarray()
 
     @cached_property
     def chi_star(self) -> np.ndarray:
@@ -196,12 +178,12 @@ class GaugeContext:
     @cached_property
     def axial_minimizer(self) -> np.ndarray:
         """Unit bonds -> fine bonds: least curl energy on the axial surface."""
-        return minimizer_map(self.curl_form, self.axial_surface)
+        return minimizer_map(curl_energy_form(self.fine), self.axial_surface)
 
     def feynman_minimizer(self, alpha: float = 1.0) -> np.ndarray:
         """Least curl energy + projected-divergence penalty, averages fixed."""
         dg = self.grad_fine
-        form = self.curl_form + (self.weight / alpha) * \
+        form = curl_energy_form(self.fine) + (self.weight / alpha) * \
             dg @ self.proj_div() @ dg.T
         return minimizer_map(form, average_constraints(self.fine, self.level))
 
@@ -211,7 +193,7 @@ class GaugeContext:
         alpha is the gauge-fixing weight of the Feynman minimizer."""
         h = {"axial": lambda: self.axial_minimizer,
              "feynman": lambda: self.feynman_minimizer(alpha)}[which]()
-        m = h.T @ self.curl_form @ h
+        m = h.T @ curl_energy_form(self.fine) @ h
         return 0.5 * (m + m.T)
 
     @cached_property
@@ -259,7 +241,8 @@ class GaugeContext:
         representation: curl part + projected divergence part + average
         regulator a + x times the gauge-fixed compression term."""
         dg = self.grad_fine
-        op = (self.curl_form + self.weight * dg @ self.proj_div_next(a) @ dg.T
+        op = (curl_energy_form(self.fine)
+              + self.weight * dg @ self.proj_div_next(a) @ dg.T
               + a * self.bond_average_next.T @ self.bond_average_next)
         if x:
             xm = self._x_map()
@@ -350,10 +333,9 @@ def one_shot_constraints(fine: Lattice, k: int) -> ConstraintFactor:
         # is the block-average one
         return average_constraints(fine, k)
     qb = av.bond_average_matrix(fine, k)
-    K = np.vstack([qb, stack])
     E = np.vstack([np.eye(qb.shape[0]),
                    np.zeros((stack.shape[0], qb.shape[0]))])
-    return ConstraintFactor(K, E)
+    return ConstraintFactor(sp.vstack([qb, stack]), E)
 
 
 @instance_cache
@@ -382,7 +364,8 @@ def change_of_gauge_check(ctx: GaugeContext, coarse_field: np.ndarray) -> dict:
     cond = float(np.linalg.cond(m)) if square else np.inf
     qb = ctx.bond_average
     dg = ctx.grad_fine
-    form_f = ctx.curl_form + ctx.weight * dg @ ctx.proj_div() @ dg.T
+    curl = curl_energy_form(ctx.fine)
+    form_f = curl + ctx.weight * dg @ ctx.proj_div() @ dg.T
     surf_f = AffineSurface.from_constraints(
         average_constraints(ctx.fine, ctx.level), coarse_field)
     mean_f = constrained_minimize(QuadraticDensity(form_f), surf_f)
@@ -391,8 +374,8 @@ def change_of_gauge_check(ctx: GaugeContext, coarse_field: np.ndarray) -> dict:
     k_landau = np.vstack([qb, u.T @ dg.T])
     b_landau = np.concatenate([coarse_field, np.zeros(u.shape[1])])
     surf_l = AffineSurface.from_constraints(k_landau, b_landau)
-    mean_l = constrained_minimize(QuadraticDensity(ctx.curl_form), surf_l)
-    cov_l = subspace_covariance(QuadraticDensity(ctx.curl_form), surf_l)
+    mean_l = constrained_minimize(QuadraticDensity(curl), surf_l)
+    cov_l = subspace_covariance(QuadraticDensity(curl), surf_l)
     t = ctx.feynman_to_landau()
     mean_res = np.linalg.norm(t @ mean_f - mean_l) \
         / max(np.linalg.norm(mean_l), 1e-300)

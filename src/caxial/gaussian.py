@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 RANK_TOL = 1e-9
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -77,10 +78,11 @@ class ConstraintFactor:
     log s_i, and pinv(K) applied as V_r S_r^-1 U_r^T, never formed.  With a
     fiber map E it also holds lift = pinv(K) E, the particular point of the
     fiber over A being lift @ A.  All arrays are read-only, so a factor can
-    be cached and shared.
+    be cached and shared.  A sparse K is densified here, for the SVD.
     """
 
     def __init__(self, K, E=None, tol: float = RANK_TOL):
+        K = K.toarray() if sp.issparse(K) else K
         K = np.atleast_2d(np.asarray(K, dtype=float))
         u, s, vt = np.linalg.svd(K)
         r = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
@@ -117,8 +119,9 @@ def _factored(K, E=None, tol: float = RANK_TOL) -> ConstraintFactor:
     return ConstraintFactor(K, E, tol)
 
 
-def kernel_basis(K: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis of the numerical null space of K (read-only).
+def kernel_basis(K, tol: float = RANK_TOL) -> np.ndarray:
+    """Orthonormal basis of the numerical null space of K, dense or sparse
+    (read-only).
 
     Singular values below tol * sigma_max count as zero.  Deterministic
     given K (SVD right singular vectors).

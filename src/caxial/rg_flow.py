@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from math import log
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import averaging as av
-from .fields import ext_d_matrix, grad_matrix, guarded_torus
+from .fields import curl_energy_form, grad_matrix, guarded_torus
 from .gauge_ops import get_context, one_shot_constraints
 from .gaussian import (AffineSurface, ConstraintFactor, QuadraticDensity,
                        log_partition, minimizer_map, push_constraint,
@@ -72,11 +73,6 @@ class RGState:
         return float(np.abs(self.density.form @ g).max())
 
 
-def curl_energy_form(lattice: Lattice) -> np.ndarray:
-    d = ext_d_matrix(lattice).toarray()
-    return lattice.spacing**lattice.dim * d.T @ d
-
-
 def init_rho0(dim: int, L: int, n_levels: int, source=None) -> RGState:
     """Level-0 state: curl-energy Gaussian, optional linear source term."""
     lat = guarded_torus(dim, L, 0, n_levels)
@@ -90,9 +86,8 @@ def _step_constraints(lattice: Lattice) -> ConstraintFactor:
     field, path averages to zero, K = [Q_b; tau] and E = [I; 0]."""
     qb = av.bond_average_matrix(lattice, 1)
     tau = av.path_average_matrix(lattice).matrix
-    K = np.vstack([qb, tau])
     E = np.vstack([np.eye(qb.shape[0]), np.zeros((tau.shape[0], qb.shape[0]))])
-    return ConstraintFactor(K, E)
+    return ConstraintFactor(sp.vstack([qb, tau]), E)
 
 
 def rg_step(state: RGState, convention: str = "dirac") -> RGState:
@@ -129,7 +124,7 @@ def final_step(state: RGState, convention: str = "dirac") -> float:
 @instance_cache
 def _winding_constraints(lattice: Lattice) -> ConstraintFactor:
     """Factor of the last step: winding and path averages fixed to zero."""
-    return ConstraintFactor(np.vstack([av.toron_average_matrix(lattice),
+    return ConstraintFactor(sp.vstack([av.toron_average_matrix(lattice),
                                        av.path_average_matrix(lattice).matrix]))
 
 
@@ -138,7 +133,7 @@ def _one_shot_winding_constraints(fine: Lattice,
                                   n_levels: int) -> ConstraintFactor:
     """Factor of the one-shot last level: winding averages of the fully
     blocked field and the hierarchical path averages fixed to zero."""
-    return ConstraintFactor(np.vstack([
+    return ConstraintFactor(sp.vstack([
         av.toron_average_full_matrix(fine, n_levels),
         av.axial_constraint_stack(fine, n_levels).matrix]))
 

@@ -10,7 +10,9 @@ eigenvalue / singular-value computation on a desk-scale lattice:
   norm blockwise, and together with the block average it is coercive.
 
 Norms here are plain coordinate sums (unit spacing), matching the scale
-on which the constants below are stated.
+on which the constants below are stated; there the curl-energy form is
+d^T d.  The operators are stacked sparse and densified for the
+factorizations.
 
 The hierarchical scalar change of variables M is certified by its row
 groups (`grouped_singular_values` on
@@ -27,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import averaging as av
-from .fields import ext_d_matrix
+from .fields import curl_energy_form, ext_d_matrix
 from .gaussian import RANK_TOL, kernel_basis
 from .lattice import Lattice
 
@@ -38,9 +40,9 @@ from .lattice import Lattice
 GRAM_TOL = 1e-12
 
 
-def grouped_singular_values(matrix: np.ndarray, layout) -> np.ndarray:
-    """Singular values, largest first, of a matrix whose rows fall into
-    mutually orthogonal groups with known column supports.
+def grouped_singular_values(matrix, layout) -> np.ndarray:
+    """Singular values, largest first, of a matrix, dense or sparse, whose
+    rows fall into mutually orthogonal groups with known column supports.
 
     layout lists (rows per group, supports) pairs in row order: supports is
     an int array with one row of column indices per group, and each pair's
@@ -48,12 +50,12 @@ def grouped_singular_values(matrix: np.ndarray, layout) -> np.ndarray:
     verifies that every entry off its group's support is exactly zero and
     that the Frobenius norm of the cross-group part of M M^T is at most
     GRAM_TOL times the smallest squared singular value, taking one batched
-    SVD per pair of the (groups, rows, support) stack.  It raises LinAlgError if any of this
-    fails; there is no dense fallback.
+    SVD per pair of the (groups, rows, support) stack.  It raises
+    LinAlgError if any of this fails; there is no dense fallback.
     """
-    m = np.asarray(matrix, dtype=float)
+    m = sp.csr_matrix(matrix, dtype=float)
     n_rows, n_cols = m.shape
-    values, group_of, row_nnz, cols, entries = [], [], [], [], []
+    values, group_of = [], []
     start = 0
     for rows, supports in layout:
         supports = np.asarray(supports)
@@ -66,30 +68,23 @@ def grouped_singular_values(matrix: np.ndarray, layout) -> np.ndarray:
         if stop > n_rows:
             raise np.linalg.LinAlgError("layout has more rows than the "
                                         "matrix")
-        block = m[start:stop].reshape(n_groups, rows, n_cols)
-        stack = np.take_along_axis(block, supports[:, None, :], axis=2)
+        block = m[start:stop]
+        stack = block[np.arange(stop - start)[:, None],
+                      np.repeat(supports, rows, axis=0)].toarray()
         # a row meets each support column once, so equal counts leave no
         # nonzero entry off the support
-        if np.count_nonzero(stack) != np.count_nonzero(block):
+        if np.count_nonzero(stack) != block.count_nonzero():
             raise np.linalg.LinAlgError("a row has an entry off its group's "
                                         "support")
+        stack = stack.reshape(n_groups, rows, width)
         values.append(np.linalg.svd(stack, compute_uv=False).ravel())
         # each row's group, named by the group's first row
         group_of.append(np.repeat(np.arange(start, stop, rows), rows))
-        row_nnz.append(np.full(stop - start, width))
-        cols.append(np.repeat(supports, rows, axis=0).ravel())
-        entries.append(stack.ravel())
         start = stop
     if start != n_rows:
         raise np.linalg.LinAlgError("layout leaves matrix rows ungrouped")
     s = np.sort(np.concatenate(values))[::-1]
-    # M in CSR, gathered from the stacks, which hold all its nonzeros
-    # (sp.csr_matrix(m) would scan every entry of the dense matrix again)
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(row_nnz))])
-    csr = sp.csr_matrix((np.concatenate(entries), np.concatenate(cols),
-                         indptr), shape=m.shape)
-    csr.eliminate_zeros()
-    gram = (csr @ csr.T).tocoo()
+    gram = (m @ m.T).tocoo()
     group_of = np.concatenate(group_of)
     cross = gram.data[group_of[gram.row] != group_of[gram.col]]
     if not np.linalg.norm(cross) <= GRAM_TOL * s[-1]**2:
@@ -106,30 +101,27 @@ def _min_max_sv(mat: np.ndarray):
 def curl_path_kernel(lattice: Lattice, all_orders: bool = True) -> dict:
     """Smallest/largest singular value of the stacked (curl; path-average)
     map on bond fields; a trivial kernel means the pair is gauge-rigid."""
-    d = ext_d_matrix(lattice).toarray()
     tau = (av.path_average_matrix(lattice) if all_orders
            else av.tree_path_matrix(lattice)).matrix
-    lo, hi = _min_max_sv(np.vstack([d, tau]))
+    lo, hi = _min_max_sv(sp.vstack([ext_d_matrix(lattice), tau]).toarray())
     return {"min_sv": lo, "max_sv": hi, "trivial": lo > RANK_TOL * hi}
 
 
 def toron_closure_kernel(lattice: Lattice) -> dict:
     """As curl_path_kernel (tree version) with the winding averages added;
     on a torus this is what removes the constant-shift kernel."""
-    d = ext_d_matrix(lattice).toarray()
-    stack = np.vstack([d, av.tree_path_matrix(lattice).matrix,
+    stack = sp.vstack([ext_d_matrix(lattice),
+                       av.tree_path_matrix(lattice).matrix,
                        av.toron_average_matrix(lattice)])
-    lo, hi = _min_max_sv(stack)
+    lo, hi = _min_max_sv(stack.toarray())
     return {"min_sv": lo, "max_sv": hi, "trivial": lo > RANK_TOL * hi}
 
 
 def block_curl_ratio(lattice: Lattice) -> dict:
     """Largest value of |A|^2 / |dA|^2 over the kernel of the path average
     on a single open block, with the bound 3 L**dim it must satisfy."""
-    d = ext_d_matrix(lattice).toarray()
-    tau = av.path_average_matrix(lattice).matrix
-    B = kernel_basis(tau)
-    w = np.linalg.eigvalsh(B.T @ (d.T @ d) @ B)
+    B = kernel_basis(av.path_average_matrix(lattice).matrix)
+    w = np.linalg.eigvalsh(B.T @ curl_energy_form(lattice) @ B)
     ratio = 1.0 / float(w[0])
     return {"ratio": ratio, "bound": 3.0 * lattice.L**lattice.dim,
             "min_curl_eig": float(w[0])}
@@ -139,10 +131,8 @@ def global_coercivity(lattice: Lattice) -> dict:
     """Smallest eigenvalue of |dA|^2 + |block average A|^2 on the kernel of
     the path average (one blocking level), with its guaranteed floor
     1 / (108 L**4)."""
-    d = ext_d_matrix(lattice).toarray()
     qb = av.bond_average_matrix(lattice, 1)
-    tau = av.path_average_matrix(lattice).matrix
-    B = kernel_basis(tau)
-    form = d.T @ d + qb.T @ qb
+    B = kernel_basis(av.path_average_matrix(lattice).matrix)
+    form = curl_energy_form(lattice) + (qb.T @ qb).toarray()
     w = np.linalg.eigvalsh(B.T @ form @ B)
     return {"min_eig": float(w[0]), "floor": 1.0 / (108.0 * lattice.L**4)}

@@ -55,7 +55,7 @@ def test_criterion_2_toron_closure():
 
 def test_criterion_3_scalar_bijection():
     m = av.hierarchical_scalar_bijection_matrix(unit_torus(2, 3, 2), 2)
-    s = np.linalg.svd(m, compute_uv=False)
+    s = np.linalg.svd(m.toarray(), compute_uv=False)
     cond = s[0] / s[-1]
     ok = m.shape == (81, 81) and s[-1] > 1e-9 * s[0] and np.isfinite(cond)
     report("criterion 3 (hierarchical scalar bijection)", ok,

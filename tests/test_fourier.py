@@ -29,10 +29,12 @@ def _lstsq_residual(T, K):
 def _dense_identities(lat):
     """Dense (T, K) of the averaging suite's two kernel identities."""
     coarse = av.coarsened(lat)
-    closed = (ext_d_matrix(coarse).toarray() @ av.bond_average_matrix(lat, 1),
+    closed = (ext_d_matrix(coarse).toarray()
+              @ av.bond_average_matrix(lat, 1).toarray(),
               ext_d_matrix(lat).toarray())
-    recovery = (av.scalar_recovery_matrix(lat) @ grad_matrix(lat).toarray()
-                + np.eye(lat.n_sites), av.scalar_average_matrix(lat, 1))
+    recovery = (av.scalar_recovery_matrix(lat).toarray()
+                @ grad_matrix(lat).toarray() + np.eye(lat.n_sites),
+                av.scalar_average_matrix(lat, 1).toarray())
     return {"closed": closed, "recovery": recovery}
 
 

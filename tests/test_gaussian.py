@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from caxial import averaging as av
-from caxial.fields import ext_d_matrix, grad_matrix
+from caxial.fields import curl_energy_form, ext_d_matrix, grad_matrix
 from caxial.gaussian import (RANK_TOL, AffineSurface, ConstraintFactor,
                              IndefiniteOnSurface, QuadraticDensity,
                              SingularOperator, kernel_basis,
@@ -15,8 +15,7 @@ from caxial.gaussian import (RANK_TOL, AffineSurface, ConstraintFactor,
 from caxial.gauge_ops import average_constraints, get_context
 from caxial.lattice import fine_torus, unit_torus
 from caxial.rg_flow import (_one_shot_winding_constraints, _step_constraints,
-                            _winding_constraints, curl_energy_form,
-                            one_shot_constraints)
+                            _winding_constraints, one_shot_constraints)
 
 
 def rng(seed=3):
@@ -169,10 +168,12 @@ def _averaging_kernel_identities(dim, L, levels):
     inverts minus the gradient on zero-average scalars."""
     lat = unit_torus(dim, L, levels)
     coarse = av.coarsened(lat)
-    closed = (ext_d_matrix(coarse).toarray() @ av.bond_average_matrix(lat, 1),
+    closed = (ext_d_matrix(coarse).toarray()
+              @ av.bond_average_matrix(lat, 1).toarray(),
               ext_d_matrix(lat).toarray())
-    recovery = (av.scalar_recovery_matrix(lat) @ grad_matrix(lat).toarray()
-                + np.eye(lat.n_sites), av.scalar_average_matrix(lat, 1))
+    recovery = (av.scalar_recovery_matrix(lat).toarray()
+                @ grad_matrix(lat).toarray() + np.eye(lat.n_sites),
+                av.scalar_average_matrix(lat, 1).toarray())
     return {"closed": closed, "recovery": recovery}
 
 

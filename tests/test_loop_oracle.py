@@ -468,31 +468,47 @@ def test_calculus_matrices_match_loops(spec):
         assert np.array_equal(matrix.toarray(), loop)
 
 
+def _assert_canonical_csr(matrix):
+    assert sp.issparse(matrix) and matrix.format == "csr"
+    assert matrix.has_canonical_format
+
+
 @pytest.mark.parametrize("spec", BLOCKED, ids=_id)
 def test_averaging_matrices_match_loops(spec):
     lat, ref = _pair(spec)
-    for n in range(_levels(spec) + 1):
-        assert np.array_equal(av.scalar_average_matrix(lat, n),
-                              loop_scalar_average_matrix(ref, n))
+    n_levels = _levels(spec)
+    # one format for every averaging builder: canonical CSR, equal entry
+    # for entry to the loops
+    pairs = [(av.bond_average_matrix(lat, 1),
+              loop_bond_average_direct_matrix(ref, 1)),
+             (av.bond_average_matrix(lat, 0), np.eye(lat.n_bonds)),
+             (av.scalar_recovery_matrix(lat),
+              loop_scalar_recovery_matrix(ref)),
+             (av.hierarchical_scalar_bijection_matrix(lat, n_levels),
+              loop_hierarchical_scalar_bijection_matrix(ref, n_levels))]
+    for n in range(n_levels + 1):
+        pairs.append((av.scalar_average_matrix(lat, n),
+                      loop_scalar_average_matrix(ref, n)))
         if n:
-            assert np.array_equal(av.bond_average_direct_matrix(lat, n),
-                                  loop_bond_average_direct_matrix(ref, n))
-    assert np.array_equal(av.bond_average_matrix(lat, 1),
-                          loop_bond_average_direct_matrix(ref, 1))
+            pairs.append((av.bond_average_direct_matrix(lat, n),
+                          loop_bond_average_direct_matrix(ref, n)))
     for all_orders, build in ((True, av.path_average_matrix),
                               (False, av.tree_path_matrix)):
         matrix, rows = loop_path_average_build(ref, all_orders)
         tau = build(lat)
         assert tau.rows == rows
-        assert np.array_equal(tau.matrix, matrix)
-    assert np.array_equal(av.scalar_recovery_matrix(lat),
-                          loop_scalar_recovery_matrix(ref))
-    assert np.array_equal(
-        av.hierarchical_scalar_bijection_matrix(lat, _levels(spec)),
-        loop_hierarchical_scalar_bijection_matrix(ref, _levels(spec)))
+        pairs.append((tau.matrix, matrix))
     if spec.boundary == TORUS:
-        assert np.array_equal(av.toron_average_matrix(lat),
-                              loop_toron_average_matrix(ref))
+        pairs.append((av.toron_average_matrix(lat),
+                      loop_toron_average_matrix(ref)))
+    for matrix, loop in pairs:
+        _assert_canonical_csr(matrix)
+        assert np.array_equal(matrix.toarray(), loop)
+    # the sparse products of these
+    _assert_canonical_csr(av.bond_average_matrix(lat, n_levels))
+    _assert_canonical_csr(av.axial_constraint_stack(lat, n_levels).matrix)
+    if spec.boundary == TORUS:
+        _assert_canonical_csr(av.toron_average_full_matrix(lat, n_levels))
 
 
 @pytest.mark.parametrize("spec", BLOCKED, ids=_id)
@@ -501,18 +517,21 @@ def test_axial_stack_level_zero_is_an_unaliased_copy(spec):
     stack = av.axial_constraint_stack(lat, _levels(spec))
     # every level equals the path averages times the j-fold bond blocking,
     # level 0 included, where that blocking is the identity
-    for j, level in enumerate(stack.levels):
+    bounds = np.cumsum((0,) + stack.rows_per_level)
+    assert bounds[-1] == stack.matrix.shape[0]
+    for j, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
         tau = av.path_average_matrix(av.coarsened(lat, j)).matrix
-        assert np.array_equal(level, tau @ av.bond_average_matrix(lat, j))
+        assert np.array_equal(stack.matrix[start:stop].toarray(),
+                              (tau @ av.bond_average_matrix(lat, j)).toarray())
     cached = av.path_average_matrix(lat).matrix
     before = cached.copy()
-    stack.levels[0][...] = 7.0
-    assert np.array_equal(cached, before)
+    stack.matrix.data[...] = 7.0
+    assert (cached != before).nnz == 0
 
 
 def test_toron_average_of_one_site_torus_matches_loops():
     lat, ref = _pair(LatticeSpec(2, 3, -1, 1))
-    assert np.array_equal(av.toron_average_matrix(lat),
+    assert np.array_equal(av.toron_average_matrix(lat).toarray(),
                           loop_toron_average_matrix(ref))
 
 

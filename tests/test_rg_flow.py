@@ -100,7 +100,7 @@ def test_fluctuation_step_linear():
 
 
 def test_fluctuation_step_quadratic_cross_check():
-    from caxial.rg_flow import curl_energy_form
+    from caxial.fields import curl_energy_form
     ctx = get_context(2, 3, 2, 0)
     m = curl_energy_form(ctx.unit)
     out = fluctuation_step(2, 3, 2, 0, m)

@@ -46,7 +46,7 @@ def test_hierarchical_scalar_change_of_variables_invertible():
     fine = unit_torus(2, 3, 2)
     m = hierarchical_scalar_bijection_matrix(fine, 2)
     assert m.shape == (81, 81)
-    s = np.linalg.svd(m, compute_uv=False)
+    s = np.linalg.svd(m.toarray(), compute_uv=False)
     assert s[-1] > 1e-9 * s[0]
     assert np.isfinite(s[0] / s[-1])
 
@@ -60,7 +60,7 @@ def _bijection(dim, L, levels):
 @pytest.mark.parametrize("dim,L,levels", BIJECTION_INSTANCES)
 def test_grouped_certificate_matches_dense_svd(dim, L, levels):
     m, layout = _bijection(dim, L, levels)
-    dense = np.linalg.svd(m, compute_uv=False)       # the oracle
+    dense = np.linalg.svd(m.toarray(), compute_uv=False)     # the oracle
     s = grouped_singular_values(m, layout)
     assert s.shape == dense.shape
     assert np.abs(s - dense).max() <= 1e-12 * dense[0]
@@ -79,7 +79,7 @@ def test_row_groups_follow_the_matrix_rows():
 
 def test_entry_off_its_group_support_is_refused():
     m, layout = _bijection(2, 3, 2)
-    bad = m.copy()
+    bad = m.toarray()
     # the first level-0 row lives on the first block's nine sites
     off = np.setdiff1d(np.arange(m.shape[1]), layout[1][1][0])[0]
     bad[1, off] = 1e-300
@@ -89,7 +89,7 @@ def test_entry_off_its_group_support_is_refused():
 
 def test_top_row_not_orthogonal_to_the_levels_is_refused():
     m, layout = _bijection(2, 3, 2)
-    bad = m.copy()
+    bad = m.toarray()
     bad[0, 0] *= 1 + 1e-6                # still on its support
     with pytest.raises(np.linalg.LinAlgError, match="not orthogonal"):
         grouped_singular_values(bad, layout)
