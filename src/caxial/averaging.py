@@ -437,24 +437,6 @@ def fluctuation_basis(lattice: Lattice, tol: float = 1e-9) -> np.ndarray:
     return cols
 
 
-def fluctuation_parametrize(lattice: Lattice, values, tol: float = 1e-9,
-                            check_tol: float = 1e-9) -> BondField:
-    """Complete a bond field (central entries ignored) to the constraint
-    surface; the in-block part must already satisfy the path averages."""
-    v = np.array(values, dtype=float)
-    split = fluctuation_split(lattice)
-    tau = path_average_matrix(lattice).matrix
-    probe = v.copy()
-    probe[list(split.linking)] = 0.0
-    res = np.abs(tau @ probe).max()
-    scale = max(1.0, np.abs(v).max())
-    if res > check_tol * scale:
-        raise LatticeError(
-            f"in-block part is not in the path-average kernel (residual {res:g})")
-    v[list(split.central)] = solve_central(lattice, v)
-    return BondField(lattice, v)
-
-
 # -- field-level wrappers ----------------------------------------------------
 
 def q_scalar(f: ScalarField, n: int = 1) -> ScalarField:

@@ -29,16 +29,17 @@ import numpy as np
 
 from . import averaging as av
 from . import spectral
-from .fields import (ResourceCapExceeded, _guard, curl_energy_form,
-                     ext_d_matrix, grad_matrix, guarded_torus, inner,
+from .fields import (ResourceCapExceeded, _guard, apply_symmetry, codiff,
+                     curl_energy_form, ext_d, ext_d_matrix, grad,
+                     grad_matrix, guarded_torus, inner, laplacian_matrix,
                      max_ambient_dim, norm_sq, random_field, scale_field)
 from .gauge_ops import change_of_gauge_check, decay_profile, get_context
 from .gaussian import QuadraticDensity, kernel_residual, surface_min_eig
 from .lattice import (LatticeSpec, clear_caches, instance_cache, open_cube,
                       unit_torus)
 from .rg_flow import (final_step, fluctuation_step, flow_states,
-                      minimizer_composition_residual, one_shot_final,
-                      one_shot_state, z_constants)
+                      fluctuation_surface, minimizer_composition_residual,
+                      one_shot_final, one_shot_state, z_constants)
 
 SCHEMA_VERSION = 1
 
@@ -52,6 +53,13 @@ DEFAULT_INSTANCES = (
     (2, 5, 1), (2, 5, 2), (2, 5, 3),
     (3, 3, 1), (3, 3, 2),
 )
+
+# the fixed parameters of the checks; every report echoes them
+A_LIST = (1.0, 2.0)             # Green's-function regulators
+ALPHA_LIST = (0.5, 2.0)         # Feynman gauge-fixing weights
+X_LIST = (0.1, 1.0, 10.0)       # covariance shifts, besides 0
+NPOINTS = 200                   # square-root quadrature nodes
+DECAY_MIN_CORR = 0.9            # floor of the decay fit's |correlation|
 
 
 class ConfigError(Exception):
@@ -75,21 +83,20 @@ def _list_of(value, check) -> bool:
 class RunConfig:
     """What `caxial verify` runs and with which thresholds.
 
+    The fields are the JSON config keys; any other key is an error.
     identity_tol is the threshold of the identity checks.  rank_tol is the
     threshold of the gauge_surface floor checks and the relative rank cut
     of the averaging suite's kernel certificates; the constraint factors
-    of the rg and gauge suites keep the fixed gaussian.RANK_TOL.
+    of the rg and gauge suites keep the fixed gaussian.RANK_TOL.  The
+    regulators, gauge-fixing weights, shifts, quadrature nodes and decay
+    floor are the module constants A_LIST, ALPHA_LIST, X_LIST, NPOINTS and
+    DECAY_MIN_CORR.
     """
 
     instances: tuple = DEFAULT_INSTANCES
     suites: tuple = SUITES
     identity_tol: float = 1e-8
     rank_tol: float = 1e-9
-    decay_min_corr: float = 0.9
-    a_list: tuple = (1.0, 2.0)
-    alpha_list: tuple = (0.5, 2.0)
-    x_list: tuple = (0.1, 1.0, 10.0)
-    npoints: int = 200
     seed: int = 42
     report: str = None
     csv_dir: str = None
@@ -103,6 +110,8 @@ class RunConfig:
         for s in self.suites:
             if s not in SUITES:
                 raise ConfigError(f"unknown suite {s!r}")
+        if len(set(self.suites)) != len(self.suites):
+            raise ConfigError(f"suites: {self.suites!r} repeats a suite")
         if not isinstance(self.instances, (list, tuple)) or not self.instances:
             raise ConfigError("no instances configured")
         for inst in self.instances:
@@ -112,17 +121,14 @@ class RunConfig:
             dim, L, levels = inst
             if dim not in (2, 3) or L < 3 or L % 2 == 0 or levels < 1:
                 raise ConfigError(f"bad instance {inst}")
-        for name in ("identity_tol", "rank_tol", "decay_min_corr"):
+        if len(set(map(tuple, self.instances))) != len(self.instances):
+            raise ConfigError(f"instances: {self.instances!r} repeats an "
+                              "instance")
+        for name in ("identity_tol", "rank_tol"):
             if not _number(getattr(self, name)):
                 raise ConfigError(f"{name} must be a number")
-        for name in ("a_list", "alpha_list", "x_list"):
-            value = getattr(self, name)
-            if not _list_of(value, _number) or not value:
-                raise ConfigError(f"{name} must be a list of numbers")
         if not (self.identity_tol > 0 and self.rank_tol > 0):
             raise ConfigError("tolerances must be positive")
-        if not _integer(self.npoints) or self.npoints < 2:
-            raise ConfigError("npoints must be an integer of at least 2")
         if not _integer(self.seed) or self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
         for name in ("report", "csv_dir"):
@@ -213,14 +219,49 @@ class Runner:
         return record
 
     def rng(self, *salt) -> np.random.Generator:
-        return np.random.default_rng((self.config.seed,) + salt)
+        return _rng(self.config.seed, *salt)
 
+
+def _rng(seed, *salt) -> np.random.Generator:
+    """The random stream of a check, salted by the check and instance."""
+    return np.random.default_rng((seed,) + salt)
+
+
+# Values that several checks of an instance read are computed once by an
+# instance cache, keyed on everything the value depends on.  An exception
+# is not cached, so each check that reads the value records its own.
 
 @instance_cache
 def _flow(dim, L, n_levels):
-    """The iterated flow of an instance, shared by its suites; an exception
-    is not cached, so each check that reads the flow records its own."""
+    """The iterated flow of an instance, shared by the lower_bound and rg
+    suites."""
     return flow_states(dim, L, n_levels)
+
+
+@instance_cache
+def _spectral_root(dim, L, n_levels, level):
+    return get_context(dim, L, n_levels, level).cov_sqrt_spectral()
+
+
+@instance_cache
+def _quadrature_root(dim, L, n_levels, level, npoints):
+    return get_context(dim, L, n_levels, level).cov_sqrt_quadrature(npoints)
+
+
+@instance_cache
+def _minimizer_profile(dim, L, n_levels):
+    """The decay profile of the level-1 axial minimizer."""
+    c = get_context(dim, L, n_levels, 1)
+    return decay_profile(c.axial_minimizer, c.fine, c.unit)
+
+
+@instance_cache
+def _change_of_gauge(dim, L, n_levels, seed):
+    """The appendix's change of gauge at level 1, applied to a random bond
+    vector."""
+    c = get_context(dim, L, n_levels, 1)
+    rng = _rng(seed, 9, dim, L, n_levels)
+    return change_of_gauge_check(c, rng.standard_normal(c.unit.n_bonds))
 
 
 def _rel(a, b):
@@ -283,7 +324,6 @@ def suite_calculus(run: Runner, inst):
         rng = run.rng(1, *inst)
         f = random_field(lattice, "site", rng)
         A = random_field(lattice, "bond", rng)
-        from .fields import grad, codiff
         lhs = inner(grad(f), A)
         rhs = inner(f, codiff("bond", lattice)(A))
         return abs(lhs - rhs) / max(abs(rhs), 1.0)
@@ -294,7 +334,6 @@ def suite_calculus(run: Runner, inst):
     def scale_inv():
         fine = guarded_torus(dim, L, 1, levels)
         A = random_field(fine, "bond", run.rng(2, *inst))
-        from .fields import ext_d
         before = norm_sq(ext_d(A))
         after = norm_sq(ext_d(scale_field(A, 1)))
         return abs(before - after) / max(abs(before), 1.0)
@@ -307,7 +346,6 @@ def suite_calculus(run: Runner, inst):
         A = random_field(lattice, "bond", run.rng(3, *inst))
         tau = av.path_average_matrix(lattice)
         worst = 0.0
-        from .fields import apply_symmetry
         by_pair = dict(zip(tau.rows, tau.matrix @ A.values))
         for sym in lattice.symmetries()[:6]:
             lhs = tau.matrix @ apply_symmetry(sym, A).values
@@ -431,16 +469,16 @@ def suite_feynman_landau(run: Runner, inst):
                               @ ctx().proj_div()), tol)
 
     def a_indep():
-        a1, a2 = run.config.a_list[0], run.config.a_list[-1]
+        a1, a2 = A_LIST
         return _maxabs(ctx().proj_div(a1) - ctx().proj_div(a2))
     run.check("feynman_landau.projector_regulator_independence",
               "the divergence projector does not depend on the regulator",
               inst, a_indep, tol)
 
     def alpha_indep():
-        forms = [ctx().effective_form("feynman", al)
-                 for al in run.config.alpha_list]
-        return max(_rel(f, forms[0]) for f in forms[1:])
+        first, second = (ctx().effective_form("feynman", al)
+                         for al in ALPHA_LIST)
+        return _rel(second, first)
     run.check("feynman_landau.alpha_independence",
               "the effective coarse form does not depend on the "
               "gauge-fixing weight", inst, alpha_indep, tol)
@@ -497,7 +535,6 @@ def suite_lower_bound(run: Runner, inst):
         for state in _flow(*inst):
             if state.level >= levels:
                 break
-            from .rg_flow import fluctuation_surface
             worst = min(worst, surface_min_eig(
                 QuadraticDensity(state.density.form),
                 fluctuation_surface(state.lattice)))
@@ -512,9 +549,9 @@ def suite_representation(run: Runner, inst):
 
     ctx = functools.partial(get_context, *inst, 0)
 
-    for a in run.config.a_list:
+    for a in A_LIST:
         def rep(a=a):
-            xs = (0.0,) + tuple(run.config.x_list)
+            xs = (0.0,) + X_LIST
             return max(ctx().rep_check(xs, a).values())
         run.check(f"representation.covariance_identity_a{a:g}",
                   "the fluctuation covariance equals the compressed "
@@ -530,7 +567,7 @@ def suite_representation(run: Runner, inst):
 
     def projection():
         c = ctx()
-        x = run.config.x_list[0]
+        x = X_LIST[0]
         g = c.tilde_green(x)
         op = np.linalg.inv(c.fine_green(x))
         return _maxabs(g @ op @ g - g)
@@ -599,28 +636,17 @@ def suite_rg(run: Runner, inst):
 def suite_sqrt(run: Runner, inst):
     levels = inst[2]
     # at a single level the blocked lattice degenerates; stay at level 0
-    ctx = functools.partial(get_context, *inst, 1 if levels >= 2 else 0)
+    key = (*inst, 1 if levels >= 2 else 0)
 
-    # each root is computed once per instance; an exception is not cached,
-    # so each check records it
-    @functools.cache
-    def spectral_root():
-        return ctx().cov_sqrt_spectral()
+    def error(npoints):
+        return _maxabs(_quadrature_root(*key, npoints) - _spectral_root(*key))
 
-    @functools.cache
-    def quadrature_root(npoints):
-        return ctx().cov_sqrt_quadrature(npoints)
-
-    def quadrature():
-        return _maxabs(quadrature_root(run.config.npoints) - spectral_root())
     run.check("sqrt.quadrature_matches_spectral",
               "the quadrature square root matches the spectral one", inst,
-              quadrature, 1e-6)
+              lambda: error(NPOINTS), 1e-6)
 
     def converges():
-        half = max(run.config.npoints // 2, 2)
-        e_half = _maxabs(quadrature_root(half) - spectral_root())
-        e_full = _maxabs(quadrature_root(run.config.npoints) - spectral_root())
+        e_half, e_full = error(NPOINTS // 2), error(NPOINTS)
         # both may already sit on the rounding floor; only a genuine
         # regression above it counts against convergence
         return e_full / max(e_half, 1e-12)
@@ -629,8 +655,8 @@ def suite_sqrt(run: Runner, inst):
               "error", inst, converges, 1.0)
 
     def square():
-        root = spectral_root()
-        return _maxabs(root @ root - ctx().fluct_cov(0.0))
+        root = _spectral_root(*key)
+        return _maxabs(root @ root - get_context(*key).fluct_cov(0.0))
     run.check("sqrt.root_squares_to_covariance",
               "the square of the computed root is the fluctuation "
               "covariance", inst, square, run.config.identity_tol)
@@ -641,7 +667,6 @@ def suite_decay(run: Runner, inst):
 
     def massive():
         lattice = guarded_torus(dim, L, 0, 1)
-        from .fields import laplacian_matrix
         g0 = np.linalg.inv(laplacian_matrix(lattice).toarray()
                            + np.eye(lattice.n_sites))
         prof = decay_profile(g0, lattice, lattice, kind="site")
@@ -651,16 +676,9 @@ def suite_decay(run: Runner, inst):
               "the massive Green's function decays (negative fitted "
               "log-slope)", inst, massive, 0.0)
 
-    # both minimizer checks read one profile; an exception is not cached,
-    # so each check records it
-    @functools.cache
-    def minimizer_profile():
-        c = get_context(*inst, 1)
-        return decay_profile(c.axial_minimizer, c.fine, c.unit)
-
     if levels >= 2:
         def minimizer():
-            prof = minimizer_profile()
+            prof = _minimizer_profile(*inst)
             run.decay_tables[("minimizer", dim, L, levels)] = prof["table"]
             return prof["slope"]
         run.check("decay.minimizer_kernel_slope",
@@ -670,25 +688,18 @@ def suite_decay(run: Runner, inst):
     # the fit-quality gate needs enough distance classes: side >= 27
     if dim == 2 and L ** levels >= 27:
         def correlated():
-            return -minimizer_profile()["correlation"]
+            return -_minimizer_profile(*inst)["correlation"]
         run.check("decay.minimizer_fit_quality",
                   "on a large instance the exponential fit of the "
                   "minimizer kernel is tight", inst, correlated,
-                  run.config.decay_min_corr, "floor")
+                  DECAY_MIN_CORR, "floor")
 
 
 def suite_appendix(run: Runner, inst):
-    levels = inst[2]
     tol = run.config.identity_tol
-    ctx = functools.partial(get_context, *inst, min(1, levels))
 
-    # both checks read one computation; an exception is not cached, so
-    # each check records it
-    @functools.cache
     def result():
-        c = ctx()
-        rng = run.rng(9, *inst)
-        return change_of_gauge_check(c, rng.standard_normal(c.unit.n_bonds))
+        return _change_of_gauge(*inst, run.config.seed)
 
     run.check("appendix.scalar_split_dimensions",
               "coarse scalars plus divergence directions exhaust the fine "
@@ -733,11 +744,11 @@ def build_report(config: RunConfig, checks) -> dict:
             "suites": list(config.suites),
             "identity_tol": config.identity_tol,
             "rank_tol": config.rank_tol,
-            "decay_min_corr": config.decay_min_corr,
-            "a_list": list(config.a_list),
-            "alpha_list": list(config.alpha_list),
-            "x_list": list(config.x_list),
-            "npoints": config.npoints,
+            "decay_min_corr": DECAY_MIN_CORR,
+            "a_list": list(A_LIST),
+            "alpha_list": list(ALPHA_LIST),
+            "x_list": list(X_LIST),
+            "npoints": NPOINTS,
             "seed": config.seed,
             "max_ambient_dim": max_ambient_dim(),
         },

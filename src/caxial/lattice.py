@@ -116,15 +116,6 @@ class LatticeSpec:
         return LatticeSpec(self.dim, self.L, self.scale_exp + n, self.size_exp - n,
                            self.boundary)
 
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "L": self.L, "scale_exp": self.scale_exp,
-                "size_exp": self.size_exp, "boundary": self.boundary}
-
-    @staticmethod
-    def from_json(obj: dict) -> "LatticeSpec":
-        return LatticeSpec(obj["dim"], obj["L"], obj["scale_exp"],
-                           obj["size_exp"], obj["boundary"])
-
 
 @dataclass(frozen=True)
 class Path:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from caxial.lattice import LatticeError, open_cube, unit_torus, fine_torus
+from caxial.lattice import open_cube, unit_torus, fine_torus
 from caxial.fields import (BOND, SITE, BondField, ScalarField, apply_symmetry,
                            grad, grad_matrix, random_field, scale_field)
 from caxial import averaging as av
@@ -283,9 +283,3 @@ def test_fluctuation_basis_range_and_rank():
     assert kdim == null_dim
     assert np.linalg.matrix_rank(C, tol=1e-9) == kdim
 
-
-def test_fluctuation_parametrize_checks_kernel():
-    lat = unit_torus(2, 3, 1)
-    r = rng()
-    with pytest.raises(LatticeError):
-        av.fluctuation_parametrize(lat, r.standard_normal(lat.n_bonds))

@@ -31,24 +31,40 @@ def strip_times(report):
     return out
 
 
-def test_all_pass_on_small_instance():
-    report, _ = run_verification(small_config())
-    assert report["summary"]["fail"] == 0
-    assert report["summary"]["error"] == 0
-    assert report["summary"]["total"] == len(report["checks"])
+# every suite on the small instances; on the larger ones only the suites
+# that build no level context or flow, which take seconds to minutes
+# there (decay on (2,3,3) is run by
+# test_decay_profiles_the_minimizer_once_per_instance)
+SMALL_INSTANCES = ((2, 3, 1), (2, 3, 2), (2, 5, 1), (3, 3, 1))
+LARGE_INSTANCES = ((2, 3, 3), (2, 5, 2), (3, 3, 2))
+STRUCTURE_SUITES = ("geometry", "calculus", "averaging", "gauge_surface")
+CHECK_MATRIX = ([(s, i) for s in cli.SUITES for i in SMALL_INSTANCES]
+                + [(s, i) for s in STRUCTURE_SUITES for i in LARGE_INSTANCES])
+
+
+@pytest.mark.parametrize("suite, inst", CHECK_MATRIX,
+                         ids=[f"{s}-{'-'.join(map(str, i))}"
+                              for s, i in CHECK_MATRIX])
+def test_verify_checks_pass(suite, inst):
+    # the paper's statements, checked by the CLI's own suites at the
+    # tighter identity threshold 1e-9
+    report, _ = run_verification(RunConfig(
+        instances=(inst,), suites=(suite,), identity_tol=1e-9).validate())
+    assert report["checks"]
+    for c in report["checks"]:
+        assert c["anchor"]
+        # the fine torus of the scale-invariance check is over the cap on
+        # the large instances
+        skip_ok = (c["check_id"] == "calculus.curl_energy_scale_invariance"
+                   and inst in LARGE_INSTANCES)
+        allowed = ("PASS", "SKIPPED") if skip_ok else ("PASS",)
+        assert c["status"] in allowed, c
 
 
 def test_report_reproducible_except_wall_time():
     r1, _ = run_verification(small_config(suites=("calculus", "rg")))
     r2, _ = run_verification(small_config(suites=("calculus", "rg")))
     assert strip_times(r1) == strip_times(r2)
-
-
-def test_report_records_every_check_with_anchor():
-    report, _ = run_verification(small_config())
-    for c in report["checks"]:
-        assert c["anchor"]
-        assert c["status"] in ("PASS", "FAIL", "ERROR", "SKIPPED")
 
 
 def test_resource_cap_records_skip(monkeypatch):
@@ -175,7 +191,7 @@ def test_sqrt_evaluates_each_root_once_per_instance(monkeypatch):
     config = small_config(instances=((2, 3, 1), (2, 5, 1)), suites=("sqrt",))
     report, _ = run_verification(config)
     assert {c["status"] for c in report["checks"]} == {"PASS"}
-    n = config.npoints
+    n = cli.NPOINTS
     assert nodes == [n, n // 2] * 2
     assert len(roots) == 2
 
@@ -309,16 +325,19 @@ def test_exit_code_two_on_bad_config(tmp_path, capsys):
     ("instances", [[2, 3]]),
     ("instances", [[2, 3.0, 1]]),
     ("instances", [[2, 3, True]]),
-    ("npoints", "x"),
+    ("instances", [[2, 3, 1], [2, 3, 1]]),
+    ("npoints", 200),
     ("seed", -1),
     ("seed", 1.5),
     ("suites", "rg"),
+    ("suites", ["geometry", "geometry"]),
     ("identity_tol", "1e-8"),
-    ("a_list", []),
+    ("a_list", [1.0, 2.0]),
     ("csv_dir", 5),
-], ids=["short-instance", "float-L", "bool-levels", "text-npoints",
-        "negative-seed", "float-seed", "suites-string", "text-tolerance",
-        "empty-a-list", "number-csv-dir"])
+], ids=["short-instance", "float-L", "bool-levels", "repeated-instance",
+        "unknown-npoints", "negative-seed", "float-seed", "suites-string",
+        "repeated-suite", "text-tolerance", "unknown-a-list",
+        "number-csv-dir"])
 def test_malformed_config_value_is_config_error(key, value, tmp_path,
                                                 capsys):
     data = {"instances": [[2, 3, 1]], "suites": ["calculus"], key: value}

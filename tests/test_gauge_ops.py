@@ -20,6 +20,11 @@ def ctx1():
     return get_context(2, 3, 2, 1)
 
 
+# the level-1 contexts of the default instances over 2 levels, from the
+# smallest to the largest
+LEVEL_ONE = ((2, 3, 2, 1), (2, 3, 3, 1), (2, 5, 2, 1), (3, 3, 2, 1))
+
+
 def test_get_context_guards_every_fetch(monkeypatch):
     ctx = get_context(2, 3, 2, 0)
     assert get_context(2, 3, 2, 0) is ctx
@@ -47,18 +52,20 @@ def test_green_inverts_regularized_laplacian():
 
 
 def test_projectors_orthogonal_and_complementary():
-    c = ctx1()
-    p, r = c.proj_range(), c.proj_div()
-    assert np.abs(p @ p - p).max() < TOL
-    assert np.abs(r @ r - r).max() < TOL
-    assert np.abs(p + r - np.eye(c.fine.n_sites)).max() < TOL
-    assert np.abs(r - r.T).max() < TOL
+    for inst in LEVEL_ONE:
+        c = get_context(*inst)
+        p, r = c.proj_range(), c.proj_div()
+        assert np.abs(p @ p - p).max() < TOL, inst
+        assert np.abs(r @ r - r).max() < TOL, inst
+        assert np.abs(p + r - np.eye(c.fine.n_sites)).max() < TOL, inst
+        assert np.abs(r - r.T).max() < TOL, inst
 
 
 def test_average_green_kills_div_projector():
-    c = ctx1()
-    assert np.abs(c.scalar_average @ c.green_scalar()
-                  @ c.proj_div()).max() < TOL
+    for inst in LEVEL_ONE:
+        c = get_context(*inst)
+        assert np.abs(c.scalar_average @ c.green_scalar()
+                      @ c.proj_div()).max() < TOL, inst
 
 
 def test_div_projector_independent_of_regulator():
@@ -86,14 +93,19 @@ def test_axial_minimizer_satisfies_constraints():
 
 
 def test_feynman_minimizer_constraint_and_alpha_independence():
-    c = ctx1()
-    h = c.feynman_minimizer()
-    assert np.abs(c.bond_average @ h - np.eye(c.unit.n_bonds)).max() < 1e-9
-    d1 = c.effective_form("feynman")
-    d2 = GaugeContext(2, 3, 2, 1).effective_form("feynman", alpha=0.25)
-    d3 = GaugeContext(2, 3, 2, 1).effective_form("feynman", alpha=4.0)
-    assert np.abs(d1 - d2).max() < 1e-9
-    assert np.abs(d1 - d3).max() < 1e-9
+    # level 0 degenerates to the identity map; level 1 is the real test
+    for level in (0, 1):
+        c = get_context(2, 3, 2, level)
+        h = c.feynman_minimizer()
+        assert np.abs(c.bond_average @ h
+                      - np.eye(c.unit.n_bonds)).max() < 1e-9
+        d1 = c.effective_form("feynman")
+        d2 = GaugeContext(2, 3, 2, level).effective_form("feynman",
+                                                         alpha=0.25)
+        d3 = GaugeContext(2, 3, 2, level).effective_form("feynman",
+                                                         alpha=4.0)
+        assert np.abs(d1 - d2).max() < 1e-9
+        assert np.abs(d1 - d3).max() < 1e-9
 
 
 def test_axial_and_feynman_forms_agree():
@@ -104,13 +116,14 @@ def test_axial_and_feynman_forms_agree():
 
 
 def test_minimizers_differ_by_pure_gauge():
-    c = ctx1()
-    diff = c.feynman_minimizer() - c.axial_minimizer
-    # same curl ...
-    assert np.abs(ext_d_matrix(c.fine) @ diff).max() < 1e-9
-    # ... and the difference is an exact gradient of some potential
-    pot, *_ = np.linalg.lstsq(c.grad_fine, diff, rcond=None)
-    assert np.abs(c.grad_fine @ pot - diff).max() < 1e-8
+    for level in (0, 1):
+        c = get_context(2, 3, 2, level)
+        diff = c.feynman_minimizer() - c.axial_minimizer
+        # same curl ...
+        assert np.abs(ext_d_matrix(c.fine) @ diff).max() < 1e-9
+        # ... and the difference is an exact gradient of some potential
+        pot, *_ = np.linalg.lstsq(c.grad_fine, diff, rcond=None)
+        assert np.abs(c.grad_fine @ pot - diff).max() < 1e-8
 
 
 def test_effective_form_kills_coarse_gradients():

@@ -8,7 +8,7 @@ import pytest
 import caxial
 from caxial import lattice
 from caxial.lattice import (LatticeSpec, LatticeError, build_lattice,
-                            open_cube, unit_torus, OPEN_CUBE)
+                            open_cube, unit_torus)
 
 
 def test_open_cube_counts_d2_l5():
@@ -246,11 +246,6 @@ def test_symmetry_path_family_covariance():
                                        for b, _ in p.steps)))
         target = [tuple(sorted(b for b, _ in p.steps)) for p in fam_rx]
         assert sorted(mapped) == sorted(target)
-
-
-def test_spec_json_roundtrip():
-    spec = LatticeSpec(3, 3, 1, 1, OPEN_CUBE)
-    assert LatticeSpec.from_json(spec.to_json()) == spec
 
 
 def test_every_cache_is_one_bounded_instance_cache():
