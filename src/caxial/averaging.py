@@ -413,7 +413,7 @@ def solve_central(lattice: Lattice, values: np.ndarray) -> np.ndarray:
 
 
 @instance_cache
-def fluctuation_basis(lattice: Lattice, tol: float = 1e-9) -> np.ndarray:
+def fluctuation_basis(lattice: Lattice) -> np.ndarray:
     """Columns parametrizing {bond average = 0, path average = 0}.
 
     First columns: an orthonormal basis of the path-average kernel on
@@ -428,7 +428,7 @@ def fluctuation_basis(lattice: Lattice, tol: float = 1e-9) -> np.ndarray:
     z1 = list(split.in_block)
     if np.any(tau[:, list(split.linking)] != 0):
         raise LatticeError("path averages touch linking bonds")
-    kernel = kernel_basis(tau[:, z1], tol)
+    kernel = kernel_basis(tau[:, z1])
     n_kernel, noncentral = kernel.shape[1], list(split.noncentral)
     cols = np.zeros((lattice.n_bonds, n_kernel + len(noncentral)))
     cols[z1, :n_kernel] = kernel

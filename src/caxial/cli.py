@@ -34,7 +34,8 @@ from .fields import (ResourceCapExceeded, _guard, apply_symmetry, codiff,
                      grad_matrix, guarded_torus, inner, laplacian_matrix,
                      max_ambient_dim, norm_sq, random_field, scale_field)
 from .gauge_ops import change_of_gauge_check, decay_profile, get_context
-from .gaussian import QuadraticDensity, kernel_residual, surface_min_eig
+from .gaussian import (RANK_TOL, QuadraticDensity, kernel_residual,
+                       surface_min_eig)
 from .lattice import (LatticeSpec, clear_caches, instance_cache, open_cube,
                       unit_torus)
 from .rg_flow import (final_step, fluctuation_step, flow_states,
@@ -84,19 +85,17 @@ class RunConfig:
     """What `caxial verify` runs and with which thresholds.
 
     The fields are the JSON config keys; any other key is an error.
-    identity_tol is the threshold of the identity checks.  rank_tol is the
-    threshold of the gauge_surface floor checks and the relative rank cut
-    of the averaging suite's kernel certificates; the constraint factors
-    of the rg and gauge suites keep the fixed gaussian.RANK_TOL.  The
-    regulators, gauge-fixing weights, shifts, quadrature nodes and decay
-    floor are the module constants A_LIST, ALPHA_LIST, X_LIST, NPOINTS and
-    DECAY_MIN_CORR.
+    identity_tol is the threshold of the identity checks.  The one rank
+    cut, gaussian.RANK_TOL, is the threshold of the gauge_surface floor
+    checks and the relative rank cut of every kernel certificate and
+    constraint factor.  The regulators, gauge-fixing weights, shifts,
+    quadrature nodes and decay floor are the module constants A_LIST,
+    ALPHA_LIST, X_LIST, NPOINTS and DECAY_MIN_CORR.
     """
 
     instances: tuple = DEFAULT_INSTANCES
     suites: tuple = SUITES
     identity_tol: float = 1e-8
-    rank_tol: float = 1e-9
     seed: int = 42
     report: str = None
     csv_dir: str = None
@@ -124,11 +123,10 @@ class RunConfig:
         if len(set(map(tuple, self.instances))) != len(self.instances):
             raise ConfigError(f"instances: {self.instances!r} repeats an "
                               "instance")
-        for name in ("identity_tol", "rank_tol"):
-            if not _number(getattr(self, name)):
-                raise ConfigError(f"{name} must be a number")
-        if not (self.identity_tol > 0 and self.rank_tol > 0):
-            raise ConfigError("tolerances must be positive")
+        if not _number(self.identity_tol):
+            raise ConfigError("identity_tol must be a number")
+        if not self.identity_tol > 0:
+            raise ConfigError("identity_tol must be positive")
         if not _integer(self.seed) or self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
         for name in ("report", "csv_dir"):
@@ -364,7 +362,6 @@ def suite_calculus(run: Runner, inst):
 def suite_averaging(run: Runner, inst):
     dim, L, levels = inst
     tol = run.config.identity_tol
-    rank_tol = run.config.rank_tol
 
     def lat():
         return guarded_torus(dim, L, 0, levels)
@@ -381,8 +378,7 @@ def suite_averaging(run: Runner, inst):
               "average", inst, intertwine, tol)
 
     def stokes():
-        return kernel_residual(*av.closed_average_symbols(lat()),
-                               tol=rank_tol)
+        return kernel_residual(*av.closed_average_symbols(lat()))
     run.check("averaging.closed_fields_average_closed",
               "the block average of a curl-free field is curl-free", inst,
               stokes, tol)
@@ -400,8 +396,7 @@ def suite_averaging(run: Runner, inst):
               "and has zero block average", inst, recovery, tol)
 
     def recovery_inverse():
-        return kernel_residual(*av.recovery_inverse_symbols(lat()),
-                               tol=rank_tol)
+        return kernel_residual(*av.recovery_inverse_symbols(lat()))
     run.check("averaging.recovery_inverts_gradient",
               "on zero-average scalars the recovery operator inverts minus "
               "the gradient", inst, recovery_inverse, tol)
@@ -419,7 +414,6 @@ def suite_averaging(run: Runner, inst):
 
 def suite_gauge_surface(run: Runner, inst):
     dim, L, levels = inst
-    rank_tol = run.config.rank_tol
 
     for label, all_orders in (("tree", False), ("averaged", True)):
         def kernel(all_orders=all_orders):
@@ -428,7 +422,7 @@ def suite_gauge_surface(run: Runner, inst):
         run.check(f"gauge_surface.block_rigidity_{label}",
                   "curl plus path averages determine the field on an open "
                   "block (smallest relative singular value)", inst, kernel,
-                  rank_tol, "floor")
+                  RANK_TOL, "floor")
 
     def closure():
         lattice = guarded_torus(dim, L, 0, 1)
@@ -436,7 +430,7 @@ def suite_gauge_surface(run: Runner, inst):
         return out["min_sv"] / out["max_sv"]
     run.check("gauge_surface.toron_closure",
               "winding averages close the residual kernel on the torus",
-              inst, closure, rank_tol, "floor")
+              inst, closure, RANK_TOL, "floor")
 
     def bijection():
         _guard(LatticeSpec(dim, L, 0, levels).n_sites * 4)
@@ -447,7 +441,7 @@ def suite_gauge_surface(run: Runner, inst):
         return s[-1] / s[0]
     run.check("gauge_surface.scalar_hierarchy_bijection",
               "the hierarchical scalar change of variables is square and "
-              "invertible", inst, bijection, rank_tol, "floor")
+              "invertible", inst, bijection, RANK_TOL, "floor")
 
 
 def suite_feynman_landau(run: Runner, inst):
@@ -743,7 +737,7 @@ def build_report(config: RunConfig, checks) -> dict:
             "instances": [list(i) for i in config.instances],
             "suites": list(config.suites),
             "identity_tol": config.identity_tol,
-            "rank_tol": config.rank_tol,
+            "rank_tol": RANK_TOL,
             "decay_min_corr": DECAY_MIN_CORR,
             "a_list": list(A_LIST),
             "alpha_list": list(ALPHA_LIST),

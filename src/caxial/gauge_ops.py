@@ -10,7 +10,7 @@ that read them, not part of the context: the identities hold for every
 value.  On top of it live
 
 * the scalar Green's function G = (-Lap + a Q^T Q)^-1,
-* the projector R onto Lap(ker Q) and its complement P,
+* the projector R onto Lap(ker Q),
 * the constrained minimizers of the curl energy (axial constraints) and of
   the curl energy plus the projected-divergence penalty (Feynman form),
 * the effective coarse form Delta and the fluctuation covariance
@@ -30,9 +30,14 @@ from scipy.special import roots_legendre
 
 from . import averaging as av
 from .fields import _guard, curl_energy_form, grad_matrix
-from .gaussian import (ConstraintFactor, IndefiniteOnSurface,
-                       SingularOperator, minimizer_map, positive_cholesky)
+from .gaussian import (AffineSurface, ConstraintFactor, IndefiniteOnSurface,
+                       QuadraticDensity, SingularOperator,
+                       constrained_minimize, minimizer_map, positive_cholesky,
+                       subspace_covariance)
 from .lattice import Lattice, LatticeSpec, build_lattice, instance_cache
+
+
+DECAY_FLOOR = 1e-13   # decay classes peaking at or below it are left unfitted
 
 
 def sym_norm2(m: np.ndarray) -> float:
@@ -149,29 +154,23 @@ class GaugeContext:
             self.scalar_average, self.scalar_average_adj, a))
 
     def _projectors_for(self, q, q_adj, a):
+        """R = I - P for P the orthogonal projector onto range(G Q^T)."""
         g = self._green_for(q, q_adj, a)
         core = q @ g @ g @ q_adj
         p = g @ q_adj @ np.linalg.solve(core, q @ g)
-        return 0.5 * (p + p.T), np.eye(p.shape[0]) - 0.5 * (p + p.T)
-
-    def _pr(self, a):
-        return self._per_a("projectors", a, lambda: self._projectors_for(
-            self.scalar_average, self.scalar_average_adj, a))
-
-    def proj_range(self, a: float = 1.0) -> np.ndarray:
-        """P: orthogonal projector onto range(G Q^T)."""
-        return self._pr(a)[0]
+        return np.eye(p.shape[0]) - 0.5 * (p + p.T)
 
     def proj_div(self, a: float = 1.0) -> np.ndarray:
-        """R = I - P: orthogonal projector onto Lap(ker Q)."""
-        return self._pr(a)[1]
+        """R: orthogonal projector onto Lap(ker Q)."""
+        return self._per_a("proj_div", a, lambda: self._projectors_for(
+            self.scalar_average, self.scalar_average_adj, a))
 
     def proj_div_next(self, a: float = 1.0) -> np.ndarray:
         """R built from the (k+1)-level scalar average."""
         q = self.scalar_average_next
         q_adj = float(self.L) ** ((self.level + 1) * self.dim) * q.T
         return self._per_a("proj_div_next", a,
-                           lambda: self._projectors_for(q, q_adj, a)[1])
+                           lambda: self._projectors_for(q, q_adj, a))
 
     # -- minimizers and the effective form ----------------------------------
 
@@ -357,8 +356,6 @@ def change_of_gauge_check(ctx: GaugeContext, coarse_field: np.ndarray) -> dict:
     Returns the dimension check of the underlying scalar bijection, its
     condition number, and the relative mean/covariance residuals.
     """
-    from .gaussian import (AffineSurface, QuadraticDensity,
-                           constrained_minimize, subspace_covariance)
     m = ctx.gauge_bijection_matrix()
     square = m.shape[0] == m.shape[1] == ctx.fine.n_sites
     cond = float(np.linalg.cond(m)) if square else np.inf
@@ -401,7 +398,7 @@ def _element_points(lattice, kind: str) -> np.ndarray:
 
 
 def decay_profile(matrix: np.ndarray, row_lattice, col_lattice,
-                  floor: float = 1e-13, kind: str = "bond") -> dict:
+                  kind: str = "bond") -> dict:
     """Max |kernel entry| per torus-distance class and the fitted log-slope.
 
     Distances are Euclidean between element positions (bond midpoints by
@@ -423,8 +420,8 @@ def decay_profile(matrix: np.ndarray, row_lattice, col_lattice,
     peak = np.zeros(len(keys))
     np.maximum.at(peak, cls, np.abs(matrix).ravel())
     table = list(zip(keys, peak, np.bincount(cls).tolist()))
-    xs = np.array([d for d, mx, _ in table if mx > floor])
-    ys = np.array([np.log(mx) for _, mx, _ in table if mx > floor])
+    xs = np.array([d for d, mx, _ in table if mx > DECAY_FLOOR])
+    ys = np.array([np.log(mx) for _, mx, _ in table if mx > DECAY_FLOOR])
     if len(xs) >= 2:
         slope, intercept = np.polyfit(xs, ys, 1)
         corr = float(np.corrcoef(xs, ys)[0, 1])

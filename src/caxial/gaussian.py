@@ -7,17 +7,13 @@ coordinates, where the Gaussian is finite-dimensional and explicit.  What
 they take from K comes from one SVD, held by a ConstraintFactor; callers
 that meet the same constraints again pass the factor instead of K.
 
-Two measure conventions are supported for delta-function constraints:
-
-* "surface" -- the Lebesgue measure induced by the orthonormal kernel
-  basis on the surface (the default; basis-independent);
-* "dirac"   -- true delta semantics: integrating delta(Kv - b) over the
-  ambient space equals the surface integral divided by sqrt(det(K K^T)),
-  which requires the constraint rows to be linearly independent.
-
-Identities that track multiplicative constants through a chain of
-delta-function insertions only close under the "dirac" convention; results
-that are normalized (moments, covariances, minimizers) are convention-free.
+Delta-function constraints carry true Dirac semantics: integrating
+delta(Kv - b) over the ambient space equals the surface integral (the
+Lebesgue measure of the orthonormal kernel basis) divided by
+sqrt(det(K K^T)), which requires the constraint rows to be linearly
+independent; rank-deficient rows raise SingularOperator.  That is the
+measure under which the RG normalization recursion closes.  Singular
+values at or below RANK_TOL times the largest count as zero throughout.
 
 `kernel_residual` certifies that T vanishes on ker K by projecting onto the
 row space of K.  For block-Fourier symbol stacks (fields.block_symbol) it
@@ -74,18 +70,18 @@ class ConstraintFactor:
 
     Everything a constrained integration takes from K comes from that SVD:
     the orthonormal kernel basis V[:, r:], the row rank r (singular values
-    above tol * sigma_max), the log-Gram logdet(K_r K_r^T) = 2 sum_{i<r}
+    above RANK_TOL * sigma_max), the log-Gram logdet(K_r K_r^T) = 2 sum_{i<r}
     log s_i, and pinv(K) applied as V_r S_r^-1 U_r^T, never formed.  With a
     fiber map E it also holds lift = pinv(K) E, the particular point of the
     fiber over A being lift @ A.  All arrays are read-only, so a factor can
     be cached and shared.  A sparse K is densified here, for the SVD.
     """
 
-    def __init__(self, K, E=None, tol: float = RANK_TOL):
+    def __init__(self, K, E=None):
         K = K.toarray() if sp.issparse(K) else K
         K = np.atleast_2d(np.asarray(K, dtype=float))
         u, s, vt = np.linalg.svd(K)
-        r = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+        r = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
         self.matrix = _frozen(K)
         self.basis = _frozen(vt[r:].T)
         self.rank = r
@@ -111,42 +107,41 @@ class ConstraintFactor:
         return out
 
 
-def _factored(K, E=None, tol: float = RANK_TOL) -> ConstraintFactor:
+def _factored(K, E=None) -> ConstraintFactor:
     """K itself if it is a ConstraintFactor (over E, if E is given), else
     the factor of the raw matrix K: one constructor for both."""
     if isinstance(K, ConstraintFactor):
         return K if E is None else K.with_fiber(E)
-    return ConstraintFactor(K, E, tol)
+    return ConstraintFactor(K, E)
 
 
-def kernel_basis(K, tol: float = RANK_TOL) -> np.ndarray:
+def kernel_basis(K) -> np.ndarray:
     """Orthonormal basis of the numerical null space of K, dense or sparse
     (read-only).
 
-    Singular values below tol * sigma_max count as zero.  Deterministic
-    given K (SVD right singular vectors).
+    Singular values at or below RANK_TOL * sigma_max count as zero.
+    Deterministic given K (SVD right singular vectors).
     """
-    return ConstraintFactor(K, tol=tol).basis
+    return ConstraintFactor(K).basis
 
 
-def row_space(K: np.ndarray, tol: float = RANK_TOL):
+def row_space(K: np.ndarray):
     """Orthonormal rows spanning the numerical row space of each block of K.
 
     K is one matrix or a stack of blocks (leading axes).  One batched SVD;
-    singular values above tol times the largest over all blocks count, which
-    is kernel_basis's rank rule for the block-diagonal whole.  Returns the
-    rows of V^* of every block, the rows past its rank zeroed, and the
+    singular values above RANK_TOL times the largest over all blocks count,
+    which is kernel_basis's rank rule for the block-diagonal whole.  Returns
+    the rows of V^* of every block, the rows past its rank zeroed, and the
     summed rank.
     """
     if 0 in K.shape[-2:]:
         return np.zeros(K.shape[:-2] + (0, K.shape[-1]), K.dtype), 0
     _, s, vh = np.linalg.svd(K, full_matrices=False)
-    keep = s > tol * s.max()
+    keep = s > RANK_TOL * s.max()
     return vh * keep[..., None], int(keep.sum())
 
 
-def kernel_residual(T: np.ndarray, K: np.ndarray,
-                    tol: float = RANK_TOL) -> float:
+def kernel_residual(T: np.ndarray, K: np.ndarray) -> float:
     """max |T (I - P)| for P the orthogonal projector onto the numerical
     row space of K (row_space's rank rule).
 
@@ -158,7 +153,7 @@ def kernel_residual(T: np.ndarray, K: np.ndarray,
     too, its first block column (the inverse DFT) holding every entry.
     """
     T, K = np.atleast_2d(T), np.atleast_2d(K)
-    vh, _ = row_space(K, tol)
+    vh, _ = row_space(K)
     res = T - (T @ vh.conj().swapaxes(-1, -2)) @ vh
     if res.ndim > 2:
         res = np.fft.ifftn(res, axes=tuple(range(res.ndim - 2)))
@@ -206,9 +201,9 @@ class AffineSurface:
     log_gram: float  # logdet(K_r K_r^T) over the independent rows
 
     @classmethod
-    def from_constraints(cls, K, b=None, tol: float = RANK_TOL):
+    def from_constraints(cls, K, b=None):
         """The surface K v = b; K is a raw matrix or its ConstraintFactor."""
-        f = _factored(K, tol=tol)
+        f = _factored(K)
         K = f.matrix
         if b is None:
             b = np.zeros(K.shape[0])
@@ -266,9 +261,8 @@ def constrained_minimize(density: QuadraticDensity,
     return _minimizer(surface, positive_cholesky(R), g)
 
 
-def log_partition(density: QuadraticDensity, surface: AffineSurface,
-                  convention: str = "surface") -> float:
-    """Log of the Gaussian integral of the density over the surface."""
+def log_partition(density: QuadraticDensity, surface: AffineSurface) -> float:
+    """Log of the Gaussian integral of the density against delta(K v - b)."""
     R, g = _reduced_form(density, surface)
     chol = positive_cholesky(R)
     n = R.shape[0]
@@ -277,14 +271,10 @@ def log_partition(density: QuadraticDensity, surface: AffineSurface,
     value = (0.5 * n * LOG_2PI - 0.5 * logdet
              - 0.5 * vstar @ density.form @ vstar + density.linear @ vstar
              + density.log_const)
-    if convention == "dirac":
-        if not surface.full_row_rank:
-            raise SingularOperator(
-                "dirac convention needs independent constraint rows")
-        value -= 0.5 * surface.log_gram
-    elif convention != "surface":
-        raise ValueError(f"unknown convention {convention!r}")
-    return float(value)
+    if not surface.full_row_rank:
+        raise SingularOperator("the Dirac measure needs independent "
+                               "constraint rows")
+    return float(value - 0.5 * surface.log_gram)
 
 
 def subspace_covariance(density: QuadraticDensity,
@@ -293,17 +283,6 @@ def subspace_covariance(density: QuadraticDensity,
     R, _ = _reduced_form(density, surface)
     cov = _inverse_on_basis(surface.basis, positive_cholesky(R))
     return 0.5 * (cov + cov.T)
-
-
-def moment_generating(density: QuadraticDensity, surface: AffineSurface,
-                      J: np.ndarray) -> float:
-    """log E[exp(<v,J>)] under the normalized surface Gaussian."""
-    J = np.asarray(J, dtype=float)
-    R, g = _reduced_form(density, surface)
-    chol = positive_cholesky(R)
-    mean = _minimizer(surface, chol, g)
-    cov = _inverse_on_basis(surface.basis, chol)
-    return float(mean @ J + 0.5 * J @ cov @ J)
 
 
 def _fiber_reduction(form: np.ndarray, f: ConstraintFactor):
@@ -315,8 +294,8 @@ def _fiber_reduction(form: np.ndarray, f: ConstraintFactor):
     return positive_cholesky(0.5 * (R + R.T))
 
 
-def minimizer_map(form: np.ndarray, K, E: np.ndarray = None,
-                  tol: float = RANK_TOL) -> np.ndarray:
+def minimizer_map(form: np.ndarray, K,
+                  E: np.ndarray = None) -> np.ndarray:
     """Matrix H with H @ A = argmin 1/2 <v, form v> subject to K v = E A.
 
     K is a raw matrix (then E is required) or a ConstraintFactor, over its
@@ -324,23 +303,22 @@ def minimizer_map(form: np.ndarray, K, E: np.ndarray = None,
     quadratic on the fiber {K v = E A} is linear in A; this returns that
     linear map explicitly.
     """
-    f = _factored(K, E, tol)
+    f = _factored(K, E)
     chol = _fiber_reduction(form, f)
     B, W = f.basis, f.lift
     return W - B @ sla.cho_solve((chol, True), B.T @ form @ W)
 
 
-def push_constraint(density: QuadraticDensity, K, E: np.ndarray = None,
-                    tol: float = RANK_TOL,
-                    convention: str = "surface") -> QuadraticDensity:
-    """Integrate the density over the fibers {v : K v = E A}.
+def push_constraint(density: QuadraticDensity, K,
+                    E: np.ndarray = None) -> QuadraticDensity:
+    """Integrate the density against delta(K v - E A) over v.
 
     K and E as in minimizer_map.  Returns the quadratic density of the
     coarse variable A.  The fibers are parallel affine surfaces, so the
     reduced factorization is shared; the A-dependence enters only through
     the particular solution W A with W = pinv(K) E.
     """
-    f = _factored(K, E, tol)
+    f = _factored(K, E)
     F, l = density.form, density.linear
     chol = _fiber_reduction(F, f)
     B, W = f.basis, f.lift
@@ -352,11 +330,8 @@ def push_constraint(density: QuadraticDensity, K, E: np.ndarray = None,
     psi = W.T @ l - FW.T @ M @ l
     const = (density.log_const + 0.5 * l @ M @ l
              + 0.5 * n * LOG_2PI - 0.5 * logdet)
-    if convention == "dirac":
-        if f.rank < f.matrix.shape[0]:
-            raise SingularOperator(
-                "dirac convention needs independent constraint rows")
-        const -= 0.5 * f.log_gram
-    elif convention != "surface":
-        raise ValueError(f"unknown convention {convention!r}")
-    return QuadraticDensity(0.5 * (phi + phi.T), psi, float(const))
+    if f.rank < f.matrix.shape[0]:
+        raise SingularOperator("the Dirac measure needs independent "
+                               "constraint rows")
+    return QuadraticDensity(0.5 * (phi + phi.T), psi,
+                            float(const - 0.5 * f.log_gram))

@@ -5,9 +5,10 @@ L**n_levels sites per side.  One step integrates over a fine field with its
 block average and per-block path averages fixed, then relabels the coarse
 lattice back to unit spacing (values scale by L**((dim-2)/2)); the same
 density is also produced in one shot from the fine lattice with the full
-hierarchical constraint stack, and the two constructions must agree —
-including the multiplicative constants when delta constraints are given
-true Dirac semantics.
+hierarchical constraint stack, and the two constructions must agree,
+multiplicative constants included: every delta constraint is integrated
+under the Dirac measure of `gaussian`, the one under which the constants
+close.
 
 Counting constants: with b_M = dim * L**(dim*M) bonds and s_M = L**(dim*M)
 sites at size M, the step-(k+1) constant is c_{k+1} = (b_N - b_{N-k-1}) -
@@ -29,7 +30,7 @@ from .fields import curl_energy_form, grad_matrix, guarded_torus
 from .gauge_ops import get_context, one_shot_constraints
 from .gaussian import (AffineSurface, ConstraintFactor, QuadraticDensity,
                        log_partition, minimizer_map, push_constraint,
-                       subspace_covariance, surface_min_eig)
+                       subspace_covariance)
 from .lattice import Lattice, LatticeSpec, build_lattice, instance_cache
 
 
@@ -65,7 +66,6 @@ class RGState:
     lattice: Lattice            # unit-spacing torus carrying the field
     density: QuadraticDensity
     counts: FlowCounts
-    provenance: str = "recursion"
 
     def gauge_residual(self) -> float:
         """Max of form @ grad: the density must not see pure gauges."""
@@ -73,10 +73,10 @@ class RGState:
         return float(np.abs(self.density.form @ g).max())
 
 
-def init_rho0(dim: int, L: int, n_levels: int, source=None) -> RGState:
-    """Level-0 state: curl-energy Gaussian, optional linear source term."""
+def init_rho0(dim: int, L: int, n_levels: int) -> RGState:
+    """Level-0 state: the curl-energy Gaussian."""
     lat = guarded_torus(dim, L, 0, n_levels)
-    density = QuadraticDensity(curl_energy_form(lat), source)
+    density = QuadraticDensity(curl_energy_form(lat))
     return RGState(0, lat, density, FlowCounts(dim, L, n_levels))
 
 
@@ -90,14 +90,14 @@ def _step_constraints(lattice: Lattice) -> ConstraintFactor:
     return ConstraintFactor(sp.vstack([qb, tau]), E)
 
 
-def rg_step(state: RGState, convention: str = "dirac") -> RGState:
+def rg_step(state: RGState) -> RGState:
     """One blocking step: integrate out the fine field, relabel to unit
     spacing, and multiply by the counting constant."""
     counts = state.counts
     if state.level >= counts.n_levels:
         raise ValueError("flow already at the last level")
-    pushed = push_constraint(state.density, _step_constraints(state.lattice),
-                             convention=convention)
+    step = _step_constraints(state.lattice)
+    pushed = push_constraint(state.density, step)
     # relabeling to unit spacing multiplies values by L**((dim-2)/2), so
     # the form and linear coefficients divide by its square and itself
     s = float(counts.L) ** ((counts.dim - 2) / 2.0)
@@ -106,10 +106,10 @@ def rg_step(state: RGState, convention: str = "dirac") -> RGState:
         pushed.log_const + counts.scale_log(state.level + 1))
     coarse = build_lattice(LatticeSpec(counts.dim, counts.L, 0,
                                        counts.n_levels - state.level - 1))
-    return RGState(state.level + 1, coarse, new, counts, state.provenance)
+    return RGState(state.level + 1, coarse, new, counts)
 
 
-def final_step(state: RGState, convention: str = "dirac") -> float:
+def final_step(state: RGState) -> float:
     """Last step with the block average replaced by the winding average;
     returns the log of the resulting constant."""
     counts = state.counts
@@ -117,7 +117,7 @@ def final_step(state: RGState, convention: str = "dirac") -> float:
         raise ValueError("final step applies at the next-to-last level")
     surface = AffineSurface.from_constraints(
         _winding_constraints(state.lattice))
-    return log_partition(state.density, surface, convention) \
+    return log_partition(state.density, surface) \
         + counts.scale_log(counts.n_levels)
 
 
@@ -138,42 +138,42 @@ def _one_shot_winding_constraints(fine: Lattice,
         av.axial_constraint_stack(fine, n_levels).matrix]))
 
 
-def one_shot_state(dim: int, L: int, n_levels: int, k: int,
-                   convention: str = "dirac", source=None) -> RGState:
+@instance_cache
+def _one_shot_density(fine: Lattice, k: int) -> QuadraticDensity:
+    """The curl Gaussian of the fine lattice integrated over the level-k
+    one-shot constraints; its log_const is log Z_k.  Shared, so its arrays
+    are read-only."""
+    pushed = push_constraint(QuadraticDensity(curl_energy_form(fine)),
+                             one_shot_constraints(fine, k))
+    pushed.form.flags.writeable = pushed.linear.flags.writeable = False
+    return pushed
+
+
+def one_shot_state(dim: int, L: int, n_levels: int, k: int) -> RGState:
     """The level-k density in one constrained integration over the fine
     field at spacing L**-k with the full hierarchical stack."""
     if not 1 <= k <= n_levels:
         raise ValueError("need 1 <= k <= n_levels")
     fine = guarded_torus(dim, L, k, n_levels - k)
-    linear = None
-    if source is not None:
-        # the level-0 functional reads the fine field in level-0 values
-        linear = np.asarray(source) / float(L) ** (k * (dim - 2) / 2.0)
-    density = QuadraticDensity(curl_energy_form(fine), linear)
-    pushed = push_constraint(density, one_shot_constraints(fine, k),
-                             convention=convention)
-    counts = FlowCounts(dim, L, n_levels)
     return RGState(k, build_lattice(LatticeSpec(dim, L, 0, n_levels - k)),
-                   pushed, counts, "one-shot")
+                   _one_shot_density(fine, k), FlowCounts(dim, L, n_levels))
 
 
-def one_shot_final(dim: int, L: int, n_levels: int,
-                   convention: str = "dirac") -> float:
+def one_shot_final(dim: int, L: int, n_levels: int) -> float:
     """One-shot version of the last level: winding averages of the fully
     blocked field are fixed to zero; returns the log constant."""
     fine = guarded_torus(dim, L, n_levels, 0)
     density = QuadraticDensity(curl_energy_form(fine))
     surface = AffineSurface.from_constraints(
         _one_shot_winding_constraints(fine, n_levels))
-    return log_partition(density, surface, convention)
+    return log_partition(density, surface)
 
 
-def flow_states(dim: int, L: int, n_levels: int, source=None,
-                convention: str = "dirac"):
+def flow_states(dim: int, L: int, n_levels: int):
     """All states of the iterated flow, level 0 .. n_levels."""
-    states = [init_rho0(dim, L, n_levels, source)]
+    states = [init_rho0(dim, L, n_levels)]
     while states[-1].level < n_levels:
-        states.append(rg_step(states[-1], convention))
+        states.append(rg_step(states[-1]))
     return states
 
 
@@ -185,43 +185,36 @@ class FlowConstants:
     log_z: dict          # level -> log of the one-shot normalization
     log_zf: dict         # level -> log of the fluctuation integral
     recursion_residuals: dict
-    min_eigs: dict       # level -> smallest eigenvalue on the surface
 
 
 def fluctuation_surface(lattice: Lattice) -> AffineSurface:
     return AffineSurface.from_constraints(_step_constraints(lattice))
 
 
-def z_constants(dim: int, L: int, n_levels: int,
-                convention: str = "dirac") -> FlowConstants:
+def z_constants(dim: int, L: int, n_levels: int) -> FlowConstants:
     """Normalization constants and the step recursion residuals.
 
     log_z[k] integrates the curl Gaussian over the level-k homogeneous
-    constraint surface on the fine lattice; log_zf[k] integrates the
-    effective-form Gaussian over one blocking level of the unit lattice.
-    The recursion log_z[k+1] = log_z[k] + log_zf[k] + scale_log(k+1) holds
-    exactly under the Dirac measure convention.
+    constraint surface on the fine lattice: it is the constant of the
+    one-shot density at level k.  log_zf[k] integrates the effective-form
+    Gaussian over one blocking level of the unit lattice.  The recursion
+    log_z[k+1] = log_z[k] + log_zf[k] + scale_log(k+1) holds exactly
+    under the Dirac measure.
     """
     counts = FlowCounts(dim, L, n_levels)
-    log_z, log_zf, min_eigs = {}, {}, {}
-    for k in range(1, n_levels + 1):
-        fine = guarded_torus(dim, L, k, n_levels - k)
-        density = QuadraticDensity(curl_energy_form(fine))
-        surface = AffineSurface.from_constraints(
-            one_shot_constraints(fine, k))
-        min_eigs[k] = surface_min_eig(density, surface)
-        log_z[k] = log_partition(density, surface, convention)
+    log_z = {k: one_shot_state(dim, L, n_levels, k).density.log_const
+             for k in range(1, n_levels + 1)}
+    log_zf = {}
     for k in range(0, n_levels):
         ctx = get_context(dim, L, n_levels, k)
-        density = QuadraticDensity(ctx.delta)
-        log_zf[k] = log_partition(density,
-                                  fluctuation_surface(ctx.unit), convention)
+        log_zf[k] = log_partition(QuadraticDensity(ctx.delta),
+                                  fluctuation_surface(ctx.unit))
     residuals = {}
     for k in range(1, n_levels):
         residuals[k] = abs(log_z[k + 1] - log_z[k] - log_zf[k]
                            - counts.scale_log(k + 1))
     residuals[0] = abs(log_z[1] - log_zf[0] - counts.scale_log(1))
-    return FlowConstants(counts, log_z, log_zf, residuals, min_eigs)
+    return FlowConstants(counts, log_z, log_zf, residuals)
 
 
 # -- identities along the flow ----------------------------------------------
@@ -280,9 +273,8 @@ def fluctuation_step(dim: int, L: int, n_levels: int, k: int,
         # against the linear term produced by the fiber integration
         shift = coarse_minimizer_map(dim, L, n_levels, k).T \
             @ functional / (s * s)
-        pushed = push_constraint(
-            QuadraticDensity(ctx.delta, functional),
-            _step_constraints(ctx.unit), convention="dirac")
+        pushed = push_constraint(QuadraticDensity(ctx.delta, functional),
+                                 _step_constraints(ctx.unit))
         cross = float(np.linalg.norm(shift - pushed.linear / s)
                       / max(np.linalg.norm(shift), 1e-300))
         return FluctuationStep(shift, 0.0, cross)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from caxial import averaging as av
-from caxial import cli, gauge_ops, rg_flow
+from caxial import cli, gauge_ops, gaussian, rg_flow, spectral
 from caxial.cli import ConfigError, RunConfig, main, run_verification
 from caxial.fields import ResourceCapExceeded
 from caxial.gauge_ops import GaugeContext
@@ -230,6 +230,26 @@ def test_rg_factors_each_builder_key_once(monkeypatch):
     assert len(shapes) <= sum(i.currsize for i in infos)
 
 
+def test_rg_suite_integrates_each_one_shot_surface_once(monkeypatch):
+    # log Z_k is the constant of the one-shot density the suite pushes
+    # anyway, so on (2,3,2) only the N = 2 fluctuation integrals and the
+    # two winding steps call log_partition
+    calls = {"log_partition": 0, "surface_min_eig": 0}
+    for name in calls:
+        original = getattr(gaussian, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        for mod in (av, cli, gauge_ops, gaussian, rg_flow, spectral):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    report, _ = run_verification(small_config(instances=((2, 3, 2),),
+                                              suites=("rg",)))
+    assert {c["status"] for c in report["checks"]} == {"PASS"}
+    assert calls == {"log_partition": 4, "surface_min_eig": 0}
+
+
 def test_gauge_suites_build_one_context_per_level(monkeypatch):
     clear_caches()
     init = GaugeContext.__init__
@@ -333,11 +353,12 @@ def test_exit_code_two_on_bad_config(tmp_path, capsys):
     ("suites", ["geometry", "geometry"]),
     ("identity_tol", "1e-8"),
     ("a_list", [1.0, 2.0]),
+    ("rank_tol", 1e-9),
     ("csv_dir", 5),
 ], ids=["short-instance", "float-L", "bool-levels", "repeated-instance",
         "unknown-npoints", "negative-seed", "float-seed", "suites-string",
         "repeated-suite", "text-tolerance", "unknown-a-list",
-        "number-csv-dir"])
+        "unknown-rank-tol", "number-csv-dir"])
 def test_malformed_config_value_is_config_error(key, value, tmp_path,
                                                 capsys):
     data = {"instances": [[2, 3, 1]], "suites": ["calculus"], key: value}
@@ -401,23 +422,3 @@ def test_skipped_check_builds_no_lattice(monkeypatch, lattice_builds, suite,
     assert check["status"] == "SKIPPED"
     assert check["reason"] == f"ambient dimension {n} exceeds cap {cap}"
     assert spec not in lattice_builds
-
-
-def test_rank_tol_is_the_rank_cut_of_the_averaging_certificates():
-    # a cut at the largest singular value keeps no row space of K, so each
-    # certificate reports max |T| instead of round-off; on (2,3,2) neither
-    # T vanishes (on (2,3,1) the coarse curl of a one-site torus does)
-    names = ("averaging.closed_fields_average_closed",
-             "averaging.recovery_inverts_gradient")
-
-    def values(**kw):
-        report, _ = run_verification(small_config(
-            instances=((2, 3, 2),), suites=("averaging",), **kw))
-        return {c["check_id"]: c["value"] for c in report["checks"]
-                if c["check_id"] in names}
-
-    default, cut = values(), values(rank_tol=1.0)
-    assert set(default) == set(names)
-    for name in names:
-        assert default[name] < 1e-12
-        assert cut[name] > 1e-3

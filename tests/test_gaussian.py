@@ -9,9 +9,8 @@ from caxial.gaussian import (RANK_TOL, AffineSurface, ConstraintFactor,
                              SingularOperator, kernel_basis,
                              constrained_minimize, kernel_residual,
                              log_partition, minimizer_map,
-                             subspace_covariance, moment_generating,
-                             positive_cholesky, push_constraint,
-                             surface_min_eig)
+                             subspace_covariance, positive_cholesky,
+                             push_constraint, surface_min_eig)
 from caxial.gauge_ops import average_constraints, get_context
 from caxial.lattice import fine_torus, unit_torus
 from caxial.rg_flow import (_one_shot_winding_constraints, _step_constraints,
@@ -131,7 +130,6 @@ def _constraint_cases():
 def test_single_svd_matches_dense_references(case):
     # the one SVD per constraint matrix against the dense calls it replaced
     _, K, E = case
-    tol = RANK_TOL
     b = E @ rng(12).standard_normal(E.shape[1])
 
     def close(a, ref):
@@ -139,12 +137,12 @@ def test_single_svd_matches_dense_references(case):
         scale = max(1.0, np.abs(ref).max()) if ref.size else 1.0
         assert np.abs(a - ref).max(initial=0.0) <= 1e-12 * scale
 
-    f = ConstraintFactor(K, tol=tol)
+    f = ConstraintFactor(K)
     basis, rank, log_gram, pinv = f.basis, f.rank, f.log_gram, f.pinv
-    surface = AffineSurface.from_constraints(K, b, tol)
-    pinv_ref = np.linalg.pinv(K, rcond=tol)
+    surface = AffineSurface.from_constraints(K, b)
+    pinv_ref = np.linalg.pinv(K, rcond=RANK_TOL)
     s = np.linalg.svd(K, compute_uv=False)
-    rank_ref = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+    rank_ref = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
     assert rank == surface.row_rank == rank_ref
     assert log_gram == surface.log_gram
     log_gram_ref = 2.0 * np.sum(np.log(s[:rank_ref]))
@@ -239,21 +237,17 @@ def test_log_partition_invariant_under_reorthonormalization():
     q, _ = np.linalg.qr(r.standard_normal((s1.surface_dim, s1.surface_dim)))
     s2 = AffineSurface(K, b, s1.basis @ q, s1.particular, s1.row_rank,
                        s1.log_gram)
-    for conv in ("surface", "dirac"):
-        assert abs(log_partition(d, s1, conv)
-                   - log_partition(d, s2, conv)) < 1e-10
+    assert abs(log_partition(d, s1) - log_partition(d, s2)) < 1e-10
 
 
 def test_log_partition_dirac_row_scaling():
-    # doubling a constraint row halves the dirac integral, and leaves the
-    # surface integral unchanged
+    # doubling a constraint row halves the dirac integral
     r = rng()
     d = QuadraticDensity(random_spd(5, r))
     K = r.standard_normal((2, 5))
     s1 = AffineSurface.from_constraints(K)
     s2 = AffineSurface.from_constraints(np.vstack([2 * K[0], K[1]]))
-    assert abs(log_partition(d, s1) - log_partition(d, s2)) < 1e-10
-    assert abs(log_partition(d, s1, "dirac") - log_partition(d, s2, "dirac")
+    assert abs(log_partition(d, s1) - log_partition(d, s2)
                - np.log(2.0)) < 1e-10
 
 
@@ -262,9 +256,10 @@ def test_log_partition_dirac_needs_full_rank():
     d = QuadraticDensity(random_spd(5, r))
     row = r.standard_normal(5)
     s = AffineSurface.from_constraints(np.vstack([row, row]))
-    log_partition(d, s)  # surface convention fine
     with pytest.raises(SingularOperator):
-        log_partition(d, s, "dirac")
+        log_partition(d, s)
+    with pytest.raises(SingularOperator):
+        push_constraint(d, np.vstack([row, row]), np.ones((2, 1)))
 
 
 def test_log_partition_matches_brute_force_eigen():
@@ -275,8 +270,9 @@ def test_log_partition_matches_brute_force_eigen():
     R = s.basis.T @ d.form @ s.basis
     w = np.linalg.eigvalsh(R)
     vstar = constrained_minimize(d, s)
+    # the Dirac measure divides the surface integral by sqrt(det(K K^T))
     expect = (0.5 * len(w) * np.log(2 * np.pi) - 0.5 * np.sum(np.log(w))
-              + d.log_value(vstar))
+              + d.log_value(vstar) - 0.5 * np.linalg.slogdet(K @ K.T)[1])
     assert abs(log_partition(d, s) - expect) < 1e-10
 
 
@@ -298,34 +294,23 @@ def test_covariance_identity_form():
     assert np.allclose(subspace_covariance(d, s), np.eye(4), atol=1e-12)
 
 
-def test_moment_generating_quadratic_consistency():
-    r = rng()
-    d = QuadraticDensity(random_spd(5, r), r.standard_normal(5))
-    s = AffineSurface.from_constraints(r.standard_normal((2, 5)),
-                                       r.standard_normal(2))
-    J = r.standard_normal(5)
-    m1 = moment_generating(d, s, J)
-    m2 = moment_generating(d, s, 2 * J)
-    mean = constrained_minimize(d, s)
-    # quadratic polynomial identity in the scale of J
-    assert abs((m2 - 2 * (mean @ J)) - 4 * (m1 - mean @ J)) < 1e-9
-    assert moment_generating(d, s, np.zeros(5)) == 0.0
-
-
 def test_moment_generating_matches_log_partition_shift():
-    # log E e^<v,J> = log_partition(with linear + J) - log_partition(base)
+    # log E e^<v,J> = <mean, J> + 1/2 <J, cov J> for the normalized Gaussian
+    # on the surface
+    # equals log_partition(with linear + J) - log_partition(base)
     r = rng()
     d = QuadraticDensity(random_spd(5, r), r.standard_normal(5))
     s = AffineSurface.from_constraints(r.standard_normal((2, 5)),
                                        r.standard_normal(2))
     J = r.standard_normal(5)
+    moment = (constrained_minimize(d, s) @ J
+              + 0.5 * J @ subspace_covariance(d, s) @ J)
     shifted = QuadraticDensity(d.form, d.linear + J, d.log_const)
-    assert abs(moment_generating(d, s, J)
+    assert abs(moment
                - (log_partition(shifted, s) - log_partition(d, s))) < 1e-9
 
 
-@pytest.mark.parametrize("convention", ["surface", "dirac"])
-def test_push_constraint_matches_pointwise_partition(convention):
+def test_push_constraint_matches_pointwise_partition():
     # the pushed density evaluated at A equals the fiber integral at A
     r = rng()
     F = random_spd(7, r)
@@ -333,20 +318,20 @@ def test_push_constraint_matches_pointwise_partition(convention):
     d = QuadraticDensity(F, l, 0.3)
     K = r.standard_normal((3, 7))
     E = r.standard_normal((3, 2))
-    pushed = push_constraint(d, K, E, convention=convention)
+    pushed = push_constraint(d, K, E)
     for A in (np.zeros(2), r.standard_normal(2), r.standard_normal(2)):
         s = AffineSurface.from_constraints(K, E @ A)
-        assert abs(pushed.log_value(A) - log_partition(d, s, convention)) < 1e-9
+        assert abs(pushed.log_value(A) - log_partition(d, s)) < 1e-9
 
 
 def test_push_constraint_gaussian_marginal():
-    # pushing with K = [I 0] (dirac) is ordinary marginalization
+    # pushing with K = [I 0] is ordinary marginalization
     r = rng()
     F = random_spd(4, r)
     d = QuadraticDensity(F)
     K = np.hstack([np.eye(2), np.zeros((2, 2))])
     # fiber {v : v[:2] = A}: integrate out v[2:]
-    pushed = push_constraint(d, K, np.eye(2), convention="dirac")
+    pushed = push_constraint(d, K, np.eye(2))
     cov = np.linalg.inv(F)
     marg_form = np.linalg.inv(cov[:2, :2])
     A = r.standard_normal(2)
@@ -400,18 +385,16 @@ def test_cached_factor_matches_fresh_factorization(dim, L, levels):
         assert np.array_equal(cached.particular, fresh.particular), name
         assert (cached.row_rank, cached.log_gram) \
             == (fresh.row_rank, fresh.log_gram), name
-        for convention in ("surface", "dirac"):
-            assert log_partition(density, cached, convention) \
-                == log_partition(density, fresh, convention), name
+        assert log_partition(density, cached) \
+            == log_partition(density, fresh), name
         if f.fiber is None:
             continue
         E = np.array(f.fiber)
-        for convention in ("surface", "dirac"):
-            p_cached = push_constraint(density, f, convention=convention)
-            p_fresh = push_constraint(density, K, E, convention=convention)
-            assert np.array_equal(p_cached.form, p_fresh.form), name
-            assert np.array_equal(p_cached.linear, p_fresh.linear), name
-            assert p_cached.log_const == p_fresh.log_const, name
+        p_cached = push_constraint(density, f)
+        p_fresh = push_constraint(density, K, E)
+        assert np.array_equal(p_cached.form, p_fresh.form), name
+        assert np.array_equal(p_cached.linear, p_fresh.linear), name
+        assert p_cached.log_const == p_fresh.log_const, name
         assert np.array_equal(minimizer_map(form, f),
                               minimizer_map(form, K, E)), name
         # the same factor over another fiber map (the coarse minimizer's)
