@@ -228,10 +228,12 @@ class ConstraintStack:
 
 
 def axial_constraint_stack(fine: Lattice, k: int) -> ConstraintStack:
-    # each level is a new product, level 0 included: the stack never
+    # level 0 is the path averages themselves (the 0-fold blocking is the
+    # identity); sp.vstack copies even a single block, so the stack never
     # shares storage with a cached path-average matrix
     levels = [path_average_matrix(coarsened(fine, j)).matrix
-              @ bond_average_matrix(fine, j) for j in range(k)]
+              @ bond_average_matrix(fine, j) if j
+              else path_average_matrix(fine).matrix for j in range(k)]
     matrix = (sp.vstack(levels, format="csr") if levels
               else sp.csr_matrix((0, fine.n_bonds)))
     return ConstraintStack(_canonical(matrix),

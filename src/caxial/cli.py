@@ -33,14 +33,14 @@ from .fields import (ResourceCapExceeded, _guard, apply_symmetry, codiff,
                      curl_energy_form, ext_d, ext_d_matrix, grad,
                      grad_matrix, guarded_torus, inner, laplacian_matrix,
                      max_ambient_dim, norm_sq, random_field, scale_field)
-from .gauge_ops import change_of_gauge_check, decay_profile, get_context
-from .gaussian import (RANK_TOL, QuadraticDensity, kernel_residual,
-                       surface_min_eig)
+from .gauge_ops import (change_of_gauge_check, decay_profile, get_context,
+                        one_shot_constraints)
+from .gaussian import RANK_TOL, kernel_residual, surface_min_eig
 from .lattice import (LatticeSpec, clear_caches, instance_cache, open_cube,
                       unit_torus)
 from .rg_flow import (final_step, fluctuation_step, flow_states,
-                      fluctuation_surface, minimizer_composition_residual,
-                      one_shot_final, one_shot_state, z_constants)
+                      minimizer_composition_residual, one_shot_final,
+                      one_shot_state, z_constants)
 
 SCHEMA_VERSION = 1
 
@@ -530,8 +530,7 @@ def suite_lower_bound(run: Runner, inst):
             if state.level >= levels:
                 break
             worst = min(worst, surface_min_eig(
-                QuadraticDensity(state.density.form),
-                fluctuation_surface(state.lattice)))
+                state.density.form, one_shot_constraints(state.lattice, 1)))
         return worst
     run.check("lower_bound.flow_forms_positive",
               "every flow density is positive definite on its fluctuation "

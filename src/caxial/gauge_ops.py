@@ -30,10 +30,8 @@ from scipy.special import roots_legendre
 
 from . import averaging as av
 from .fields import _guard, curl_energy_form, grad_matrix
-from .gaussian import (AffineSurface, ConstraintFactor, IndefiniteOnSurface,
-                       QuadraticDensity, SingularOperator,
-                       constrained_minimize, minimizer_map, positive_cholesky,
-                       subspace_covariance)
+from .gaussian import (AffineSurface, IndefiniteOnSurface, SingularOperator,
+                       minimizer_map, positive_cholesky, subspace_covariance)
 from .lattice import Lattice, LatticeSpec, build_lattice, instance_cache
 
 
@@ -117,9 +115,9 @@ class GaugeContext:
         return av.scalar_average_matrix(self.fine, self.level + 1).toarray()
 
     @property
-    def axial_surface(self) -> ConstraintFactor:
-        """Factored constraints of the axial minimization (averages + stack),
-        shared with the one-shot RG integration at this level."""
+    def axial_surface(self) -> AffineSurface:
+        """The surface of the axial minimization (averages + stack), shared
+        with the one-shot RG integration at this level."""
         return one_shot_constraints(self.fine, self.level)
 
     @cached_property
@@ -314,27 +312,27 @@ class GaugeContext:
 
 
 @instance_cache
-def average_constraints(fine: Lattice, k: int) -> ConstraintFactor:
-    """Factor of the k-fold block average fixed to the coarse field A,
-    K = Q_b and E = I: the surface of the Feynman minimizer."""
+def average_constraints(fine: Lattice, k: int) -> AffineSurface:
+    """The k-fold block average fixed to the coarse field A, K = Q_b and
+    E = I: the surface of the Feynman minimizer."""
     qb = av.bond_average_matrix(fine, k)
-    return ConstraintFactor(qb, np.eye(qb.shape[0]))
+    return AffineSurface(qb, np.eye(qb.shape[0]))
 
 
 @instance_cache
-def one_shot_constraints(fine: Lattice, k: int) -> ConstraintFactor:
-    """Factor of the level-k axial surface on the fine lattice: the k-fold
-    block average fixed to the coarse field A and the hierarchical path
-    averages to zero, K = [Q_b; stack] and E = [I; 0]."""
+def one_shot_constraints(fine: Lattice, k: int) -> AffineSurface:
+    """The level-k axial surface on the fine lattice: the k-fold block
+    average fixed to the coarse field A and the hierarchical path averages
+    to zero, K = [Q_b; stack] and E = [I; 0].  At k = 1 it is the surface
+    of one blocking step of the flow."""
     stack = av.axial_constraint_stack(fine, k).matrix
     if not stack.shape[0]:
         # no path averages below the unit scale (k = 0): the axial surface
         # is the block-average one
         return average_constraints(fine, k)
     qb = av.bond_average_matrix(fine, k)
-    E = np.vstack([np.eye(qb.shape[0]),
-                   np.zeros((stack.shape[0], qb.shape[0]))])
-    return ConstraintFactor(sp.vstack([qb, stack]), E)
+    K = sp.vstack([qb, stack])
+    return AffineSurface(K, np.eye(K.shape[0], qb.shape[0]))
 
 
 @instance_cache
@@ -363,16 +361,15 @@ def change_of_gauge_check(ctx: GaugeContext, coarse_field: np.ndarray) -> dict:
     dg = ctx.grad_fine
     curl = curl_energy_form(ctx.fine)
     form_f = curl + ctx.weight * dg @ ctx.proj_div() @ dg.T
-    surf_f = AffineSurface.from_constraints(
-        average_constraints(ctx.fine, ctx.level), coarse_field)
-    mean_f = constrained_minimize(QuadraticDensity(form_f), surf_f)
-    cov_f = subspace_covariance(QuadraticDensity(form_f), surf_f)
+    surf_f = average_constraints(ctx.fine, ctx.level)
+    mean_f = minimizer_map(form_f, surf_f) @ coarse_field
+    cov_f = subspace_covariance(form_f, surf_f)
+    # Landau surface: averages fixed, divergence-range components zero
     u = ctx.div_range_basis()
     k_landau = np.vstack([qb, u.T @ dg.T])
-    b_landau = np.concatenate([coarse_field, np.zeros(u.shape[1])])
-    surf_l = AffineSurface.from_constraints(k_landau, b_landau)
-    mean_l = constrained_minimize(QuadraticDensity(curl), surf_l)
-    cov_l = subspace_covariance(QuadraticDensity(curl), surf_l)
+    surf_l = AffineSurface(k_landau, np.eye(k_landau.shape[0], qb.shape[0]))
+    mean_l = minimizer_map(curl, surf_l) @ coarse_field
+    cov_l = subspace_covariance(curl, surf_l)
     t = ctx.feynman_to_landau()
     mean_res = np.linalg.norm(t @ mean_f - mean_l) \
         / max(np.linalg.norm(mean_l), 1e-300)

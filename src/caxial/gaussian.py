@@ -1,14 +1,16 @@
 """Exact Gaussian integration over affine constraint surfaces.
 
-A QuadraticDensity is c * exp(-1/2 <v, F v> + <l, v>) on a coordinate space;
-an AffineSurface is {v : K v = b} carried with an orthonormal basis of
-ker K and a particular solution.  All integrals are reduced to the kernel
-coordinates, where the Gaussian is finite-dimensional and explicit.  What
-they take from K comes from one SVD, held by a ConstraintFactor; callers
-that meet the same constraints again pass the factor instead of K.
+A QuadraticDensity is c * exp(-1/2 <v, F v> + <l, v>) on a coordinate space.
+An AffineSurface is the one surface type: the parallel fibers
+{v : K v = E A} over a coarse field A (without E, the surface K v = 0),
+factored by one SVD of K into an orthonormal basis B of ker K, which every
+fiber shares, and the lift pinv(K) E to a point of each fiber.  Every
+integral takes one surface and reduces to the kernel coordinates, where the
+Gaussian is finite-dimensional and explicit: the Cholesky factor of B^T F B
+is both the positivity certificate and the solver.
 
 Delta-function constraints carry true Dirac semantics: integrating
-delta(Kv - b) over the ambient space equals the surface integral (the
+delta(K v - E A) over the ambient space equals the surface integral (the
 Lebesgue measure of the orthonormal kernel basis) divided by
 sqrt(det(K K^T)), which requires the constraint rows to be linearly
 independent; rank-deficient rows raise SingularOperator.  That is the
@@ -23,7 +25,6 @@ all of them at once.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,16 +66,19 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class ConstraintFactor:
-    """The constraints K v = E A, factored by one SVD K = U S V^T.
+class AffineSurface:
+    """The parallel affine surfaces {v : K v = E A} over a coarse field A,
+    factored by one SVD K = U S V^T; without E, the one surface K v = 0.
 
-    Everything a constrained integration takes from K comes from that SVD:
-    the orthonormal kernel basis V[:, r:], the row rank r (singular values
-    above RANK_TOL * sigma_max), the log-Gram logdet(K_r K_r^T) = 2 sum_{i<r}
-    log s_i, and pinv(K) applied as V_r S_r^-1 U_r^T, never formed.  With a
-    fiber map E it also holds lift = pinv(K) E, the particular point of the
-    fiber over A being lift @ A.  All arrays are read-only, so a factor can
-    be cached and shared.  A sparse K is densified here, for the SVD.
+    Everything an integral takes from K comes from that SVD: the orthonormal
+    kernel basis V[:, r:], which every fiber shares, the row rank r
+    (singular values above RANK_TOL * sigma_max), the log-Gram
+    logdet(K_r K_r^T) = 2 sum_{i<r} log s_i, and, with E, the lift
+    pinv(K) E = V_r S_r^-1 U_r^T E, the fiber over A passing through
+    lift @ A.  When the rows are dependent, E must map into the range of K
+    (every fiber nonempty), or SingularOperator is raised.  All arrays are
+    read-only, so a surface can be cached and shared.  A sparse K is
+    densified here, for the SVD.
     """
 
     def __init__(self, K, E=None):
@@ -86,33 +90,16 @@ class ConstraintFactor:
         self.basis = _frozen(vt[r:].T)
         self.rank = r
         self.log_gram = float(2.0 * np.sum(np.log(s[:r])))
-        self._u, self._s, self._v = (_frozen(u[:, :r]), _frozen(s[:r]),
-                                     _frozen(vt[:r].T))
-        self._set_fiber(E)
-
-    def _set_fiber(self, E):
         self.fiber = self.lift = None
         if E is not None:
-            self.fiber = _frozen(np.asarray(E, dtype=float))
-            self.lift = _frozen(self.pinv(self.fiber))
-
-    def pinv(self, E) -> np.ndarray:
-        """pinv(K) E, as V_r S_r^-1 U_r^T E."""
-        return self._v @ ((self._u.T @ E).T / self._s).T
-
-    def with_fiber(self, E) -> "ConstraintFactor":
-        """The same factor over another fiber map E (no new SVD)."""
-        out = copy.copy(self)
-        out._set_fiber(E)
-        return out
-
-
-def _factored(K, E=None) -> ConstraintFactor:
-    """K itself if it is a ConstraintFactor (over E, if E is given), else
-    the factor of the raw matrix K: one constructor for both."""
-    if isinstance(K, ConstraintFactor):
-        return K if E is None else K.with_fiber(E)
-    return ConstraintFactor(K, E)
+            E = np.asarray(E, dtype=float)
+            lift = vt[:r].T @ ((u[:, :r].T @ E).T / s[:r]).T
+            if r < K.shape[0]:
+                res = np.abs(K @ lift - E).max(initial=0.0)
+                if res > 1e-8 * max(1.0, np.abs(E).max(initial=0.0)):
+                    raise SingularOperator(
+                        f"constraints inconsistent (residual {res:g})")
+            self.fiber, self.lift = _frozen(E), _frozen(lift)
 
 
 def kernel_basis(K) -> np.ndarray:
@@ -122,7 +109,7 @@ def kernel_basis(K) -> np.ndarray:
     Singular values at or below RANK_TOL * sigma_max count as zero.
     Deterministic given K (SVD right singular vectors).
     """
-    return ConstraintFactor(K).basis
+    return AffineSurface(K).basis
 
 
 def row_space(K: np.ndarray):
@@ -180,60 +167,25 @@ class QuadraticDensity:
             raise ValueError(f"form is not symmetric (residual {asym:g})")
         self.form = 0.5 * (self.form + self.form.T)
 
-    @property
-    def dim(self) -> int:
-        return self.form.shape[0]
 
-    def log_value(self, v: np.ndarray) -> float:
-        v = np.asarray(v, dtype=float)
-        return self.log_const - 0.5 * v @ self.form @ v + self.linear @ v
-
-
-@dataclass
-class AffineSurface:
-    """{v : constraint v = offset} with cached kernel basis and particular point."""
-
-    constraint: np.ndarray
-    offset: np.ndarray
-    basis: np.ndarray
-    particular: np.ndarray
-    row_rank: int
-    log_gram: float  # logdet(K_r K_r^T) over the independent rows
-
-    @classmethod
-    def from_constraints(cls, K, b=None):
-        """The surface K v = b; K is a raw matrix or its ConstraintFactor."""
-        f = _factored(K)
-        K = f.matrix
-        if b is None:
-            b = np.zeros(K.shape[0])
-        b = np.asarray(b, dtype=float)
-        particular = f.pinv(b)
-        if K.shape[0]:
-            res = np.abs(K @ particular - b).max()
-            if res > 1e-8 * max(1.0, np.abs(b).max()):
-                raise SingularOperator(
-                    f"constraints inconsistent (residual {res:g})")
-        return cls(K, b, f.basis, particular, f.rank, f.log_gram)
-
-    @classmethod
-    def unconstrained(cls, n: int):
-        return cls.from_constraints(np.zeros((0, n)))
-
-    @property
-    def full_row_rank(self) -> bool:
-        return self.row_rank == self.constraint.shape[0]
-
-    @property
-    def surface_dim(self) -> int:
-        return self.basis.shape[1]
-
-
-def _reduced_form(density: QuadraticDensity, surface: AffineSurface):
+def _reduced(form: np.ndarray, surface: AffineSurface) -> np.ndarray:
+    """B^T F B: the form on the surface directions, which every fiber
+    shares.  Its Cholesky factor is the positivity certificate."""
     B = surface.basis
-    R = B.T @ density.form @ B
-    g = B.T @ (density.linear - density.form @ surface.particular)
-    return 0.5 * (R + R.T), g
+    R = B.T @ form @ B
+    return 0.5 * (R + R.T)
+
+
+def _check_dirac(surface: AffineSurface):
+    """The Dirac measure of delta(K v - E A) needs independent rows."""
+    if surface.rank < surface.matrix.shape[0]:
+        raise SingularOperator("the Dirac measure needs independent "
+                               "constraint rows")
+
+
+def _needs_fiber(surface: AffineSurface):
+    if surface.lift is None:
+        raise ValueError("the constraints carry no fiber map E")
 
 
 def _inverse_on_basis(basis: np.ndarray, chol: np.ndarray) -> np.ndarray:
@@ -241,87 +193,62 @@ def _inverse_on_basis(basis: np.ndarray, chol: np.ndarray) -> np.ndarray:
     return basis @ sla.cho_solve((chol, True), basis.T)
 
 
-def _minimizer(surface: AffineSurface, chol: np.ndarray,
-               g: np.ndarray) -> np.ndarray:
-    return surface.particular + surface.basis @ sla.cho_solve((chol, True), g)
-
-
-def surface_min_eig(density: QuadraticDensity, surface: AffineSurface) -> float:
+def surface_min_eig(form: np.ndarray, surface: AffineSurface) -> float:
     """Smallest eigenvalue of the form on the surface directions."""
-    R, _ = _reduced_form(density, surface)
+    R = _reduced(form, surface)
     if R.shape[0] == 0:
         return np.inf
     return float(np.linalg.eigvalsh(R)[0])
 
 
-def constrained_minimize(density: QuadraticDensity,
-                         surface: AffineSurface) -> np.ndarray:
-    """Unique minimizer of 1/2 <v,Fv> - <l,v> subject to the constraints."""
-    R, g = _reduced_form(density, surface)
-    return _minimizer(surface, positive_cholesky(R), g)
-
-
 def log_partition(density: QuadraticDensity, surface: AffineSurface) -> float:
-    """Log of the Gaussian integral of the density against delta(K v - b)."""
-    R, g = _reduced_form(density, surface)
-    chol = positive_cholesky(R)
-    n = R.shape[0]
+    """Log of the Gaussian integral of the density against delta(K v), the
+    fiber over A = 0."""
+    chol = positive_cholesky(_reduced(density.form, surface))
+    _check_dirac(surface)
+    B = surface.basis
+    n = chol.shape[0]
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    vstar = _minimizer(surface, chol, g)
+    vstar = B @ sla.cho_solve((chol, True), B.T @ density.linear)
     value = (0.5 * n * LOG_2PI - 0.5 * logdet
              - 0.5 * vstar @ density.form @ vstar + density.linear @ vstar
              + density.log_const)
-    if not surface.full_row_rank:
-        raise SingularOperator("the Dirac measure needs independent "
-                               "constraint rows")
     return float(value - 0.5 * surface.log_gram)
 
 
-def subspace_covariance(density: QuadraticDensity,
+def subspace_covariance(form: np.ndarray,
                         surface: AffineSurface) -> np.ndarray:
     """Ambient covariance of the surface Gaussian (kills the row space of K)."""
-    R, _ = _reduced_form(density, surface)
-    cov = _inverse_on_basis(surface.basis, positive_cholesky(R))
+    chol = positive_cholesky(_reduced(form, surface))
+    cov = _inverse_on_basis(surface.basis, chol)
     return 0.5 * (cov + cov.T)
 
 
-def _fiber_reduction(form: np.ndarray, f: ConstraintFactor):
-    """The Cholesky factor of the form restricted to ker K, which the
-    parallel fibers {v : K v = E A} share."""
-    if f.lift is None:
-        raise ValueError("the constraints carry no fiber map E")
-    R = f.basis.T @ form @ f.basis
-    return positive_cholesky(0.5 * (R + R.T))
-
-
-def minimizer_map(form: np.ndarray, K,
-                  E: np.ndarray = None) -> np.ndarray:
+def minimizer_map(form: np.ndarray, surface: AffineSurface) -> np.ndarray:
     """Matrix H with H @ A = argmin 1/2 <v, form v> subject to K v = E A.
 
-    K is a raw matrix (then E is required) or a ConstraintFactor, over its
-    own fiber map unless E is given.  The minimizer of a homogeneous
-    quadratic on the fiber {K v = E A} is linear in A; this returns that
-    linear map explicitly.
+    The minimizer of a homogeneous quadratic on the fiber over A is linear
+    in A; this returns that linear map explicitly.
     """
-    f = _factored(K, E)
-    chol = _fiber_reduction(form, f)
-    B, W = f.basis, f.lift
+    _needs_fiber(surface)
+    chol = positive_cholesky(_reduced(form, surface))
+    B, W = surface.basis, surface.lift
     return W - B @ sla.cho_solve((chol, True), B.T @ form @ W)
 
 
-def push_constraint(density: QuadraticDensity, K,
-                    E: np.ndarray = None) -> QuadraticDensity:
+def push_constraint(density: QuadraticDensity,
+                    surface: AffineSurface) -> QuadraticDensity:
     """Integrate the density against delta(K v - E A) over v.
 
-    K and E as in minimizer_map.  Returns the quadratic density of the
-    coarse variable A.  The fibers are parallel affine surfaces, so the
-    reduced factorization is shared; the A-dependence enters only through
-    the particular solution W A with W = pinv(K) E.
+    Returns the quadratic density of the coarse variable A.  The fibers are
+    parallel, so the reduced factorization is shared; the A-dependence
+    enters only through the lift W A with W = pinv(K) E.
     """
-    f = _factored(K, E)
+    _needs_fiber(surface)
     F, l = density.form, density.linear
-    chol = _fiber_reduction(F, f)
-    B, W = f.basis, f.lift
+    chol = positive_cholesky(_reduced(F, surface))
+    _check_dirac(surface)
+    B, W = surface.basis, surface.lift
     n = chol.shape[0]
     M = _inverse_on_basis(B, chol)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
@@ -330,8 +257,5 @@ def push_constraint(density: QuadraticDensity, K,
     psi = W.T @ l - FW.T @ M @ l
     const = (density.log_const + 0.5 * l @ M @ l
              + 0.5 * n * LOG_2PI - 0.5 * logdet)
-    if f.rank < f.matrix.shape[0]:
-        raise SingularOperator("the Dirac measure needs independent "
-                               "constraint rows")
     return QuadraticDensity(0.5 * (phi + phi.T), psi,
-                            float(const - 0.5 * f.log_gram))
+                            float(const - 0.5 * surface.log_gram))

@@ -12,7 +12,7 @@ close.
 
 Counting constants: with b_M = dim * L**(dim*M) bonds and s_M = L**(dim*M)
 sites at size M, the step-(k+1) constant is c_{k+1} = (b_N - b_{N-k-1}) -
-(s_N - s_{N-k-1}) ... evaluated through the table below; the rescaling
+(s_N - s_{N-k-1}), evaluated by `FlowCounts.c`; the rescaling
 multiplies the density by L**((dim-2)/2 * c_{k+1}), the exponent forced by
 the value scaling of the relabeled field (trivial at dim = 2).
 """
@@ -28,9 +28,8 @@ import scipy.sparse as sp
 from . import averaging as av
 from .fields import curl_energy_form, grad_matrix, guarded_torus
 from .gauge_ops import get_context, one_shot_constraints
-from .gaussian import (AffineSurface, ConstraintFactor, QuadraticDensity,
-                       log_partition, minimizer_map, push_constraint,
-                       subspace_covariance)
+from .gaussian import (AffineSurface, QuadraticDensity, log_partition,
+                       minimizer_map, push_constraint, subspace_covariance)
 from .lattice import Lattice, LatticeSpec, build_lattice, instance_cache
 
 
@@ -80,24 +79,14 @@ def init_rho0(dim: int, L: int, n_levels: int) -> RGState:
     return RGState(0, lat, density, FlowCounts(dim, L, n_levels))
 
 
-@instance_cache
-def _step_constraints(lattice: Lattice) -> ConstraintFactor:
-    """Factor of one blocking step: block average fixed to the coarse
-    field, path averages to zero, K = [Q_b; tau] and E = [I; 0]."""
-    qb = av.bond_average_matrix(lattice, 1)
-    tau = av.path_average_matrix(lattice).matrix
-    E = np.vstack([np.eye(qb.shape[0]), np.zeros((tau.shape[0], qb.shape[0]))])
-    return ConstraintFactor(sp.vstack([qb, tau]), E)
-
-
 def rg_step(state: RGState) -> RGState:
     """One blocking step: integrate out the fine field, relabel to unit
     spacing, and multiply by the counting constant."""
     counts = state.counts
     if state.level >= counts.n_levels:
         raise ValueError("flow already at the last level")
-    step = _step_constraints(state.lattice)
-    pushed = push_constraint(state.density, step)
+    pushed = push_constraint(state.density,
+                             one_shot_constraints(state.lattice, 1))
     # relabeling to unit spacing multiplies values by L**((dim-2)/2), so
     # the form and linear coefficients divide by its square and itself
     s = float(counts.L) ** ((counts.dim - 2) / 2.0)
@@ -115,25 +104,18 @@ def final_step(state: RGState) -> float:
     counts = state.counts
     if state.level != counts.n_levels - 1:
         raise ValueError("final step applies at the next-to-last level")
-    surface = AffineSurface.from_constraints(
-        _winding_constraints(state.lattice))
+    surface = _one_shot_winding_constraints(state.lattice, 1)
     return log_partition(state.density, surface) \
         + counts.scale_log(counts.n_levels)
 
 
 @instance_cache
-def _winding_constraints(lattice: Lattice) -> ConstraintFactor:
-    """Factor of the last step: winding and path averages fixed to zero."""
-    return ConstraintFactor(sp.vstack([av.toron_average_matrix(lattice),
-                                       av.path_average_matrix(lattice).matrix]))
-
-
-@instance_cache
 def _one_shot_winding_constraints(fine: Lattice,
-                                  n_levels: int) -> ConstraintFactor:
-    """Factor of the one-shot last level: winding averages of the fully
-    blocked field and the hierarchical path averages fixed to zero."""
-    return ConstraintFactor(sp.vstack([
+                                  n_levels: int) -> AffineSurface:
+    """The one-shot last level: winding averages of the fully blocked field
+    and the hierarchical path averages fixed to zero.  At n_levels = 1 it
+    is the surface of the iterated flow's last step."""
+    return AffineSurface(sp.vstack([
         av.toron_average_full_matrix(fine, n_levels),
         av.axial_constraint_stack(fine, n_levels).matrix]))
 
@@ -164,8 +146,7 @@ def one_shot_final(dim: int, L: int, n_levels: int) -> float:
     blocked field are fixed to zero; returns the log constant."""
     fine = guarded_torus(dim, L, n_levels, 0)
     density = QuadraticDensity(curl_energy_form(fine))
-    surface = AffineSurface.from_constraints(
-        _one_shot_winding_constraints(fine, n_levels))
+    surface = _one_shot_winding_constraints(fine, n_levels)
     return log_partition(density, surface)
 
 
@@ -187,10 +168,6 @@ class FlowConstants:
     recursion_residuals: dict
 
 
-def fluctuation_surface(lattice: Lattice) -> AffineSurface:
-    return AffineSurface.from_constraints(_step_constraints(lattice))
-
-
 def z_constants(dim: int, L: int, n_levels: int) -> FlowConstants:
     """Normalization constants and the step recursion residuals.
 
@@ -208,7 +185,7 @@ def z_constants(dim: int, L: int, n_levels: int) -> FlowConstants:
     for k in range(0, n_levels):
         ctx = get_context(dim, L, n_levels, k)
         log_zf[k] = log_partition(QuadraticDensity(ctx.delta),
-                                  fluctuation_surface(ctx.unit))
+                                  one_shot_constraints(ctx.unit, 1))
     residuals = {}
     for k in range(1, n_levels):
         residuals[k] = abs(log_z[k + 1] - log_z[k] - log_zf[k]
@@ -221,11 +198,11 @@ def z_constants(dim: int, L: int, n_levels: int) -> FlowConstants:
 
 def coarse_minimizer_map(dim: int, L: int, n_levels: int, k: int) -> np.ndarray:
     """Minimizer of the level-k effective form with the block average fixed
-    to the relabeled next-level field (unit bonds <- next-level bonds)."""
+    to the relabeled next-level field (unit bonds <- next-level bonds).
+    The relabeling scales the field by s, and the minimizer is linear in it."""
     ctx = get_context(dim, L, n_levels, k)
-    step = _step_constraints(ctx.unit)
     s = float(L) ** ((dim - 2) / 2.0)
-    return minimizer_map(ctx.delta, step, s * step.fiber)
+    return s * minimizer_map(ctx.delta, one_shot_constraints(ctx.unit, 1))
 
 
 def minimizer_composition_residual(dim: int, L: int, n_levels: int,
@@ -263,9 +240,8 @@ def fluctuation_step(dim: int, L: int, n_levels: int, k: int,
     """
     ctx = get_context(dim, L, n_levels, k)
     s = float(L) ** ((dim - 2) / 2.0)
-    density = QuadraticDensity(ctx.delta)
-    surface = fluctuation_surface(ctx.unit)
-    cov = subspace_covariance(density, surface)
+    surface = one_shot_constraints(ctx.unit, 1)
+    cov = subspace_covariance(ctx.delta, surface)
     h_ax = ctx.axial_minimizer
     functional = np.asarray(functional, dtype=float)
     if functional.ndim == 1:
@@ -274,7 +250,7 @@ def fluctuation_step(dim: int, L: int, n_levels: int, k: int,
         shift = coarse_minimizer_map(dim, L, n_levels, k).T \
             @ functional / (s * s)
         pushed = push_constraint(QuadraticDensity(ctx.delta, functional),
-                                 _step_constraints(ctx.unit))
+                                 surface)
         cross = float(np.linalg.norm(shift - pushed.linear / s)
                       / max(np.linalg.norm(shift), 1e-300))
         return FluctuationStep(shift, 0.0, cross)

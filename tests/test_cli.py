@@ -205,8 +205,7 @@ def test_sqrt_evaluates_each_root_once_per_instance(monkeypatch):
     assert len(roots) == 3
 
 
-RG_BUILDERS = (rg_flow._step_constraints, rg_flow._winding_constraints,
-               rg_flow._one_shot_winding_constraints,
+RG_BUILDERS = (rg_flow._one_shot_winding_constraints,
                gauge_ops.one_shot_constraints, gauge_ops.average_constraints)
 
 

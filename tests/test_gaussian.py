@@ -1,20 +1,19 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from caxial import averaging as av
 from caxial.fields import curl_energy_form, ext_d_matrix, grad_matrix
-from caxial.gaussian import (RANK_TOL, AffineSurface, ConstraintFactor,
-                             IndefiniteOnSurface, QuadraticDensity,
-                             SingularOperator, kernel_basis,
-                             constrained_minimize, kernel_residual,
-                             log_partition, minimizer_map,
+from caxial.gaussian import (RANK_TOL, AffineSurface, IndefiniteOnSurface,
+                             QuadraticDensity, SingularOperator, kernel_basis,
+                             kernel_residual, log_partition, minimizer_map,
                              subspace_covariance, positive_cholesky,
                              push_constraint, surface_min_eig)
 from caxial.gauge_ops import average_constraints, get_context
 from caxial.lattice import fine_torus, unit_torus
-from caxial.rg_flow import (_one_shot_winding_constraints, _step_constraints,
-                            _winding_constraints, one_shot_constraints)
+from caxial.rg_flow import _one_shot_winding_constraints, one_shot_constraints
 
 
 def rng(seed=3):
@@ -24,6 +23,24 @@ def rng(seed=3):
 def random_spd(n, r, shift=0.5):
     m = r.standard_normal((n, n))
     return m @ m.T + shift * np.eye(n)
+
+
+def unconstrained(n):
+    return AffineSurface(np.zeros((0, n)))
+
+
+def log_value(density, v):
+    """log of the density at the point v."""
+    return (density.log_const - 0.5 * v @ density.form @ v
+            + density.linear @ v)
+
+
+def kkt_minimizer(F, l, K, b):
+    """argmin 1/2 <v, F v> - <l, v> subject to K v = b, from the KKT
+    system (full row rank K)."""
+    n, m = F.shape[0], K.shape[0]
+    kkt = np.block([[F, K.T], [K, np.zeros((m, m))]])
+    return np.linalg.solve(kkt, np.concatenate([l, b]))[:n]
 
 
 def test_kernel_basis_identity_empty():
@@ -40,76 +57,88 @@ def test_kernel_basis_orthonormal():
 
 
 def test_minimize_homogeneous_zero():
+    # the fiber over A = 0 passes through the origin, where a homogeneous
+    # quadratic is least: E = 0 puts every fiber there
     r = rng()
-    d = QuadraticDensity(random_spd(6, r))
-    s = AffineSurface.from_constraints(r.standard_normal((2, 6)))
-    assert np.abs(constrained_minimize(d, s)).max() < 1e-12
+    F = random_spd(6, r)
+    s = AffineSurface(r.standard_normal((2, 6)), np.zeros((2, 3)))
+    assert np.abs(minimizer_map(F, s)).max() < 1e-12
 
 
 def test_minimize_unconstrained():
+    # with no constraints the surface Gaussian of exp(-1/2 <v,Fv> + <J,v>)
+    # has covariance F^-1 and mean, its minimizer, F^-1 J
     r = rng()
     F = random_spd(5, r)
     J = r.standard_normal(5)
-    d = QuadraticDensity(F, J)
-    s = AffineSurface.unconstrained(5)
-    assert np.allclose(constrained_minimize(d, s), np.linalg.solve(F, J),
-                       atol=1e-10)
+    cov = subspace_covariance(F, unconstrained(5))
+    assert np.allclose(cov @ J, np.linalg.solve(F, J), atol=1e-10)
 
 
 def test_minimize_first_order_optimality():
     r = rng()
     F = random_spd(7, r)
-    d = QuadraticDensity(F, r.standard_normal(7))
     K = r.standard_normal((3, 7))
-    b = r.standard_normal(3)
-    s = AffineSurface.from_constraints(K, b)
-    v = constrained_minimize(d, s)
-    assert np.abs(K @ v - b).max() < 1e-10
-    grad = F @ v - d.linear
+    E = r.standard_normal((3, 2))
+    s = AffineSurface(K, E)
+    A = r.standard_normal(2)
+    v = minimizer_map(F, s) @ A
+    assert np.abs(K @ v - E @ A).max() < 1e-10
     # gradient orthogonal to the surface directions
-    assert np.abs(s.basis.T @ grad).max() < 1e-9
+    assert np.abs(s.basis.T @ F @ v).max() < 1e-9
+    assert np.allclose(v, kkt_minimizer(F, np.zeros(7), K, E @ A),
+                       atol=1e-10)
 
 
 def test_minimize_independent_of_particular_point():
     r = rng()
     F = random_spd(7, r)
-    d = QuadraticDensity(F, r.standard_normal(7))
-    K = r.standard_normal((3, 7))
-    b = r.standard_normal(3)
-    s1 = AffineSurface.from_constraints(K, b)
-    # different particular solution on the same surface
-    shift = s1.basis @ r.standard_normal(s1.surface_dim)
-    s2 = AffineSurface(K, b, s1.basis, s1.particular + shift, s1.row_rank,
-                       s1.log_gram)
-    assert np.allclose(constrained_minimize(d, s1),
-                       constrained_minimize(d, s2), atol=1e-10)
+    s1 = AffineSurface(r.standard_normal((3, 7)), r.standard_normal((3, 2)))
+    # a different point of each fiber: the same surfaces
+    s2 = copy.copy(s1)
+    s2.lift = s1.lift + s1.basis @ r.standard_normal((s1.basis.shape[1], 2))
+    assert np.allclose(minimizer_map(F, s1), minimizer_map(F, s2),
+                       atol=1e-10)
 
 
 def test_indefinite_raises():
-    d = QuadraticDensity(np.diag([1.0, -1.0]))
-    s = AffineSurface.unconstrained(2)
+    F = np.diag([1.0, -1.0])
     with pytest.raises(IndefiniteOnSurface):
-        constrained_minimize(d, s)
+        minimizer_map(F, AffineSurface(np.zeros((0, 2)), np.zeros((0, 1))))
     # but a constraint removing the bad direction makes it fine
-    s2 = AffineSurface.from_constraints(np.array([[0.0, 1.0]]))
-    assert surface_min_eig(d, s2) > 0
+    assert surface_min_eig(F, AffineSurface(np.array([[0.0, 1.0]]))) > 0
 
 
 def test_zero_eigenvalue_is_not_positive_definite():
     # the boundary case: a form with an exact zero eigenvalue on the surface
-    d = QuadraticDensity(np.diag([1.0, 0.0]))
-    s = AffineSurface.unconstrained(2)
-    for integrate in (constrained_minimize, log_partition,
-                      subspace_covariance):
+    F = np.diag([1.0, 0.0])
+    d = QuadraticDensity(F)
+    s = AffineSurface(np.zeros((0, 2)), np.zeros((0, 1)))
+    for integrate in (lambda: minimizer_map(F, s),
+                      lambda: subspace_covariance(F, s),
+                      lambda: log_partition(d, s),
+                      lambda: push_constraint(d, s)):
         with pytest.raises(IndefiniteOnSurface):
-            integrate(d, s)
-    with pytest.raises(IndefiniteOnSurface):
-        push_constraint(d, np.zeros((0, 2)), np.zeros((0, 1)))
+            integrate()
     for error in (IndefiniteOnSurface, SingularOperator):
         with pytest.raises(error):
             positive_cholesky(np.diag([1.0, 0.0]), error)
     assert np.allclose(positive_cholesky(np.diag([4.0, 1.0])),
                        np.diag([2.0, 1.0]))
+
+
+def test_fibers_need_the_range_of_the_constraints():
+    # dependent rows: every fiber is nonempty only if E maps into range(K)
+    row = rng().standard_normal(5)
+    K = np.vstack([row, row])
+    with pytest.raises(SingularOperator, match="inconsistent"):
+        AffineSurface(K, np.array([[1.0], [2.0]]))
+    s = AffineSurface(K, np.array([[1.0], [1.0]]))
+    assert s.rank == 1
+    assert np.allclose(K @ s.lift, s.fiber, atol=1e-12)
+    # without E, or with independent rows, there is nothing to refuse
+    AffineSurface(K)
+    AffineSurface(rng(4).standard_normal((2, 5)), np.array([[1.0], [2.0]]))
 
 
 def _constraint_cases():
@@ -119,7 +148,7 @@ def _constraint_cases():
     yield "full_rank", full, r.standard_normal((3, 2))
     yield "rank_deficient", deficient, deficient @ r.standard_normal((8, 3))
     yield "empty", np.zeros((0, 5)), np.zeros((0, 2))
-    step = _step_constraints(unit_torus(2, 3, 1))
+    step = one_shot_constraints(unit_torus(2, 3, 1), 1)
     yield "step_2_3_1", step.matrix, step.fiber
     one_shot = one_shot_constraints(fine_torus(2, 3, 1, 0), 1)
     yield "one_shot_2_3_1", one_shot.matrix, one_shot.fiber
@@ -130,27 +159,28 @@ def _constraint_cases():
 def test_single_svd_matches_dense_references(case):
     # the one SVD per constraint matrix against the dense calls it replaced
     _, K, E = case
-    b = E @ rng(12).standard_normal(E.shape[1])
+    A = rng(12).standard_normal(E.shape[1])
 
     def close(a, ref):
         assert a.shape == ref.shape
         scale = max(1.0, np.abs(ref).max()) if ref.size else 1.0
         assert np.abs(a - ref).max(initial=0.0) <= 1e-12 * scale
 
-    f = ConstraintFactor(K)
-    basis, rank, log_gram, pinv = f.basis, f.rank, f.log_gram, f.pinv
-    surface = AffineSurface.from_constraints(K, b)
+    surface = AffineSurface(K, E)
+    plain = AffineSurface(K)
     pinv_ref = np.linalg.pinv(K, rcond=RANK_TOL)
     s = np.linalg.svd(K, compute_uv=False)
     rank_ref = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
-    assert rank == surface.row_rank == rank_ref
-    assert log_gram == surface.log_gram
+    assert surface.rank == plain.rank == rank_ref
+    assert surface.log_gram == plain.log_gram
     log_gram_ref = 2.0 * np.sum(np.log(s[:rank_ref]))
-    assert abs(log_gram - log_gram_ref) <= 1e-12 * max(1.0, abs(log_gram_ref))
-    close(basis @ basis.T, np.eye(K.shape[1]) - pinv_ref @ K)
-    close(surface.basis, basis)
-    close(surface.particular, np.linalg.lstsq(K, b, rcond=None)[0])
-    close(pinv(E), pinv_ref @ E)
+    assert abs(surface.log_gram - log_gram_ref) \
+        <= 1e-12 * max(1.0, abs(log_gram_ref))
+    close(surface.basis @ surface.basis.T, np.eye(K.shape[1]) - pinv_ref @ K)
+    assert np.array_equal(plain.basis, surface.basis)
+    assert plain.lift is None and plain.fiber is None
+    close(surface.lift, pinv_ref @ E)
+    close(surface.lift @ A, np.linalg.lstsq(K, E @ A, rcond=None)[0])
 
 
 def _kernel_basis_residual(T, K):
@@ -183,11 +213,11 @@ def test_kernel_residual_matches_kernel_basis(dim, L, levels):
     # ext_d has dependent rows (in 2-D the plaquettes of the torus sum to
     # zero, in 3-D the six faces of every cube do), so the rank rule is used
     d = cases["closed"][1]
-    assert ConstraintFactor(d).rank < d.shape[0]
+    assert AffineSurface(d).rank < d.shape[0]
     for T, K in cases.values():
         # lstsq's rcond cut is kernel_basis's rank rule
         assert np.linalg.lstsq(K.T, T.T, rcond=RANK_TOL)[2] \
-            == ConstraintFactor(K).rank
+            == AffineSurface(K).rank
         assert kernel_residual(T, K) <= 1e-13
         assert _kernel_basis_residual(T, K) <= 1e-13
         # a row that does not vanish on ker K shows in both paths
@@ -210,8 +240,8 @@ def test_kernel_residual_degenerate_constraints():
 def test_log_partition_1d():
     a = 2.7
     d = QuadraticDensity(np.array([[a]]))
-    s = AffineSurface.unconstrained(1)
-    assert abs(log_partition(d, s) - 0.5 * np.log(2 * np.pi / a)) < 1e-12
+    assert abs(log_partition(d, unconstrained(1))
+               - 0.5 * np.log(2 * np.pi / a)) < 1e-12
 
 
 def test_log_partition_additivity():
@@ -222,21 +252,20 @@ def test_log_partition_additivity():
     dd = QuadraticDensity(np.block([[F1, np.zeros((3, 4))],
                                     [np.zeros((4, 3)), F2]]),
                           np.concatenate([d1.linear, d2.linear]))
-    lp = log_partition(dd, AffineSurface.unconstrained(7))
-    assert abs(lp - log_partition(d1, AffineSurface.unconstrained(3))
-               - log_partition(d2, AffineSurface.unconstrained(4))) < 1e-10
+    lp = log_partition(dd, unconstrained(7))
+    assert abs(lp - log_partition(d1, unconstrained(3))
+               - log_partition(d2, unconstrained(4))) < 1e-10
 
 
 def test_log_partition_invariant_under_reorthonormalization():
     r = rng()
     d = QuadraticDensity(random_spd(8, r), r.standard_normal(8))
-    K = r.standard_normal((3, 8))
-    b = r.standard_normal(3)
-    s1 = AffineSurface.from_constraints(K, b)
+    s1 = AffineSurface(r.standard_normal((3, 8)))
     # rotate the kernel basis: same surface, different orthonormal basis
-    q, _ = np.linalg.qr(r.standard_normal((s1.surface_dim, s1.surface_dim)))
-    s2 = AffineSurface(K, b, s1.basis @ q, s1.particular, s1.row_rank,
-                       s1.log_gram)
+    n = s1.basis.shape[1]
+    q, _ = np.linalg.qr(r.standard_normal((n, n)))
+    s2 = copy.copy(s1)
+    s2.basis = s1.basis @ q
     assert abs(log_partition(d, s1) - log_partition(d, s2)) < 1e-10
 
 
@@ -245,8 +274,8 @@ def test_log_partition_dirac_row_scaling():
     r = rng()
     d = QuadraticDensity(random_spd(5, r))
     K = r.standard_normal((2, 5))
-    s1 = AffineSurface.from_constraints(K)
-    s2 = AffineSurface.from_constraints(np.vstack([2 * K[0], K[1]]))
+    s1 = AffineSurface(K)
+    s2 = AffineSurface(np.vstack([2 * K[0], K[1]]))
     assert abs(log_partition(d, s1) - log_partition(d, s2)
                - np.log(2.0)) < 1e-10
 
@@ -255,56 +284,55 @@ def test_log_partition_dirac_needs_full_rank():
     r = rng()
     d = QuadraticDensity(random_spd(5, r))
     row = r.standard_normal(5)
-    s = AffineSurface.from_constraints(np.vstack([row, row]))
-    with pytest.raises(SingularOperator):
+    s = AffineSurface(np.vstack([row, row]), np.ones((2, 1)))
+    with pytest.raises(SingularOperator, match="Dirac"):
         log_partition(d, s)
-    with pytest.raises(SingularOperator):
-        push_constraint(d, np.vstack([row, row]), np.ones((2, 1)))
+    with pytest.raises(SingularOperator, match="Dirac"):
+        push_constraint(d, s)
 
 
 def test_log_partition_matches_brute_force_eigen():
     r = rng()
     d = QuadraticDensity(random_spd(6, r), r.standard_normal(6))
     K = r.standard_normal((2, 6))
-    s = AffineSurface.from_constraints(K, r.standard_normal(2))
+    s = AffineSurface(K)
     R = s.basis.T @ d.form @ s.basis
     w = np.linalg.eigvalsh(R)
-    vstar = constrained_minimize(d, s)
+    vstar = kkt_minimizer(d.form, d.linear, K, np.zeros(2))
     # the Dirac measure divides the surface integral by sqrt(det(K K^T))
     expect = (0.5 * len(w) * np.log(2 * np.pi) - 0.5 * np.sum(np.log(w))
-              + d.log_value(vstar) - 0.5 * np.linalg.slogdet(K @ K.T)[1])
+              + log_value(d, vstar) - 0.5 * np.linalg.slogdet(K @ K.T)[1])
     assert abs(log_partition(d, s) - expect) < 1e-10
 
 
 def test_subspace_covariance_support_and_pullback():
     r = rng()
-    d = QuadraticDensity(random_spd(6, r))
+    F = random_spd(6, r)
     K = r.standard_normal((2, 6))
-    s = AffineSurface.from_constraints(K)
-    cov = subspace_covariance(d, s)
+    s = AffineSurface(K)
+    cov = subspace_covariance(F, s)
     assert np.abs(K @ cov).max() < 1e-10
     pulled = s.basis.T @ cov @ s.basis
-    expect = np.linalg.inv(s.basis.T @ d.form @ s.basis)
+    expect = np.linalg.inv(s.basis.T @ F @ s.basis)
     assert np.allclose(pulled, expect, atol=1e-10)
 
 
 def test_covariance_identity_form():
-    d = QuadraticDensity(np.eye(4))
-    s = AffineSurface.unconstrained(4)
-    assert np.allclose(subspace_covariance(d, s), np.eye(4), atol=1e-12)
+    assert np.allclose(subspace_covariance(np.eye(4), unconstrained(4)),
+                       np.eye(4), atol=1e-12)
 
 
 def test_moment_generating_matches_log_partition_shift():
     # log E e^<v,J> = <mean, J> + 1/2 <J, cov J> for the normalized Gaussian
-    # on the surface
+    # on the surface, whose mean is the constrained minimizer;
     # equals log_partition(with linear + J) - log_partition(base)
     r = rng()
     d = QuadraticDensity(random_spd(5, r), r.standard_normal(5))
-    s = AffineSurface.from_constraints(r.standard_normal((2, 5)),
-                                       r.standard_normal(2))
+    K = r.standard_normal((2, 5))
+    s = AffineSurface(K)
     J = r.standard_normal(5)
-    moment = (constrained_minimize(d, s) @ J
-              + 0.5 * J @ subspace_covariance(d, s) @ J)
+    mean = kkt_minimizer(d.form, d.linear, K, np.zeros(2))
+    moment = mean @ J + 0.5 * J @ subspace_covariance(d.form, s) @ J
     shifted = QuadraticDensity(d.form, d.linear + J, d.log_const)
     assert abs(moment
                - (log_partition(shifted, s) - log_partition(d, s))) < 1e-9
@@ -318,10 +346,14 @@ def test_push_constraint_matches_pointwise_partition():
     d = QuadraticDensity(F, l, 0.3)
     K = r.standard_normal((3, 7))
     E = r.standard_normal((3, 2))
-    pushed = push_constraint(d, K, E)
+    pushed = push_constraint(d, AffineSurface(K, E))
+    homogeneous = AffineSurface(K)
     for A in (np.zeros(2), r.standard_normal(2), r.standard_normal(2)):
-        s = AffineSurface.from_constraints(K, E @ A)
-        assert abs(pushed.log_value(A) - log_partition(d, s)) < 1e-9
+        # v = p + u with K p = E A and K u = 0: the density of u
+        p = np.linalg.lstsq(K, E @ A, rcond=None)[0]
+        translated = QuadraticDensity(F, l - F @ p, log_value(d, p))
+        assert abs(log_value(pushed, A)
+                   - log_partition(translated, homogeneous)) < 1e-9
 
 
 def test_push_constraint_gaussian_marginal():
@@ -331,13 +363,12 @@ def test_push_constraint_gaussian_marginal():
     d = QuadraticDensity(F)
     K = np.hstack([np.eye(2), np.zeros((2, 2))])
     # fiber {v : v[:2] = A}: integrate out v[2:]
-    pushed = push_constraint(d, K, np.eye(2))
+    pushed = push_constraint(d, AffineSurface(K, np.eye(2)))
     cov = np.linalg.inv(F)
     marg_form = np.linalg.inv(cov[:2, :2])
     A = r.standard_normal(2)
-    expect = (-0.5 * A @ marg_form @ A
-              + 0.5 * np.linalg.slogdet(F)[1] * 0 + pushed.log_value(np.zeros(2)))
-    assert abs(pushed.log_value(A) - expect) < 1e-9
+    expect = -0.5 * A @ marg_form @ A + log_value(pushed, np.zeros(2))
+    assert abs(log_value(pushed, A) - expect) < 1e-9
 
 
 @settings(max_examples=20, deadline=None)
@@ -345,74 +376,80 @@ def test_push_constraint_gaussian_marginal():
 def test_minimizer_feasible_property(seed):
     r = np.random.default_rng(seed)
     F = random_spd(6, r)
-    d = QuadraticDensity(F, r.standard_normal(6))
     K = r.standard_normal((2, 6))
-    b = r.standard_normal(2)
-    s = AffineSurface.from_constraints(K, b)
-    v = constrained_minimize(d, s)
-    assert np.abs(K @ v - b).max() < 1e-8
+    E = r.standard_normal((2, 3))
+    H = minimizer_map(F, AffineSurface(K, E))
+    assert np.abs(K @ H - E).max() < 1e-8
 
 
-def _builder_factors(dim, L, levels):
-    """(name, lattice, factor) of every lattice-keyed constraint builder of
-    one instance: the flow's step surfaces, the one-shot (axial) surfaces
-    at k = 0 .. levels, and the two winding stacks of the last level."""
+def _builder_surfaces(dim, L, levels):
+    """(name, lattice, surface, K, E) of every lattice-keyed constraint
+    builder of one instance: the flow's step surfaces, the one-shot (axial)
+    surfaces at k = 0 .. levels, and the two winding stacks of the last
+    level.  K and E are assembled here from the averaging matrices."""
+    def stacked(top, lat):
+        """[top; tau] for tau the path averages of lat, and E = [I; 0]."""
+        top = top.toarray()
+        tau = av.path_average_matrix(lat).matrix.toarray()
+        return np.vstack([top, tau]), np.eye(len(top) + len(tau), len(top))
+
     for j in range(levels):
         lat = unit_torus(dim, L, levels - j)
-        yield f"step_{j}", lat, _step_constraints(lat)
+        yield (f"step_{j}", lat, one_shot_constraints(lat, 1),
+               *stacked(av.bond_average_matrix(lat, 1), lat))
     for k in range(levels + 1):
         fine = fine_torus(dim, L, k, levels - k)
-        yield f"one_shot_{k}", fine, one_shot_constraints(fine, k)
+        f = one_shot_constraints(fine, k)
+        yield f"one_shot_{k}", fine, f, np.array(f.matrix), np.array(f.fiber)
     lat = unit_torus(dim, L, 1)
-    yield "winding", lat, _winding_constraints(lat)
+    K, _ = stacked(av.toron_average_matrix(lat), lat)
+    yield "winding", lat, _one_shot_winding_constraints(lat, 1), K, None
     fine = fine_torus(dim, L, levels, 0)
-    yield "one_shot_winding", fine, _one_shot_winding_constraints(fine, levels)
+    f = _one_shot_winding_constraints(fine, levels)
+    yield "one_shot_winding", fine, f, np.array(f.matrix), None
 
 
 @pytest.mark.parametrize("dim,L,levels",
                          [(2, 3, 1), (2, 3, 2), (2, 5, 1), (3, 3, 1)])
 def test_cached_factor_matches_fresh_factorization(dim, L, levels):
-    # a raw K is factored on entry by the same constructor, so the cached
-    # factor must reproduce it bit for bit
+    # a cached surface must reproduce, bit for bit, the surface factored
+    # afresh from K and E; the step and winding surfaces come from the
+    # one-shot builders at one level, whose K is [Q_b; tau] (or
+    # [toron; tau]) exactly
     r = rng(dim * L + levels)
-    for name, lat, f in _builder_factors(dim, L, levels):
-        K = np.array(f.matrix)
+    for name, lat, cached, K, E in _builder_surfaces(dim, L, levels):
+        assert np.array_equal(cached.matrix, K), name
+        fresh = AffineSurface(K, E)
+        assert np.array_equal(cached.basis, fresh.basis), name
+        assert (cached.rank, cached.log_gram) \
+            == (fresh.rank, fresh.log_gram), name
         form = curl_energy_form(lat)
         density = QuadraticDensity(form, r.standard_normal(lat.n_bonds))
-        cached = AffineSurface.from_constraints(f)
-        fresh = AffineSurface.from_constraints(K)
-        assert np.array_equal(cached.basis, fresh.basis), name
-        assert np.array_equal(cached.particular, fresh.particular), name
-        assert (cached.row_rank, cached.log_gram) \
-            == (fresh.row_rank, fresh.log_gram), name
         assert log_partition(density, cached) \
             == log_partition(density, fresh), name
-        if f.fiber is None:
+        if E is None:
+            assert cached.fiber is None, name
             continue
-        E = np.array(f.fiber)
-        p_cached = push_constraint(density, f)
-        p_fresh = push_constraint(density, K, E)
+        assert np.array_equal(cached.fiber, E), name
+        assert np.array_equal(cached.lift, fresh.lift), name
+        p_cached = push_constraint(density, cached)
+        p_fresh = push_constraint(density, fresh)
         assert np.array_equal(p_cached.form, p_fresh.form), name
         assert np.array_equal(p_cached.linear, p_fresh.linear), name
         assert p_cached.log_const == p_fresh.log_const, name
-        assert np.array_equal(minimizer_map(form, f),
-                              minimizer_map(form, K, E)), name
-        # the same factor over another fiber map (the coarse minimizer's)
-        s = float(L) ** ((dim - 2) / 2.0)
-        assert np.array_equal(minimizer_map(form, f, s * E),
-                              minimizer_map(form, K, s * E)), name
+        assert np.array_equal(minimizer_map(form, cached),
+                              minimizer_map(form, fresh)), name
 
 
 def test_cached_factors_are_read_only_and_shared():
-    f = _step_constraints(unit_torus(2, 3, 1))
-    for a in (f.matrix, f.fiber, f.basis, f.lift,
-              AffineSurface.from_constraints(f).basis):
+    f = one_shot_constraints(unit_torus(2, 3, 1), 1)
+    for a in (f.matrix, f.fiber, f.basis, f.lift):
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1.0
-    # the caller's raw K keeps its own flags
-    K = np.eye(3)
-    ConstraintFactor(K)
-    K[0, 0] = 2.0
+    # the caller's raw K and E keep their own flags
+    K, E = np.eye(3), np.eye(3)
+    AffineSurface(K, E)
+    K[0, 0] = E[0, 0] = 2.0
     # the axial minimizer factors the one-shot surface of its level; at
     # level 0 that is the block-average surface of the Feynman minimizer
     for level in (0, 1, 2):

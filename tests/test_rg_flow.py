@@ -3,10 +3,10 @@ import pytest
 
 from caxial.fields import ResourceCapExceeded, curl_energy_form
 from caxial.rg_flow import (FlowCounts, final_step, fluctuation_step,
-                            fluctuation_surface, flow_states, init_rho0,
+                            flow_states, init_rho0,
                             minimizer_composition_residual, one_shot_final,
                             one_shot_state, rg_step, z_constants)
-from caxial.gaussian import (AffineSurface, QuadraticDensity, log_partition,
+from caxial.gaussian import (QuadraticDensity, log_partition,
                              subspace_covariance)
 from caxial.gauge_ops import get_context, one_shot_constraints
 from caxial.lattice import LatticeSpec, clear_caches, fine_torus
@@ -66,8 +66,8 @@ def integrated_log_z(dim, L, n_levels, k):
     """log Z_k as the integral of the curl Gaussian over the level-k
     homogeneous one-shot surface, taken on its own."""
     fine = fine_torus(dim, L, k, n_levels - k)
-    surface = AffineSurface.from_constraints(one_shot_constraints(fine, k))
-    return log_partition(QuadraticDensity(curl_energy_form(fine)), surface)
+    return log_partition(QuadraticDensity(curl_energy_form(fine)),
+                         one_shot_constraints(fine, k))
 
 
 @pytest.mark.parametrize("dim,L,n_levels", [(2, 3, 2), (3, 3, 1)])
@@ -120,8 +120,7 @@ def test_fluctuation_step_quadratic_cross_check():
 
 def test_fluctuation_covariance_factorizes():
     ctx = get_context(2, 3, 2, 0)
-    cov = subspace_covariance(QuadraticDensity(ctx.delta),
-                              fluctuation_surface(ctx.unit))
+    cov = subspace_covariance(ctx.delta, one_shot_constraints(ctx.unit, 1))
     c = ctx.fluct_basis
     assert rel_diff(cov, c @ ctx.fluct_cov(0.0) @ c.T) < 1e-10
 
