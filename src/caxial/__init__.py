@@ -2,10 +2,9 @@
 gauge fields, verified by exact finite-dimensional linear algebra."""
 
 from .lattice import (LatticeSpec, Lattice, LatticeSymmetry, LatticeError,
-                      Path, build_lattice, open_cube, unit_torus, fine_torus,
+                      build_lattice, open_cube, unit_torus, fine_torus,
                       TORUS, OPEN_CUBE)
 from .fields import (ScalarField, BondField, PlaquetteField, LinearMap,
-                     grad, ext_d, codiff, gauge_transform, path_sum,
-                     scale_field, inner, as_matrix)
+                     grad, ext_d, codiff, scale_field, inner, as_matrix)
 
 __version__ = "0.1.0"

@@ -11,8 +11,7 @@ in canonical form (sorted columns, no repeats), together with the lattices
 involved.  The local averages are assembled from (row, column, value)
 triplets by `_csr`, which sums repeated triplets; the composite maps are
 sparse products, sums and row gathers of them.  Checks that need dense
-linear algebra densify with `.toarray()`.  Field-level wrappers are
-provided.
+linear algebra densify with `.toarray()`.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .lattice import Lattice, LatticeError, build_lattice, instance_cache
-from .fields import (BOND, PLAQUETTE, SITE, BondField, ScalarField,
-                     SpaceDescriptor, block_symbol, ext_d_matrix, grad_matrix)
+from .fields import (BOND, PLAQUETTE, SITE, SpaceDescriptor, block_symbol,
+                     ext_d_matrix, grad_matrix)
 from .gaussian import kernel_basis
 
 
@@ -35,10 +34,6 @@ def coarsened(lattice: Lattice, n: int = 1) -> Lattice:
     for _ in range(n):
         lat = build_lattice(lat.spec.coarsened())
     return lat
-
-
-def _fine_center(fine: Lattice, coarse: Lattice, y_ord: int, n: int = 1):
-    return tuple(fine.L**n * c for c in coarse.site_coords(y_ord))
 
 
 def _blocks(fine: Lattice, coarse: Lattice, n: int = 1) -> np.ndarray:
@@ -314,10 +309,6 @@ def scalar_recovery_matrix(lattice: Lattice) -> sp.csr_matrix:
     return _canonical(w * block_sum[block_of] - at_sites)
 
 
-def scalar_recovery(Z: BondField) -> ScalarField:
-    return ScalarField(Z.lattice, scalar_recovery_matrix(Z.lattice) @ Z.values)
-
-
 # -- kernel identities as block-Fourier symbols ------------------------------
 
 def _symbol(matrix, codomain, domain, grid: int) -> np.ndarray:
@@ -377,23 +368,30 @@ class FluctuationSplit:
 
 @instance_cache
 def fluctuation_split(lattice: Lattice) -> FluctuationSplit:
+    """The linking bonds of coarse bond (y, mu) leave the block of y through
+    its +mu face: they start at the face sites L y + half e_mu + t, t over
+    the transverse offsets in block_offsets order, so the central bond
+    (t = 0) is the middle one."""
     coarse = coarsened(lattice)
     if coarse.n_sites == lattice.n_sites:
         raise LatticeError("lattice has no blocking level")
-    linking = []
-    central = []
-    for cb, (y, mu) in enumerate(coarse.bonds):
-        bonds, c = lattice.boundary_bonds(coarse, y, mu)
-        linking.extend(bonds)
-        central.append(c)
-    linking_set = set(linking)
-    in_block = tuple(b for b in range(lattice.n_bonds)
-                     if b not in linking_set)
+    off = lattice.block_offsets(1)
+    half = (lattice.L - 1) // 2
+    faces = np.stack([off[off[:, mu] == half] for mu in range(lattice.dim)])
+    centers = lattice.L * coarse.sites[coarse.bond_sites]
+    sites = lattice.site_ordinals(centers[:, None] + faces[coarse.bond_axes])
+    bonds = lattice.bond_index[sites, coarse.bond_axes[:, None]]
+    mid = bonds.shape[1] // 2
+    central = bonds[:, mid]
+    in_block = np.setdiff1d(np.arange(lattice.n_bonds), bonds)
+    noncentral = np.delete(bonds, mid, axis=1)
     chi = np.ones(lattice.n_bonds)
-    chi[list(central)] = 0.0
-    noncentral = tuple(b for b in linking if chi[b])
-    return FluctuationSplit(in_block, tuple(linking), tuple(central),
-                            noncentral, chi, lattice, coarse)
+    chi[central] = 0.0
+    return FluctuationSplit(tuple(in_block.tolist()),
+                            tuple(bonds.ravel().tolist()),
+                            tuple(central.tolist()),
+                            tuple(noncentral.ravel().tolist()), chi,
+                            lattice, coarse)
 
 
 def solve_central(lattice: Lattice, values: np.ndarray) -> np.ndarray:
@@ -437,20 +435,3 @@ def fluctuation_basis(lattice: Lattice) -> np.ndarray:
     cols[noncentral, n_kernel + np.arange(len(noncentral))] = 1.0
     cols[list(split.central)] = solve_central(lattice, cols)
     return cols
-
-
-# -- field-level wrappers ----------------------------------------------------
-
-def q_scalar(f: ScalarField, n: int = 1) -> ScalarField:
-    return ScalarField(coarsened(f.lattice, n),
-                       scalar_average_matrix(f.lattice, n) @ f.values)
-
-
-def q_bond(A: BondField, n: int = 1) -> BondField:
-    return BondField(coarsened(A.lattice, n),
-                     bond_average_matrix(A.lattice, n) @ A.values)
-
-
-def q_toron(A: BondField) -> np.ndarray:
-    return toron_average_matrix(A.lattice) @ A.values
-

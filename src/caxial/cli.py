@@ -697,8 +697,7 @@ def suite_appendix(run: Runner, inst):
     run.check("appendix.scalar_split_dimensions",
               "coarse scalars plus divergence directions exhaust the fine "
               "scalars, and the split map is invertible", inst,
-              lambda: 0 if (result()["square"] and result()["dims_match"]
-                            and np.isfinite(result()["condition"]))
+              lambda: 0 if (result()["invertible"] and result()["dims_match"])
               else 1, 0, "exact")
 
     run.check("appendix.gauge_change_moments",

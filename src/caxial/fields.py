@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import (Lattice, LatticeError, LatticeSpec, Path, build_lattice,
+from .lattice import (Lattice, LatticeError, LatticeSpec, build_lattice,
                       fine_torus, instance_cache)
 
 SITE = "site"
@@ -328,22 +328,6 @@ def grad(f: ScalarField) -> BondField:
 
 def ext_d(A: BondField) -> PlaquetteField:
     return PlaquetteField(A.lattice, ext_d_matrix(A.lattice) @ A.values)
-
-
-def gauge_transform(A: BondField, f: ScalarField) -> BondField:
-    """A minus the gradient of f; leaves ext_d(A) unchanged."""
-    if f.lattice is not A.lattice:
-        raise LatticeError("field lattices do not match")
-    return BondField(A.lattice, A.values - grad_matrix(A.lattice) @ f.values)
-
-
-def path_sum(A: BondField, path: Path, weighted: bool = False) -> float:
-    total = 0.0
-    for bond, sign in path.steps:
-        total += sign * A.values[bond]
-    if weighted:
-        total *= A.lattice.spacing
-    return total
 
 
 def inner(f: Field, g: Field) -> float:

@@ -30,8 +30,9 @@ from scipy.special import roots_legendre
 
 from . import averaging as av
 from .fields import _guard, curl_energy_form, grad_matrix
-from .gaussian import (AffineSurface, IndefiniteOnSurface, SingularOperator,
-                       minimizer_map, positive_cholesky, subspace_covariance)
+from .gaussian import (RANK_TOL, AffineSurface, IndefiniteOnSurface,
+                       SingularOperator, minimizer_map, positive_cholesky,
+                       subspace_covariance)
 from .lattice import Lattice, LatticeSpec, build_lattice, instance_cache
 
 
@@ -151,9 +152,10 @@ class GaugeContext:
         return self._per_a("green", a, lambda: self._green_for(
             self.scalar_average, self.scalar_average_adj, a))
 
-    def _projectors_for(self, q, q_adj, a):
-        """R = I - P for P the orthogonal projector onto range(G Q^T)."""
-        g = self._green_for(q, q_adj, a)
+    @staticmethod
+    def _projectors_for(q, q_adj, g):
+        """R = I - P for P the orthogonal projector onto range(G Q^T), G the
+        Green's function of Q."""
         core = q @ g @ g @ q_adj
         p = g @ q_adj @ np.linalg.solve(core, q @ g)
         return np.eye(p.shape[0]) - 0.5 * (p + p.T)
@@ -161,14 +163,15 @@ class GaugeContext:
     def proj_div(self, a: float = 1.0) -> np.ndarray:
         """R: orthogonal projector onto Lap(ker Q)."""
         return self._per_a("proj_div", a, lambda: self._projectors_for(
-            self.scalar_average, self.scalar_average_adj, a))
+            self.scalar_average, self.scalar_average_adj,
+            self.green_scalar(a)))
 
     def proj_div_next(self, a: float = 1.0) -> np.ndarray:
         """R built from the (k+1)-level scalar average."""
         q = self.scalar_average_next
         q_adj = float(self.L) ** ((self.level + 1) * self.dim) * q.T
-        return self._per_a("proj_div_next", a,
-                           lambda: self._projectors_for(q, q_adj, a))
+        return self._per_a("proj_div_next", a, lambda: self._projectors_for(
+            q, q_adj, self._green_for(q, q_adj, a)))
 
     # -- minimizers and the effective form ----------------------------------
 
@@ -352,7 +355,9 @@ def change_of_gauge_check(ctx: GaugeContext, coarse_field: np.ndarray) -> dict:
     divergence-projected surface.
 
     Returns the dimension check of the underlying scalar bijection, its
-    condition number, and the relative mean/covariance residuals.
+    condition number, whether it is invertible (square, with a condition
+    number below 1 / RANK_TOL, the one rank cut), and the relative
+    mean/covariance residuals.
     """
     m = ctx.gauge_bijection_matrix()
     square = m.shape[0] == m.shape[1] == ctx.fine.n_sites
@@ -379,6 +384,7 @@ def change_of_gauge_check(ctx: GaugeContext, coarse_field: np.ndarray) -> dict:
     return {
         "square": square,
         "condition": cond,
+        "invertible": square and cond < 1 / RANK_TOL,
         "dims_match": ctx.unit.n_sites + n_div == ctx.fine.n_sites,
         "mean_residual": float(mean_res),
         "covariance_residual": float(cov_res),

@@ -118,43 +118,11 @@ class LatticeSpec:
 
 
 @dataclass(frozen=True)
-class Path:
-    """An oriented lattice path: a list of (bond ordinal, +-1) steps."""
-
-    steps: tuple
-    start: int
-    end: int
-
-    def __len__(self):
-        return len(self.steps)
-
-    @property
-    def closed(self) -> bool:
-        return self.start == self.end
-
-    def bond_multiset(self):
-        return tuple(sorted(self.steps))
-
-
-@dataclass(frozen=True)
 class LatticeSymmetry:
     """Signed axis permutation fixing the origin: r e_mu = signs[mu] e_perm[mu]."""
 
     perm: tuple
     signs: tuple
-
-    def matrix(self) -> np.ndarray:
-        dim = len(self.perm)
-        m = np.zeros((dim, dim), dtype=int)
-        for mu in range(dim):
-            m[self.perm[mu], mu] = self.signs[mu]
-        return m
-
-    def apply_site(self, coords) -> tuple:
-        out = [0] * len(self.perm)
-        for mu, c in enumerate(coords):
-            out[self.perm[mu]] = self.signs[mu] * c
-        return tuple(out)
 
     def inverse(self) -> "LatticeSymmetry":
         dim = len(self.perm)
@@ -177,7 +145,8 @@ class Lattice:
     bond_sites, bond_axes        -- the bonds as arrays (site, axis);
     plaq_sites, plaq_axes        -- the plaquettes as arrays (site, (mu, nu)).
 
-    `bonds` and `plaquettes` list the same elements as tuples.
+    Paths, blocks and symmetries are computed from these tables, which are
+    the only representation of the geometry.
     """
 
     def __init__(self, spec: LatticeSpec):
@@ -202,15 +171,11 @@ class Lattice:
         self.bond_sites, self.bond_axes = np.nonzero(has_bond)
         self.bond_index = np.full(has_bond.shape, -1)
         self.bond_index[has_bond] = np.arange(len(self.bond_sites))
-        self.bonds = list(zip(self.bond_sites.tolist(),
-                              self.bond_axes.tolist()))
 
         pairs = np.array(list(itertools.combinations(range(dim), 2)))
         has_plaq = has_bond[:, pairs[:, 0]] & has_bond[:, pairs[:, 1]]
         self.plaq_sites, pair = np.nonzero(has_plaq)
         self.plaq_axes = pairs[pair]
-        self.plaquettes = list(zip(self.plaq_sites.tolist(),
-                                   *self.plaq_axes.T.tolist()))
 
     # -- basic counts -------------------------------------------------------
 
@@ -220,11 +185,11 @@ class Lattice:
 
     @property
     def n_bonds(self) -> int:
-        return len(self.bonds)
+        return len(self.bond_sites)
 
     @property
     def n_plaquettes(self) -> int:
-        return len(self.plaquettes)
+        return len(self.plaq_sites)
 
     @property
     def spacing(self) -> float:
@@ -257,70 +222,10 @@ class Lattice:
     def site_ordinal(self, coords) -> int:
         return int(self.site_ordinals(coords))
 
-    def site_coords(self, ordinal: int) -> tuple:
-        return tuple(self.sites[ordinal])
-
-    def shift_site(self, ordinal: int, axis: int, steps: int = 1):
-        """Ordinal of the site displaced by steps*e_axis, or None if outside."""
-        table = self.next if steps > 0 else self.prev
-        for _ in range(abs(steps)):
-            ordinal = table[axis, ordinal]
-            if ordinal < 0:
-                return None
-        return int(ordinal)
-
-    def centered_delta(self, y_coords, x_coords):
-        """Displacement x - y, wrapped into the centered window on a torus."""
-        d = [int(x) - int(y) for y, x in zip(y_coords, x_coords)]
-        if self.is_torus:
-            n = self.n_side
-            d = [(c + n // 2) % n - n // 2 for c in d]
-        return tuple(d)
-
-    # -- bonds --------------------------------------------------------------
-
-    def bond_ordinal(self, site_ordinal: int, axis: int) -> int:
-        if not (0 <= site_ordinal < self.n_sites and 0 <= axis < self.dim
-                and self.bond_index[site_ordinal, axis] >= 0):
-            raise LatticeError("no such bond")
-        return int(self.bond_index[site_ordinal, axis])
-
-    def step(self, site_ordinal: int, axis: int, direction: int):
-        """One oriented step from a site; returns (bond ordinal, sign, new site)."""
-        if direction > 0:
-            nxt = self.shift_site(site_ordinal, axis)
-            if nxt is None:
-                raise LatticeError("step leaves the lattice")
-            return self.bond_ordinal(site_ordinal, axis), 1, nxt
-        nxt = self.shift_site(site_ordinal, axis, -1)
-        if nxt is None:
-            raise LatticeError("step leaves the lattice")
-        return self.bond_ordinal(nxt, axis), -1, nxt
-
-    def bonds_at(self, site_ordinal: int):
-        """All canonical bonds incident to a site, with incidence sign."""
-        out = []
-        for mu in range(self.dim):
-            if self.bond_index[site_ordinal, mu] >= 0:
-                out.append((int(self.bond_index[site_ordinal, mu]), 1))
-            prev = self.prev[mu, site_ordinal]
-            if prev >= 0:
-                out.append((int(self.bond_index[prev, mu]), -1))
-        return out
-
     # -- paths --------------------------------------------------------------
 
-    def walk(self, start_coords, deltas_by_axis, axis_order) -> Path:
-        """Move each coordinate to its target in the given axis order."""
-        start = self.site_ordinal(start_coords)
-        bonds, signs, end = self.walk_bonds([start], [deltas_by_axis],
-                                            axis_order)
-        taken = signs[0] != 0
-        steps = zip(bonds[0, taken].tolist(), signs[0, taken].tolist())
-        return Path(tuple(steps), start, int(end[0]))
-
     def walk_bonds(self, starts, deltas, axis_order):
-        """`walk` for many paths at once, by whole-array table lookups.
+        """Walk many paths at once, by whole-array table lookups.
 
         Path i moves site starts[i] by deltas[i], axis by axis in axis_order.
         Returns (bonds, signs, ends): bonds and signs have shape
@@ -348,34 +253,6 @@ class Lattice:
                 signs[fwd, slot] = 1
                 signs[back, slot] = -1
         return bonds, signs, cur
-
-    def rectilinear_path(self, y_coords, x_coords, perm=None) -> Path:
-        """Coordinate-ordered path from y to x (identity order by default).
-
-        On a torus the displacement is the minimal centered representative,
-        so paths within blocks never wrap ambiguously.
-        """
-        if perm is None:
-            perm = tuple(range(self.dim))
-        delta = self.centered_delta(y_coords, x_coords)
-        return self.walk(y_coords, delta, perm)
-
-    def path_family(self, y_coords, x_coords):
-        """All dim! coordinate-ordered paths from y to x, with multiplicity."""
-        return [self.rectilinear_path(y_coords, x_coords, perm)
-                for perm in itertools.permutations(range(self.dim))]
-
-    def straight_path(self, x_coords, axis, length) -> Path:
-        """Straight path of the given number of +axis steps starting at x."""
-        deltas = [0] * self.dim
-        deltas[axis] = length
-        return self.walk(x_coords, deltas, (axis,))
-
-    def toron_loop(self, x_coords, axis) -> Path:
-        """Closed path winding once around the torus through x along an axis."""
-        if not self.is_torus:
-            raise LatticeError("toron loops require a torus")
-        return self.straight_path(x_coords, axis, self.n_side)
 
     # -- trees --------------------------------------------------------------
 
@@ -409,46 +286,6 @@ class Lattice:
         y = np.asarray(y_coords, dtype=int)
         return self.site_ordinals(y + self.block_offsets(n)).tolist()
 
-    def boundary_bonds(self, coarse: "Lattice", y_ord: int, axis: int):
-        """Fine bonds leaving the block of coarse site y through its +axis face.
-
-        Returns (list of bond ordinals, central bond ordinal).  The central
-        bond starts at the face center; it is unique because L is odd.
-        """
-        half = (self.L - 1) // 2
-        yf = [self.L * c for c in coarse.site_coords(y_ord)]
-        bonds = []
-        central = None
-        trans_axes = [m for m in range(self.dim) if m != axis]
-        for off in itertools.product(range(-half, half + 1),
-                                     repeat=self.dim - 1):
-            face = list(yf)
-            face[axis] += half
-            for ax, o in zip(trans_axes, off):
-                face[ax] += o
-            b = self.bond_ordinal(self.site_ordinal(face), axis)
-            bonds.append(b)
-            if all(o == 0 for o in off):
-                central = b
-        return bonds, central
-
-    def linking_bonds(self, coarse: "Lattice", y_ord: int, yp_ord: int):
-        """Fine bonds joining the blocks of adjacent coarse sites y, y'.
-
-        Returns (list of bond ordinals, central bond ordinal); the bonds are
-        oriented from B(y) to B(y') along the separating axis when y' = y +
-        e_axis, i.e. in canonical orientation when the displacement is +1.
-        """
-        y = coarse.site_coords(y_ord)
-        yp = coarse.site_coords(yp_ord)
-        delta = coarse.centered_delta(y, yp)
-        if sorted(abs(d) for d in delta) != [0] * (self.dim - 1) + [1]:
-            raise LatticeError("coarse sites are not nearest neighbors")
-        axis = max(range(self.dim), key=lambda m: abs(delta[m]))
-        if delta[axis] > 0:
-            return self.boundary_bonds(coarse, y_ord, axis)
-        return self.boundary_bonds(coarse, yp_ord, axis)
-
     # -- symmetries ---------------------------------------------------------
 
     def symmetries(self):
@@ -474,11 +311,6 @@ class Lattice:
         # a reversed bond is the canonical bond one step back along nu
         start = np.where(sign > 0, start, self.prev[nu, start])
         return self.bond_index[start, nu], sign
-
-    def bond_image(self, r: LatticeSymmetry, bond_ordinal: int):
-        """Image of a canonical bond under r: (canonical ordinal, sign)."""
-        dest, sign = self.bond_permutation(r)
-        return int(dest[bond_ordinal]), int(sign[bond_ordinal])
 
     def __repr__(self):
         return (f"Lattice(dim={self.dim}, L={self.L}, "

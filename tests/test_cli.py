@@ -138,6 +138,19 @@ def test_appendix_runs_change_of_gauge_once(monkeypatch):
     assert [c["status"] for c in report["checks"]] == ["ERROR", "ERROR"]
 
 
+def test_appendix_fails_a_singular_split_map(monkeypatch):
+    original = GaugeContext.gauge_bijection_matrix
+
+    def repeated_row(self):
+        m = original(self)
+        m[-1] = m[0]
+        return m
+    monkeypatch.setattr(GaugeContext, "gauge_bijection_matrix", repeated_row)
+    report, _ = run_verification(small_config(suites=("appendix",)))
+    status = {c["check_id"]: c["status"] for c in report["checks"]}
+    assert status["appendix.scalar_split_dimensions"] == "FAIL"
+
+
 FLOW_CHECKS = ("lower_bound.flow_forms_positive", "rg.flow_gauge_invariance",
                "rg.iterated_matches_one_shot", "rg.final_winding_step")
 

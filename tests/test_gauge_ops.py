@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from caxial import averaging as av
+from caxial import gauge_ops
 from caxial.fields import ResourceCapExceeded, curl_energy_form, ext_d_matrix
 from caxial.gauge_ops import (GaugeContext, change_of_gauge_check,
                               decay_profile, get_context,
@@ -239,10 +240,39 @@ def test_change_of_gauge_moments_and_dimension():
     c = ctx1()
     rng = np.random.default_rng(11)
     out = change_of_gauge_check(c, rng.standard_normal(c.unit.n_bonds))
-    assert out["square"] and out["dims_match"]
+    assert out["square"] and out["dims_match"] and out["invertible"]
     assert np.isfinite(out["condition"])
     assert out["mean_residual"] < 1e-9
     assert out["covariance_residual"] < 1e-9
+
+
+def test_change_of_gauge_rejects_a_singular_split_map(monkeypatch):
+    # a repeated row makes the split map singular, yet its condition number
+    # stays finite: the rank cut, not finiteness, decides invertibility
+    c = ctx1()
+    m = c.gauge_bijection_matrix()
+    m[-1] = m[0]
+    monkeypatch.setattr(GaugeContext, "gauge_bijection_matrix",
+                        lambda self: m)
+    rng = np.random.default_rng(11)
+    out = change_of_gauge_check(c, rng.standard_normal(c.unit.n_bonds))
+    assert out["square"] and np.isfinite(out["condition"])
+    assert not out["invertible"]
+
+
+def test_proj_div_reuses_the_green_function(monkeypatch):
+    original = gauge_ops.positive_cholesky
+    factored = []
+
+    def counted(*args):
+        factored.append(args[2])
+        return original(*args)
+    monkeypatch.setattr(gauge_ops, "positive_cholesky", counted)
+    c = GaugeContext(2, 3, 2, 1)
+    c.green_scalar(1.0)
+    assert factored == ["-Lap + a Q^T Q"]
+    c.proj_div(1.0)
+    assert factored == ["-Lap + a Q^T Q"]
 
 
 def test_decay_profile_massive_inverse():

@@ -7,6 +7,7 @@ import pytest
 
 import caxial
 from caxial import lattice
+from caxial.averaging import fluctuation_split
 from caxial.lattice import (LatticeSpec, LatticeError, build_lattice,
                             open_cube, unit_torus)
 
@@ -47,7 +48,7 @@ def test_single_site_torus():
     lat = build_lattice(LatticeSpec(2, 3, -1, 1))
     assert lat.n_sites == 1
     assert lat.n_bonds == 2
-    assert lat.shift_site(0, 0) == 0
+    assert lat.next[0, 0] == lat.prev[0, 0] == 0
 
 
 def test_canonical_ordinals_lexicographic():
@@ -55,13 +56,14 @@ def test_canonical_ordinals_lexicographic():
     coords = [tuple(c) for c in lat.sites]
     assert coords == sorted(coords)
     assert coords[0] == (-1, -1)
-    assert lat.bonds == sorted(lat.bonds)
+    bonds = list(zip(lat.bond_sites.tolist(), lat.bond_axes.tolist()))
+    assert bonds == sorted(bonds)
 
 
 def test_block_members():
     lat = unit_torus(2, 3, 1)
     members = lat.block_members((0, 0), 1)
-    got = sorted(tuple(lat.site_coords(m)) for m in members)
+    got = sorted(map(tuple, lat.sites[members].tolist()))
     assert got == sorted(itertools.product((-1, 0, 1), repeat=2))
     assert lat.block_members((0, 0), 0) == [lat.site_ordinal((0, 0))]
 
@@ -71,8 +73,7 @@ def test_block_members_partition():
     coarse = build_lattice(fine.spec.coarsened())
     seen = []
     for y in range(coarse.n_sites):
-        yf = tuple(3 * c for c in coarse.site_coords(y))
-        seen.extend(fine.block_members(yf, 1))
+        seen.extend(fine.block_members(3 * coarse.sites[y], 1))
     assert sorted(seen) == list(range(fine.n_sites))
 
 
@@ -82,59 +83,71 @@ def test_block_members_bad_center():
         lat.block_members((1, 0), 1)
 
 
+def _walk(lat, start, delta, order):
+    """The (bond, sign) steps and end site of one walk_bonds path."""
+    bonds, signs, end = lat.walk_bonds([lat.site_ordinal(start)], [delta],
+                                       order)
+    taken = signs[0] != 0
+    return list(zip(bonds[0, taken].tolist(), signs[0, taken].tolist())), \
+        int(end[0])
+
+
 def test_rectilinear_path_identity_order():
     lat = open_cube(3, 5)
-    path = lat.rectilinear_path((0, 0, 0), (2, 1, -1))
-    assert len(path) == 4
+    steps, _ = _walk(lat, (0, 0, 0), (2, 1, -1), (0, 1, 2))
+    assert len(steps) == 4
     # identity order: x1 to its final value first, then x2, then x3
     visited = [(0, 0, 0)]
-    cur = lat.site_ordinal((0, 0, 0))
-    for bond, sign in path.steps:
-        s, mu = lat.bonds[bond]
-        cur = lat.shift_site(s if sign > 0 else lat.shift_site(s, mu), mu,
-                             1 if sign > 0 else -1)
-        visited.append(lat.site_coords(cur))
+    for bond, sign in steps:
+        s, mu = lat.bond_sites[bond], lat.bond_axes[bond]
+        cur = lat.next[mu, s] if sign > 0 else s
+        visited.append(tuple(lat.sites[cur].tolist()))
     assert (2, 0, 0) in visited and (2, 1, 0) in visited
     assert visited[-1] == (2, 1, -1)
 
 
 def test_rectilinear_path_empty_and_permuted():
     lat = open_cube(2, 5)
-    assert len(lat.rectilinear_path((1, 1), (1, 1))) == 0
-    path = lat.rectilinear_path((0, 0), (1, 1), perm=(1, 0))
-    s0, mu0 = lat.bonds[path.steps[0][0]]
-    assert mu0 == 1  # axis 2 moved first
+    assert len(_walk(lat, (1, 1), (0, 0), (0, 1))[0]) == 0
+    steps, _ = _walk(lat, (0, 0), (1, 1), (1, 0))
+    assert lat.bond_axes[steps[0][0]] == 1  # axis 2 moved first
+
+
+def _family(lat, delta):
+    """The bond multisets of the dim! coordinate-ordered paths from the
+    origin by delta."""
+    return [tuple(sorted(_walk(lat, (0,) * lat.dim, delta, order)[0]))
+            for order in itertools.permutations(range(lat.dim))]
 
 
 def test_path_family_multiset():
     lat = open_cube(3, 3)
-    fam = lat.path_family((0, 0, 0), (1, 1, 1))
-    assert len(fam) == 6
-    fam2 = lat.path_family((0, 0, 0), (1, 0, 0))
+    assert len(_family(lat, (1, 1, 1))) == 6
+    fam2 = _family(lat, (1, 0, 0))
     assert len(fam2) == 6
-    assert len({p.bond_multiset() for p in fam2}) == 1  # degenerate multiset
+    assert len(set(fam2)) == 1  # degenerate multiset
 
 
 def test_path_family_d2_distinct():
-    lat = open_cube(2, 3)
-    fam = lat.path_family((0, 0), (1, 1))
+    fam = _family(open_cube(2, 3), (1, 1))
     assert len(fam) == 2
-    assert len({p.bond_multiset() for p in fam}) == 2
+    assert len(set(fam)) == 2
 
 
 def test_toron_loop():
     lat = unit_torus(2, 3, 1)
-    loop = lat.toron_loop((0, 0), 0)
-    assert len(loop) == 3
-    assert loop.closed
+    start = lat.site_ordinal((0, 0))
+    steps, end = _walk(lat, (0, 0), (lat.n_side, 0), (0,))
+    assert len(steps) == 3
+    assert end == start
     with pytest.raises(LatticeError):
-        open_cube(2, 3).toron_loop((0, 0), 0)
+        _walk(open_cube(2, 3), (0, 0), (3, 0), (0,))
 
 
 def test_toron_loops_disjoint():
     lat = unit_torus(3, 3, 1)
-    l1 = {b for b, _ in lat.toron_loop((0, 0, 0), 1).steps}
-    l2 = {b for b, _ in lat.toron_loop((1, 0, 0), 1).steps}
+    l1 = {b for b, _ in _walk(lat, (0, 0, 0), (0, 3, 0), (1,))[0]}
+    l2 = {b for b, _ in _walk(lat, (1, 0, 0), (0, 3, 0), (1,))[0]}
     assert not (l1 & l2)
 
 
@@ -145,10 +158,10 @@ def test_axial_tree_comb_d2_l5():
     # the comb: the x1-axis row plus all vertical lines
     expected = set()
     for x1 in range(-2, 2):
-        expected.add(lat.bond_ordinal(lat.site_ordinal((x1, 0)), 0))
+        expected.add(int(lat.bond_index[lat.site_ordinal((x1, 0)), 0]))
     for x1 in range(-2, 3):
         for x2 in range(-2, 2):
-            expected.add(lat.bond_ordinal(lat.site_ordinal((x1, x2)), 1))
+            expected.add(int(lat.bond_index[lat.site_ordinal((x1, x2)), 1]))
     assert tree == expected
 
 
@@ -165,11 +178,11 @@ def test_axial_tree_spans_and_acyclic():
     assert len(tree) == lat.n_sites - 1
     reached = {lat.site_ordinal((0, 0))}
     frontier = [lat.site_ordinal((0, 0))]
-    adj = {b: lat.bonds[b] for b in tree}
+    adj = {b: (lat.bond_sites[b], lat.bond_axes[b]) for b in tree}
     while frontier:
         s = frontier.pop()
         for b, (base, mu) in adj.items():
-            ends = (base, lat.shift_site(base, mu))
+            ends = (base, lat.next[mu, base])
             if s in ends:
                 other = ends[1] if s == ends[0] else ends[0]
                 if other not in reached:
@@ -180,44 +193,36 @@ def test_axial_tree_spans_and_acyclic():
 
 @pytest.mark.parametrize("dim,L,nlink", [(2, 3, 3), (3, 3, 9)])
 def test_linking_bonds(dim, L, nlink):
-    fine = unit_torus(dim, L, 2)
-    coarse = build_lattice(fine.spec.coarsened())
-    y = coarse.site_ordinal((0,) * dim)
-    yp = coarse.site_ordinal((1,) + (0,) * (dim - 1))
-    bonds, central = fine.linking_bonds(coarse, y, yp)
-    assert len(bonds) == nlink
+    split = fluctuation_split(unit_torus(dim, L, 2))
+    fine, coarse = split.lattice, split.coarse
+    # the coarse bond from y = 0 to y' = e_1, and its group of linking bonds
+    cb = coarse.bond_index[coarse.site_ordinal((0,) * dim), 0]
+    bonds = split.linking[nlink * cb:nlink * (cb + 1)]
+    assert len(split.linking) == nlink * coarse.n_bonds
+    central = split.central[cb]
     assert central in bonds
-    s, mu = fine.bonds[central]
-    assert fine.site_coords(s) == ((L - 1) // 2,) + (0,) * (dim - 1)
-    assert mu == 0
+    assert fine.sites[fine.bond_sites[central]].tolist() \
+        == [(L - 1) // 2] + [0] * (dim - 1)
+    assert fine.bond_axes[central] == 0
 
 
 def test_linking_bonds_partition():
-    fine = unit_torus(2, 3, 2)
-    coarse = build_lattice(fine.spec.coarsened())
+    split = fluctuation_split(unit_torus(2, 3, 2))
+    fine, coarse = split.lattice, split.coarse
     linking = set()
-    for y in range(coarse.n_sites):
-        for mu in range(2):
-            yp = coarse.shift_site(y, mu)
-            bonds, _ = fine.linking_bonds(coarse, y, yp)
-            assert not (linking & set(bonds))
-            linking |= set(bonds)
+    for cb in range(coarse.n_bonds):
+        bonds = split.linking[3 * cb:3 * (cb + 1)]
+        assert not (linking & set(bonds))
+        linking |= set(bonds)
     in_block = set()
     for y in range(coarse.n_sites):
-        yf = tuple(3 * c for c in coarse.site_coords(y))
-        members = set(fine.block_members(yf, 1))
-        for b, (s, mu) in enumerate(fine.bonds):
-            if s in members and fine.shift_site(s, mu) in members:
+        members = set(fine.block_members(3 * coarse.sites[y], 1))
+        for b, (s, mu) in enumerate(zip(fine.bond_sites, fine.bond_axes)):
+            if s in members and fine.next[mu, s] in members:
                 in_block.add(b)
     assert linking.isdisjoint(in_block)
     assert linking | in_block == set(range(fine.n_bonds))
-
-
-def test_linking_bonds_non_adjacent():
-    fine = unit_torus(2, 3, 2)
-    coarse = build_lattice(fine.spec.coarsened())
-    with pytest.raises(LatticeError):
-        fine.linking_bonds(coarse, 0, 0)
+    assert in_block == set(split.in_block)
 
 
 def test_symmetry_group_size_and_action():
@@ -225,7 +230,8 @@ def test_symmetry_group_size_and_action():
     syms = lat.symmetries()
     assert len(syms) == 8
     for r in syms:
-        m = r.matrix()
+        m = np.zeros((2, 2), dtype=int)
+        m[list(r.perm), [0, 1]] = r.signs
         assert np.allclose(m @ m.T, np.eye(2))
         perm = lat.site_permutation(r)
         assert sorted(perm) == list(range(lat.n_sites))
@@ -237,14 +243,11 @@ def test_symmetry_path_family_covariance():
     rng = np.random.default_rng(0)
     for r in lat.symmetries()[:10]:
         x = (1, -1, 1)
-        rx = r.apply_site(x)
-        fam_x = lat.path_family((0, 0, 0), x)
-        fam_rx = lat.path_family((0, 0, 0), rx)
-        mapped = []
-        for p in fam_x:
-            mapped.append(tuple(sorted(lat.bond_image(r, b)[0]
-                                       for b, _ in p.steps)))
-        target = [tuple(sorted(b for b, _ in p.steps)) for p in fam_rx]
+        rx = lat.sites[lat.site_permutation(r)[lat.site_ordinal(x)]]
+        dest, _ = lat.bond_permutation(r)
+        mapped = [tuple(sorted(dest[b] for b, _ in p))
+                  for p in _family(lat, x)]
+        target = [tuple(b for b, _ in p) for p in _family(lat, rx)]
         assert sorted(mapped) == sorted(target)
 
 

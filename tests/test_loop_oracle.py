@@ -8,6 +8,7 @@ here only as references; every comparison is exact (`np.array_equal`).
 """
 
 import itertools
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -18,10 +19,21 @@ from caxial.fields import (BondField, apply_symmetry, ext_d_matrix,
                            grad_matrix)
 from caxial.gauge_ops import _element_points, decay_profile, get_context
 from caxial.lattice import (OPEN_CUBE, TORUS, Lattice, LatticeError,
-                            LatticeSpec, Path, build_lattice)
+                            LatticeSpec, build_lattice)
 
 
 # -- loop references -----------------------------------------------------------
+
+# an oriented path: (bond ordinal, +-1) steps from site start to end
+LoopPath = namedtuple("LoopPath", "steps start end")
+
+
+def apply_site(r, coords):
+    """Coordinates of the image of a site under the symmetry r."""
+    out = [0] * len(r.perm)
+    for mu, c in enumerate(coords):
+        out[r.perm[mu]] = r.signs[mu] * c
+    return tuple(out)
 
 class LoopLattice:
     """Sites, bonds and plaquettes enumerated one element at a time."""
@@ -103,16 +115,6 @@ class LoopLattice:
             raise LatticeError("step leaves the lattice")
         return self.bond_ordinal(nxt, axis), -1, nxt
 
-    def bonds_at(self, site_ordinal):
-        out = []
-        for mu in range(self.dim):
-            if (site_ordinal, mu) in self._bond_lookup:
-                out.append((self._bond_lookup[(site_ordinal, mu)], 1))
-            prev = self.shift_site(site_ordinal, mu, -1)
-            if prev is not None and (prev, mu) in self._bond_lookup:
-                out.append((self._bond_lookup[(prev, mu)], -1))
-        return out
-
     def walk(self, start_coords, deltas_by_axis, axis_order):
         cur = self.site_ordinal(start_coords)
         start = cur
@@ -123,7 +125,7 @@ class LoopLattice:
             for _ in range(abs(d)):
                 b, s, cur = self.step(cur, axis, sgn)
                 steps.append((b, s))
-        return Path(tuple(steps), start, cur)
+        return LoopPath(tuple(steps), start, cur)
 
     def rectilinear_path(self, y_coords, x_coords, perm=None):
         if perm is None:
@@ -158,12 +160,12 @@ class LoopLattice:
     def site_permutation(self, r):
         dest = np.empty(self.n_sites, dtype=int)
         for s in range(self.n_sites):
-            dest[s] = self.site_ordinal(r.apply_site(self.site_coords(s)))
+            dest[s] = self.site_ordinal(apply_site(r, self.site_coords(s)))
         return dest
 
     def bond_image(self, r, bond_ordinal):
         s, mu = self.bonds[bond_ordinal]
-        y = list(r.apply_site(self.site_coords(s)))
+        y = list(apply_site(r, self.site_coords(s)))
         nu = r.perm[mu]
         sgn = r.signs[mu]
         if sgn > 0:
@@ -311,6 +313,34 @@ def loop_hierarchical_scalar_bijection_matrix(fine, n_levels):
     return np.vstack(rows)
 
 
+def loop_fluctuation_split(fine):
+    """(in_block, linking, central, noncentral, chi_star): the linking
+    bonds leave the block of y through its +mu face, coarse bond by coarse
+    bond, face site by face site."""
+    coarse = loop_coarsened(fine)
+    half = (fine.L - 1) // 2
+    linking, central = [], []
+    for y, mu in coarse.bonds:
+        yf = _fine_center(fine, coarse, y)
+        trans_axes = [m for m in range(fine.dim) if m != mu]
+        for off in itertools.product(range(-half, half + 1),
+                                     repeat=fine.dim - 1):
+            face = list(yf)
+            face[mu] += half
+            for ax, o in zip(trans_axes, off):
+                face[ax] += o
+            b = fine.bond_ordinal(fine.site_ordinal(face), mu)
+            linking.append(b)
+            if all(o == 0 for o in off):
+                central.append(b)
+    linking_set = set(linking)
+    in_block = tuple(b for b in range(fine.n_bonds) if b not in linking_set)
+    chi = np.ones(fine.n_bonds)
+    chi[central] = 0.0
+    noncentral = tuple(b for b in linking if chi[b])
+    return in_block, tuple(linking), tuple(central), noncentral, chi
+
+
 def loop_element_points(lattice, kind):
     if kind == "site":
         return np.asarray(lattice.sites, dtype=float) * lattice.spec.spacing
@@ -389,24 +419,18 @@ def test_enumeration_matches_loops(spec):
     lat, ref = _pair(spec)
     assert np.array_equal(lat.sites, ref.sites)
     assert lat.sites.dtype == ref.sites.dtype
-    assert lat.bonds == ref.bonds
-    assert lat.plaquettes == ref.plaquettes
+    assert list(zip(lat.bond_sites.tolist(), lat.bond_axes.tolist())) \
+        == ref.bonds
+    assert list(zip(lat.plaq_sites.tolist(), *lat.plaq_axes.T.tolist())) \
+        == ref.plaquettes
     for s in range(ref.n_sites):
-        coords = ref.site_coords(s)
-        assert lat.site_ordinal(coords) == s
-        assert lat.bonds_at(s) == ref.bonds_at(s)
+        assert lat.site_ordinal(ref.site_coords(s)) == s
         for mu in range(spec.dim):
-            for steps in (-2, -1, 0, 1, 2):
-                assert lat.shift_site(s, mu, steps) \
-                    == ref.shift_site(s, mu, steps)
-            for sign in (1, -1):
-                try:
-                    want = ref.step(s, mu, sign)
-                except LatticeError:
-                    with pytest.raises(LatticeError):
-                        lat.step(s, mu, sign)
-                else:
-                    assert lat.step(s, mu, sign) == want
+            for steps, table in ((1, lat.next), (-1, lat.prev)):
+                want = ref.shift_site(s, mu, steps)
+                assert table[mu, s] == (-1 if want is None else want)
+            want = ref._bond_lookup.get((s, mu), -1)
+            assert lat.bond_index[s, mu] == want
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=_id)
@@ -437,8 +461,6 @@ def test_symmetries_match_loops(spec):
         want = [ref.bond_image(r, b) for b in range(ref.n_bonds)]
         dest, sign = lat.bond_permutation(r)
         assert list(zip(dest.tolist(), sign.tolist())) == want
-        for b in (0, lat.n_bonds - 1):
-            assert lat.bond_image(r, b) == want[b]
         got = apply_symmetry(r, BondField(lat, values)).values
         assert np.array_equal(got, loop_apply_symmetry_bond(ref, r, values))
 
@@ -527,6 +549,18 @@ def test_axial_stack_level_zero_is_an_unaliased_copy(spec):
     before = cached.copy()
     stack.matrix.data[...] = 7.0
     assert (cached != before).nnz == 0
+
+
+@pytest.mark.parametrize("spec", BLOCKED, ids=_id)
+def test_fluctuation_split_matches_loops(spec):
+    lat, ref = _pair(spec)
+    split = av.fluctuation_split(lat)
+    in_block, linking, central, noncentral, chi = loop_fluctuation_split(ref)
+    assert split.in_block == in_block
+    assert split.linking == linking
+    assert split.central == central
+    assert split.noncentral == noncentral
+    assert np.array_equal(split.chi_star, chi)
 
 
 def test_toron_average_of_one_site_torus_matches_loops():
