@@ -23,8 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .lattice import Lattice, LatticeError, build_lattice, instance_cache
-from .fields import (BOND, PLAQUETTE, SITE, SpaceDescriptor, block_symbol,
-                     ext_d_matrix, grad_matrix)
+from .fields import (BOND, PLAQUETTE, SITE, block_symbol, ext_d_matrix,
+                     grad_matrix)
 from .gaussian import kernel_basis
 
 
@@ -311,23 +311,18 @@ def scalar_recovery_matrix(lattice: Lattice) -> sp.csr_matrix:
 
 # -- kernel identities as block-Fourier symbols ------------------------------
 
-def _symbol(matrix, codomain, domain, grid: int) -> np.ndarray:
-    """block_symbol between (lattice, kind) spaces."""
-    return block_symbol(matrix, SpaceDescriptor(*codomain),
-                        SpaceDescriptor(*domain), grid)
-
-
 def closed_average_symbols(fine: Lattice):
     """Symbols (T, K), over the blocks of one blocking step, of
     T = ext_d(coarse) Q_b and K = ext_d(fine): T vanishes on ker K when the
     block average of every curl-free field is curl-free."""
     coarse = coarsened(fine)
     grid = coarse.n_side
-    qb = _symbol(bond_average_matrix(fine, 1), (coarse, BOND), (fine, BOND),
-                 grid)
-    dc = _symbol(ext_d_matrix(coarse), (coarse, PLAQUETTE), (coarse, BOND),
-                 grid)
-    d = _symbol(ext_d_matrix(fine), (fine, PLAQUETTE), (fine, BOND), grid)
+    qb = block_symbol(bond_average_matrix(fine, 1), (coarse, BOND),
+                      (fine, BOND), grid)
+    dc = block_symbol(ext_d_matrix(coarse), (coarse, PLAQUETTE),
+                      (coarse, BOND), grid)
+    d = block_symbol(ext_d_matrix(fine), (fine, PLAQUETTE), (fine, BOND),
+                     grid)
     return dc @ qb, d
 
 
@@ -337,10 +332,11 @@ def recovery_inverse_symbols(fine: Lattice):
     operator inverts minus the gradient on zero-average scalars."""
     coarse = coarsened(fine)
     grid = coarse.n_side
-    m = _symbol(scalar_recovery_matrix(fine), (fine, SITE), (fine, BOND), grid)
-    g = _symbol(grad_matrix(fine), (fine, BOND), (fine, SITE), grid)
-    qs = _symbol(scalar_average_matrix(fine, 1), (coarse, SITE), (fine, SITE),
-                 grid)
+    m = block_symbol(scalar_recovery_matrix(fine), (fine, SITE), (fine, BOND),
+                     grid)
+    g = block_symbol(grad_matrix(fine), (fine, BOND), (fine, SITE), grid)
+    qs = block_symbol(scalar_average_matrix(fine, 1), (coarse, SITE),
+                      (fine, SITE), grid)
     return m @ g + np.eye(m.shape[-2]), qs
 
 

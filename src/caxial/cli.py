@@ -30,14 +30,14 @@ import numpy as np
 from . import averaging as av
 from . import spectral
 from .fields import (ResourceCapExceeded, _guard, apply_symmetry, codiff,
-                     curl_energy_form, ext_d, ext_d_matrix, grad,
-                     grad_matrix, guarded_torus, inner, laplacian_matrix,
-                     max_ambient_dim, norm_sq, random_field, scale_field)
+                     curl_energy_form, ext_d_matrix, grad_matrix,
+                     guarded_torus, laplacian_matrix, max_ambient_dim,
+                     random_field, scale_field)
 from .gauge_ops import (change_of_gauge_check, decay_profile, get_context,
                         one_shot_constraints)
 from .gaussian import RANK_TOL, kernel_residual, surface_min_eig
-from .lattice import (LatticeSpec, clear_caches, instance_cache, open_cube,
-                      unit_torus)
+from .lattice import (LatticeSpec, build_lattice, clear_caches,
+                      instance_cache, open_cube, unit_torus)
 from .rg_flow import (final_step, fluctuation_step, flow_states,
                       minimizer_composition_residual, one_shot_final,
                       one_shot_state, z_constants)
@@ -322,18 +322,24 @@ def suite_calculus(run: Runner, inst):
         rng = run.rng(1, *inst)
         f = random_field(lattice, "site", rng)
         A = random_field(lattice, "bond", rng)
-        lhs = inner(grad(f), A)
-        rhs = inner(f, codiff("bond", lattice)(A))
+        w = lattice.spacing**dim
+        lhs = w * float((grad_matrix(lattice) @ f) @ A)
+        rhs = w * float(f @ (codiff("bond", lattice) @ A))
         return abs(lhs - rhs) / max(abs(rhs), 1.0)
     run.check("calculus.adjointness",
               "gradient and weighted divergence are mutual adjoints", inst,
               adjoint, tol)
 
+    def curl_energy(lattice, A):
+        dA = ext_d_matrix(lattice) @ A
+        return lattice.spacing**dim * float(dA @ dA)
+
     def scale_inv():
         fine = guarded_torus(dim, L, 1, levels)
         A = random_field(fine, "bond", run.rng(2, *inst))
-        before = norm_sq(ext_d(A))
-        after = norm_sq(ext_d(scale_field(A, 1)))
+        before = curl_energy(fine, A)
+        after = curl_energy(build_lattice(fine.spec.rescaled(1)),
+                            scale_field(fine, A, 1))
         return abs(before - after) / max(abs(before), 1.0)
     run.check("calculus.curl_energy_scale_invariance",
               "the curl energy is invariant under lattice relabeling", inst,
@@ -344,9 +350,9 @@ def suite_calculus(run: Runner, inst):
         A = random_field(lattice, "bond", run.rng(3, *inst))
         tau = av.path_average_matrix(lattice)
         worst = 0.0
-        by_pair = dict(zip(tau.rows, tau.matrix @ A.values))
+        by_pair = dict(zip(tau.rows, tau.matrix @ A))
         for sym in lattice.symmetries()[:6]:
-            lhs = tau.matrix @ apply_symmetry(sym, A).values
+            lhs = tau.matrix @ apply_symmetry(sym, lattice, "bond", A)
             rinv = sym.inverse()
             coarse_dest = tau.coarse.site_permutation(rinv).tolist()
             fine_dest = lattice.site_permutation(rinv).tolist()
@@ -386,11 +392,11 @@ def suite_averaging(run: Runner, inst):
     def recovery():
         lattice = lat()
         Z = random_field(lattice, "bond", run.rng(4, *inst))
-        mu = av.scalar_recovery_matrix(lattice) @ Z.values
+        mu = av.scalar_recovery_matrix(lattice) @ Z
         tau = av.path_average_matrix(lattice).matrix
         g = grad_matrix(lattice)
         qs = av.scalar_average_matrix(lattice, 1)
-        return max(_maxabs(tau @ (Z.values + g @ mu)), _maxabs(qs @ mu))
+        return max(_maxabs(tau @ (Z + g @ mu)), _maxabs(qs @ mu))
     run.check("averaging.scalar_recovery",
               "the recovered potential cancels all in-block path averages "
               "and has zero block average", inst, recovery, tol)

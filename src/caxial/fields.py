@@ -1,15 +1,20 @@
 """Fields on lattice elements and the discrete exterior calculus.
 
+A field is a plain float array indexed by the canonical ordinals of one
+element kind (sites, bonds or plaquettes, docs/indexing.md) of a lattice;
+operators are matrices acting on those arrays.
+
 Conventions (fixed once, used by every other module):
 
 * derivatives are divided differences: (grad f)(x, x+eta*e_mu) =
   (f(x+eta*e_mu) - f(x)) / eta, and the plaquette curl carries the same
   1/eta factor;
-* inner products are weighted by eta**dim, so that on unit lattices they
-  reduce to plain sums;
-* the adjoint of a map between same-spacing spaces is the plain matrix
-  transpose (the uniform weights cancel); between different spacings it
-  picks up the ratio of the weights.
+* inner products are weighted by eta**dim (`spacing**dim`), so that on
+  unit lattices they reduce to plain sums;
+* the adjoint of a map between spaces of one lattice is the plain matrix
+  transpose (the uniform weights cancel), so `codiff` is the CSR transpose
+  of grad or ext_d; between different spacings it picks up the ratio of
+  the weights.
 
 These are the unique choices under which block averaging commutes with
 the gradient, path averages of gradients telescope with an L**k factor,
@@ -30,13 +35,12 @@ block-Fourier symbol, one small block per momentum (docs/indexing.md,
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import (Lattice, LatticeError, LatticeSpec, build_lattice,
-                      fine_torus, instance_cache)
+from .lattice import (Lattice, LatticeError, LatticeSpec, fine_torus,
+                      instance_cache)
 
 SITE = "site"
 BOND = "bond"
@@ -81,130 +85,25 @@ def element_count(lattice: Lattice, kind: str) -> int:
             PLAQUETTE: lattice.n_plaquettes}[kind]
 
 
-@dataclass(frozen=True)
-class SpaceDescriptor:
-    """A field space: a lattice together with the element kind."""
-
-    lattice: Lattice
-    kind: str
-
-    @property
-    def size(self) -> int:
-        return element_count(self.lattice, self.kind)
-
-    @property
-    def weight(self) -> float:
-        """Inner-product weight eta**dim of this space."""
-        return self.lattice.spacing**self.lattice.dim
-
-
-class Field:
-    kind = None
-
-    def __init__(self, lattice: Lattice, values):
-        values = np.asarray(values, dtype=float)
-        n = element_count(lattice, self.kind)
-        if values.shape != (n,):
-            raise LatticeError(
-                f"{type(self).__name__} needs {n} values, got {values.shape}")
-        self.lattice = lattice
-        self.values = values
-
-    @classmethod
-    def zeros(cls, lattice: Lattice):
-        return cls(lattice, np.zeros(element_count(lattice, cls.kind)))
-
-    @property
-    def descriptor(self) -> SpaceDescriptor:
-        return SpaceDescriptor(self.lattice, self.kind)
-
-    def copy(self):
-        return type(self)(self.lattice, self.values.copy())
-
-    def __add__(self, other):
-        self._check_same(other)
-        return type(self)(self.lattice, self.values + other.values)
-
-    def __sub__(self, other):
-        self._check_same(other)
-        return type(self)(self.lattice, self.values - other.values)
-
-    def __mul__(self, c):
-        return type(self)(self.lattice, self.values * float(c))
-
-    __rmul__ = __mul__
-
-    def _check_same(self, other):
-        if other.lattice is not self.lattice or other.kind != self.kind:
-            raise LatticeError("field descriptors do not match")
-
-
-class ScalarField(Field):
-    kind = SITE
-
-    def at(self, coords) -> float:
-        return self.values[self.lattice.site_ordinal(coords)]
-
-
-class BondField(Field):
-    kind = BOND
-
-
-class PlaquetteField(Field):
-    kind = PLAQUETTE
-
-
-FIELD_CLASS = {SITE: ScalarField, BOND: BondField, PLAQUETTE: PlaquetteField}
-
-
-@dataclass
-class LinearMap:
-    """A linear operator between field spaces with explicit coefficients,
-    dense or sparse."""
-
-    matrix: np.ndarray | sp.spmatrix
-    domain: SpaceDescriptor
-    codomain: SpaceDescriptor
-
-    def __post_init__(self):
-        m = self.matrix
-        shape = (self.codomain.size, self.domain.size)
-        if m.shape != shape:
-            raise LatticeError(f"matrix shape {m.shape} != {shape}")
-
-    def __call__(self, field: Field) -> Field:
-        if field.descriptor != self.domain:
-            raise LatticeError("field does not match operator domain")
-        out = self.matrix @ field.values
-        return FIELD_CLASS[self.codomain.kind](self.codomain.lattice,
-                                               np.asarray(out).ravel())
-
-    def adjoint(self) -> "LinearMap":
-        """Adjoint with respect to the weighted inner products."""
-        ratio = self.codomain.weight / self.domain.weight
-        return LinearMap(ratio * self.matrix.T, self.codomain, self.domain)
-
-
 # -- block translations on a torus -------------------------------------------
 
-def _block_ordinals(space: SpaceDescriptor, grid: int):
-    """The ordinals of a torus space in an array indexed by (block position,
-    offset) per lattice axis and then the component, and the size of one
-    block."""
-    lat = space.lattice
+def _block_ordinals(space, grid: int):
+    """The ordinals of a torus space (lattice, kind) in an array indexed by
+    (block position, offset) per lattice axis and then the component, and
+    the size of one block."""
+    lat, kind = space
     if not lat.is_torus or grid < 1 or lat.n_side % grid:
         raise LatticeError(f"a {lat.n_side}-site side does not split into "
                            f"{grid} block positions on a torus")
     side = lat.n_side // grid
-    comps = space.size // lat.n_sites
+    comps = element_count(lat, kind) // lat.n_sites
     split = (grid, side) * lat.dim + (comps,)
-    return np.arange(space.size).reshape(split), side**lat.dim * comps
+    return np.arange(lat.n_sites * comps).reshape(split), side**lat.dim * comps
 
 
-def block_symbol(matrix, codomain: SpaceDescriptor, domain: SpaceDescriptor,
-                 grid: int) -> np.ndarray:
+def block_symbol(matrix, codomain, domain, grid: int) -> np.ndarray:
     """Block-Fourier symbol of an operator, dense or sparse, between torus
-    spaces.
+    spaces, each given as a (lattice, kind) pair.
 
     Both spaces are cut into grid**dim blocks, so a fine index L*g + r
     along each axis is (block position g, offset r); a space whose side
@@ -217,13 +116,13 @@ def block_symbol(matrix, codomain: SpaceDescriptor, domain: SpaceDescriptor,
     S[k] = sum_g C[g] exp(-2 pi i k.g / grid), an array of shape
     (grid,)*dim + (a, b) for blocks of a rows and b columns.
     """
-    dim = domain.lattice.dim
+    dim = domain[0].dim
     rows, a = _block_ordinals(codomain, grid)
     cols, b = _block_ordinals(domain, grid)
     m = sp.csr_matrix(matrix, dtype=float)
-    if m.shape != (codomain.size, domain.size):
+    if m.shape != (rows.size, cols.size):
         raise LatticeError(f"matrix shape {m.shape} != "
-                           f"{(codomain.size, domain.size)}")
+                           f"{(rows.size, cols.size)}")
     for axis in range(dim):
         # p[.., g, ..] = index[.., g - 1, ..]: M commutes with the shift
         # when M[p_rows][:, p_cols] == M
@@ -297,81 +196,46 @@ def curl_energy_form(lattice: Lattice) -> np.ndarray:
     return form
 
 
-def as_matrix(name: str, lattice: Lattice) -> LinearMap:
-    """Named calculus operator as an explicit LinearMap."""
-    sd = lambda kind: SpaceDescriptor(lattice, kind)
-    if name == "grad":
-        return LinearMap(grad_matrix(lattice), sd(SITE), sd(BOND))
-    if name == "ext_d":
-        return LinearMap(ext_d_matrix(lattice), sd(BOND), sd(PLAQUETTE))
-    if name == "codiff_bond":
-        return as_matrix("grad", lattice).adjoint()
-    if name == "codiff_plaquette":
-        return as_matrix("ext_d", lattice).adjoint()
-    raise LatticeError(f"unknown operator {name!r}")
-
-
-def codiff(kind: str, lattice: Lattice) -> LinearMap:
-    """Weighted adjoint of grad (kind='bond') or of ext_d (kind='plaquette')."""
-    if kind == BOND:
-        return as_matrix("codiff_bond", lattice)
-    if kind == PLAQUETTE:
-        return as_matrix("codiff_plaquette", lattice)
-    raise LatticeError(f"codiff undefined for kind {kind!r}")
+def codiff(kind: str, lattice: Lattice) -> sp.csr_matrix:
+    """Weighted adjoint of grad (kind='bond') or of ext_d (kind='plaquette'):
+    the CSR transpose, since both spaces carry the weight eta**dim."""
+    build = {BOND: grad_matrix, PLAQUETTE: ext_d_matrix}.get(kind)
+    if build is None:
+        raise LatticeError(f"codiff undefined for kind {kind!r}")
+    return build(lattice).T.tocsr()
 
 
 # -- field-level operations --------------------------------------------------
 
-def grad(f: ScalarField) -> BondField:
-    return BondField(f.lattice, grad_matrix(f.lattice) @ f.values)
-
-
-def ext_d(A: BondField) -> PlaquetteField:
-    return PlaquetteField(A.lattice, ext_d_matrix(A.lattice) @ A.values)
-
-
-def inner(f: Field, g: Field) -> float:
-    """Weighted inner product eta**dim * sum(f*g)."""
-    f._check_same(g)
-    return f.descriptor.weight * float(f.values @ g.values)
-
-
-def norm_sq(f: Field) -> float:
-    return inner(f, f)
-
-
-def scale_field(A: BondField, n: int) -> BondField:
-    """Reinterpret a bond field at spacing finer by L**n.
+def scale_field(lattice: Lattice, A: np.ndarray, n: int) -> np.ndarray:
+    """A bond field of `lattice` reinterpreted at spacing finer by L**n, on
+    `build_lattice(lattice.spec.rescaled(n))`.
 
     In centered integer coordinates the bond sets coincide, so the map is a
-    relabeling of the descriptor with values multiplied by L**(n(dim-2)/2).
-    Negative n inverts the operation.  The curl energy is invariant.
+    relabeling with values multiplied by L**(n(dim-2)/2).  Negative n
+    inverts the operation.  The curl energy is invariant.
     """
-    lat = A.lattice
-    new_lat = build_lattice(lat.spec.rescaled(n))
-    factor = float(lat.L) ** (n * (lat.dim - 2) / 2.0)
-    return BondField(new_lat, factor * A.values)
+    return float(lattice.L) ** (n * (lattice.dim - 2) / 2.0) * A
 
 
-def apply_symmetry(r, A):
+def apply_symmetry(r, lattice: Lattice, kind: str,
+                   values: np.ndarray) -> np.ndarray:
     """Transformed field A_r with A_r(b) = A(r^{-1} b), signs included.
 
-    Works for ScalarField (plain relabeling) and BondField (orientation
-    signs from the signed axis permutation).
+    Sites are relabeled; bonds also take the orientation signs of the
+    signed axis permutation.
     """
-    lat = A.lattice
-    out = np.empty_like(A.values)
-    if A.kind == SITE:
-        dest = lat.site_permutation(r)
-        out[dest] = A.values
-        return ScalarField(lat, out)
-    if A.kind == BOND:
-        dest, sign = lat.bond_permutation(r)
-        out[dest] = sign * A.values
-        return BondField(lat, out)
+    out = np.empty_like(values)
+    if kind == SITE:
+        out[lattice.site_permutation(r)] = values
+        return out
+    if kind == BOND:
+        dest, sign = lattice.bond_permutation(r)
+        out[dest] = sign * values
+        return out
     raise LatticeError("symmetry action implemented for site and bond fields")
 
 
-def random_field(lattice: Lattice, kind: str, rng) -> Field:
-    return FIELD_CLASS[kind](lattice,
-                             rng.standard_normal(element_count(lattice, kind)))
+def random_field(lattice: Lattice, kind: str, rng) -> np.ndarray:
+    """Standard normal values on the elements of one kind."""
+    return rng.standard_normal(element_count(lattice, kind))

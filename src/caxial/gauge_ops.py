@@ -17,6 +17,15 @@ value.  On top of it live
   (C^T Delta C + x)^-1 in the in-block/non-central parametrization,
 * the bond-space Green's functions whose compression reproduces that
   covariance, and the integral representation of its square root.
+
+The averaging and recovery maps of a context (`scalar_average`,
+`bond_average`, their `_next` versions, `one_plus_grad_recovery` and
+`compression`) are the CSR matrices of the cached `averaging` builders,
+never densified: a CSR map times a dense matrix is a dense ndarray.  Their
+Gram matrices are formed once per context, in coordinate (COO) form, and
+added into the dense operators on their stored entries.  The gradient,
+the Laplacian, the Green's functions, projectors, minimizers and effective
+forms are dense ndarrays.
 """
 
 from __future__ import annotations
@@ -44,6 +53,13 @@ def sym_norm2(m: np.ndarray) -> float:
     symmetric part, one eigvalsh instead of the SVD of norm(m, 2)."""
     w = np.linalg.eigvalsh(0.5 * (m + m.T))
     return float(max(-w[0], w[-1]))
+
+
+def _add_sparse(dense: np.ndarray, scale: float, m: sp.coo_matrix):
+    """dense += scale * m in place, on the stored entries of m (a sparse
+    product, so no entry repeats); equal to the dense sum, whose other
+    entries add zeros."""
+    dense[m.row, m.col] += scale * m.data
 
 
 def _guard_level(dim, L, n_levels, level):
@@ -92,28 +108,35 @@ class GaugeContext:
         return self.grad_fine.T @ self.grad_fine
 
     @cached_property
-    def scalar_average(self) -> np.ndarray:
+    def scalar_average(self) -> sp.csr_matrix:
         """Q: fine scalars -> unit scalars (k levels of blocking)."""
-        return av.scalar_average_matrix(self.fine, self.level).toarray()
+        return av.scalar_average_matrix(self.fine, self.level)
 
     @cached_property
-    def scalar_average_adj(self) -> np.ndarray:
+    def scalar_average_adj(self) -> sp.csr_matrix:
         """Weighted adjoint of Q; equals injection constant on blocks."""
-        return float(self.L) ** (self.level * self.dim) * self.scalar_average.T
+        return (float(self.L) ** (self.level * self.dim)
+                * self.scalar_average.T).tocsr()
 
     @cached_property
-    def bond_average(self) -> np.ndarray:
+    def bond_average(self) -> sp.csr_matrix:
         """Bond blocking fine -> unit (identity at level 0)."""
-        return av.bond_average_matrix(self.fine, self.level).toarray()
+        return av.bond_average_matrix(self.fine, self.level)
 
     @cached_property
-    def bond_average_next(self) -> np.ndarray:
+    def bond_average_next(self) -> sp.csr_matrix:
         """Bond blocking fine -> one level above the unit lattice."""
-        return av.bond_average_matrix(self.fine, self.level + 1).toarray()
+        return av.bond_average_matrix(self.fine, self.level + 1)
 
     @cached_property
-    def scalar_average_next(self) -> np.ndarray:
-        return av.scalar_average_matrix(self.fine, self.level + 1).toarray()
+    def bond_average_next_gram(self) -> sp.coo_matrix:
+        """Q_next^T Q_next on fine bonds: the average regulator."""
+        qn = self.bond_average_next
+        return (qn.T @ qn).tocoo()
+
+    @cached_property
+    def scalar_average_next(self) -> sp.csr_matrix:
+        return av.scalar_average_matrix(self.fine, self.level + 1)
 
     @property
     def axial_surface(self) -> AffineSurface:
@@ -122,10 +145,16 @@ class GaugeContext:
         return one_shot_constraints(self.fine, self.level)
 
     @cached_property
-    def one_plus_grad_recovery(self) -> np.ndarray:
+    def one_plus_grad_recovery(self) -> sp.csr_matrix:
         """I + grad o recovery on unit bonds."""
         gr = grad_matrix(self.unit) @ av.scalar_recovery_matrix(self.unit)
-        return np.eye(self.unit.n_bonds) + gr.toarray()
+        return sp.identity(self.unit.n_bonds, format="csr") + gr
+
+    @cached_property
+    def compression(self) -> sp.csr_matrix:
+        """(I + grad o recovery) Q_b: fine bonds -> unit bonds, the map that
+        compresses the bond Green's functions into the covariance."""
+        return self.one_plus_grad_recovery @ self.bond_average
 
     @cached_property
     def chi_star(self) -> np.ndarray:
@@ -137,12 +166,11 @@ class GaugeContext:
 
     # -- scalar Green's function and projectors -----------------------------
 
-    def _green_for(self, q: np.ndarray, q_adj: np.ndarray,
-                   a: float) -> np.ndarray:
+    def _green_for(self, q, q_adj, a: float) -> np.ndarray:
         if a <= 0:
             raise SingularOperator(
                 "regulator a must be positive: constants are in ker(-Lap)")
-        op = self.lap_fine + a * q_adj @ q
+        op = self.lap_fine + (a * q_adj @ q).toarray()
         chol = positive_cholesky(0.5 * (op + op.T), SingularOperator,
                                  "-Lap + a Q^T Q")
         return sla.cho_solve((chol, True), np.eye(op.shape[0]))
@@ -156,8 +184,9 @@ class GaugeContext:
     def _projectors_for(q, q_adj, g):
         """R = I - P for P the orthogonal projector onto range(G Q^T), G the
         Green's function of Q."""
-        core = q @ g @ g @ q_adj
-        p = g @ q_adj @ np.linalg.solve(core, q @ g)
+        qg = q @ g
+        core = qg @ g @ q_adj
+        p = g @ q_adj @ np.linalg.solve(core, qg)
         return np.eye(p.shape[0]) - 0.5 * (p + p.T)
 
     def proj_div(self, a: float = 1.0) -> np.ndarray:
@@ -169,7 +198,7 @@ class GaugeContext:
     def proj_div_next(self, a: float = 1.0) -> np.ndarray:
         """R built from the (k+1)-level scalar average."""
         q = self.scalar_average_next
-        q_adj = float(self.L) ** ((self.level + 1) * self.dim) * q.T
+        q_adj = (float(self.L) ** ((self.level + 1) * self.dim) * q.T).tocsr()
         return self._per_a("proj_div_next", a, lambda: self._projectors_for(
             q, q_adj, self._green_for(q, q_adj, a)))
 
@@ -180,11 +209,16 @@ class GaugeContext:
         """Unit bonds -> fine bonds: least curl energy on the axial surface."""
         return minimizer_map(curl_energy_form(self.fine), self.axial_surface)
 
+    @cached_property
+    def div_penalty(self) -> np.ndarray:
+        """The projected-divergence penalty w grad R grad^T on fine bonds,
+        at gauge-fixing weight alpha = 1."""
+        dg = self.grad_fine
+        return self.weight * dg @ self.proj_div() @ dg.T
+
     def feynman_minimizer(self, alpha: float = 1.0) -> np.ndarray:
         """Least curl energy + projected-divergence penalty, averages fixed."""
-        dg = self.grad_fine
-        form = curl_energy_form(self.fine) + (self.weight / alpha) * \
-            dg @ self.proj_div() @ dg.T
+        form = curl_energy_form(self.fine) + self.div_penalty / alpha
         return minimizer_map(form, average_constraints(self.fine, self.level))
 
     def effective_form(self, which: str = "axial",
@@ -231,22 +265,23 @@ class GaugeContext:
 
     # -- bond-space Green's functions ---------------------------------------
 
-    def _x_map(self) -> np.ndarray:
-        """chi* (I + grad recovery) compressed through the bond average."""
-        return (self.chi_star[:, None] * self.one_plus_grad_recovery) \
-            @ self.bond_average
+    @cached_property
+    def x_gram(self) -> sp.coo_matrix:
+        """X^T X on fine bonds, for X = chi* (I + grad recovery) Q_b the
+        gauge-fixed compression."""
+        xm = sp.diags(self.chi_star) @ self.compression
+        return (xm.T @ xm).tocoo()
 
     def fine_green(self, x: float = 0.0, a: float = 1.0) -> np.ndarray:
         """Inverse of the regularized bond operator used in the covariance
         representation: curl part + projected divergence part + average
         regulator a + x times the gauge-fixed compression term."""
         dg = self.grad_fine
-        op = (curl_energy_form(self.fine)
-              + self.weight * dg @ self.proj_div_next(a) @ dg.T
-              + a * self.bond_average_next.T @ self.bond_average_next)
+        op = curl_energy_form(self.fine) \
+            + self.weight * dg @ self.proj_div_next(a) @ dg.T
+        _add_sparse(op, a, self.bond_average_next_gram)
         if x:
-            xm = self._x_map()
-            op = op + x * xm.T @ xm
+            _add_sparse(op, x, self.x_gram)
         chol = positive_cholesky(0.5 * (op + op.T), SingularOperator,
                                  "regularized bond operator")
         return sla.cho_solve((chol, True), np.eye(op.shape[0]))
@@ -255,20 +290,21 @@ class GaugeContext:
         """Green's function constrained to the kernel of the next averaging."""
         g = self.fine_green(x, a)
         qn = self.bond_average_next
-        core = qn @ g @ qn.T
-        out = g - g @ qn.T @ np.linalg.solve(core, qn @ g)
+        # sparse times dense only: g Q^T = (Q g^T)^T
+        qng, gqt = qn @ g, (qn @ g.T).T
+        out = g - gqt @ np.linalg.solve(qn @ gqt, qng)
         return 0.5 * (out + out.T)
 
     def rep_check(self, xs=(0.0,), a: float = 1.0) -> dict:
         """Relative residuals of C (C^T Delta C + x)^-1 C^T against the
         compressed Green's-function representation at regulator a, per x."""
         C = self.fluct_basis
-        ipd = self.one_plus_grad_recovery
-        qb = self.bond_average
+        comp = self.compression
         out = {}
         for x in xs:
             lhs = C @ self.fluct_cov(x) @ C.T
-            rhs = ipd @ qb @ self.tilde_green(x, a) @ qb.T @ ipd.T
+            # the reduced Green's function is symmetric
+            rhs = comp @ (comp @ self.tilde_green(x, a)).T
             out[x] = sym_norm2(lhs - rhs) / sym_norm2(lhs)
         return out
 
@@ -295,16 +331,16 @@ class GaugeContext:
 
     # -- change of gauge (Feynman vs Landau) --------------------------------
 
-    def div_range_basis(self, projector=None) -> np.ndarray:
+    @cached_property
+    def div_range_basis(self) -> np.ndarray:
         """Orthonormal basis of the range of R (columns)."""
-        r = self.proj_div() if projector is None else projector
-        w, v = np.linalg.eigh(r)
+        w, v = np.linalg.eigh(self.proj_div())
         return v[:, w > 0.5]
 
     def gauge_bijection_matrix(self) -> np.ndarray:
         """The square map lambda -> (Q lambda, R(-Lap) lambda)."""
-        u = self.div_range_basis()
-        return np.vstack([self.scalar_average,
+        u = self.div_range_basis
+        return np.vstack([self.scalar_average.toarray(),
                           u.T @ self.proj_div() @ self.lap_fine])
 
     def feynman_to_landau(self) -> np.ndarray:
@@ -362,16 +398,15 @@ def change_of_gauge_check(ctx: GaugeContext, coarse_field: np.ndarray) -> dict:
     m = ctx.gauge_bijection_matrix()
     square = m.shape[0] == m.shape[1] == ctx.fine.n_sites
     cond = float(np.linalg.cond(m)) if square else np.inf
-    qb = ctx.bond_average
     dg = ctx.grad_fine
     curl = curl_energy_form(ctx.fine)
-    form_f = curl + ctx.weight * dg @ ctx.proj_div() @ dg.T
+    form_f = curl + ctx.div_penalty
     surf_f = average_constraints(ctx.fine, ctx.level)
     mean_f = minimizer_map(form_f, surf_f) @ coarse_field
     cov_f = subspace_covariance(form_f, surf_f)
     # Landau surface: averages fixed, divergence-range components zero
-    u = ctx.div_range_basis()
-    k_landau = np.vstack([qb, u.T @ dg.T])
+    qb = ctx.bond_average.toarray()
+    k_landau = np.vstack([qb, ctx.div_range_basis.T @ dg.T])
     surf_l = AffineSurface(k_landau, np.eye(k_landau.shape[0], qb.shape[0]))
     mean_l = minimizer_map(curl, surf_l) @ coarse_field
     cov_l = subspace_covariance(curl, surf_l)

@@ -9,8 +9,8 @@ import pytest
 import scipy.sparse as sp
 
 from caxial import averaging as av
-from caxial.fields import (BOND, PLAQUETTE, SITE, SpaceDescriptor,
-                           block_symbol, ext_d_matrix, grad_matrix)
+from caxial.fields import (BOND, PLAQUETTE, SITE, block_symbol, element_count,
+                           ext_d_matrix, grad_matrix)
 from caxial.gaussian import RANK_TOL, kernel_residual, row_space
 from caxial.lattice import LatticeError, open_cube, unit_torus
 
@@ -53,12 +53,11 @@ def test_symbol_certificates_match_dense_lstsq(dim, L, levels):
 
 
 def _operators(lat):
-    """(matrix, codomain, domain) of every operator the symbols reduce."""
+    """(matrix, codomain, domain) of every operator the symbols reduce, the
+    spaces as (lattice, kind) pairs."""
     coarse = av.coarsened(lat)
-    space = SpaceDescriptor
-    fs, fb, fp = space(lat, SITE), space(lat, BOND), space(lat, PLAQUETTE)
-    cs, cb, cp = (space(coarse, SITE), space(coarse, BOND),
-                  space(coarse, PLAQUETTE))
+    fs, fb, fp = (lat, SITE), (lat, BOND), (lat, PLAQUETTE)
+    cs, cb, cp = (coarse, SITE), (coarse, BOND), (coarse, PLAQUETTE)
     return [(grad_matrix(lat), fb, fs), (ext_d_matrix(lat), fp, fb),
             (ext_d_matrix(coarse), cp, cb),
             (av.bond_average_matrix(lat, 1), cb, fb),
@@ -76,10 +75,11 @@ AS_KIND = {"csr": sp.csr_matrix, "dense": _dense}
 
 def _canonical_order(space, grid):
     """Canonical ordinals listed in the symbol's (block, within) order."""
-    lat = space.lattice
+    lat = space[0]
+    size = element_count(*space)
     side = lat.n_side // grid
-    comps = space.size // lat.n_sites
-    idx = np.arange(space.size).reshape((grid, side) * lat.dim + (comps,))
+    comps = size // lat.n_sites
+    idx = np.arange(size).reshape((grid, side) * lat.dim + (comps,))
     order = (tuple(range(0, 2 * lat.dim, 2))
              + tuple(range(1, 2 * lat.dim, 2)) + (2 * lat.dim,))
     return idx.transpose(order).ravel()
@@ -88,7 +88,7 @@ def _canonical_order(space, grid):
 def _dense_from_symbol(S, codomain, domain, grid):
     """The block-circulant operator whose symbol is S, in canonical
     ordinals: block (g, h) is C[g - h] for C the inverse DFT of S."""
-    dim = codomain.lattice.dim
+    dim = codomain[0].dim
     C = np.fft.ifftn(S, axes=tuple(range(dim))).real
     pos = np.indices((grid,) * dim).reshape(dim, -1).T
     diff = (pos[:, None, :] - pos[None, :, :]) % grid
@@ -110,8 +110,8 @@ def test_inverse_transform_rebuilds_the_operator(dim, L, levels):
     for matrix, codomain, domain in _operators(lat):
         S = block_symbol(matrix, codomain, domain, grid)
         assert S.shape == ((grid,) * dim
-                           + (codomain.size // grid**dim,
-                              domain.size // grid**dim))
+                           + (element_count(*codomain) // grid**dim,
+                              element_count(*domain) // grid**dim))
         for as_kind in AS_KIND.values():
             assert block_symbol(as_kind(matrix), codomain, domain,
                                 grid).tobytes() == S.tobytes()
@@ -143,16 +143,14 @@ def test_operator_broken_only_at_the_wrap_around_is_not_reduced(kind):
     assert np.any(t[-1, :, :, :, :, 0])
     t[-1, :, :, :, :, 0] = 0.0
     with pytest.raises(LatticeError, match="translations along axis 0"):
-        block_symbol(AS_KIND[kind](bad), SpaceDescriptor(lat, BOND),
-                     SpaceDescriptor(lat, SITE), grid)
+        block_symbol(AS_KIND[kind](bad), (lat, BOND), (lat, SITE), grid)
 
 
 def test_symbol_needs_whole_blocks_on_a_torus():
     lat = unit_torus(2, 3, 2)
-    fb, fp = SpaceDescriptor(lat, BOND), SpaceDescriptor(lat, PLAQUETTE)
+    fb, fp = (lat, BOND), (lat, PLAQUETTE)
     with pytest.raises(LatticeError, match="block positions"):
         block_symbol(ext_d_matrix(lat), fp, fb, 2)
     cube = open_cube(2, 3)
     with pytest.raises(LatticeError, match="on a torus"):
-        block_symbol(ext_d_matrix(cube), SpaceDescriptor(cube, PLAQUETTE),
-                     SpaceDescriptor(cube, BOND), 1)
+        block_symbol(ext_d_matrix(cube), (cube, PLAQUETTE), (cube, BOND), 1)

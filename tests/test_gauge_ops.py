@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 
 from caxial import averaging as av
 from caxial import gauge_ops
@@ -8,7 +10,7 @@ from caxial.gauge_ops import (GaugeContext, change_of_gauge_check,
                               decay_profile, get_context,
                               one_shot_constraints, sym_norm2)
 from caxial.gaussian import (IndefiniteOnSurface, SingularOperator,
-                             kernel_basis, surface_min_eig)
+                             kernel_basis, positive_cholesky, surface_min_eig)
 
 TOL = 1e-10
 
@@ -46,7 +48,7 @@ def test_level_range_validated():
 
 def test_green_inverts_regularized_laplacian():
     c = ctx1()
-    op = c.lap_fine + c.scalar_average_adj @ c.scalar_average     # a = 1
+    op = c.lap_fine + (c.scalar_average_adj @ c.scalar_average).toarray()
     g = c.green_scalar()
     assert np.abs(g @ op - np.eye(c.fine.n_sites)).max() < TOL
     assert np.abs(g - g.T).max() < TOL
@@ -193,12 +195,12 @@ def test_symmetric_norm_matches_svd_norm(inst):
     # the spectral norms of rep_check and change_of_gauge_check come from
     # eigvalsh; norm(., 2), the SVD they replaced, is the reference
     c = get_context(*inst)
-    C, ipd, qb = c.fluct_basis, c.one_plus_grad_recovery, c.bond_average
+    C, comp = c.fluct_basis, c.compression
     sym = np.random.default_rng(5).standard_normal((40, 40))
     mats = [sym + sym.T, c.green_scalar(), -c.green_scalar(), c.proj_div()]
     for x in (0.0, 1.0):
         lhs = C @ c.fluct_cov(x) @ C.T
-        rhs = ipd @ qb @ c.tilde_green(x) @ qb.T @ ipd.T
+        rhs = comp @ c.tilde_green(x) @ comp.T
         mats += [lhs, rhs]
         # the residual is round-off, so its asymmetric part is too: compare
         # the check value on the scale of its denominator
@@ -207,6 +209,92 @@ def test_symmetric_norm_matches_svd_norm(inst):
     for m in mats:
         ref = np.linalg.norm(m, 2)
         assert abs(sym_norm2(m) - ref) <= 1e-12 * ref
+
+
+# the averaging, recovery and compression maps a context keeps as CSR, and
+# their Grams
+SPARSE_MAPS = ("scalar_average", "scalar_average_adj", "scalar_average_next",
+               "bond_average", "bond_average_next", "one_plus_grad_recovery",
+               "compression", "bond_average_next_gram", "x_gram")
+ORACLE = ((2, 3, 1, 0), (2, 3, 2, 1), (3, 3, 1, 0))
+
+
+@pytest.mark.parametrize("inst", ORACLE)
+def test_averaging_maps_stay_sparse(inst):
+    c = get_context(*inst)
+    for name in SPARSE_MAPS:
+        assert sp.issparse(getattr(c, name)), name
+    # the compression is the product it names
+    prod = c.one_plus_grad_recovery @ c.bond_average
+    assert (c.compression != prod).nnz == 0
+
+
+@pytest.mark.parametrize("inst", ORACLE)
+def test_products_are_ndarrays(inst):
+    # a dense matrix plus a csr_matrix is an np.matrix, whose * and
+    # indexing differ from an ndarray's; no product may leak one
+    assert type(np.eye(2) + sp.identity(2, format="csr")) is np.matrix
+    c = get_context(*inst)
+    mats = {"green_scalar": c.green_scalar(), "proj_div": c.proj_div(),
+            "proj_div_next": c.proj_div_next(),
+            "fine_green": c.fine_green(0.5), "tilde_green": c.tilde_green(0.5),
+            "lambda0_map": c.lambda0_map(),
+            "feynman_minimizer": c.feynman_minimizer(),
+            "div_penalty": c.div_penalty,
+            "gauge_bijection_matrix": c.gauge_bijection_matrix()}
+    for name, m in mats.items():
+        assert type(m) is np.ndarray, name
+
+
+def _dense_green(lap, q, q_adj, a):
+    op = lap + a * q_adj @ q
+    chol = positive_cholesky(0.5 * (op + op.T))
+    return sla.cho_solve((chol, True), np.eye(op.shape[0]))
+
+
+def _dense_oracle(c, x, a):
+    """fine_green, tilde_green and the rep_check right-hand side from the
+    dense averaging and recovery maps, as computed before the context kept
+    them sparse."""
+    dg = c.grad_fine
+    qs = c.scalar_average_next.toarray()
+    qs_adj = float(c.L) ** ((c.level + 1) * c.dim) * qs.T
+    g = _dense_green(c.lap_fine, qs, qs_adj, a)
+    p = g @ qs_adj @ np.linalg.solve(qs @ g @ g @ qs_adj, qs @ g)
+    r_next = np.eye(p.shape[0]) - 0.5 * (p + p.T)
+    qn = c.bond_average_next.toarray()
+    qb = c.bond_average.toarray()
+    ipd = c.one_plus_grad_recovery.toarray()
+    op = (curl_energy_form(c.fine) + c.weight * dg @ r_next @ dg.T
+          + a * qn.T @ qn)
+    if x:
+        xm = (c.chi_star[:, None] * ipd) @ qb
+        op = op + x * xm.T @ xm
+    chol = positive_cholesky(0.5 * (op + op.T))
+    fine = sla.cho_solve((chol, True), np.eye(op.shape[0]))
+    tilde = fine - fine @ qn.T @ np.linalg.solve(qn @ fine @ qn.T,
+                                                 qn @ fine)
+    tilde = 0.5 * (tilde + tilde.T)
+    return fine, tilde, ipd @ qb @ tilde @ qb.T @ ipd.T
+
+
+@pytest.mark.parametrize("inst", ORACLE)
+def test_sparse_maps_match_the_dense_oracle(inst):
+    c = get_context(*inst)
+    C, comp = c.fluct_basis, c.compression
+    for x, a in ((0.0, 1.0), (1.0, 2.0)):
+        fine, tilde, rhs = _dense_oracle(c, x, a)
+        got = (c.fine_green(x, a), c.tilde_green(x, a),
+               comp @ c.tilde_green(x, a) @ comp.T)
+        for name, ref, new in zip(("fine_green", "tilde_green", "rhs"),
+                                  (fine, tilde, rhs), got):
+            assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max(), \
+                (name, x, a)
+        # the check value, a round-off residual, on the scale of its
+        # denominator
+        lhs = C @ c.fluct_cov(x) @ C.T
+        old = sym_norm2(lhs - rhs) / sym_norm2(lhs)
+        assert abs(c.rep_check((x,), a)[x] - old) <= 1e-12
 
 
 def test_cov_sqrt_spectral_squares_to_covariance():
@@ -258,6 +346,32 @@ def test_change_of_gauge_rejects_a_singular_split_map(monkeypatch):
     out = change_of_gauge_check(c, rng.standard_normal(c.unit.n_bonds))
     assert out["square"] and np.isfinite(out["condition"])
     assert not out["invertible"]
+
+
+@pytest.mark.parametrize("inst", [(2, 3, 2, 1), (2, 5, 1, 1), (3, 3, 1, 1),
+                                  (2, 3, 1, 0)])
+def test_cached_div_penalty_equals_the_inline_form(inst):
+    c = get_context(*inst)
+    dg = c.grad_fine
+    for alpha in (0.5, 1.0, 2.0):
+        inline = (c.weight / alpha) * dg @ c.proj_div() @ dg.T
+        assert np.array_equal(c.div_penalty / alpha, inline), alpha
+
+
+def test_change_of_gauge_takes_one_eigh(monkeypatch):
+    # the divergence-range basis is cached: the split map and the Landau
+    # surface share one eigendecomposition of R
+    original = np.linalg.eigh
+    calls = []
+
+    def counted(m):
+        calls.append(m.shape)
+        return original(m)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    c = GaugeContext(2, 3, 2, 1)
+    out = change_of_gauge_check(c, np.ones(c.unit.n_bonds))
+    assert out["invertible"]
+    assert calls == [(c.fine.n_sites, c.fine.n_sites)]
 
 
 def test_proj_div_reuses_the_green_function(monkeypatch):

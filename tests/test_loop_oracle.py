@@ -15,8 +15,7 @@ import pytest
 import scipy.sparse as sp
 
 from caxial import averaging as av
-from caxial.fields import (BondField, apply_symmetry, ext_d_matrix,
-                           grad_matrix)
+from caxial.fields import BOND, apply_symmetry, ext_d_matrix, grad_matrix
 from caxial.gauge_ops import _element_points, decay_profile, get_context
 from caxial.lattice import (OPEN_CUBE, TORUS, Lattice, LatticeError,
                             LatticeSpec, build_lattice)
@@ -461,7 +460,7 @@ def test_symmetries_match_loops(spec):
         want = [ref.bond_image(r, b) for b in range(ref.n_bonds)]
         dest, sign = lat.bond_permutation(r)
         assert list(zip(dest.tolist(), sign.tolist())) == want
-        got = apply_symmetry(r, BondField(lat, values)).values
+        got = apply_symmetry(r, lat, BOND, values)
         assert np.array_equal(got, loop_apply_symmetry_bond(ref, r, values))
 
 
