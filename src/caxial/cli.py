@@ -8,10 +8,11 @@ pass/fail flag.  The run is instance-major: the suites of one instance
 share its cached level contexts and iterated flow, which are dropped
 before the next instance starts; the report lists the records suite by
 suite, each suite over the instances in config order.
-Instances larger than the resource cap are recorded as skipped, never
-dropped silently; the cap is checked on closed-form lattice counts before
-anything is built.  Given the same config and seed the report is
-reproducible bit for bit except for the wall_time fields.
+Every check declares its cost, the entries of the largest array it builds,
+from closed-form `LatticeSpec` counts; `Runner.check`, the one resource
+guard, skips a check costing over CAXIAL_MAX_DIM**2 before it builds
+anything, with the cost in the reason.  Given the same config and seed the
+report is reproducible bit for bit except for the wall_time fields.
 """
 
 from __future__ import annotations
@@ -29,15 +30,13 @@ import numpy as np
 
 from . import averaging as av
 from . import spectral
-from .fields import (ResourceCapExceeded, _guard, apply_symmetry, codiff,
-                     curl_energy_form, ext_d_matrix, grad_matrix,
-                     guarded_torus, laplacian_matrix, max_ambient_dim,
-                     random_field, scale_field)
+from .fields import (apply_symmetry, codiff, curl_energy_form, ext_d_matrix,
+                     grad_matrix, laplacian_matrix, random_field, scale_field)
 from .gauge_ops import (change_of_gauge_check, decay_profile, get_context,
                         one_shot_constraints)
 from .gaussian import RANK_TOL, kernel_residual, surface_min_eig
-from .lattice import (LatticeSpec, build_lattice, clear_caches,
-                      instance_cache, open_cube, unit_torus)
+from .lattice import (OPEN_CUBE, LatticeSpec, build_lattice, clear_caches,
+                      fine_torus, instance_cache, open_cube, unit_torus)
 from .rg_flow import (final_step, fluctuation_step, flow_states,
                       minimizer_composition_residual, one_shot_final,
                       one_shot_state, z_constants)
@@ -61,10 +60,20 @@ ALPHA_LIST = (0.5, 2.0)         # Feynman gauge-fixing weights
 X_LIST = (0.1, 1.0, 10.0)       # covariance shifts, besides 0
 NPOINTS = 200                   # square-root quadrature nodes
 DECAY_MIN_CORR = 0.9            # floor of the decay fit's |correlation|
+DEFAULT_MAX_DIM = 5000          # the cap unless CAXIAL_MAX_DIM is set
 
 
 class ConfigError(Exception):
     pass
+
+
+def max_ambient_dim() -> int:
+    """The largest dense dimension a check may form: CAXIAL_MAX_DIM if set,
+    else DEFAULT_MAX_DIM; ValueError unless a positive integer."""
+    cap = int(os.environ.get("CAXIAL_MAX_DIM", DEFAULT_MAX_DIM))
+    if cap < 1:
+        raise ValueError(f"{cap} is not a positive dimension")
+    return cap
 
 
 def _integer(value) -> bool:
@@ -180,38 +189,35 @@ def config_from_args(args) -> RunConfig:
 class Runner:
     def __init__(self, config: RunConfig):
         self.config = config
+        self.cap = max_ambient_dim()
         self.checks = []
         self.decay_tables = {}
 
     def check(self, check_id, anchor, instance, fn, threshold,
-              mode="residual"):
-        """Run one check; fn returns the measured value.
-
-        mode "residual": pass iff value <= threshold;
-        mode "floor":    pass iff value >= threshold;
-        mode "exact":    pass iff value == 0 (threshold echoed as 0).
-        """
+              mode="residual", *, cost):
+        """Run one check; fn returns the measured value, which passes iff
+        it is <= threshold, or >= threshold in mode "floor".  cost is the
+        number of entries in the largest array the check builds: over the
+        cap squared the check is SKIPPED, before fn builds anything."""
         start = time.perf_counter()
         record = {"check_id": check_id, "anchor": anchor,
                   "instance": list(instance), "threshold": threshold,
                   "status": None, "value": None}
-        try:
-            value = float(fn())
-        except ResourceCapExceeded as exc:
+        if cost > self.cap**2:
             record["status"] = "SKIPPED"
-            record["reason"] = str(exc)
-        except Exception as exc:   # a crashed check is a failed check
-            record["status"] = "ERROR"
-            record["reason"] = f"{type(exc).__name__}: {exc}"
+            record["reason"] = (f"declared cost {cost} exceeds cap "
+                                f"{self.cap}**2 = {self.cap**2} entries")
         else:
-            record["value"] = value
-            if mode == "residual":
-                ok = value <= threshold
-            elif mode == "floor":
-                ok = value >= threshold
+            try:
+                value = float(fn())
+            except Exception as exc:   # a crashed check is a failed check
+                record["status"] = "ERROR"
+                record["reason"] = f"{type(exc).__name__}: {exc}"
             else:
-                ok = value == 0
-            record["status"] = "PASS" if ok else "FAIL"
+                record["value"] = value
+                ok = value >= threshold if mode == "floor" \
+                    else value <= threshold
+                record["status"] = "PASS" if ok else "FAIL"
         record["wall_time"] = time.perf_counter() - start
         self.checks.append(record)
         return record
@@ -270,44 +276,67 @@ def _maxabs(m):
     return float(np.abs(m).max()) if np.size(m) else 0.0
 
 
+# -- declared costs ----------------------------------------------------------
+# Entries of the largest array a check builds, in closed form; a suite
+# computes one per lattice or level context (all share the fine lattice).
+
+def _tables(spec: LatticeSpec) -> int:
+    """A lattice's index tables; they bound its CSR grad and ext_d too."""
+    return (4 * spec.dim * spec.n_sites + 2 * spec.n_bonds
+            + 3 * spec.n_plaquettes)
+
+
+def _symbols(spec: LatticeSpec) -> int:
+    """The block-Fourier symbol of ext_d on a torus, a row per plaquette by
+    the bonds of a block; it bounds the scalar bijection's row groups too."""
+    return spec.n_plaquettes * spec.dim * spec.L**spec.dim
+
+
+def _dense(spec: LatticeSpec) -> int:
+    """A dense matrix on the bonds of a lattice."""
+    return spec.n_bonds**2
+
+
 # -- suites ------------------------------------------------------------------
 
 def suite_geometry(run: Runner, inst):
     dim, L, levels = inst
-    tol = 0
+    torus = _tables(LatticeSpec(dim, L, 0, levels))
 
     def counts():
-        lat = guarded_torus(dim, L, 0, levels)
+        lat = fine_torus(dim, L, 0, levels)
         sites = L ** (dim * levels)
         plaq = dim * (dim - 1) // 2 * sites
         return (abs(lat.n_sites - sites) + abs(lat.n_bonds - dim * sites)
                 + abs(lat.n_plaquettes - plaq))
     run.check("geometry.counts",
               "site/bond/plaquette counts on the torus match closed forms",
-              inst, counts, tol, "exact")
+              inst, counts, 0, cost=torus)
 
     def tree():
         cube = open_cube(dim, L)
         return abs(len(cube.axial_tree()) - (cube.n_sites - 1))
     run.check("geometry.spanning_tree",
               "axial path family on an open block is a spanning tree",
-              inst, tree, tol, "exact")
+              inst, tree, 0,
+              cost=_tables(LatticeSpec(dim, L, boundary=OPEN_CUBE)))
 
     def blocks():
-        lat = guarded_torus(dim, L, 0, levels)
+        lat = fine_torus(dim, L, 0, levels)
         members = list(lat.block_members((0,) * dim, 1))
         return abs(len(members) - L ** dim)
     run.check("geometry.block_size",
-              "blocks contain exactly L^dim sites", inst, blocks, tol,
-              "exact")
+              "blocks contain exactly L^dim sites", inst, blocks, 0,
+              cost=torus)
 
 
 def suite_calculus(run: Runner, inst):
     dim, L, levels = inst
     tol = run.config.identity_tol
+    torus = _tables(LatticeSpec(dim, L, 0, levels))
 
     def lat():
-        return guarded_torus(dim, L, 0, levels)
+        return fine_torus(dim, L, 0, levels)
 
     def curl_grad():
         lattice = lat()
@@ -315,7 +344,7 @@ def suite_calculus(run: Runner, inst):
         return _maxabs(prod.data)       # the entries not stored are 0
     run.check("calculus.curl_of_gradient",
               "the curl of every gradient vanishes identically", inst,
-              curl_grad, 0, "exact")
+              curl_grad, 0, cost=torus)
 
     def adjoint():
         lattice = lat()
@@ -328,14 +357,14 @@ def suite_calculus(run: Runner, inst):
         return abs(lhs - rhs) / max(abs(rhs), 1.0)
     run.check("calculus.adjointness",
               "gradient and weighted divergence are mutual adjoints", inst,
-              adjoint, tol)
+              adjoint, tol, cost=torus)
 
     def curl_energy(lattice, A):
         dA = ext_d_matrix(lattice) @ A
         return lattice.spacing**dim * float(dA @ dA)
 
     def scale_inv():
-        fine = guarded_torus(dim, L, 1, levels)
+        fine = fine_torus(dim, L, 1, levels)
         A = random_field(fine, "bond", run.rng(2, *inst))
         before = curl_energy(fine, A)
         after = curl_energy(build_lattice(fine.spec.rescaled(1)),
@@ -343,7 +372,7 @@ def suite_calculus(run: Runner, inst):
         return abs(before - after) / max(abs(before), 1.0)
     run.check("calculus.curl_energy_scale_invariance",
               "the curl energy is invariant under lattice relabeling", inst,
-              scale_inv, tol)
+              scale_inv, tol, cost=_tables(LatticeSpec(dim, L, 1, levels)))
 
     def symmetry():
         lattice = lat()
@@ -362,15 +391,16 @@ def suite_calculus(run: Runner, inst):
         return worst
     run.check("calculus.path_average_symmetry",
               "path averages commute with the point symmetries of the "
-              "lattice", inst, symmetry, tol)
+              "lattice", inst, symmetry, tol, cost=torus)
 
 
 def suite_averaging(run: Runner, inst):
     dim, L, levels = inst
     tol = run.config.identity_tol
+    cost = _symbols(LatticeSpec(dim, L, 0, levels))
 
     def lat():
-        return guarded_torus(dim, L, 0, levels)
+        return fine_torus(dim, L, 0, levels)
 
     def intertwine():
         lattice = lat()
@@ -381,13 +411,13 @@ def suite_averaging(run: Runner, inst):
         return _maxabs(diff.data)       # the entries not stored are 0
     run.check("averaging.gradient_intertwining",
               "bond averaging of a gradient is the gradient of the scalar "
-              "average", inst, intertwine, tol)
+              "average", inst, intertwine, tol, cost=cost)
 
     def stokes():
         return kernel_residual(*av.closed_average_symbols(lat()))
     run.check("averaging.closed_fields_average_closed",
               "the block average of a curl-free field is curl-free", inst,
-              stokes, tol)
+              stokes, tol, cost=cost)
 
     def recovery():
         lattice = lat()
@@ -399,13 +429,13 @@ def suite_averaging(run: Runner, inst):
         return max(_maxabs(tau @ (Z + g @ mu)), _maxabs(qs @ mu))
     run.check("averaging.scalar_recovery",
               "the recovered potential cancels all in-block path averages "
-              "and has zero block average", inst, recovery, tol)
+              "and has zero block average", inst, recovery, tol, cost=cost)
 
     def recovery_inverse():
         return kernel_residual(*av.recovery_inverse_symbols(lat()))
     run.check("averaging.recovery_inverts_gradient",
               "on zero-average scalars the recovery operator inverts minus "
-              "the gradient", inst, recovery_inverse, tol)
+              "the gradient", inst, recovery_inverse, tol, cost=cost)
 
     def stack_rows():
         lattice = lat()
@@ -415,11 +445,12 @@ def suite_averaging(run: Runner, inst):
         return 0 if stack.rows_per_level == want else 1
     run.check("averaging.stack_row_counts",
               "per-level constraint counts telescope against the site "
-              "counts", inst, stack_rows, 0, "exact")
+              "counts", inst, stack_rows, 0, cost=cost)
 
 
 def suite_gauge_surface(run: Runner, inst):
     dim, L, levels = inst
+    cube = _dense(LatticeSpec(dim, L, boundary=OPEN_CUBE))
 
     for label, all_orders in (("tree", False), ("averaged", True)):
         def kernel(all_orders=all_orders):
@@ -428,18 +459,18 @@ def suite_gauge_surface(run: Runner, inst):
         run.check(f"gauge_surface.block_rigidity_{label}",
                   "curl plus path averages determine the field on an open "
                   "block (smallest relative singular value)", inst, kernel,
-                  RANK_TOL, "floor")
+                  RANK_TOL, "floor", cost=cube)
 
     def closure():
-        lattice = guarded_torus(dim, L, 0, 1)
+        lattice = fine_torus(dim, L, 0, 1)
         out = spectral.toron_closure_kernel(lattice)
         return out["min_sv"] / out["max_sv"]
     run.check("gauge_surface.toron_closure",
               "winding averages close the residual kernel on the torus",
-              inst, closure, RANK_TOL, "floor")
+              inst, closure, RANK_TOL, "floor",
+              cost=_dense(LatticeSpec(dim, L, 0, 1)))
 
     def bijection():
-        _guard(LatticeSpec(dim, L, 0, levels).n_sites * 4)
         fine = unit_torus(dim, L, levels)
         m = av.hierarchical_scalar_bijection_matrix(fine, levels)
         s = spectral.grouped_singular_values(
@@ -447,12 +478,14 @@ def suite_gauge_surface(run: Runner, inst):
         return s[-1] / s[0]
     run.check("gauge_surface.scalar_hierarchy_bijection",
               "the hierarchical scalar change of variables is square and "
-              "invertible", inst, bijection, RANK_TOL, "floor")
+              "invertible", inst, bijection, RANK_TOL, "floor",
+              cost=_symbols(LatticeSpec(dim, L, 0, levels)))
 
 
 def suite_feynman_landau(run: Runner, inst):
-    levels = inst[2]
+    dim, L, levels = inst
     tol = run.config.identity_tol
+    cost = _dense(LatticeSpec(dim, L, 0, levels))
     ctx = functools.partial(get_context, *inst, min(1, levels))
 
     def idempotent():
@@ -460,20 +493,20 @@ def suite_feynman_landau(run: Runner, inst):
         return max(_maxabs(r @ r - r), _maxabs(r - r.T))
     run.check("feynman_landau.projector_idempotent",
               "the divergence projector is symmetric idempotent", inst,
-              idempotent, tol)
+              idempotent, tol, cost=cost)
 
     run.check("feynman_landau.average_green_projector",
               "averaging through the Green's function annihilates the "
               "divergence projector", inst,
               lambda: _maxabs(ctx().scalar_average @ ctx().green_scalar()
-                              @ ctx().proj_div()), tol)
+                              @ ctx().proj_div()), tol, cost=cost)
 
     def a_indep():
         a1, a2 = A_LIST
         return _maxabs(ctx().proj_div(a1) - ctx().proj_div(a2))
     run.check("feynman_landau.projector_regulator_independence",
               "the divergence projector does not depend on the regulator",
-              inst, a_indep, tol)
+              inst, a_indep, tol, cost=cost)
 
     def alpha_indep():
         first, second = (ctx().effective_form("feynman", al)
@@ -481,14 +514,14 @@ def suite_feynman_landau(run: Runner, inst):
         return _rel(second, first)
     run.check("feynman_landau.alpha_independence",
               "the effective coarse form does not depend on the "
-              "gauge-fixing weight", inst, alpha_indep, tol)
+              "gauge-fixing weight", inst, alpha_indep, tol, cost=cost)
 
     def forms_agree():
         c = ctx()
         return _rel(c.effective_form("feynman"), c.delta)
     run.check("feynman_landau.minimizer_forms_agree",
               "penalized and constrained minimizers induce the same "
-              "coarse form", inst, forms_agree, tol)
+              "coarse form", inst, forms_agree, tol, cost=cost)
 
     def pure_gauge():
         c = ctx()
@@ -497,7 +530,7 @@ def suite_feynman_landau(run: Runner, inst):
         return _maxabs(c.grad_fine @ pot - diff)
     run.check("feynman_landau.minimizers_differ_by_gradient",
               "the two minimizers differ by a pure gauge", inst,
-              pure_gauge, tol)
+              pure_gauge, tol, cost=cost)
 
     def lambda0():
         c = ctx()
@@ -507,7 +540,7 @@ def suite_feynman_landau(run: Runner, inst):
                    _maxabs(c.proj_div() @ c.lap_fine @ lam))
     run.check("feynman_landau.scalar_potential_equations",
               "the distinguished scalar potential solves its defining "
-              "equations", inst, lambda0, tol)
+              "equations", inst, lambda0, tol, cost=cost)
 
 
 def suite_lower_bound(run: Runner, inst):
@@ -519,16 +552,16 @@ def suite_lower_bound(run: Runner, inst):
     run.check("lower_bound.blockwise_curl",
               "on the path-average kernel of one block the curl energy "
               "controls the norm with constant 3 L^dim", inst, block, 0.0,
-              "floor")
+              "floor", cost=_dense(LatticeSpec(dim, L, boundary=OPEN_CUBE)))
 
     def coercive():
-        lattice = guarded_torus(dim, L, 0, 1)
+        lattice = fine_torus(dim, L, 0, 1)
         out = spectral.global_coercivity(lattice)
         return out["min_eig"] - out["floor"]
     run.check("lower_bound.global_coercivity",
               "curl energy plus block average is coercive on the "
               "path-average kernel, above the guaranteed floor", inst,
-              coercive, 0.0, "floor")
+              coercive, 0.0, "floor", cost=_dense(LatticeSpec(dim, L, 0, 1)))
 
     def surface_positive():
         worst = np.inf
@@ -540,12 +573,14 @@ def suite_lower_bound(run: Runner, inst):
         return worst
     run.check("lower_bound.flow_forms_positive",
               "every flow density is positive definite on its fluctuation "
-              "surface", inst, surface_positive, 0.0, "floor")
+              "surface", inst, surface_positive, 0.0, "floor",
+              cost=_dense(LatticeSpec(dim, L, 0, levels)))
 
 
 def suite_representation(run: Runner, inst):
+    dim, L, levels = inst
     tol = run.config.identity_tol
-
+    cost = _dense(LatticeSpec(dim, L, 0, levels))
     ctx = functools.partial(get_context, *inst, 0)
 
     for a in A_LIST:
@@ -555,35 +590,35 @@ def suite_representation(run: Runner, inst):
         run.check(f"representation.covariance_identity_a{a:g}",
                   "the fluctuation covariance equals the compressed "
                   "Green's-function representation for all configured "
-                  "shifts", inst, rep, tol)
+                  "shifts", inst, rep, tol, cost=cost)
 
     def annihilation():
         c = ctx()
         return _maxabs(c.bond_average_next @ c.tilde_green(0.0))
     run.check("representation.reduced_green_annihilates_average",
               "the reduced Green's function lies in the kernel of the "
-              "next averaging", inst, annihilation, tol)
+              "next averaging", inst, annihilation, tol, cost=cost)
 
     def projection():
         c = ctx()
         x = X_LIST[0]
         g = c.tilde_green(x)
-        op = np.linalg.inv(c.fine_green(x))
-        return _maxabs(g @ op @ g - g)
+        return _maxabs(g @ c.fine_operator(x) @ g - g)
     run.check("representation.reduced_green_projection",
               "the reduced Green's function is idempotent against the "
-              "regularized operator", inst, projection, tol)
+              "regularized operator", inst, projection, tol, cost=cost)
 
 
 def suite_rg(run: Runner, inst):
     dim, L, levels = inst
     tol = run.config.identity_tol
+    cost = _dense(LatticeSpec(dim, L, 0, levels))
 
     def gauge_invariant():
         return max(s.gauge_residual() for s in _flow(*inst))
     run.check("rg.flow_gauge_invariance",
               "every density of the flow annihilates coarse gradients",
-              inst, gauge_invariant, tol)
+              inst, gauge_invariant, tol, cost=cost)
 
     def one_shot_agree():
         states = _flow(*inst)
@@ -598,7 +633,7 @@ def suite_rg(run: Runner, inst):
     run.check("rg.iterated_matches_one_shot",
               "the iterated flow agrees with the single constrained "
               "integration at every level, constants included", inst,
-              one_shot_agree, tol)
+              one_shot_agree, tol, cost=cost)
 
     def final():
         states = _flow(*inst)
@@ -606,21 +641,21 @@ def suite_rg(run: Runner, inst):
                    - one_shot_final(dim, L, levels))
     run.check("rg.final_winding_step",
               "the last step with winding averages matches its one-shot "
-              "form", inst, final, tol)
+              "form", inst, final, tol, cost=cost)
 
     def recursion():
         fc = z_constants(dim, L, levels)
         return max(fc.recursion_residuals.values())
     run.check("rg.partition_recursion",
               "the normalization constants satisfy the step recursion "
-              "exactly", inst, recursion, tol)
+              "exactly", inst, recursion, tol, cost=cost)
 
     def composition():
         return max(minimizer_composition_residual(dim, L, levels, k)
                    for k in range(levels))
     run.check("rg.minimizer_composition",
               "minimizing in two stages equals minimizing once at the "
-              "finer level", inst, composition, tol)
+              "finer level", inst, composition, tol, cost=cost)
 
     def fluct():
         ctx = get_context(*inst, 0)
@@ -629,11 +664,12 @@ def suite_rg(run: Runner, inst):
     run.check("rg.fluctuation_transport",
               "transporting a quadratic functional through the "
               "fluctuation integral agrees between the direct and the "
-              "square-root parametrization", inst, fluct, tol)
+              "square-root parametrization", inst, fluct, tol, cost=cost)
 
 
 def suite_sqrt(run: Runner, inst):
-    levels = inst[2]
+    dim, L, levels = inst
+    cost = _dense(LatticeSpec(dim, L, 0, levels))
     # at a single level the blocked lattice degenerates; stay at level 0
     key = (*inst, 1 if levels >= 2 else 0)
 
@@ -642,7 +678,7 @@ def suite_sqrt(run: Runner, inst):
 
     run.check("sqrt.quadrature_matches_spectral",
               "the quadrature square root matches the spectral one", inst,
-              lambda: error(NPOINTS), 1e-6)
+              lambda: error(NPOINTS), 1e-6, cost=cost)
 
     def converges():
         e_half, e_full = error(NPOINTS // 2), error(NPOINTS)
@@ -651,21 +687,22 @@ def suite_sqrt(run: Runner, inst):
         return e_full / max(e_half, 1e-12)
     run.check("sqrt.quadrature_converges",
               "doubling the node count does not worsen the square-root "
-              "error", inst, converges, 1.0)
+              "error", inst, converges, 1.0, cost=cost)
 
     def square():
         root = _spectral_root(*key)
         return _maxabs(root @ root - get_context(*key).fluct_cov(0.0))
     run.check("sqrt.root_squares_to_covariance",
               "the square of the computed root is the fluctuation "
-              "covariance", inst, square, run.config.identity_tol)
+              "covariance", inst, square, run.config.identity_tol, cost=cost)
 
 
 def suite_decay(run: Runner, inst):
     dim, L, levels = inst
+    cost = _dense(LatticeSpec(dim, L, 0, levels))
 
     def massive():
-        lattice = guarded_torus(dim, L, 0, 1)
+        lattice = fine_torus(dim, L, 0, 1)
         g0 = np.linalg.inv(laplacian_matrix(lattice).toarray()
                            + np.eye(lattice.n_sites))
         prof = decay_profile(g0, lattice, lattice, kind="site")
@@ -673,7 +710,8 @@ def suite_decay(run: Runner, inst):
         return prof["slope"]
     run.check("decay.massive_green_function",
               "the massive Green's function decays (negative fitted "
-              "log-slope)", inst, massive, 0.0)
+              "log-slope)", inst, massive, 0.0,
+              cost=_dense(LatticeSpec(dim, L, 0, 1)))
 
     if levels >= 2:
         def minimizer():
@@ -682,7 +720,7 @@ def suite_decay(run: Runner, inst):
             return prof["slope"]
         run.check("decay.minimizer_kernel_slope",
                   "the minimizer kernel decays (negative fitted log-slope)",
-                  inst, minimizer, 0.0)
+                  inst, minimizer, 0.0, cost=cost)
 
     # the fit-quality gate needs enough distance classes: side >= 27
     if dim == 2 and L ** levels >= 27:
@@ -691,11 +729,13 @@ def suite_decay(run: Runner, inst):
         run.check("decay.minimizer_fit_quality",
                   "on a large instance the exponential fit of the "
                   "minimizer kernel is tight", inst, correlated,
-                  DECAY_MIN_CORR, "floor")
+                  DECAY_MIN_CORR, "floor", cost=cost)
 
 
 def suite_appendix(run: Runner, inst):
+    dim, L, levels = inst
     tol = run.config.identity_tol
+    cost = _dense(LatticeSpec(dim, L, 0, levels))
 
     def result():
         return _change_of_gauge(*inst, run.config.seed)
@@ -704,13 +744,13 @@ def suite_appendix(run: Runner, inst):
               "coarse scalars plus divergence directions exhaust the fine "
               "scalars, and the split map is invertible", inst,
               lambda: 0 if (result()["invertible"] and result()["dims_match"])
-              else 1, 0, "exact")
+              else 1, 0, cost=cost)
 
     run.check("appendix.gauge_change_moments",
               "the substitution map carries the penalized-Gaussian "
               "moments to the projected-surface moments", inst,
               lambda: max(result()["mean_residual"],
-                          result()["covariance_residual"]), tol)
+                          result()["covariance_residual"]), tol, cost=cost)
 
 
 SUITE_FUNCS = {
@@ -730,7 +770,8 @@ SUITE_FUNCS = {
 
 # -- reports -----------------------------------------------------------------
 
-def build_report(config: RunConfig, checks) -> dict:
+def build_report(run: Runner) -> dict:
+    config, checks = run.config, run.checks
     summary = {"total": len(checks)}
     for status in ("PASS", "FAIL", "ERROR", "SKIPPED"):
         summary[status.lower()] = sum(1 for c in checks
@@ -748,7 +789,7 @@ def build_report(config: RunConfig, checks) -> dict:
             "x_list": list(X_LIST),
             "npoints": NPOINTS,
             "seed": config.seed,
-            "max_ambient_dim": max_ambient_dim(),
+            "max_ambient_dim": run.cap,
         },
         "checks": checks,
         "summary": summary,
@@ -784,7 +825,7 @@ def run_verification(config: RunConfig) -> tuple:
         # the report is suite-major; a partial report is still a report
         order = sorted(range(len(keys)), key=keys.__getitem__)
         run.checks[:] = [run.checks[j] for j in order]
-        report = build_report(config, run.checks)
+        report = build_report(run)
         if config.report:
             with open(config.report, "w") as fh:
                 json.dump(report, fh, indent=2)

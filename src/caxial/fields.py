@@ -24,7 +24,9 @@ The calculus operators, like the averaging operators of `averaging`, are
 assembled as CSR at every size; checks that need dense linear algebra
 densify them with `.toarray()`.  The curl-energy form is the one operator
 kept dense: it is formed once per lattice as a sparse product and densified
-for the factorizations it feeds.
+for the factorizations it feeds.  The functions here work on any lattice they
+are given: the resource cap is enforced once, by `cli`, on each check's
+declared cost before the check runs.
 
 On a torus the calculus and averaging operators commute with translations
 by a block; `block_symbol` verifies that exactly and returns the
@@ -34,50 +36,14 @@ block-Fourier symbol, one small block per momentum (docs/indexing.md,
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import (Lattice, LatticeError, LatticeSpec, fine_torus,
-                      instance_cache)
+from .lattice import Lattice, LatticeError, instance_cache
 
 SITE = "site"
 BOND = "bond"
 PLAQUETTE = "plaquette"
-
-DEFAULT_MAX_DIM = 5000
-
-
-class ResourceCapExceeded(RuntimeError):
-    """The requested instance is larger than the configured ambient cap."""
-
-
-def max_ambient_dim() -> int:
-    """The ambient-dimension cap: CAXIAL_MAX_DIM if set, else the default.
-
-    A value that is not a positive integer (which would skip every check)
-    raises ValueError.
-    """
-    cap = int(os.environ.get("CAXIAL_MAX_DIM", DEFAULT_MAX_DIM))
-    if cap < 1:
-        raise ValueError(f"{cap} is not a positive dimension")
-    return cap
-
-
-def _guard(n: int):
-    """Raise ResourceCapExceeded if an ambient dimension n is over the cap;
-    callers pass closed-form LatticeSpec counts, before anything is built."""
-    cap = max_ambient_dim()
-    if n > cap:
-        raise ResourceCapExceeded(f"ambient dimension {n} exceeds cap {cap}")
-
-
-def guarded_torus(dim: int, L: int, scale: int, levels: int) -> Lattice:
-    """fine_torus(dim, L, scale, levels), guarded on its closed-form bond
-    count before it is built."""
-    _guard(LatticeSpec(dim, L, scale, levels).n_bonds)
-    return fine_torus(dim, L, scale, levels)
 
 
 def element_count(lattice: Lattice, kind: str) -> int:

@@ -4,10 +4,10 @@ fluctuation-covariance representation identities.
 A GaugeContext fixes a level k of the flow on an N-level torus: the fine
 lattice has spacing L**-k and the coarse (unit) lattice is its k-fold
 blocking.  `get_context` caches one per instance level until a run moves
-to the next instance, and checks the resource cap on every fetch.  The
-regulator a and the gauge-fixing weight alpha are arguments of the members
-that read them, not part of the context: the identities hold for every
-value.  On top of it live
+to the next instance; it checks no resource cap, since `cli` checks each
+check's declared cost first.  The regulator a and the gauge-fixing weight
+alpha are arguments of the members that read them, not part of the
+context: the identities hold for every value.  On top of it live
 
 * the scalar Green's function G = (-Lap + a Q^T Q)^-1,
 * the projector R onto Lap(ker Q),
@@ -38,7 +38,7 @@ import scipy.sparse as sp
 from scipy.special import roots_legendre
 
 from . import averaging as av
-from .fields import _guard, curl_energy_form, grad_matrix
+from .fields import curl_energy_form, grad_matrix
 from .gaussian import (RANK_TOL, AffineSurface, IndefiniteOnSurface,
                        SingularOperator, minimizer_map, positive_cholesky,
                        subspace_covariance)
@@ -62,11 +62,6 @@ def _add_sparse(dense: np.ndarray, scale: float, m: sp.coo_matrix):
     dense[m.row, m.col] += scale * m.data
 
 
-def _guard_level(dim, L, n_levels, level):
-    """The cap on the bond count of an instance level's fine lattice."""
-    _guard(LatticeSpec(dim, L, level, n_levels - level).n_bonds)
-
-
 class GaugeContext:
     """Operators of one RG level: fine torus at spacing L**-k, unit blocking."""
 
@@ -79,7 +74,6 @@ class GaugeContext:
         self.L = L
         self.n_levels = n_levels
         self.level = level
-        _guard_level(dim, L, n_levels, level)
         self.fine = build_lattice(LatticeSpec(dim, L, level, n_levels - level))
         self.unit = build_lattice(LatticeSpec(dim, L, 0, n_levels - level))
         self._by_a = {}     # (name, a) -> matrix that depends on a
@@ -272,19 +266,22 @@ class GaugeContext:
         xm = sp.diags(self.chi_star) @ self.compression
         return (xm.T @ xm).tocoo()
 
-    def fine_green(self, x: float = 0.0, a: float = 1.0) -> np.ndarray:
-        """Inverse of the regularized bond operator used in the covariance
-        representation: curl part + projected divergence part + average
-        regulator a + x times the gauge-fixed compression term."""
+    def fine_operator(self, x: float = 0.0, a: float = 1.0) -> np.ndarray:
+        """The regularized bond operator of the covariance representation:
+        curl + projected divergence + a Q_next^T Q_next + x X^T X."""
         dg = self.grad_fine
         op = curl_energy_form(self.fine) \
             + self.weight * dg @ self.proj_div_next(a) @ dg.T
         _add_sparse(op, a, self.bond_average_next_gram)
         if x:
             _add_sparse(op, x, self.x_gram)
-        chol = positive_cholesky(0.5 * (op + op.T), SingularOperator,
+        return 0.5 * (op + op.T)
+
+    def fine_green(self, x: float = 0.0, a: float = 1.0) -> np.ndarray:
+        """Inverse of `fine_operator(x, a)`, by Cholesky."""
+        chol = positive_cholesky(self.fine_operator(x, a), SingularOperator,
                                  "regularized bond operator")
-        return sla.cho_solve((chol, True), np.eye(op.shape[0]))
+        return sla.cho_solve((chol, True), np.eye(len(chol)))
 
     def tilde_green(self, x: float = 0.0, a: float = 1.0) -> np.ndarray:
         """Green's function constrained to the kernel of the next averaging."""
@@ -375,14 +372,9 @@ def one_shot_constraints(fine: Lattice, k: int) -> AffineSurface:
 
 
 @instance_cache
-def _get_context(dim, L, n_levels, level, /) -> GaugeContext:
-    return GaugeContext(dim, L, n_levels, level)
-
-
 def get_context(dim, L, n_levels, level, /) -> GaugeContext:
-    """The cached context of an instance level, guarded on every fetch."""
-    _guard_level(dim, L, n_levels, level)
-    return _get_context(dim, L, n_levels, level)
+    """The context of an instance level, built once per instance."""
+    return GaugeContext(dim, L, n_levels, level)
 
 
 def change_of_gauge_check(ctx: GaugeContext, coarse_field: np.ndarray) -> dict:

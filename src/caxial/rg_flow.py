@@ -26,11 +26,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import averaging as av
-from .fields import curl_energy_form, grad_matrix, guarded_torus
+from .fields import curl_energy_form, grad_matrix
 from .gauge_ops import get_context, one_shot_constraints
 from .gaussian import (AffineSurface, QuadraticDensity, log_partition,
                        minimizer_map, push_constraint, subspace_covariance)
-from .lattice import Lattice, LatticeSpec, build_lattice, instance_cache
+from .lattice import Lattice, fine_torus, instance_cache
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class RGState:
 
 def init_rho0(dim: int, L: int, n_levels: int) -> RGState:
     """Level-0 state: the curl-energy Gaussian."""
-    lat = guarded_torus(dim, L, 0, n_levels)
+    lat = fine_torus(dim, L, 0, n_levels)
     density = QuadraticDensity(curl_energy_form(lat))
     return RGState(0, lat, density, FlowCounts(dim, L, n_levels))
 
@@ -93,8 +93,8 @@ def rg_step(state: RGState) -> RGState:
     new = QuadraticDensity(
         pushed.form / (s * s), pushed.linear / s,
         pushed.log_const + counts.scale_log(state.level + 1))
-    coarse = build_lattice(LatticeSpec(counts.dim, counts.L, 0,
-                                       counts.n_levels - state.level - 1))
+    coarse = fine_torus(counts.dim, counts.L, 0,
+                        counts.n_levels - state.level - 1)
     return RGState(state.level + 1, coarse, new, counts)
 
 
@@ -136,15 +136,15 @@ def one_shot_state(dim: int, L: int, n_levels: int, k: int) -> RGState:
     field at spacing L**-k with the full hierarchical stack."""
     if not 1 <= k <= n_levels:
         raise ValueError("need 1 <= k <= n_levels")
-    fine = guarded_torus(dim, L, k, n_levels - k)
-    return RGState(k, build_lattice(LatticeSpec(dim, L, 0, n_levels - k)),
+    fine = fine_torus(dim, L, k, n_levels - k)
+    return RGState(k, fine_torus(dim, L, 0, n_levels - k),
                    _one_shot_density(fine, k), FlowCounts(dim, L, n_levels))
 
 
 def one_shot_final(dim: int, L: int, n_levels: int) -> float:
     """One-shot version of the last level: winding averages of the fully
     blocked field are fixed to zero; returns the log constant."""
-    fine = guarded_torus(dim, L, n_levels, 0)
+    fine = fine_torus(dim, L, n_levels, 0)
     density = QuadraticDensity(curl_energy_form(fine))
     surface = _one_shot_winding_constraints(fine, n_levels)
     return log_partition(density, surface)

@@ -1,6 +1,10 @@
+import ast
 import gc
 import json
+import math
 import os
+import pathlib
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,9 +13,8 @@ import pytest
 from caxial import averaging as av
 from caxial import cli, gauge_ops, gaussian, rg_flow, spectral
 from caxial.cli import ConfigError, RunConfig, main, run_verification
-from caxial.fields import ResourceCapExceeded
 from caxial.gauge_ops import GaugeContext
-from caxial.lattice import LatticeSpec, clear_caches, unit_torus
+from caxial.lattice import OPEN_CUBE, LatticeSpec, clear_caches, unit_torus
 
 
 GAUGE_SUITES = ("feynman_landau", "representation", "sqrt", "decay",
@@ -34,9 +37,10 @@ def strip_times(report):
 # every suite on the small instances; on the larger ones only the suites
 # that build no level context or flow, which take seconds to minutes
 # there (decay on (2,3,3) is run by
-# test_decay_profiles_the_minimizer_once_per_instance)
+# test_decay_profiles_the_minimizer_once_per_instance), up to (2,5,3),
+# whose level contexts are over the default cap
 SMALL_INSTANCES = ((2, 3, 1), (2, 3, 2), (2, 5, 1), (3, 3, 1))
-LARGE_INSTANCES = ((2, 3, 3), (2, 5, 2), (3, 3, 2))
+LARGE_INSTANCES = ((2, 3, 3), (2, 5, 2), (3, 3, 2), (2, 5, 3))
 STRUCTURE_SUITES = ("geometry", "calculus", "averaging", "gauge_surface")
 CHECK_MATRIX = ([(s, i) for s in cli.SUITES for i in SMALL_INSTANCES]
                 + [(s, i) for s in STRUCTURE_SUITES for i in LARGE_INSTANCES])
@@ -53,12 +57,7 @@ def test_verify_checks_pass(suite, inst):
     assert report["checks"]
     for c in report["checks"]:
         assert c["anchor"]
-        # the fine torus of the scale-invariance check is over the cap on
-        # the large instances
-        skip_ok = (c["check_id"] == "calculus.curl_energy_scale_invariance"
-                   and inst in LARGE_INSTANCES)
-        allowed = ("PASS", "SKIPPED") if skip_ok else ("PASS",)
-        assert c["status"] in allowed, c
+        assert c["status"] == "PASS", c
 
 
 def test_report_reproducible_except_wall_time():
@@ -72,8 +71,9 @@ def test_resource_cap_records_skip(monkeypatch):
     report, _ = run_verification(small_config(suites=("rg",)))
     statuses = {c["status"] for c in report["checks"]}
     assert statuses == {"SKIPPED"}
+    # every rg check declares a dense matrix on the 18 bonds
     for c in report["checks"]:
-        assert "reason" in c
+        assert c["reason"] == "declared cost 324 exceeds cap 5**2 = 25 entries"
 
 
 @pytest.mark.parametrize("suite", ["rg", *GAUGE_SUITES])
@@ -89,8 +89,9 @@ def test_cached_context_is_not_served_over_the_cap(monkeypatch, suite):
     capped = [c for c in report["checks"]
               if c["check_id"] != "decay.massive_green_function"]
     assert capped and {c["status"] for c in capped} == {"SKIPPED"}
+    # a dense matrix on the 162 bonds of every level's fine lattice
     assert {c["reason"] for c in capped} == {
-        "ambient dimension 162 exceeds cap 100"}
+        "declared cost 26244 exceeds cap 100**2 = 10000 entries"}
 
 
 @pytest.mark.parametrize("cap", ["abc", "0", "-3"])
@@ -107,8 +108,9 @@ def test_unusable_cap_is_config_error(cap, tmp_path, monkeypatch, capsys):
 
 def test_cap_above_the_default_runs_the_larger_instance(tmp_path,
                                                        monkeypatch):
-    # (3, 13, 1) has 6,591 bonds, over the default cap of 5000; the fine
-    # torus of the scale-invariance check has 14,480,427 and stays skipped
+    # (3, 13, 1) has 6,591 bonds, over the default cap of 5000; the index
+    # tables of the fine torus of the scale-invariance check (14,480,427
+    # bonds) hold 130,323,843 entries, over 7000**2, so it stays skipped
     monkeypatch.setenv("CAXIAL_MAX_DIM", "7000")
     path = tmp_path / "report.json"
     assert main(["verify", "--dim", "3", "--L", "13", "--levels", "1",
@@ -172,18 +174,16 @@ def test_rg_runs_the_flow_once_per_instance(monkeypatch):
 
     # an exception is not cached: every check that reads the flow records
     # it, and the checks that do not read it still pass
-    for error, status in ((RuntimeError("broken"), "ERROR"),
-                          (ResourceCapExceeded("too big"), "SKIPPED")):
-        def broken(*args, error=error):
-            calls.append(args)
-            raise error
-        monkeypatch.setattr(cli, "flow_states", broken)
-        calls.clear()
-        report, _ = run_verification(small_config(suites=suites))
-        assert len(calls) == len(FLOW_CHECKS)
-        for c in report["checks"]:
-            assert c["status"] == (status if c["check_id"] in FLOW_CHECKS
-                                   else "PASS")
+    def broken(*args):
+        calls.append(args)
+        raise RuntimeError("broken")
+    monkeypatch.setattr(cli, "flow_states", broken)
+    calls.clear()
+    report, _ = run_verification(small_config(suites=suites))
+    assert len(calls) == len(FLOW_CHECKS)
+    for c in report["checks"]:
+        assert c["status"] == ("ERROR" if c["check_id"] in FLOW_CHECKS
+                               else "PASS")
 
 
 def test_sqrt_evaluates_each_root_once_per_instance(monkeypatch):
@@ -409,28 +409,102 @@ def test_csv_export(tmp_path):
     assert len(body) > 2
 
 
-@pytest.mark.parametrize("suite, inst, check_id, spec_args, cap, n", [
-    # the fine lattice of the scale-invariance check, guarded on its
-    # closed-form bond count
+@pytest.mark.parametrize("suite, inst, check_id, spec, cost", [
+    # the index tables of the fine lattice of the scale-invariance check
     ("calculus", (2, 3, 1), "calculus.curl_energy_scale_invariance",
-     (2, 3, 1, 1), 100, 162),
-    # the unit torus of the bijection check, guarded on 4 * its site count
+     LatticeSpec(2, 3, 1, 1), 1215),
+    # the block-Fourier stack of the unit torus of the bijection check
     ("gauge_surface", (2, 3, 2), "gauge_surface.scalar_hierarchy_bijection",
-     (2, 3, 0, 2), 300, 324),
-    # the fine lattice of a level-1 context, guarded in GaugeContext
+     LatticeSpec(2, 3, 0, 2), 1458),
+    # a dense matrix on the bonds of a level-1 context's fine lattice
     ("feynman_landau", (2, 3, 2), "feynman_landau.projector_idempotent",
-     (2, 3, 1, 1), 100, 162),
-    # the unit torus of the flow, guarded in rg_flow
-    ("rg", (2, 3, 2), "rg.flow_gauge_invariance", (2, 3, 0, 2), 100, 162),
-], ids=["calculus", "gauge_surface", "context", "rg"])
+     LatticeSpec(2, 3, 1, 1), 26244),
+    # a dense matrix on the bonds of the unit torus of the flow
+    ("rg", (2, 3, 2), "rg.flow_gauge_invariance", LatticeSpec(2, 3, 0, 2),
+     26244),
+    # the index tables of the open cube
+    ("geometry", (2, 3, 1), "geometry.spanning_tree",
+     LatticeSpec(2, 3, boundary=OPEN_CUBE), 108),
+], ids=["calculus", "gauge_surface", "context", "rg", "open_cube"])
 def test_skipped_check_builds_no_lattice(monkeypatch, lattice_builds, suite,
-                                         inst, check_id, spec_args, cap, n):
-    # the run starts the instance with every cache empty
-    spec = LatticeSpec(*spec_args)
+                                         inst, check_id, spec, cost):
+    # the largest cap whose square is below the declared cost; the run
+    # starts the instance with every cache empty
+    cap = math.isqrt(cost - 1)
     monkeypatch.setenv("CAXIAL_MAX_DIM", str(cap))
     report, _ = run_verification(small_config(instances=(inst,),
                                               suites=(suite,)))
     check = next(c for c in report["checks"] if c["check_id"] == check_id)
     assert check["status"] == "SKIPPED"
-    assert check["reason"] == f"ambient dimension {n} exceeds cap {cap}"
+    assert check["reason"] == (f"declared cost {cost} exceeds cap "
+                               f"{cap}**2 = {cap * cap} entries")
     assert spec not in lattice_builds
+
+
+def test_open_cube_checks_are_capped(monkeypatch, lattice_builds):
+    # every check of these suites declares more than 10**2 entries on
+    # (2,3,1); the open-cube checks used to run under any cap
+    monkeypatch.setenv("CAXIAL_MAX_DIM", "10")
+    suites = ("geometry", "gauge_surface", "lower_bound")
+    report, _ = run_verification(small_config(suites=suites))
+    assert len(report["checks"]) == 10
+    assert {c["status"] for c in report["checks"]} == {"SKIPPED"}
+    assert not lattice_builds
+
+
+# Bound on the tracemalloc peak of one check run from empty caches, in
+# float64 entries per declared entry.  The small instances reach 17 in
+# representation.covariance_identity_* and 16 in rg on (2,3,2), which hold
+# that many dense bond matrices at once.  ALLOWANCE covers what a check
+# holds whatever its size (Python objects, cache entries, small tables):
+# 10-45 KB for the structure checks on (2,3,1).
+PEAK_MULTIPLE = 24
+ALLOWANCE = 64 * 1024
+
+
+@pytest.mark.parametrize("suite", cli.SUITES)
+def test_declared_cost_bounds_the_peak_memory(monkeypatch, suite):
+    peaks = []
+    check = cli.Runner.check
+
+    def traced(self, check_id, anchor, instance, fn, *args, cost):
+        def measured():
+            clear_caches()
+            gc.collect()
+            tracemalloc.start()
+            try:
+                return fn()
+            finally:
+                peaks.append((check_id, instance,
+                              tracemalloc.get_traced_memory()[1], cost))
+                tracemalloc.stop()
+        return check(self, check_id, anchor, instance, measured, *args,
+                     cost=cost)
+    monkeypatch.setattr(cli.Runner, "check", traced)
+    report, _ = run_verification(RunConfig(instances=SMALL_INSTANCES,
+                                           suites=(suite,)).validate())
+    assert {c["status"] for c in report["checks"]} == {"PASS"}
+    assert len(peaks) == len(report["checks"])
+    for check_id, inst, peak, cost in peaks:
+        assert peak <= PEAK_MULTIPLE * 8 * cost + ALLOWANCE, \
+            (check_id, inst, peak, cost)
+
+
+def test_only_cli_reads_or_compares_the_cap():
+    # Runner.check is the one resource guard: no other module reads
+    # CAXIAL_MAX_DIM, the environment or a cap, or compares with one
+    found = {}
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and \
+                    node.value == "CAXIAL_MAX_DIM":
+                found.setdefault("variable", set()).add(path.name)
+            if isinstance(node, ast.Attribute) and node.attr == "environ":
+                found.setdefault("environ", set()).add(path.name)
+            names = {getattr(n, "id", getattr(n, "attr", None))
+                     for n in ast.walk(node)}
+            if isinstance(node, ast.Compare) and names & {
+                    "cap", "max_ambient_dim", "DEFAULT_MAX_DIM"}:
+                found.setdefault("comparison", set()).add(path.name)
+    assert found == {"variable": {"cli.py"}, "environ": {"cli.py"},
+                     "comparison": {"cli.py"}}

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 
 from caxial import averaging as av
 from caxial import gauge_ops
-from caxial.fields import ResourceCapExceeded, curl_energy_form, ext_d_matrix
+from caxial.fields import curl_energy_form, ext_d_matrix
 from caxial.gauge_ops import (GaugeContext, change_of_gauge_check,
                               decay_profile, get_context,
                               one_shot_constraints, sym_norm2)
@@ -26,17 +26,6 @@ def ctx1():
 # the level-1 contexts of the default instances over 2 levels, from the
 # smallest to the largest
 LEVEL_ONE = ((2, 3, 2, 1), (2, 3, 3, 1), (2, 5, 2, 1), (3, 3, 2, 1))
-
-
-def test_get_context_guards_every_fetch(monkeypatch):
-    ctx = get_context(2, 3, 2, 0)
-    assert get_context(2, 3, 2, 0) is ctx
-    # cached under the default cap, the context is not served under a
-    # lower one
-    monkeypatch.setenv("CAXIAL_MAX_DIM", "100")
-    with pytest.raises(ResourceCapExceeded,
-                       match="ambient dimension 162 exceeds cap 100"):
-        get_context(2, 3, 2, 0)
 
 
 def test_level_range_validated():
@@ -167,7 +156,9 @@ def test_tilde_green_projection_identity():
     c = ctx0()
     x = 0.7
     g = c.tilde_green(x)
-    op = np.linalg.inv(c.fine_green(x))
+    op = c.fine_operator(x)
+    # fine_green inverts the operator fine_operator assembles
+    assert np.abs(c.fine_green(x) @ op - np.eye(len(op))).max() < 1e-9
     assert np.abs(g @ op @ g - g).max() < 1e-8
 
 
@@ -253,7 +244,8 @@ def _dense_green(lap, q, q_adj, a):
 
 
 def _dense_oracle(c, x, a):
-    """fine_green, tilde_green and the rep_check right-hand side from the
+    """fine_operator, fine_green, tilde_green and the rep_check right-hand
+    side from the
     dense averaging and recovery maps, as computed before the context kept
     them sparse."""
     dg = c.grad_fine
@@ -270,12 +262,13 @@ def _dense_oracle(c, x, a):
     if x:
         xm = (c.chi_star[:, None] * ipd) @ qb
         op = op + x * xm.T @ xm
-    chol = positive_cholesky(0.5 * (op + op.T))
+    op = 0.5 * (op + op.T)
+    chol = positive_cholesky(op)
     fine = sla.cho_solve((chol, True), np.eye(op.shape[0]))
     tilde = fine - fine @ qn.T @ np.linalg.solve(qn @ fine @ qn.T,
                                                  qn @ fine)
     tilde = 0.5 * (tilde + tilde.T)
-    return fine, tilde, ipd @ qb @ tilde @ qb.T @ ipd.T
+    return op, fine, tilde, ipd @ qb @ tilde @ qb.T @ ipd.T
 
 
 @pytest.mark.parametrize("inst", ORACLE)
@@ -283,11 +276,12 @@ def test_sparse_maps_match_the_dense_oracle(inst):
     c = get_context(*inst)
     C, comp = c.fluct_basis, c.compression
     for x, a in ((0.0, 1.0), (1.0, 2.0)):
-        fine, tilde, rhs = _dense_oracle(c, x, a)
-        got = (c.fine_green(x, a), c.tilde_green(x, a),
-               comp @ c.tilde_green(x, a) @ comp.T)
-        for name, ref, new in zip(("fine_green", "tilde_green", "rhs"),
-                                  (fine, tilde, rhs), got):
+        op, fine, tilde, rhs = _dense_oracle(c, x, a)
+        got = (c.fine_operator(x, a), c.fine_green(x, a),
+               c.tilde_green(x, a), comp @ c.tilde_green(x, a) @ comp.T)
+        for name, ref, new in zip(("fine_operator", "fine_green",
+                                   "tilde_green", "rhs"),
+                                  (op, fine, tilde, rhs), got):
             assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max(), \
                 (name, x, a)
         # the check value, a round-off residual, on the scale of its

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from caxial.fields import ResourceCapExceeded, curl_energy_form
+from caxial.fields import curl_energy_form
 from caxial.rg_flow import (FlowCounts, final_step, fluctuation_step,
                             flow_states, init_rho0,
                             minimizer_composition_residual, one_shot_final,
@@ -9,7 +9,7 @@ from caxial.rg_flow import (FlowCounts, final_step, fluctuation_step,
 from caxial.gaussian import (QuadraticDensity, log_partition,
                              subspace_covariance)
 from caxial.gauge_ops import get_context, one_shot_constraints
-from caxial.lattice import LatticeSpec, clear_caches, fine_torus
+from caxial.lattice import fine_torus
 
 REL_TOL = 1e-9
 
@@ -123,42 +123,3 @@ def test_fluctuation_covariance_factorizes():
     cov = subspace_covariance(ctx.delta, one_shot_constraints(ctx.unit, 1))
     c = ctx.fluct_basis
     assert rel_diff(cov, c @ ctx.fluct_cov(0.0) @ c.T) < 1e-10
-
-
-def test_resource_cap(monkeypatch):
-    monkeypatch.setenv("CAXIAL_MAX_DIM", "10")
-    with pytest.raises(ResourceCapExceeded):
-        init_rho0(2, 3, 1)
-    monkeypatch.delenv("CAXIAL_MAX_DIM")
-    init_rho0(2, 3, 1)
-
-
-@pytest.mark.parametrize("build", [
-    lambda: init_rho0(2, 3, 2), lambda: one_shot_state(2, 3, 2, 1),
-    lambda: one_shot_final(2, 3, 2), lambda: z_constants(2, 3, 2)],
-    ids=["init_rho0", "one_shot_state", "one_shot_final", "z_constants"])
-def test_flow_guards_before_building(monkeypatch, lattice_builds, build):
-    # every torus of a two-level flow has 162 bonds; the cap is checked on
-    # that closed-form count before any of them is built
-    specs = [LatticeSpec(2, 3, k, 2 - k) for k in range(3)]
-    clear_caches()
-    monkeypatch.setenv("CAXIAL_MAX_DIM", "100")
-    with pytest.raises(ResourceCapExceeded,
-                       match="ambient dimension 162 exceeds cap 100"):
-        build()
-    assert not any(spec in lattice_builds for spec in specs)
-
-
-@pytest.mark.parametrize("identity", [
-    lambda: minimizer_composition_residual(2, 3, 2, 0),
-    lambda: fluctuation_step(2, 3, 2, 0, np.zeros(162))],
-    ids=["minimizer_composition", "fluctuation_step"])
-def test_cached_contexts_are_guarded(monkeypatch, identity):
-    # the contexts are cached under the default cap; a lower cap still
-    # rejects the identities that read them
-    for level in (0, 1):
-        get_context(2, 3, 2, level)
-    monkeypatch.setenv("CAXIAL_MAX_DIM", "100")
-    with pytest.raises(ResourceCapExceeded,
-                       match="ambient dimension 162 exceeds cap 100"):
-        identity()
