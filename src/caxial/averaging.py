@@ -166,10 +166,11 @@ def toron_average_full_matrix(fine: Lattice,
 
 @dataclass(frozen=True)
 class PathAverageMap:
-    """Rows indexed by (coarse site ordinal, fine site ordinal), x != center."""
+    """Rows indexed by (coarse site ordinal, fine site ordinal), x != center:
+    rows[i] is the read-only (y, x) pair of row i."""
 
     matrix: sp.csr_matrix
-    rows: tuple
+    rows: np.ndarray
     fine: Lattice
     coarse: Lattice
 
@@ -182,7 +183,8 @@ def _path_average_build(fine: Lattice, all_orders: bool) -> PathAverageMap:
     sites = blocks[:, keep]
     n_rows = sites.size
     ys = np.repeat(np.arange(coarse.n_sites), sites.shape[1])
-    rows = tuple(zip(ys.tolist(), sites.ravel().tolist()))
+    rows = np.column_stack([ys, sites.ravel()])
+    rows.flags.writeable = False
     centers = np.repeat(blocks[:, ~keep], sites.shape[1])
     # within a block the offset is already the centered displacement
     deltas = np.tile(offsets[keep], (coarse.n_sites, 1))
@@ -295,7 +297,7 @@ def scalar_recovery_matrix(lattice: Lattice) -> sp.csr_matrix:
     tau = path_average_matrix(lattice)
     coarse = tau.coarse
     w = float(lattice.L) ** (-lattice.dim)
-    ys, xs = np.array(tau.rows).T
+    ys, xs = tau.rows.T
     rows = np.arange(len(ys))
     # block_of[x]: the coarse site whose block holds the fine site x
     block_of = np.empty(lattice.n_sites, dtype=int)
@@ -344,7 +346,8 @@ def recovery_inverse_symbols(fine: Lattice):
 
 @dataclass(frozen=True)
 class FluctuationSplit:
-    """Partition of unit-lattice bonds for the fluctuation integral.
+    """Partition of unit-lattice bonds for the fluctuation integral, as
+    read-only arrays of bond ordinals.
 
     in_block  -- bonds inside blocks (both endpoints in one block)
     linking   -- bonds joining adjacent blocks, grouped by coarse bond
@@ -353,10 +356,10 @@ class FluctuationSplit:
     chi_star  -- 0/1 diagonal vector zeroing exactly the central bonds
     """
 
-    in_block: tuple
-    linking: tuple
-    central: tuple
-    noncentral: tuple
+    in_block: np.ndarray
+    linking: np.ndarray
+    central: np.ndarray
+    noncentral: np.ndarray
     chi_star: np.ndarray
     lattice: Lattice
     coarse: Lattice
@@ -383,11 +386,10 @@ def fluctuation_split(lattice: Lattice) -> FluctuationSplit:
     noncentral = np.delete(bonds, mid, axis=1)
     chi = np.ones(lattice.n_bonds)
     chi[central] = 0.0
-    return FluctuationSplit(tuple(in_block.tolist()),
-                            tuple(bonds.ravel().tolist()),
-                            tuple(central.tolist()),
-                            tuple(noncentral.ravel().tolist()), chi,
-                            lattice, coarse)
+    arrays = (in_block, bonds.ravel(), central, noncentral.ravel(), chi)
+    for a in arrays:
+        a.flags.writeable = False
+    return FluctuationSplit(*arrays, lattice, coarse)
 
 
 def solve_central(lattice: Lattice, values: np.ndarray) -> np.ndarray:
@@ -398,7 +400,7 @@ def solve_central(lattice: Lattice, values: np.ndarray) -> np.ndarray:
     bond, so each central value is determined locally by the other bonds of
     the two blocks it joins.
     """
-    central = list(fluctuation_split(lattice).central)
+    central = fluctuation_split(lattice).central
     qb = bond_average_matrix(lattice, 1)
     c0 = np.asarray(qb[np.arange(len(central)), central]).ravel()
     if not c0.all():
@@ -421,13 +423,12 @@ def fluctuation_basis(lattice: Lattice) -> np.ndarray:
     split = fluctuation_split(lattice)
     # dense for the kernel basis's SVD
     tau = path_average_matrix(lattice).matrix.toarray()
-    z1 = list(split.in_block)
-    if np.any(tau[:, list(split.linking)] != 0):
+    if np.any(tau[:, split.linking] != 0):
         raise LatticeError("path averages touch linking bonds")
-    kernel = kernel_basis(tau[:, z1])
-    n_kernel, noncentral = kernel.shape[1], list(split.noncentral)
+    kernel = kernel_basis(tau[:, split.in_block])
+    n_kernel, noncentral = kernel.shape[1], split.noncentral
     cols = np.zeros((lattice.n_bonds, n_kernel + len(noncentral)))
-    cols[z1, :n_kernel] = kernel
+    cols[split.in_block, :n_kernel] = kernel
     cols[noncentral, n_kernel + np.arange(len(noncentral))] = 1.0
-    cols[list(split.central)] = solve_central(lattice, cols)
+    cols[split.central] = solve_central(lattice, cols)
     return cols

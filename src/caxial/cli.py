@@ -231,33 +231,10 @@ def _rng(seed, *salt) -> np.random.Generator:
     return np.random.default_rng((seed,) + salt)
 
 
-# Values that several checks of an instance read are computed once by an
-# instance cache, keyed on everything the value depends on.  An exception
-# is not cached, so each check that reads the value records its own.
-
-@instance_cache
-def _flow(dim, L, n_levels):
-    """The iterated flow of an instance, shared by the lower_bound and rg
-    suites."""
-    return flow_states(dim, L, n_levels)
-
-
-@instance_cache
-def _spectral_root(dim, L, n_levels, level):
-    return get_context(dim, L, n_levels, level).cov_sqrt_spectral()
-
-
-@instance_cache
-def _quadrature_root(dim, L, n_levels, level, npoints):
-    return get_context(dim, L, n_levels, level).cov_sqrt_quadrature(npoints)
-
-
-@instance_cache
-def _minimizer_profile(dim, L, n_levels):
-    """The decay profile of the level-1 axial minimizer."""
-    c = get_context(dim, L, n_levels, 1)
-    return decay_profile(c.axial_minimizer, c.fine, c.unit)
-
+# A value that several checks of an instance read is cached where it is
+# built (the flow by rg_flow, the roots and profiles by the level context);
+# cli caches only what depends on the run's seed.  An exception is not
+# cached, so each check that reads the value records its own.
 
 @instance_cache
 def _change_of_gauge(dim, L, n_levels, seed):
@@ -334,9 +311,7 @@ def suite_calculus(run: Runner, inst):
     dim, L, levels = inst
     tol = run.config.identity_tol
     torus = _tables(LatticeSpec(dim, L, 0, levels))
-
-    def lat():
-        return fine_torus(dim, L, 0, levels)
+    lat = functools.partial(fine_torus, dim, L, 0, levels)
 
     def curl_grad():
         lattice = lat()
@@ -378,16 +353,19 @@ def suite_calculus(run: Runner, inst):
         lattice = lat()
         A = random_field(lattice, "bond", run.rng(3, *inst))
         tau = av.path_average_matrix(lattice)
+        rhs = tau.matrix @ A
+        ys, xs = tau.rows.T
+        row_at = np.full(lattice.n_sites, -1)   # a fine site is in one row
+        row_at[xs] = np.arange(len(xs))
         worst = 0.0
-        by_pair = dict(zip(tau.rows, tau.matrix @ A))
         for sym in lattice.symmetries()[:6]:
             lhs = tau.matrix @ apply_symmetry(sym, lattice, "bond", A)
             rinv = sym.inverse()
-            coarse_dest = tau.coarse.site_permutation(rinv).tolist()
-            fine_dest = lattice.site_permutation(rinv).tolist()
-            moved = np.array([by_pair[(coarse_dest[y], fine_dest[x])]
-                              for (y, x) in tau.rows])
-            worst = max(worst, _maxabs(lhs - moved))
+            image = row_at[lattice.site_permutation(rinv)[xs]]
+            if np.any(image < 0) or np.any(
+                    ys[image] != tau.coarse.site_permutation(rinv)[ys]):
+                raise KeyError("a symmetry image of a row is not a row")
+            worst = max(worst, _maxabs(lhs - rhs[image]))
         return worst
     run.check("calculus.path_average_symmetry",
               "path averages commute with the point symmetries of the "
@@ -398,9 +376,7 @@ def suite_averaging(run: Runner, inst):
     dim, L, levels = inst
     tol = run.config.identity_tol
     cost = _symbols(LatticeSpec(dim, L, 0, levels))
-
-    def lat():
-        return fine_torus(dim, L, 0, levels)
+    lat = functools.partial(fine_torus, dim, L, 0, levels)
 
     def intertwine():
         lattice = lat()
@@ -565,7 +541,7 @@ def suite_lower_bound(run: Runner, inst):
 
     def surface_positive():
         worst = np.inf
-        for state in _flow(*inst):
+        for state in flow_states(*inst):
             if state.level >= levels:
                 break
             worst = min(worst, surface_min_eig(
@@ -615,13 +591,13 @@ def suite_rg(run: Runner, inst):
     cost = _dense(LatticeSpec(dim, L, 0, levels))
 
     def gauge_invariant():
-        return max(s.gauge_residual() for s in _flow(*inst))
+        return max(s.gauge_residual() for s in flow_states(*inst))
     run.check("rg.flow_gauge_invariance",
               "every density of the flow annihilates coarse gradients",
               inst, gauge_invariant, tol, cost=cost)
 
     def one_shot_agree():
-        states = _flow(*inst)
+        states = flow_states(*inst)
         worst = 0.0
         for k in range(1, levels + 1):
             direct = one_shot_state(dim, L, levels, k)
@@ -636,7 +612,7 @@ def suite_rg(run: Runner, inst):
               one_shot_agree, tol, cost=cost)
 
     def final():
-        states = _flow(*inst)
+        states = flow_states(*inst)
         return abs(final_step(states[levels - 1])
                    - one_shot_final(dim, L, levels))
     run.check("rg.final_winding_step",
@@ -671,10 +647,11 @@ def suite_sqrt(run: Runner, inst):
     dim, L, levels = inst
     cost = _dense(LatticeSpec(dim, L, 0, levels))
     # at a single level the blocked lattice degenerates; stay at level 0
-    key = (*inst, 1 if levels >= 2 else 0)
+    ctx = functools.partial(get_context, *inst, 1 if levels >= 2 else 0)
 
     def error(npoints):
-        return _maxabs(_quadrature_root(*key, npoints) - _spectral_root(*key))
+        return _maxabs(ctx().cov_sqrt_quadrature(npoints)
+                       - ctx().cov_sqrt_spectral())
 
     run.check("sqrt.quadrature_matches_spectral",
               "the quadrature square root matches the spectral one", inst,
@@ -690,8 +667,8 @@ def suite_sqrt(run: Runner, inst):
               "error", inst, converges, 1.0, cost=cost)
 
     def square():
-        root = _spectral_root(*key)
-        return _maxabs(root @ root - get_context(*key).fluct_cov(0.0))
+        root = ctx().cov_sqrt_spectral()
+        return _maxabs(root @ root - ctx().fluct_cov(0.0))
     run.check("sqrt.root_squares_to_covariance",
               "the square of the computed root is the fluctuation "
               "covariance", inst, square, run.config.identity_tol, cost=cost)
@@ -715,7 +692,7 @@ def suite_decay(run: Runner, inst):
 
     if levels >= 2:
         def minimizer():
-            prof = _minimizer_profile(*inst)
+            prof = get_context(*inst, 1).minimizer_profile()
             run.decay_tables[("minimizer", dim, L, levels)] = prof["table"]
             return prof["slope"]
         run.check("decay.minimizer_kernel_slope",
@@ -725,7 +702,7 @@ def suite_decay(run: Runner, inst):
     # the fit-quality gate needs enough distance classes: side >= 27
     if dim == 2 and L ** levels >= 27:
         def correlated():
-            return -_minimizer_profile(*inst)["correlation"]
+            return -get_context(*inst, 1).minimizer_profile()["correlation"]
         run.check("decay.minimizer_fit_quality",
                   "on a large instance the exponential fit of the "
                   "minimizer kernel is tight", inst, correlated,
@@ -753,19 +730,7 @@ def suite_appendix(run: Runner, inst):
                           result()["covariance_residual"]), tol, cost=cost)
 
 
-SUITE_FUNCS = {
-    "geometry": suite_geometry,
-    "calculus": suite_calculus,
-    "averaging": suite_averaging,
-    "gauge_surface": suite_gauge_surface,
-    "feynman_landau": suite_feynman_landau,
-    "lower_bound": suite_lower_bound,
-    "representation": suite_representation,
-    "rg": suite_rg,
-    "sqrt": suite_sqrt,
-    "decay": suite_decay,
-    "appendix": suite_appendix,
-}
+SUITE_FUNCS = {name: globals()[f"suite_{name}"] for name in SUITES}
 
 
 # -- reports -----------------------------------------------------------------

@@ -7,7 +7,11 @@ blocking.  `get_context` caches one per instance level until a run moves
 to the next instance; it checks no resource cap, since `cli` checks each
 check's declared cost first.  The regulator a and the gauge-fixing weight
 alpha are arguments of the members that read them, not part of the
-context: the identities hold for every value.  On top of it live
+context: the identities hold for every value.  A context keeps what the
+checks of its level share: cached properties, and in its one memo the
+values with an argument (per regulator a, per quadrature node count), the
+square roots and the minimizer's decay profile, read-only when they are
+arrays; an exception is not memoized.  On top of it live
 
 * the scalar Green's function G = (-Lap + a Q^T Q)^-1,
 * the projector R onto Lap(ker Q),
@@ -55,6 +59,13 @@ def sym_norm2(m: np.ndarray) -> float:
     return float(max(-w[0], w[-1]))
 
 
+def _spd_inverse(op: np.ndarray, error, what: str) -> np.ndarray:
+    """op^-1 by the Cholesky certificate of positive_cholesky(op, ...)."""
+    chol = positive_cholesky(op, error, what)
+    del op      # the solve needs only the factor: free the caller's op
+    return sla.cho_solve((chol, True), np.eye(len(chol)))
+
+
 def _add_sparse(dense: np.ndarray, scale: float, m: sp.coo_matrix):
     """dense += scale * m in place, on the stored entries of m (a sparse
     product, so no entry repeats); equal to the dense sum, whose other
@@ -70,20 +81,23 @@ class GaugeContext:
         # single site and only the minimizer machinery remains meaningful
         if not 0 <= level <= n_levels:
             raise ValueError("level must satisfy 0 <= level <= n_levels")
-        self.dim = dim
-        self.L = L
-        self.n_levels = n_levels
-        self.level = level
+        self.dim, self.L, self.n_levels, self.level = dim, L, n_levels, level
         self.fine = build_lattice(LatticeSpec(dim, L, level, n_levels - level))
         self.unit = build_lattice(LatticeSpec(dim, L, 0, n_levels - level))
-        self._by_a = {}     # (name, a) -> matrix that depends on a
+        self._memos = {}    # (name, argument) -> value built by _memo
 
-    def _per_a(self, name, a, build):
-        """The matrix `name` at regulator a, built once per value of a."""
-        key = (name, a)
-        if key not in self._by_a:
-            self._by_a[key] = build()
-        return self._by_a[key]
+    def _memo(self, name, arg, build):
+        """The value `name` at argument arg, built once per argument and
+        shared, so an array is stored read-only."""
+        if (name, arg) not in self._memos:
+            value = self._memos[name, arg] = build()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        return self._memos[name, arg]
+
+    def _adjoint(self, q: sp.csr_matrix, n: int) -> sp.csr_matrix:
+        """Weighted adjoint L**(n dim) Q^T of the n-level scalar average Q."""
+        return (float(self.L) ** (n * self.dim) * q.T).tocsr()
 
     # -- raw ingredients ----------------------------------------------------
 
@@ -109,8 +123,7 @@ class GaugeContext:
     @cached_property
     def scalar_average_adj(self) -> sp.csr_matrix:
         """Weighted adjoint of Q; equals injection constant on blocks."""
-        return (float(self.L) ** (self.level * self.dim)
-                * self.scalar_average.T).tocsr()
+        return self._adjoint(self.scalar_average, self.level)
 
     @cached_property
     def bond_average(self) -> sp.csr_matrix:
@@ -165,13 +178,12 @@ class GaugeContext:
             raise SingularOperator(
                 "regulator a must be positive: constants are in ker(-Lap)")
         op = self.lap_fine + (a * q_adj @ q).toarray()
-        chol = positive_cholesky(0.5 * (op + op.T), SingularOperator,
-                                 "-Lap + a Q^T Q")
-        return sla.cho_solve((chol, True), np.eye(op.shape[0]))
+        return _spd_inverse(0.5 * (op + op.T), SingularOperator,
+                            "-Lap + a Q^T Q")
 
     def green_scalar(self, a: float = 1.0) -> np.ndarray:
         """G = (-Lap + a Q^T Q)^-1 on fine scalars."""
-        return self._per_a("green", a, lambda: self._green_for(
+        return self._memo("green", a, lambda: self._green_for(
             self.scalar_average, self.scalar_average_adj, a))
 
     @staticmethod
@@ -185,15 +197,15 @@ class GaugeContext:
 
     def proj_div(self, a: float = 1.0) -> np.ndarray:
         """R: orthogonal projector onto Lap(ker Q)."""
-        return self._per_a("proj_div", a, lambda: self._projectors_for(
+        return self._memo("proj_div", a, lambda: self._projectors_for(
             self.scalar_average, self.scalar_average_adj,
             self.green_scalar(a)))
 
     def proj_div_next(self, a: float = 1.0) -> np.ndarray:
         """R built from the (k+1)-level scalar average."""
         q = self.scalar_average_next
-        q_adj = (float(self.L) ** ((self.level + 1) * self.dim) * q.T).tocsr()
-        return self._per_a("proj_div_next", a, lambda: self._projectors_for(
+        q_adj = self._adjoint(q, self.level + 1)
+        return self._memo("proj_div_next", a, lambda: self._projectors_for(
             q, q_adj, self._green_for(q, q_adj, a)))
 
     # -- minimizers and the effective form ----------------------------------
@@ -202,6 +214,11 @@ class GaugeContext:
     def axial_minimizer(self) -> np.ndarray:
         """Unit bonds -> fine bonds: least curl energy on the axial surface."""
         return minimizer_map(curl_energy_form(self.fine), self.axial_surface)
+
+    def minimizer_profile(self) -> dict:
+        """`decay_profile` of the axial minimizer; memoized."""
+        return self._memo("minimizer_profile", None, lambda: decay_profile(
+            self.axial_minimizer, self.fine, self.unit))
 
     @cached_property
     def div_penalty(self) -> np.ndarray:
@@ -240,10 +257,8 @@ class GaugeContext:
     def fluct_cov(self, x: float = 0.0) -> np.ndarray:
         """(C^T Delta C + x)^-1; x = 0 gives the fluctuation covariance."""
         n = self.reduced_delta.shape[0]
-        chol = positive_cholesky(self.reduced_delta + x * np.eye(n),
-                                 IndefiniteOnSurface,
-                                 "reduced fluctuation form")
-        return sla.cho_solve((chol, True), np.eye(n))
+        return _spd_inverse(self.reduced_delta + x * np.eye(n),
+                            IndefiniteOnSurface, "reduced fluctuation form")
 
     # -- scalar potential for the covariance representation -----------------
 
@@ -266,65 +281,78 @@ class GaugeContext:
         xm = sp.diags(self.chi_star) @ self.compression
         return (xm.T @ xm).tocoo()
 
-    def fine_operator(self, x: float = 0.0, a: float = 1.0) -> np.ndarray:
-        """The regularized bond operator of the covariance representation:
-        curl + projected divergence + a Q_next^T Q_next + x X^T X."""
+    def _unshifted_operator(self, a: float) -> np.ndarray:
+        """The shift-free part of fine_operator, before symmetrizing."""
         dg = self.grad_fine
         op = curl_energy_form(self.fine) \
             + self.weight * dg @ self.proj_div_next(a) @ dg.T
         _add_sparse(op, a, self.bond_average_next_gram)
+        return op
+
+    def fine_operator(self, x: float = 0.0, a: float = 1.0,
+                      base: np.ndarray = None) -> np.ndarray:
+        """The regularized bond operator of the covariance representation:
+        curl + projected divergence + a Q_next^T Q_next + x X^T X; from a
+        given base = _unshifted_operator(a), which it leaves as it is."""
+        op = self._unshifted_operator(a) if base is None else base.copy()
         if x:
             _add_sparse(op, x, self.x_gram)
         return 0.5 * (op + op.T)
 
-    def fine_green(self, x: float = 0.0, a: float = 1.0) -> np.ndarray:
-        """Inverse of `fine_operator(x, a)`, by Cholesky."""
-        chol = positive_cholesky(self.fine_operator(x, a), SingularOperator,
-                                 "regularized bond operator")
-        return sla.cho_solve((chol, True), np.eye(len(chol)))
+    def fine_green(self, x: float = 0.0, a: float = 1.0,
+                   base: np.ndarray = None) -> np.ndarray:
+        """Inverse of `fine_operator(x, a, base)`, by Cholesky."""
+        return _spd_inverse(self.fine_operator(x, a, base), SingularOperator,
+                            "regularized bond operator")
 
-    def tilde_green(self, x: float = 0.0, a: float = 1.0) -> np.ndarray:
+    def tilde_green(self, x: float = 0.0, a: float = 1.0,
+                    base: np.ndarray = None) -> np.ndarray:
         """Green's function constrained to the kernel of the next averaging."""
-        g = self.fine_green(x, a)
+        g = self.fine_green(x, a, base)
         qn = self.bond_average_next
         # sparse times dense only: g Q^T = (Q g^T)^T
         qng, gqt = qn @ g, (qn @ g.T).T
-        out = g - gqt @ np.linalg.solve(qn @ gqt, qng)
-        return 0.5 * (out + out.T)
+        g -= gqt @ np.linalg.solve(qn @ gqt, qng)   # in place: g is ours
+        return 0.5 * (g + g.T)
 
     def rep_check(self, xs=(0.0,), a: float = 1.0) -> dict:
         """Relative residuals of C (C^T Delta C + x)^-1 C^T against the
         compressed Green's-function representation at regulator a, per x."""
-        C = self.fluct_basis
-        comp = self.compression
-        out = {}
-        for x in xs:
+        C, comp = self.fluct_basis, self.compression
+        base = self._unshifted_operator(a)
+
+        def residual(x):    # its matrices go before the next shift's
             lhs = C @ self.fluct_cov(x) @ C.T
             # the reduced Green's function is symmetric
-            rhs = comp @ (comp @ self.tilde_green(x, a)).T
-            out[x] = sym_norm2(lhs - rhs) / sym_norm2(lhs)
-        return out
+            rhs = comp @ (comp @ self.tilde_green(x, a, base)).T
+            return sym_norm2(lhs - rhs) / sym_norm2(lhs)
+        return {x: residual(x) for x in xs}
 
     # -- square root of the fluctuation covariance --------------------------
 
     def cov_sqrt_spectral(self) -> np.ndarray:
-        w, v = np.linalg.eigh(self.reduced_delta)
-        if w[0] <= 0:
-            raise IndefiniteOnSurface("reduced form not positive definite")
-        return (v / np.sqrt(w)) @ v.T
+        """S^-1/2 for S the reduced form, from one eigh; memoized."""
+        def build():
+            w, v = np.linalg.eigh(self.reduced_delta)
+            if w[0] <= 0:
+                raise IndefiniteOnSurface("reduced form not positive definite")
+            return (v / np.sqrt(w)) @ v.T
+        return self._memo("sqrt_spectral", None, build)
 
     def cov_sqrt_quadrature(self, npoints: int = 200) -> np.ndarray:
         """Evaluate (1/pi) int_0^inf x^{-1/2} (S + x)^-1 dx for S the reduced
-        form, via x = tan^2(theta) and Gauss-Legendre on (0, pi/2)."""
-        s = self.reduced_delta
-        n = s.shape[0]
-        nodes, weights = roots_legendre(npoints)
-        theta = 0.25 * np.pi * (nodes + 1.0)
-        out = np.zeros_like(s)
-        for t, w in zip(theta, weights):
-            out += w * np.linalg.inv(np.cos(t) ** 2 * s
-                                     + np.sin(t) ** 2 * np.eye(n))
-        return (0.25 * np.pi) * (2.0 / np.pi) * out
+        form, by x = tan^2(theta) and Gauss-Legendre on (0, pi/2); memoized."""
+        def build():
+            s = self.reduced_delta
+            n = s.shape[0]
+            nodes, weights = roots_legendre(npoints)
+            theta = 0.25 * np.pi * (nodes + 1.0)
+            out = np.zeros_like(s)
+            for t, w in zip(theta, weights):
+                out += w * np.linalg.inv(np.cos(t) ** 2 * s
+                                         + np.sin(t) ** 2 * np.eye(n))
+            return (0.25 * np.pi) * (2.0 / np.pi) * out
+        return self._memo("sqrt_quadrature", npoints, build)
 
     # -- change of gauge (Feynman vs Landau) --------------------------------
 

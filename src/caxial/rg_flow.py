@@ -150,12 +150,16 @@ def one_shot_final(dim: int, L: int, n_levels: int) -> float:
     return log_partition(density, surface)
 
 
-def flow_states(dim: int, L: int, n_levels: int):
-    """All states of the iterated flow, level 0 .. n_levels."""
+@instance_cache
+def flow_states(dim: int, L: int, n_levels: int) -> tuple:
+    """All states of the iterated flow, level 0 .. n_levels.  Shared, so
+    the arrays of their densities are read-only."""
     states = [init_rho0(dim, L, n_levels)]
     while states[-1].level < n_levels:
         states.append(rg_step(states[-1]))
-    return states
+    for density in (state.density for state in states):
+        density.form.flags.writeable = density.linear.flags.writeable = False
+    return tuple(states)
 
 
 # -- constants of the flow ---------------------------------------------------

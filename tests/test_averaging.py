@@ -154,8 +154,9 @@ def test_path_average_symmetry_covariance():
         rinv = r.inverse()
         coarse_image = tau.coarse.site_permutation(rinv)
         fine_image = lat.site_permutation(rinv)
-        by_pair = {pair: val for pair, val in zip(tau.rows, rhs)}
-        for (y, x), v in zip(tau.rows, lhs):
+        pairs = list(map(tuple, tau.rows.tolist()))
+        by_pair = dict(zip(pairs, rhs))
+        for (y, x), v in zip(pairs, lhs):
             yi, xi = int(coarse_image[y]), int(fine_image[x])
             assert abs(v - by_pair[(yi, xi)]) < 1e-12
 

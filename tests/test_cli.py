@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from caxial import averaging as av
-from caxial import cli, gauge_ops, gaussian, rg_flow, spectral
+from caxial import cli, gauge_ops, gaussian, lattice, rg_flow, spectral
 from caxial.cli import ConfigError, RunConfig, main, run_verification
 from caxial.gauge_ops import GaugeContext
-from caxial.lattice import OPEN_CUBE, LatticeSpec, clear_caches, unit_torus
+from caxial.lattice import (OPEN_CUBE, Lattice, LatticeSpec, clear_caches,
+                            unit_torus)
 
 
 GAUGE_SUITES = ("feynman_landau", "representation", "sqrt", "decay",
@@ -158,13 +159,14 @@ FLOW_CHECKS = ("lower_bound.flow_forms_positive", "rg.flow_gauge_invariance",
 
 
 def test_rg_runs_the_flow_once_per_instance(monkeypatch):
-    original = cli.flow_states
+    # rg_flow.flow_states caches the flow; each build starts at init_rho0
+    original = rg_flow.init_rho0
     calls = []
 
     def counted(*args):
         calls.append(args)
         return original(*args)
-    monkeypatch.setattr(cli, "flow_states", counted)
+    monkeypatch.setattr(rg_flow, "init_rho0", counted)
     suites = ("lower_bound", "rg")
     config = small_config(instances=((2, 3, 1), (2, 5, 1)), suites=suites)
     report, _ = run_verification(config)
@@ -177,7 +179,7 @@ def test_rg_runs_the_flow_once_per_instance(monkeypatch):
     def broken(*args):
         calls.append(args)
         raise RuntimeError("broken")
-    monkeypatch.setattr(cli, "flow_states", broken)
+    monkeypatch.setattr(rg_flow, "init_rho0", broken)
     calls.clear()
     report, _ = run_verification(small_config(suites=suites))
     assert len(calls) == len(FLOW_CHECKS)
@@ -187,20 +189,21 @@ def test_rg_runs_the_flow_once_per_instance(monkeypatch):
 
 
 def test_sqrt_evaluates_each_root_once_per_instance(monkeypatch):
-    quadrature, spectral = GaugeContext.cov_sqrt_quadrature, \
-        GaugeContext.cov_sqrt_spectral
+    # the level context memoizes both roots: count the Gauss-Legendre rules
+    # and the eigendecompositions they are built from (no other check of
+    # the suite takes an eigh)
+    legendre, eigh = gauge_ops.roots_legendre, np.linalg.eigh
     nodes, roots = [], []
 
-    def counted_quadrature(self, npoints=200):
+    def counted_legendre(npoints):
         nodes.append(npoints)
-        return quadrature(self, npoints)
+        return legendre(npoints)
 
-    def counted_spectral(self):
-        roots.append(self)
-        return spectral(self)
-    monkeypatch.setattr(GaugeContext, "cov_sqrt_quadrature",
-                        counted_quadrature)
-    monkeypatch.setattr(GaugeContext, "cov_sqrt_spectral", counted_spectral)
+    def counted_eigh(m):
+        roots.append(m.shape)
+        return eigh(m)
+    monkeypatch.setattr(gauge_ops, "roots_legendre", counted_legendre)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     config = small_config(instances=((2, 3, 1), (2, 5, 1)), suites=("sqrt",))
     report, _ = run_verification(config)
     assert {c["status"] for c in report["checks"]} == {"PASS"}
@@ -208,10 +211,10 @@ def test_sqrt_evaluates_each_root_once_per_instance(monkeypatch):
     assert nodes == [n, n // 2] * 2
     assert len(roots) == 2
 
-    def broken(self):
-        roots.append(self)
+    def broken(m):
+        roots.append(m.shape)
         raise RuntimeError("broken")
-    monkeypatch.setattr(GaugeContext, "cov_sqrt_spectral", broken)
+    monkeypatch.setattr(np.linalg, "eigh", broken)
     roots.clear()
     report, _ = run_verification(small_config(suites=("sqrt",)))
     assert [c["status"] for c in report["checks"]] == ["ERROR"] * 3
@@ -303,21 +306,114 @@ def test_run_drops_each_instance_state_before_the_next(monkeypatch):
 
 
 def test_decay_profiles_the_minimizer_once_per_instance(monkeypatch):
-    original = cli.decay_profile
+    # cli profiles the massive Green's function, the level context the
+    # minimizer
+    original = gauge_ops.decay_profile
     kinds = []
 
     def counted(*args, **kwargs):
         kinds.append(kwargs.get("kind", "bond"))
         return original(*args, **kwargs)
-    monkeypatch.setattr(cli, "decay_profile", counted)
-    report, _ = run_verification(small_config(instances=((2, 3, 3),),
-                                              suites=("decay",)))
+    for mod in (cli, gauge_ops):
+        monkeypatch.setattr(mod, "decay_profile", counted)
+    config = small_config(instances=((2, 3, 3),), suites=("decay",))
+    report, _ = run_verification(config)
+    ids = ["decay.massive_green_function", "decay.minimizer_kernel_slope",
+           "decay.minimizer_fit_quality"]
     assert [(c["check_id"], c["status"]) for c in report["checks"]] == [
-        ("decay.massive_green_function", "PASS"),
-        ("decay.minimizer_kernel_slope", "PASS"),
-        ("decay.minimizer_fit_quality", "PASS")]
+        (i, "PASS") for i in ids]
     # the slope and the fit quality read one profile of the minimizer
     assert kinds == ["site", "bond"]
+
+    # an exception is not memoized: both checks that read the profile
+    # record it
+    def broken(*args, **kwargs):
+        kinds.append(kwargs.get("kind", "bond"))
+        raise RuntimeError("broken")
+    monkeypatch.setattr(gauge_ops, "decay_profile", broken)
+    kinds.clear()
+    report, _ = run_verification(config)
+    assert [(c["check_id"], c["status"]) for c in report["checks"]] == [
+        (ids[0], "PASS"), (ids[1], "ERROR"), (ids[2], "ERROR")]
+    assert kinds == ["site", "bond", "bond"]
+
+
+def test_library_caches_are_shared_and_read_only():
+    # the flow, the roots and the minimizer profile are cached where they
+    # are built: a second read returns the same object
+    clear_caches()
+    states = rg_flow.flow_states(2, 3, 2)
+    c = gauge_ops.get_context(2, 3, 2, 1)
+    reads = (lambda: rg_flow.flow_states(2, 3, 2), c.cov_sqrt_spectral,
+             lambda: c.cov_sqrt_quadrature(20), c.minimizer_profile)
+    for read in reads:
+        assert read() is read()
+    arrays = [s.density.form for s in states] \
+        + [s.density.linear for s in states] \
+        + [c.cov_sqrt_spectral(), c.cov_sqrt_quadrature(20),
+           c.green_scalar(), c.proj_div(), c.proj_div_next()]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_instance_caches_hold_every_key_of_an_instance(monkeypatch):
+    # before a run drops an instance's caches, each holds every key it
+    # missed (nothing was evicted, nothing built twice), below CACHE_SIZE
+    held = []
+
+    def audit():
+        for cached in lattice._caches:
+            info = cached.cache_info()
+            assert info.misses == info.currsize < lattice.CACHE_SIZE, \
+                (cached.__module__, cached.__name__, info)
+        held.append(max(c.cache_info().currsize for c in lattice._caches))
+
+    def audited_clear():
+        audit()
+        clear_caches()
+    clear_caches()
+    monkeypatch.setattr(cli, "clear_caches", audited_clear)
+    report, _ = run_verification(RunConfig(
+        instances=SMALL_INSTANCES).validate())
+    audit()
+    assert {c["status"] for c in report["checks"]} == {"PASS"}
+    assert len(held) == len(SMALL_INSTANCES) + 1 and max(held) > 0
+
+
+def test_cli_caches_only_values_of_the_seed():
+    # a library value is cached in the module that builds it; an
+    # instance_cache of cli holds only what depends on the run's seed
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    uses = [n for n in ast.walk(tree)
+            if getattr(n, "id", getattr(n, "attr", None)) == "instance_cache"]
+    cached = {f.name: [a.arg for a in f.args.posonlyargs + f.args.args]
+              for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+              and any(d in uses for d in f.decorator_list)}
+    # instance_cache is used only as a decorator
+    assert cached and len(cached) == len(uses)
+    for name, args in cached.items():
+        assert "seed" in args, name
+
+
+def test_path_average_symmetry_raises_on_an_image_that_is_no_row(
+        monkeypatch):
+    # shifting the coarse images by one site moves every image pair of
+    # (2,3,2)'s 9 blocks out of its block: the check must not pass
+    original = Lattice.site_permutation
+
+    def shifted(self, r):
+        dest = original(self, r)
+        return (dest + 1) % self.n_sites if self.n_sites == 9 else dest
+    monkeypatch.setattr(Lattice, "site_permutation", shifted)
+    report, _ = run_verification(small_config(instances=((2, 3, 2),),
+                                              suites=("calculus",)))
+    for c in report["checks"]:
+        if c["check_id"] == "calculus.path_average_symmetry":
+            assert c["status"] == "ERROR"
+            assert c["reason"].startswith("KeyError")
+        else:
+            assert c["status"] == "PASS", c
 
 
 def test_report_is_suite_major():

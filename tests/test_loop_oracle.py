@@ -517,7 +517,7 @@ def test_averaging_matrices_match_loops(spec):
                               (False, av.tree_path_matrix)):
         matrix, rows = loop_path_average_build(ref, all_orders)
         tau = build(lat)
-        assert tau.rows == rows
+        assert tau.rows.tolist() == list(map(list, rows))
         pairs.append((tau.matrix, matrix))
     if spec.boundary == TORUS:
         pairs.append((av.toron_average_matrix(lat),
@@ -555,10 +555,10 @@ def test_fluctuation_split_matches_loops(spec):
     lat, ref = _pair(spec)
     split = av.fluctuation_split(lat)
     in_block, linking, central, noncentral, chi = loop_fluctuation_split(ref)
-    assert split.in_block == in_block
-    assert split.linking == linking
-    assert split.central == central
-    assert split.noncentral == noncentral
+    assert split.in_block.tolist() == list(in_block)
+    assert split.linking.tolist() == list(linking)
+    assert split.central.tolist() == list(central)
+    assert split.noncentral.tolist() == list(noncentral)
     assert np.array_equal(split.chi_star, chi)
 
 
