@@ -9,9 +9,9 @@ equations, and the in-block/linking-bond fluctuation parametrization.
 All builders return coefficient matrices in canonical ordinals, as CSR
 in canonical form (sorted columns, no repeats), together with the lattices
 involved.  The local averages are assembled from (row, column, value)
-triplets by `_csr`, which sums repeated triplets; the composite maps are
-sparse products, sums and row gathers of them.  Checks that need dense
-linear algebra densify with `.toarray()`.
+triplets by `fields._csr`, which sums repeated triplets; the composite
+maps are sparse products, sums and row gathers of them.  Checks that need
+dense linear algebra densify with `.toarray()`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .lattice import Lattice, LatticeError, build_lattice, instance_cache
-from .fields import (BOND, PLAQUETTE, SITE, block_symbol, ext_d_matrix,
+from .fields import (BOND, PLAQUETTE, SITE, _csr, block_symbol, ext_d_matrix,
                      grad_matrix)
 from .gaussian import kernel_basis
 
@@ -41,21 +41,6 @@ def _blocks(fine: Lattice, coarse: Lattice, n: int = 1) -> np.ndarray:
     side-L**n block of y in block_offsets order."""
     centers = coarse.sites * fine.L**n
     return fine.site_ordinals(centers[:, None, :] + fine.block_offsets(n))
-
-
-def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
-    """Canonical CSR matrix of (row, col, value) triplets, repeats summed.
-
-    The builders repeat a triplet only with the same value (a bond met by
-    several paths of one row, always in the same direction), so the sum
-    does not depend on the order in which repeats are added.
-    """
-    rows, cols = np.ravel(rows), np.ravel(cols)
-    order = np.argsort(rows, kind="stable")
-    indptr = np.searchsorted(rows[order], np.arange(shape[0] + 1))
-    return _canonical(sp.csr_matrix(
-        (np.broadcast_to(vals, rows.shape)[order], cols[order], indptr),
-        shape=shape))
 
 
 def _canonical(m: sp.csr_matrix) -> sp.csr_matrix:
@@ -431,4 +416,5 @@ def fluctuation_basis(lattice: Lattice) -> np.ndarray:
     cols[split.in_block, :n_kernel] = kernel
     cols[noncentral, n_kernel + np.arange(len(noncentral))] = 1.0
     cols[split.central] = solve_central(lattice, cols)
+    cols.flags.writeable = False    # cached and shared
     return cols

@@ -34,7 +34,7 @@ from .fields import (apply_symmetry, codiff, curl_energy_form, ext_d_matrix,
                      grad_matrix, laplacian_matrix, random_field, scale_field)
 from .gauge_ops import (change_of_gauge_check, decay_profile, get_context,
                         one_shot_constraints)
-from .gaussian import RANK_TOL, kernel_residual, surface_min_eig
+from .gaussian import RANK_TOL, SurfaceGaussian, kernel_residual
 from .lattice import (OPEN_CUBE, LatticeSpec, build_lattice, clear_caches,
                       fine_torus, instance_cache, open_cube, unit_torus)
 from .rg_flow import (final_step, fluctuation_step, flow_states,
@@ -485,8 +485,7 @@ def suite_feynman_landau(run: Runner, inst):
               inst, a_indep, tol, cost=cost)
 
     def alpha_indep():
-        first, second = (ctx().effective_form("feynman", al)
-                         for al in ALPHA_LIST)
+        first, second = (ctx().feynman_form(al) for al in ALPHA_LIST)
         return _rel(second, first)
     run.check("feynman_landau.alpha_independence",
               "the effective coarse form does not depend on the "
@@ -494,7 +493,7 @@ def suite_feynman_landau(run: Runner, inst):
 
     def forms_agree():
         c = ctx()
-        return _rel(c.effective_form("feynman"), c.delta)
+        return _rel(c.feynman_form(), c.delta)
     run.check("feynman_landau.minimizer_forms_agree",
               "penalized and constrained minimizers induce the same "
               "coarse form", inst, forms_agree, tol, cost=cost)
@@ -540,13 +539,8 @@ def suite_lower_bound(run: Runner, inst):
               coercive, 0.0, "floor", cost=_dense(LatticeSpec(dim, L, 0, 1)))
 
     def surface_positive():
-        worst = np.inf
-        for state in flow_states(*inst):
-            if state.level >= levels:
-                break
-            worst = min(worst, surface_min_eig(
-                state.density.form, one_shot_constraints(state.lattice, 1)))
-        return worst
+        return min(SurfaceGaussian(s.density.form, one_shot_constraints(
+            s.lattice, 1)).min_eig() for s in flow_states(*inst)[:levels])
     run.check("lower_bound.flow_forms_positive",
               "every flow density is positive definite on its fluctuation "
               "surface", inst, surface_positive, 0.0, "floor",

@@ -107,12 +107,20 @@ def block_symbol(matrix, codomain, domain, grid: int) -> np.ndarray:
 
 # -- operator assembly -------------------------------------------------------
 
-def _rows_csr(vals, cols, per_row: int, n_cols: int) -> sp.csr_matrix:
-    """CSR matrix of consecutive rows of per_row entries each, in canonical
-    form (sorted columns, repeats summed), as from the same COO triplets."""
-    indptr = np.arange(0, cols.size + 1, per_row)
-    mat = sp.csr_matrix((vals, cols, indptr),
-                        shape=(cols.size // per_row, n_cols))
+def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
+    """Canonical CSR matrix (sorted columns, no repeats) of (row, col,
+    value) triplets, repeats summed.
+
+    The builders repeat a triplet only with the same value (a bond met by
+    several paths of one row, always in the same direction), so the sum
+    does not depend on the order in which repeats are added.
+    """
+    rows, cols = np.ravel(rows), np.ravel(cols)
+    order = np.argsort(rows, kind="stable")
+    indptr = np.searchsorted(rows[order], np.arange(shape[0] + 1))
+    mat = sp.csr_matrix(
+        (np.broadcast_to(vals, rows.shape)[order], cols[order], indptr),
+        shape=shape)
     mat.sum_duplicates()
     return mat
 
@@ -123,9 +131,10 @@ def grad_matrix(lattice: Lattice) -> sp.csr_matrix:
     inv_eta = 1.0 / lattice.spacing
     s, mu = lattice.bond_sites, lattice.bond_axes
     # row b = (s, mu): -1/eta at s, then +1/eta at s + e_mu
-    cols = np.stack([s, lattice.next[mu, s]], axis=1).ravel()
+    cols = np.stack([s, lattice.next[mu, s]], axis=1)
     vals = np.tile([-inv_eta, inv_eta], lattice.n_bonds)
-    return _rows_csr(vals, cols, 2, lattice.n_sites)
+    return _csr(np.repeat(np.arange(lattice.n_bonds), 2), cols, vals,
+                (lattice.n_bonds, lattice.n_sites))
 
 
 @instance_cache
@@ -138,11 +147,11 @@ def ext_d_matrix(lattice: Lattice) -> sp.csr_matrix:
     bond = lattice.bond_index
     # row p: +(s, mu), +(s + e_mu, nu), -(s + e_nu, mu), -(s, nu)
     cols = np.stack([bond[s, mu], bond[lattice.next[mu, s], nu],
-                     bond[lattice.next[nu, s], mu], bond[s, nu]],
-                    axis=1).ravel()
+                     bond[lattice.next[nu, s], mu], bond[s, nu]], axis=1)
     vals = np.tile([inv_eta, inv_eta, -inv_eta, -inv_eta],
                    lattice.n_plaquettes)
-    return _rows_csr(vals, cols, 4, lattice.n_bonds)
+    return _csr(np.repeat(np.arange(lattice.n_plaquettes), 4), cols, vals,
+                (lattice.n_plaquettes, lattice.n_bonds))
 
 
 def laplacian_matrix(lattice: Lattice) -> sp.csr_matrix:

@@ -8,17 +8,20 @@ to the next instance; it checks no resource cap, since `cli` checks each
 check's declared cost first.  The regulator a and the gauge-fixing weight
 alpha are arguments of the members that read them, not part of the
 context: the identities hold for every value.  A context keeps what the
-checks of its level share: cached properties, and in its one memo the
-values with an argument (per regulator a, per quadrature node count), the
-square roots and the minimizer's decay profile, read-only when they are
-arrays; an exception is not memoized.  On top of it live
+checks of its level share in its one memo, per argument (regulator a,
+quadrature node count, alpha) where there is one, read-only when they are
+arrays; an exception is not memoized.  Its Gaussians, the curl energy on
+the axial surface, Delta on one blocking step and the Feynman form per
+alpha, are each reduced once, and the memo keeps their outputs, not their
+factors.  On top of it live
 
 * the scalar Green's function G = (-Lap + a Q^T Q)^-1,
 * the projector R onto Lap(ker Q),
 * the constrained minimizers of the curl energy (axial constraints) and of
   the curl energy plus the projected-divergence penalty (Feynman form),
-* the effective coarse form Delta and the fluctuation covariance
-  (C^T Delta C + x)^-1 in the in-block/non-central parametrization,
+* the effective coarse form Delta (the axial pushforward), the one-shot
+  density and the fluctuation covariance (C^T Delta C + x)^-1 in the
+  in-block/non-central parametrization,
 * the bond-space Green's functions whose compression reproduces that
   covariance, and the integral representation of its square root.
 
@@ -34,7 +37,7 @@ forms are dense ndarrays.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 import scipy.linalg as sla
@@ -44,8 +47,7 @@ from scipy.special import roots_legendre
 from . import averaging as av
 from .fields import curl_energy_form, grad_matrix
 from .gaussian import (RANK_TOL, AffineSurface, IndefiniteOnSurface,
-                       SingularOperator, minimizer_map, positive_cholesky,
-                       subspace_covariance)
+                       SingularOperator, SurfaceGaussian, positive_cholesky)
 from .lattice import Lattice, LatticeSpec, build_lattice, instance_cache
 
 
@@ -64,6 +66,13 @@ def _spd_inverse(op: np.ndarray, error, what: str) -> np.ndarray:
     chol = positive_cholesky(op, error, what)
     del op      # the solve needs only the factor: free the caller's op
     return sla.cho_solve((chol, True), np.eye(len(chol)))
+
+
+def _shared(build):
+    """A property of a context built once, through its memo, so that its
+    arrays are stored read-only."""
+    return property(wraps(build)(
+        lambda self: self._memo(build.__name__, None, lambda: build(self))))
 
 
 def _add_sparse(dense: np.ndarray, scale: float, m: sp.coo_matrix):
@@ -88,11 +97,12 @@ class GaugeContext:
 
     def _memo(self, name, arg, build):
         """The value `name` at argument arg, built once per argument and
-        shared, so an array is stored read-only."""
+        shared, so its arrays (or a tuple's) are stored read-only."""
         if (name, arg) not in self._memos:
             value = self._memos[name, arg] = build()
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
         return self._memos[name, arg]
 
     def _adjoint(self, q: sp.csr_matrix, n: int) -> sp.csr_matrix:
@@ -106,11 +116,11 @@ class GaugeContext:
         """Inner-product weight eta**dim of the fine lattice."""
         return self.fine.spacing**self.dim
 
-    @cached_property
+    @_shared
     def grad_fine(self) -> np.ndarray:
         return grad_matrix(self.fine).toarray()
 
-    @cached_property
+    @_shared
     def lap_fine(self) -> np.ndarray:
         """Matrix of -Laplacian on fine scalars (positive semidefinite)."""
         return self.grad_fine.T @ self.grad_fine
@@ -163,11 +173,11 @@ class GaugeContext:
         compresses the bond Green's functions into the covariance."""
         return self.one_plus_grad_recovery @ self.bond_average
 
-    @cached_property
+    @_shared
     def chi_star(self) -> np.ndarray:
         return av.fluctuation_split(self.unit).chi_star
 
-    @cached_property
+    @_shared
     def fluct_basis(self) -> np.ndarray:
         return av.fluctuation_basis(self.unit)
 
@@ -208,46 +218,73 @@ class GaugeContext:
         return self._memo("proj_div_next", a, lambda: self._projectors_for(
             q, q_adj, self._green_for(q, q_adj, a)))
 
-    # -- minimizers and the effective form ----------------------------------
+    # -- the Gaussians of the level: their outputs ---------------------------
 
-    @cached_property
-    def axial_minimizer(self) -> np.ndarray:
-        """Unit bonds -> fine bonds: least curl energy on the axial surface."""
-        return minimizer_map(curl_energy_form(self.fine), self.axial_surface)
+    @_shared
+    def _axial(self) -> tuple:
+        """The curl Gaussian on the axial surface: its minimizer and its
+        pushforward, the level-k one-shot density (Delta, log Z_k)."""
+        g = SurfaceGaussian(curl_energy_form(self.fine), self.axial_surface)
+        density = g.push()
+        density.form.flags.writeable = density.linear.flags.writeable = False
+        return g.minimizer, density
+
+    axial_minimizer = property(lambda self: self._axial[0], doc="""Unit
+        bonds -> fine bonds: least curl energy on the axial surface.""")
+    axial_density = property(lambda self: self._axial[1])
+    delta = property(lambda self: self._axial[1].form, doc="""Delta: the
+        curl energy of the axial minimizer, as a unit-bond form.""")
+
+    @_shared
+    def _step(self) -> tuple:
+        """Delta on the surface of one blocking step of the unit lattice:
+        log Z_f, the minimizer with the block average fixed to the next
+        level's field, and the fluctuation covariance on unit bonds."""
+        g = SurfaceGaussian(self.delta, one_shot_constraints(self.unit, 1))
+        return g.log_partition(), g.minimizer, g.covariance()
+
+    step_log_z = property(lambda self: self._step[0])
+    step_minimizer = property(lambda self: self._step[1])
+    step_covariance = property(lambda self: self._step[2])
 
     def minimizer_profile(self) -> dict:
         """`decay_profile` of the axial minimizer; memoized."""
         return self._memo("minimizer_profile", None, lambda: decay_profile(
             self.axial_minimizer, self.fine, self.unit))
 
-    @cached_property
+    @_shared
     def div_penalty(self) -> np.ndarray:
         """The projected-divergence penalty w grad R grad^T on fine bonds,
         at gauge-fixing weight alpha = 1."""
         dg = self.grad_fine
         return self.weight * dg @ self.proj_div() @ dg.T
 
+    def feynman(self, alpha: float = 1.0) -> tuple:
+        """(minimizer, covariance) of the Feynman Gaussian, curl energy plus
+        the projected-divergence penalty over alpha on the block-average
+        surface; memoized per alpha.  The covariance is formed only at
+        alpha = 1, whose moments change_of_gauge_check reads (else None)."""
+        def build():
+            g = SurfaceGaussian(
+                curl_energy_form(self.fine) + self.div_penalty / alpha,
+                average_constraints(self.fine, self.level))
+            return g.minimizer, g.covariance() if alpha == 1.0 else None
+        return self._memo("feynman", alpha, build)
+
     def feynman_minimizer(self, alpha: float = 1.0) -> np.ndarray:
         """Least curl energy + projected-divergence penalty, averages fixed."""
-        form = curl_energy_form(self.fine) + self.div_penalty / alpha
-        return minimizer_map(form, average_constraints(self.fine, self.level))
+        return self.feynman(alpha)[0]
 
-    def effective_form(self, which: str = "axial",
-                       alpha: float = 1.0) -> np.ndarray:
-        """Delta: the curl energy of the minimizer, as a unit-bond form;
-        alpha is the gauge-fixing weight of the Feynman minimizer."""
-        h = {"axial": lambda: self.axial_minimizer,
-             "feynman": lambda: self.feynman_minimizer(alpha)}[which]()
+    def feynman_form(self, alpha: float = 1.0) -> np.ndarray:
+        """The curl energy of the Feynman minimizer, as a unit-bond form;
+        alpha is the gauge-fixing weight."""
+        h = self.feynman_minimizer(alpha)
         m = h.T @ curl_energy_form(self.fine) @ h
         return 0.5 * (m + m.T)
 
-    @cached_property
-    def delta(self) -> np.ndarray:
-        return self.effective_form("axial")
-
     # -- fluctuation covariance ---------------------------------------------
 
-    @cached_property
+    @_shared
     def reduced_delta(self) -> np.ndarray:
         """C^T Delta C on the fluctuation parameters."""
         C = self.fluct_basis
@@ -356,7 +393,7 @@ class GaugeContext:
 
     # -- change of gauge (Feynman vs Landau) --------------------------------
 
-    @cached_property
+    @_shared
     def div_range_basis(self) -> np.ndarray:
         """Orthonormal basis of the range of R (columns)."""
         w, v = np.linalg.eigh(self.proj_div())
@@ -418,18 +455,15 @@ def change_of_gauge_check(ctx: GaugeContext, coarse_field: np.ndarray) -> dict:
     m = ctx.gauge_bijection_matrix()
     square = m.shape[0] == m.shape[1] == ctx.fine.n_sites
     cond = float(np.linalg.cond(m)) if square else np.inf
-    dg = ctx.grad_fine
-    curl = curl_energy_form(ctx.fine)
-    form_f = curl + ctx.div_penalty
-    surf_f = average_constraints(ctx.fine, ctx.level)
-    mean_f = minimizer_map(form_f, surf_f) @ coarse_field
-    cov_f = subspace_covariance(form_f, surf_f)
+    h_f, cov_f = ctx.feynman(1.0)
+    mean_f = h_f @ coarse_field
     # Landau surface: averages fixed, divergence-range components zero
     qb = ctx.bond_average.toarray()
-    k_landau = np.vstack([qb, ctx.div_range_basis.T @ dg.T])
-    surf_l = AffineSurface(k_landau, np.eye(k_landau.shape[0], qb.shape[0]))
-    mean_l = minimizer_map(curl, surf_l) @ coarse_field
-    cov_l = subspace_covariance(curl, surf_l)
+    k_landau = np.vstack([qb, ctx.div_range_basis.T @ ctx.grad_fine.T])
+    landau = SurfaceGaussian(curl_energy_form(ctx.fine), AffineSurface(
+        k_landau, np.eye(k_landau.shape[0], qb.shape[0])))
+    mean_l, cov_l = landau.minimizer @ coarse_field, landau.covariance()
+    del landau      # its reduced form and factor
     t = ctx.feynman_to_landau()
     mean_res = np.linalg.norm(t @ mean_f - mean_l) \
         / max(np.linalg.norm(mean_l), 1e-300)

@@ -5,9 +5,13 @@ An AffineSurface is the one surface type: the parallel fibers
 {v : K v = E A} over a coarse field A (without E, the surface K v = 0),
 factored by one SVD of K into an orthonormal basis B of ker K, which every
 fiber shares, and the lift pinv(K) E to a point of each fiber.  Every
-integral takes one surface and reduces to the kernel coordinates, where the
-Gaussian is finite-dimensional and explicit: the Cholesky factor of B^T F B
-is both the positivity certificate and the solver.
+surface integral goes through one type, SurfaceGaussian(F, surface): it
+reduces F once to the kernel coordinates, R = B^T F B (the null-space
+method), where the Gaussian is finite-dimensional and explicit, and the
+Cholesky factor of R is both the positivity certificate and the solver of
+its minimizer map, covariance, log-partition and pushforward.  Only this
+module reads a surface's basis and lift; `kernel_basis` is the one kernel
+accessor for the rest.
 
 Delta-function constraints carry true Dirac semantics: integrating
 delta(K v - E A) over the ambient space equals the surface integral (the
@@ -26,6 +30,7 @@ all of them at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -87,7 +92,7 @@ class AffineSurface:
         u, s, vt = np.linalg.svd(K)
         r = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
         self.matrix = _frozen(K)
-        self.basis = _frozen(vt[r:].T)
+        self.basis = _frozen(vt[r:].copy().T)    # frees the rows of vt
         self.rank = r
         self.log_gram = float(2.0 * np.sum(np.log(s[:r])))
         self.fiber = self.lift = None
@@ -168,94 +173,77 @@ class QuadraticDensity:
         self.form = 0.5 * (self.form + self.form.T)
 
 
-def _reduced(form: np.ndarray, surface: AffineSurface) -> np.ndarray:
-    """B^T F B: the form on the surface directions, which every fiber
-    shares.  Its Cholesky factor is the positivity certificate."""
-    B = surface.basis
-    R = B.T @ form @ B
-    return 0.5 * (R + R.T)
+class SurfaceGaussian:
+    """The Gaussian exp(-1/2 <v, F v>) of a symmetric form F on the fibers
+    of an AffineSurface, reduced once to the kernel coordinates.
 
-
-def _check_dirac(surface: AffineSurface):
-    """The Dirac measure of delta(K v - E A) needs independent rows."""
-    if surface.rank < surface.matrix.shape[0]:
-        raise SingularOperator("the Dirac measure needs independent "
-                               "constraint rows")
-
-
-def _needs_fiber(surface: AffineSurface):
-    if surface.lift is None:
-        raise ValueError("the constraints carry no fiber map E")
-
-
-def _inverse_on_basis(basis: np.ndarray, chol: np.ndarray) -> np.ndarray:
-    """B R^-1 B^T for the reduced form R = L L^T."""
-    return basis @ sla.cho_solve((chol, True), basis.T)
-
-
-def surface_min_eig(form: np.ndarray, surface: AffineSurface) -> float:
-    """Smallest eigenvalue of the form on the surface directions."""
-    R = _reduced(form, surface)
-    if R.shape[0] == 0:
-        return np.inf
-    return float(np.linalg.eigvalsh(R)[0])
-
-
-def log_partition(density: QuadraticDensity, surface: AffineSurface) -> float:
-    """Log of the Gaussian integral of the density against delta(K v), the
-    fiber over A = 0."""
-    chol = positive_cholesky(_reduced(density.form, surface))
-    _check_dirac(surface)
-    B = surface.basis
-    n = chol.shape[0]
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    vstar = B @ sla.cho_solve((chol, True), B.T @ density.linear)
-    value = (0.5 * n * LOG_2PI - 0.5 * logdet
-             - 0.5 * vstar @ density.form @ vstar + density.linear @ vstar
-             + density.log_const)
-    return float(value - 0.5 * surface.log_gram)
-
-
-def subspace_covariance(form: np.ndarray,
-                        surface: AffineSurface) -> np.ndarray:
-    """Ambient covariance of the surface Gaussian (kills the row space of K)."""
-    chol = positive_cholesky(_reduced(form, surface))
-    cov = _inverse_on_basis(surface.basis, chol)
-    return 0.5 * (cov + cov.T)
-
-
-def minimizer_map(form: np.ndarray, surface: AffineSurface) -> np.ndarray:
-    """Matrix H with H @ A = argmin 1/2 <v, form v> subject to K v = E A.
-
-    The minimizer of a homogeneous quadratic on the fiber over A is linear
-    in A; this returns that linear map explicitly.
+    The reduced form R = B^T F B (B the surface's kernel basis, which every
+    fiber shares) is formed here; its Cholesky factor, formed when an output
+    first needs it, is both the positivity certificate and the solver of
+    every output.  The form is held by reference, not copied.
     """
-    _needs_fiber(surface)
-    chol = positive_cholesky(_reduced(form, surface))
-    B, W = surface.basis, surface.lift
-    return W - B @ sla.cho_solve((chol, True), B.T @ form @ W)
 
+    def __init__(self, form: np.ndarray, surface: AffineSurface):
+        self.form, self.surface = form, surface
+        B = surface.basis
+        R = B.T @ form @ B
+        self.reduced = 0.5 * (R + R.T)
 
-def push_constraint(density: QuadraticDensity,
-                    surface: AffineSurface) -> QuadraticDensity:
-    """Integrate the density against delta(K v - E A) over v.
+    def min_eig(self) -> float:
+        """Smallest eigenvalue of R, the form on the surface directions;
+        no certificate (inf on a zero-dimensional surface)."""
+        if self.reduced.shape[0] == 0:
+            return np.inf
+        return float(np.linalg.eigvalsh(self.reduced)[0])
 
-    Returns the quadratic density of the coarse variable A.  The fibers are
-    parallel, so the reduced factorization is shared; the A-dependence
-    enters only through the lift W A with W = pinv(K) E.
-    """
-    _needs_fiber(surface)
-    F, l = density.form, density.linear
-    chol = positive_cholesky(_reduced(F, surface))
-    _check_dirac(surface)
-    B, W = surface.basis, surface.lift
-    n = chol.shape[0]
-    M = _inverse_on_basis(B, chol)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    FW = F @ W
-    phi = W.T @ FW - FW.T @ M @ FW
-    psi = W.T @ l - FW.T @ M @ l
-    const = (density.log_const + 0.5 * l @ M @ l
-             + 0.5 * n * LOG_2PI - 0.5 * logdet)
-    return QuadraticDensity(0.5 * (phi + phi.T), psi,
-                            float(const - 0.5 * surface.log_gram))
+    @cached_property
+    def _chol(self) -> np.ndarray:
+        return positive_cholesky(self.reduced)
+
+    @cached_property
+    def minimizer(self) -> np.ndarray:
+        """Matrix H with H @ A = argmin 1/2 <v, F v> subject to K v = E A:
+        W - B R^-1 B^T F W for the lift W (read-only).  The minimizer of a
+        homogeneous quadratic on the fiber over A is linear in A."""
+        B, W = self.surface.basis, self.surface.lift
+        if W is None:
+            raise ValueError("the constraints carry no fiber map E")
+        return _frozen(W - B @ sla.cho_solve((self._chol, True),
+                                             B.T @ self.form @ W))
+
+    def covariance(self) -> np.ndarray:
+        """Ambient covariance B R^-1 B^T of the surface Gaussian (it kills
+        the row space of K)."""
+        B = self.surface.basis
+        cov = B @ sla.cho_solve((self._chol, True), B.T)
+        return 0.5 * (cov + cov.T)
+
+    def log_partition(self, linear: np.ndarray = None,
+                      log_const: float = 0.0) -> float:
+        """Log of the integral of exp(-1/2 <v, F v> + <linear, v>
+        + log_const) against delta(K v), the fiber over A = 0, under the
+        Dirac measure, which needs independent constraint rows."""
+        chol = self._chol
+        if self.surface.rank < self.surface.matrix.shape[0]:
+            raise SingularOperator("the Dirac measure needs independent "
+                                   "constraint rows")
+        F, B = self.form, self.surface.basis
+        l = np.zeros(F.shape[0]) if linear is None else linear
+        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        vstar = B @ sla.cho_solve((chol, True), B.T @ l)
+        value = (0.5 * chol.shape[0] * LOG_2PI - 0.5 * logdet
+                 - 0.5 * vstar @ F @ vstar + l @ vstar + log_const)
+        return float(value - 0.5 * self.surface.log_gram)
+
+    def push(self, linear: np.ndarray = None,
+             log_const: float = 0.0) -> QuadraticDensity:
+        """Integrate the density exp(-1/2 <v, F v> + <linear, v>
+        + log_const) against delta(K v - E A) over v: the density of the
+        coarse variable A, with form H^T F H, linear term H^T linear and
+        constant log_partition(linear, log_const), H the minimizer.  The
+        fibers are parallel, so A enters only through H A."""
+        H = self.minimizer
+        l = np.zeros(self.form.shape[0]) if linear is None else linear
+        m = H.T @ self.form @ H
+        return QuadraticDensity(0.5 * (m + m.T), H.T @ l,
+                                self.log_partition(l, log_const))

@@ -28,8 +28,7 @@ import scipy.sparse as sp
 from . import averaging as av
 from .fields import curl_energy_form, grad_matrix
 from .gauge_ops import get_context, one_shot_constraints
-from .gaussian import (AffineSurface, QuadraticDensity, log_partition,
-                       minimizer_map, push_constraint, subspace_covariance)
+from .gaussian import AffineSurface, QuadraticDensity, SurfaceGaussian
 from .lattice import Lattice, fine_torus, instance_cache
 
 
@@ -85,8 +84,9 @@ def rg_step(state: RGState) -> RGState:
     counts = state.counts
     if state.level >= counts.n_levels:
         raise ValueError("flow already at the last level")
-    pushed = push_constraint(state.density,
-                             one_shot_constraints(state.lattice, 1))
+    d = state.density
+    pushed = SurfaceGaussian(d.form, one_shot_constraints(
+        state.lattice, 1)).push(d.linear, d.log_const)
     # relabeling to unit spacing multiplies values by L**((dim-2)/2), so
     # the form and linear coefficients divide by its square and itself
     s = float(counts.L) ** ((counts.dim - 2) / 2.0)
@@ -104,9 +104,9 @@ def final_step(state: RGState) -> float:
     counts = state.counts
     if state.level != counts.n_levels - 1:
         raise ValueError("final step applies at the next-to-last level")
-    surface = _one_shot_winding_constraints(state.lattice, 1)
-    return log_partition(state.density, surface) \
-        + counts.scale_log(counts.n_levels)
+    d, surface = state.density, _one_shot_winding_constraints(state.lattice, 1)
+    return SurfaceGaussian(d.form, surface).log_partition(
+        d.linear, d.log_const) + counts.scale_log(counts.n_levels)
 
 
 @instance_cache
@@ -120,34 +120,23 @@ def _one_shot_winding_constraints(fine: Lattice,
         av.axial_constraint_stack(fine, n_levels).matrix]))
 
 
-@instance_cache
-def _one_shot_density(fine: Lattice, k: int) -> QuadraticDensity:
-    """The curl Gaussian of the fine lattice integrated over the level-k
-    one-shot constraints; its log_const is log Z_k.  Shared, so its arrays
-    are read-only."""
-    pushed = push_constraint(QuadraticDensity(curl_energy_form(fine)),
-                             one_shot_constraints(fine, k))
-    pushed.form.flags.writeable = pushed.linear.flags.writeable = False
-    return pushed
-
-
 def one_shot_state(dim: int, L: int, n_levels: int, k: int) -> RGState:
     """The level-k density in one constrained integration over the fine
-    field at spacing L**-k with the full hierarchical stack."""
+    field at spacing L**-k with the full hierarchical stack: the axial
+    density of the level-k context (read-only arrays)."""
     if not 1 <= k <= n_levels:
         raise ValueError("need 1 <= k <= n_levels")
-    fine = fine_torus(dim, L, k, n_levels - k)
-    return RGState(k, fine_torus(dim, L, 0, n_levels - k),
-                   _one_shot_density(fine, k), FlowCounts(dim, L, n_levels))
+    ctx = get_context(dim, L, n_levels, k)
+    return RGState(k, ctx.unit, ctx.axial_density,
+                   FlowCounts(dim, L, n_levels))
 
 
 def one_shot_final(dim: int, L: int, n_levels: int) -> float:
     """One-shot version of the last level: winding averages of the fully
     blocked field are fixed to zero; returns the log constant."""
     fine = fine_torus(dim, L, n_levels, 0)
-    density = QuadraticDensity(curl_energy_form(fine))
     surface = _one_shot_winding_constraints(fine, n_levels)
-    return log_partition(density, surface)
+    return SurfaceGaussian(curl_energy_form(fine), surface).log_partition()
 
 
 @instance_cache
@@ -166,7 +155,6 @@ def flow_states(dim: int, L: int, n_levels: int) -> tuple:
 
 @dataclass
 class FlowConstants:
-    counts: FlowCounts
     log_z: dict          # level -> log of the one-shot normalization
     log_zf: dict         # level -> log of the fluctuation integral
     recursion_residuals: dict
@@ -185,17 +173,14 @@ def z_constants(dim: int, L: int, n_levels: int) -> FlowConstants:
     counts = FlowCounts(dim, L, n_levels)
     log_z = {k: one_shot_state(dim, L, n_levels, k).density.log_const
              for k in range(1, n_levels + 1)}
-    log_zf = {}
-    for k in range(0, n_levels):
-        ctx = get_context(dim, L, n_levels, k)
-        log_zf[k] = log_partition(QuadraticDensity(ctx.delta),
-                                  one_shot_constraints(ctx.unit, 1))
+    log_zf = {k: get_context(dim, L, n_levels, k).step_log_z
+              for k in range(0, n_levels)}
     residuals = {}
     for k in range(1, n_levels):
         residuals[k] = abs(log_z[k + 1] - log_z[k] - log_zf[k]
                            - counts.scale_log(k + 1))
     residuals[0] = abs(log_z[1] - log_zf[0] - counts.scale_log(1))
-    return FlowConstants(counts, log_z, log_zf, residuals)
+    return FlowConstants(log_z, log_zf, residuals)
 
 
 # -- identities along the flow ----------------------------------------------
@@ -204,9 +189,8 @@ def coarse_minimizer_map(dim: int, L: int, n_levels: int, k: int) -> np.ndarray:
     """Minimizer of the level-k effective form with the block average fixed
     to the relabeled next-level field (unit bonds <- next-level bonds).
     The relabeling scales the field by s, and the minimizer is linear in it."""
-    ctx = get_context(dim, L, n_levels, k)
     s = float(L) ** ((dim - 2) / 2.0)
-    return s * minimizer_map(ctx.delta, one_shot_constraints(ctx.unit, 1))
+    return s * get_context(dim, L, n_levels, k).step_minimizer
 
 
 def minimizer_composition_residual(dim: int, L: int, n_levels: int,
@@ -244,18 +228,20 @@ def fluctuation_step(dim: int, L: int, n_levels: int, k: int,
     """
     ctx = get_context(dim, L, n_levels, k)
     s = float(L) ** ((dim - 2) / 2.0)
-    surface = one_shot_constraints(ctx.unit, 1)
-    cov = subspace_covariance(ctx.delta, surface)
+    cov = ctx.step_covariance
     h_ax = ctx.axial_minimizer
     functional = np.asarray(functional, dtype=float)
     if functional.ndim == 1:
         # <A_k, J> -> <mean(A_k | A_{k+1}), J>, relabeled; cross-checked
-        # against the linear term produced by the fiber integration
+        # against E^T mu for [[Delta, K^T], [K, 0]] [x; mu] = [J; 0], the
+        # KKT system of the same minimization (mean = KKT^-1 [0; E A])
         shift = coarse_minimizer_map(dim, L, n_levels, k).T \
             @ functional / (s * s)
-        pushed = push_constraint(QuadraticDensity(ctx.delta, functional),
-                                 surface)
-        cross = float(np.linalg.norm(shift - pushed.linear / s)
+        surface = one_shot_constraints(ctx.unit, 1)
+        K, m = surface.matrix, surface.matrix.shape[0]
+        kkt = np.block([[ctx.delta, K.T], [K, np.zeros((m, m))]])
+        mu = np.linalg.solve(kkt, np.concatenate([functional, np.zeros(m)]))
+        cross = float(np.linalg.norm(shift - surface.fiber.T @ mu[-m:] / s)
                       / max(np.linalg.norm(shift), 1e-300))
         return FluctuationStep(shift, 0.0, cross)
     M = functional

@@ -30,7 +30,7 @@ import scipy.sparse as sp
 
 from . import averaging as av
 from .fields import curl_energy_form, ext_d_matrix
-from .gaussian import RANK_TOL, kernel_basis
+from .gaussian import kernel_basis
 from .lattice import Lattice
 
 
@@ -100,11 +100,12 @@ def _min_max_sv(mat: np.ndarray):
 
 def curl_path_kernel(lattice: Lattice, all_orders: bool = True) -> dict:
     """Smallest/largest singular value of the stacked (curl; path-average)
-    map on bond fields; a trivial kernel means the pair is gauge-rigid."""
+    map on bond fields; a trivial kernel, min_sv above
+    gaussian.RANK_TOL * max_sv, means the pair is gauge-rigid."""
     tau = (av.path_average_matrix(lattice) if all_orders
            else av.tree_path_matrix(lattice)).matrix
     lo, hi = _min_max_sv(sp.vstack([ext_d_matrix(lattice), tau]).toarray())
-    return {"min_sv": lo, "max_sv": hi, "trivial": lo > RANK_TOL * hi}
+    return {"min_sv": lo, "max_sv": hi}
 
 
 def toron_closure_kernel(lattice: Lattice) -> dict:
@@ -114,7 +115,7 @@ def toron_closure_kernel(lattice: Lattice) -> dict:
                        av.tree_path_matrix(lattice).matrix,
                        av.toron_average_matrix(lattice)])
     lo, hi = _min_max_sv(stack.toarray())
-    return {"min_sv": lo, "max_sv": hi, "trivial": lo > RANK_TOL * hi}
+    return {"min_sv": lo, "max_sv": hi}
 
 
 def block_curl_ratio(lattice: Lattice) -> dict:
@@ -122,9 +123,7 @@ def block_curl_ratio(lattice: Lattice) -> dict:
     on a single open block, with the bound 3 L**dim it must satisfy."""
     B = kernel_basis(av.path_average_matrix(lattice).matrix)
     w = np.linalg.eigvalsh(B.T @ curl_energy_form(lattice) @ B)
-    ratio = 1.0 / float(w[0])
-    return {"ratio": ratio, "bound": 3.0 * lattice.L**lattice.dim,
-            "min_curl_eig": float(w[0])}
+    return {"ratio": 1.0 / float(w[0]), "bound": 3.0 * lattice.L**lattice.dim}
 
 
 def global_coercivity(lattice: Lattice) -> dict:

@@ -4,14 +4,16 @@ import json
 import math
 import os
 import pathlib
+import sys
 import tracemalloc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from caxial import averaging as av
-from caxial import cli, gauge_ops, gaussian, lattice, rg_flow, spectral
+from caxial import cli, gauge_ops, gaussian, lattice, rg_flow
 from caxial.cli import ConfigError, RunConfig, main, run_verification
 from caxial.gauge_ops import GaugeContext
 from caxial.lattice import (OPEN_CUBE, Lattice, LatticeSpec, clear_caches,
@@ -245,24 +247,37 @@ def test_rg_factors_each_builder_key_once(monkeypatch):
     assert len(shapes) <= sum(i.currsize for i in infos)
 
 
-def test_rg_suite_integrates_each_one_shot_surface_once(monkeypatch):
-    # log Z_k is the constant of the one-shot density the suite pushes
-    # anyway, so on (2,3,2) only the N = 2 fluctuation integrals and the
-    # two winding steps call log_partition
-    calls = {"log_partition": 0, "surface_min_eig": 0}
-    for name in calls:
-        original = getattr(gaussian, name)
+def test_suites_reduce_each_shared_gaussian_once(monkeypatch):
+    # every surface integral is a SurfaceGaussian, which forms its reduced
+    # form once; the level contexts keep the outputs of their axial, step
+    # and per-alpha Feynman Gaussians, so on (2,3,2) only the flow's own
+    # step pairs are reduced twice, by rg_step and by
+    # lower_bound.flow_forms_positive
+    clear_caches()
+    init = gaussian.SurfaceGaussian.__init__
+    reductions = []     # holding the objects keeps their ids unique
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-        for mod in (av, cli, gauge_ops, gaussian, rg_flow, spectral):
-            if getattr(mod, name, None) is original:
-                monkeypatch.setattr(mod, name, counted)
-    report, _ = run_verification(small_config(instances=((2, 3, 2),),
-                                              suites=("rg",)))
+    def counted(self, form, surface):
+        caller = sys._getframe(1)
+        while caller.f_code.co_name.startswith("<"):    # a comprehension
+            caller = caller.f_back
+        reductions.append((caller.f_code.co_name, surface, form))
+        init(self, form, surface)
+    monkeypatch.setattr(gaussian.SurfaceGaussian, "__init__", counted)
+    report, _ = run_verification(RunConfig(instances=((2, 3, 2),)).validate())
     assert {c["status"] for c in report["checks"]} == {"PASS"}
-    assert calls == {"log_partition": 4, "surface_min_eig": 0}
+    # axial at levels 0-2, step at 0-1, Feynman at three alphas on level
+    # 1 and at alpha = 1 on level 0 (fluctuation_step), Landau once
+    assert Counter(name for name, *_ in reductions) == {
+        "_axial": 3, "_step": 2, "build": 4, "rg_step": 2,
+        "surface_positive": 2, "final_step": 1, "one_shot_final": 1,
+        "change_of_gauge_check": 1}
+    assert len(reductions) <= 16
+    pairs = Counter((id(surface), id(form)) for _, surface, form in reductions)
+    twice = {name for name, surface, form in reductions
+             if pairs[id(surface), id(form)] > 1}
+    assert set(pairs.values()) == {1, 2}
+    assert twice == {"rg_step", "surface_positive"}
 
 
 def test_gauge_suites_build_one_context_per_level(monkeypatch):
@@ -339,8 +354,9 @@ def test_decay_profiles_the_minimizer_once_per_instance(monkeypatch):
 
 
 def test_library_caches_are_shared_and_read_only():
-    # the flow, the roots and the minimizer profile are cached where they
-    # are built: a second read returns the same object
+    # the flow, the roots, the minimizer profile and the level Gaussians'
+    # outputs are cached where they are built: a second read returns the
+    # same object, and every shared array is read-only
     clear_caches()
     states = rg_flow.flow_states(2, 3, 2)
     c = gauge_ops.get_context(2, 3, 2, 1)
@@ -348,10 +364,17 @@ def test_library_caches_are_shared_and_read_only():
              lambda: c.cov_sqrt_quadrature(20), c.minimizer_profile)
     for read in reads:
         assert read() is read()
+    assert c.feynman(1.0) is c.feynman(1.0)
+    assert c.axial_density is c.axial_density
     arrays = [s.density.form for s in states] \
         + [s.density.linear for s in states] \
         + [c.cov_sqrt_spectral(), c.cov_sqrt_quadrature(20),
-           c.green_scalar(), c.proj_div(), c.proj_div_next()]
+           c.green_scalar(), c.proj_div(), c.proj_div_next(),
+           av.fluctuation_basis(c.unit), c.grad_fine, c.lap_fine,
+           c.axial_minimizer, c.delta, c.div_penalty, c.reduced_delta,
+           c.div_range_basis, c.fluct_basis, c.chi_star,
+           c.axial_density.linear, c.step_minimizer, c.step_covariance,
+           *c.feynman(1.0), c.feynman(0.5)[0]]
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 0.0
@@ -584,6 +607,18 @@ def test_declared_cost_bounds_the_peak_memory(monkeypatch, suite):
     for check_id, inst, peak, cost in peaks:
         assert peak <= PEAK_MULTIPLE * 8 * cost + ALLOWANCE, \
             (check_id, inst, peak, cost)
+
+
+def test_only_gaussian_reads_a_surface_basis_or_lift():
+    # every surface integral goes through gaussian.SurfaceGaussian, and
+    # kernel_basis is the one kernel accessor of the other modules
+    readers = set()
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and \
+                    node.attr in ("basis", "lift"):
+                readers.add(path.name)
+    assert readers == {"gaussian.py"}
 
 
 def test_only_cli_reads_or_compares_the_cap():

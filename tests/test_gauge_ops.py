@@ -10,7 +10,7 @@ from caxial.gauge_ops import (GaugeContext, change_of_gauge_check,
                               decay_profile, get_context,
                               one_shot_constraints, sym_norm2)
 from caxial.gaussian import (IndefiniteOnSurface, SingularOperator,
-                             kernel_basis, positive_cholesky, surface_min_eig)
+                             SurfaceGaussian, kernel_basis, positive_cholesky)
 
 TOL = 1e-10
 
@@ -89,11 +89,9 @@ def test_feynman_minimizer_constraint_and_alpha_independence():
         h = c.feynman_minimizer()
         assert np.abs(c.bond_average @ h
                       - np.eye(c.unit.n_bonds)).max() < 1e-9
-        d1 = c.effective_form("feynman")
-        d2 = GaugeContext(2, 3, 2, level).effective_form("feynman",
-                                                         alpha=0.25)
-        d3 = GaugeContext(2, 3, 2, level).effective_form("feynman",
-                                                         alpha=4.0)
+        d1 = c.feynman_form()
+        d2 = GaugeContext(2, 3, 2, level).feynman_form(alpha=0.25)
+        d3 = GaugeContext(2, 3, 2, level).feynman_form(alpha=4.0)
         assert np.abs(d1 - d2).max() < 1e-9
         assert np.abs(d1 - d3).max() < 1e-9
         if level == 1:
@@ -104,8 +102,8 @@ def test_feynman_minimizer_constraint_and_alpha_independence():
 
 def test_axial_and_feynman_forms_agree():
     c = ctx1()
-    da = c.effective_form("axial")
-    df = c.effective_form("feynman")
+    da = c.delta
+    df = c.feynman_form()
     assert np.abs(da - df).max() < 1e-9 * max(1.0, np.abs(da).max())
 
 
@@ -129,7 +127,8 @@ def test_effective_form_kills_coarse_gradients():
 
 def test_effective_form_positive_on_fluctuation_surface():
     c = ctx1()
-    assert surface_min_eig(c.delta, one_shot_constraints(c.unit, 1)) > 0
+    step = SurfaceGaussian(c.delta, one_shot_constraints(c.unit, 1))
+    assert step.min_eig() > 0
 
 
 def test_lambda0_solves_defining_equations():

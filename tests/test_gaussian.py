@@ -2,18 +2,19 @@ import copy
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 from caxial import averaging as av
 from caxial.fields import curl_energy_form, ext_d_matrix, grad_matrix
 from caxial.gaussian import (RANK_TOL, AffineSurface, IndefiniteOnSurface,
-                             QuadraticDensity, SingularOperator, kernel_basis,
-                             kernel_residual, log_partition, minimizer_map,
-                             subspace_covariance, positive_cholesky,
-                             push_constraint, surface_min_eig)
+                             QuadraticDensity, SingularOperator,
+                             SurfaceGaussian, kernel_basis, kernel_residual,
+                             positive_cholesky)
 from caxial.gauge_ops import average_constraints, get_context
 from caxial.lattice import fine_torus, unit_torus
-from caxial.rg_flow import _one_shot_winding_constraints, one_shot_constraints
+from caxial.rg_flow import (_one_shot_winding_constraints, flow_states,
+                            one_shot_constraints)
 
 
 def rng(seed=3):
@@ -27,6 +28,26 @@ def random_spd(n, r, shift=0.5):
 
 def unconstrained(n):
     return AffineSurface(np.zeros((0, n)))
+
+
+# one output of the reduced Gaussian each, under the names of the free
+# functions it replaced, so that their oracles below read as before
+def minimizer_map(F, surface):
+    return SurfaceGaussian(F, surface).minimizer
+
+
+def subspace_covariance(F, surface):
+    return SurfaceGaussian(F, surface).covariance()
+
+
+def log_partition(density, surface):
+    return SurfaceGaussian(density.form, surface).log_partition(
+        density.linear, density.log_const)
+
+
+def push_constraint(density, surface):
+    return SurfaceGaussian(density.form, surface).push(density.linear,
+                                                       density.log_const)
 
 
 def log_value(density, v):
@@ -106,7 +127,9 @@ def test_indefinite_raises():
     with pytest.raises(IndefiniteOnSurface):
         minimizer_map(F, AffineSurface(np.zeros((0, 2)), np.zeros((0, 1))))
     # but a constraint removing the bad direction makes it fine
-    assert surface_min_eig(F, AffineSurface(np.array([[0.0, 1.0]]))) > 0
+    assert SurfaceGaussian(F, AffineSurface(np.array([[0.0, 1.0]]))) \
+        .min_eig() > 0
+    assert SurfaceGaussian(F, AffineSurface(np.eye(2))).min_eig() == np.inf
 
 
 def test_zero_eigenvalue_is_not_positive_definite():
@@ -369,6 +392,67 @@ def test_push_constraint_gaussian_marginal():
     A = r.standard_normal(2)
     expect = -0.5 * A @ marg_form @ A + log_value(pushed, np.zeros(2))
     assert abs(log_value(pushed, A) - expect) < 1e-9
+
+
+def _former_push(density, surface):
+    """The pushforward as formed before the reduced Gaussian type:
+    W^T F W - FW^T M FW, W^T l - FW^T M l and its constant, with
+    M = B R^-1 B^T the n x n inverse on the kernel basis."""
+    F, l, B, W = density.form, density.linear, surface.basis, surface.lift
+    R = B.T @ F @ B
+    chol = positive_cholesky(0.5 * (R + R.T))
+    M = B @ sla.cho_solve((chol, True), B.T)
+    FW = F @ W
+    phi = W.T @ FW - FW.T @ M @ FW
+    psi = W.T @ l - FW.T @ M @ l
+    const = (density.log_const + 0.5 * l @ M @ l
+             + 0.5 * chol.shape[0] * np.log(2.0 * np.pi)
+             - np.sum(np.log(np.diag(chol))) - 0.5 * surface.log_gram)
+    return (0.5 * (phi + phi.T), psi, const,
+            np.abs(W.T @ FW).max(), np.abs(W.T @ l).max())
+
+
+def _push_cases():
+    r = rng(21)
+    for n, m, c in ((7, 3, 2), (12, 5, 4), (9, 1, 1)):
+        K = r.standard_normal((m, n))
+        yield (f"random_{n}_{m}",
+               QuadraticDensity(random_spd(n, r), r.standard_normal(n), 0.7),
+               AffineSurface(K, r.standard_normal((m, c))))
+    # the flow's own forms on its step surfaces, with a linear term added
+    for inst in ((2, 3, 2), (3, 3, 1)):
+        for state in flow_states(*inst)[:-1]:
+            form = state.density.form
+            yield (f"flow_{inst}_{state.level}",
+                   QuadraticDensity(form, r.standard_normal(len(form)), 0.2),
+                   one_shot_constraints(state.lattice, 1))
+
+
+@pytest.mark.parametrize("case", list(_push_cases()), ids=lambda c: c[0])
+def test_push_matches_the_former_pushforward(case):
+    # H^T F H and H^T l equal W^T F W - FW^T M FW and W^T l - FW^T M l,
+    # since M F M = M, relative to the terms the former formula subtracts
+    # (the last step of (3,3,1) pushes to a zero form); the constant is
+    # the log-partition of the fiber over A = 0
+    _, density, surface = case
+    pushed = push_constraint(density, surface)
+    phi, psi, const, phi_scale, psi_scale = _former_push(density, surface)
+    assert np.abs(pushed.form - phi).max() <= 1e-12 * phi_scale
+    assert np.abs(pushed.linear - psi).max() <= 1e-12 * psi_scale
+    assert abs(pushed.log_const - const) <= 1e-12 * max(1.0, abs(const))
+
+
+def test_one_reduction_serves_every_output():
+    # the reduced form is formed once and factored once, however many
+    # outputs read it
+    r = rng(5)
+    F = random_spd(6, r)
+    g = SurfaceGaussian(F, AffineSurface(r.standard_normal((2, 6)),
+                                         r.standard_normal((2, 1))))
+    reduced = g.reduced
+    g.minimizer, g.covariance(), g.log_partition(), g.push()
+    assert g.reduced is reduced and g.form is F
+    assert g.minimizer is g.minimizer
 
 
 @settings(max_examples=20, deadline=None)

@@ -6,8 +6,7 @@ from caxial.rg_flow import (FlowCounts, final_step, fluctuation_step,
                             flow_states, init_rho0,
                             minimizer_composition_residual, one_shot_final,
                             one_shot_state, rg_step, z_constants)
-from caxial.gaussian import (QuadraticDensity, log_partition,
-                             subspace_covariance)
+from caxial.gaussian import SurfaceGaussian
 from caxial.gauge_ops import get_context, one_shot_constraints
 from caxial.lattice import fine_torus
 
@@ -66,15 +65,15 @@ def integrated_log_z(dim, L, n_levels, k):
     """log Z_k as the integral of the curl Gaussian over the level-k
     homogeneous one-shot surface, taken on its own."""
     fine = fine_torus(dim, L, k, n_levels - k)
-    return log_partition(QuadraticDensity(curl_energy_form(fine)),
-                         one_shot_constraints(fine, k))
+    return SurfaceGaussian(curl_energy_form(fine),
+                           one_shot_constraints(fine, k)).log_partition()
 
 
 @pytest.mark.parametrize("dim,L,n_levels", [(2, 3, 2), (3, 3, 1)])
 def test_log_z_is_the_one_shot_constant(dim, L, n_levels):
-    # z_constants reads log Z_k off the one-shot density instead of
-    # integrating the same surface again; under the Dirac measure the two
-    # agree bit for bit
+    # z_constants reads log Z_k off the one-shot density, the level
+    # context's axial Gaussian pushed, instead of integrating the same
+    # surface again; the push's constant is that integral bit for bit
     fc = z_constants(dim, L, n_levels)
     assert set(fc.log_z) == set(range(1, n_levels + 1))
     for k, value in fc.log_z.items():
@@ -120,6 +119,8 @@ def test_fluctuation_step_quadratic_cross_check():
 
 def test_fluctuation_covariance_factorizes():
     ctx = get_context(2, 3, 2, 0)
-    cov = subspace_covariance(ctx.delta, one_shot_constraints(ctx.unit, 1))
+    step = SurfaceGaussian(ctx.delta, one_shot_constraints(ctx.unit, 1))
+    cov = step.covariance()
+    assert np.array_equal(cov, ctx.step_covariance)
     c = ctx.fluct_basis
     assert rel_diff(cov, c @ ctx.fluct_cov(0.0) @ c.T) < 1e-10
