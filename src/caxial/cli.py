@@ -59,6 +59,10 @@ A_LIST = (1.0, 2.0)             # Green's-function regulators
 ALPHA_LIST = (0.5, 2.0)         # Feynman gauge-fixing weights
 X_LIST = (0.1, 1.0, 10.0)       # covariance shifts, besides 0
 NPOINTS = 200                   # square-root quadrature nodes
+# the Gauss-Legendre rules (nodes, weights) of the square-root quadrature
+# and of its convergence check, built once, outside every check
+RULE = np.polynomial.legendre.leggauss(NPOINTS)
+HALF_RULE = np.polynomial.legendre.leggauss(NPOINTS // 2)
 DECAY_MIN_CORR = 0.9            # floor of the decay fit's |correlation|
 DEFAULT_MAX_DIM = 5000          # the cap unless CAXIAL_MAX_DIM is set
 
@@ -99,7 +103,8 @@ class RunConfig:
     checks and the relative rank cut of every kernel certificate and
     constraint factor.  The regulators, gauge-fixing weights, shifts,
     quadrature nodes and decay floor are the module constants A_LIST,
-    ALPHA_LIST, X_LIST, NPOINTS and DECAY_MIN_CORR.
+    ALPHA_LIST, X_LIST, NPOINTS (with its rules RULE and HALF_RULE) and
+    DECAY_MIN_CORR.
     """
 
     instances: tuple = DEFAULT_INSTANCES
@@ -643,16 +648,16 @@ def suite_sqrt(run: Runner, inst):
     # at a single level the blocked lattice degenerates; stay at level 0
     ctx = functools.partial(get_context, *inst, 1 if levels >= 2 else 0)
 
-    def error(npoints):
-        return _maxabs(ctx().cov_sqrt_quadrature(npoints)
+    def error(rule):
+        return _maxabs(ctx().cov_sqrt_quadrature(rule)
                        - ctx().cov_sqrt_spectral())
 
     run.check("sqrt.quadrature_matches_spectral",
               "the quadrature square root matches the spectral one", inst,
-              lambda: error(NPOINTS), 1e-6, cost=cost)
+              lambda: error(RULE), 1e-6, cost=cost)
 
     def converges():
-        e_half, e_full = error(NPOINTS // 2), error(NPOINTS)
+        e_half, e_full = error(HALF_RULE), error(RULE)
         # both may already sit on the rounding floor; only a genuine
         # regression above it counts against convergence
         return e_full / max(e_half, 1e-12)

@@ -40,9 +40,7 @@ from __future__ import annotations
 from functools import cached_property, wraps
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.special import roots_legendre
 
 from . import averaging as av
 from .fields import curl_energy_form, grad_matrix
@@ -62,10 +60,10 @@ def sym_norm2(m: np.ndarray) -> float:
 
 
 def _spd_inverse(op: np.ndarray, error, what: str) -> np.ndarray:
-    """op^-1 by the Cholesky certificate of positive_cholesky(op, ...)."""
-    chol = positive_cholesky(op, error, what)
-    del op      # the solve needs only the factor: free the caller's op
-    return sla.cho_solve((chol, True), np.eye(len(chol)))
+    """op^-1, once positive_cholesky(op, ...) certifies op positive
+    definite; its factor is dropped before the inverse is formed."""
+    positive_cholesky(op, error, what)
+    return np.linalg.inv(op)
 
 
 def _shared(build):
@@ -376,20 +374,23 @@ class GaugeContext:
             return (v / np.sqrt(w)) @ v.T
         return self._memo("sqrt_spectral", None, build)
 
-    def cov_sqrt_quadrature(self, npoints: int = 200) -> np.ndarray:
+    def cov_sqrt_quadrature(self, rule) -> np.ndarray:
         """Evaluate (1/pi) int_0^inf x^{-1/2} (S + x)^-1 dx for S the reduced
-        form, by x = tan^2(theta) and Gauss-Legendre on (0, pi/2); memoized."""
+        form, by x = tan^2(theta) and the Gauss-Legendre rule (nodes,
+        weights) on [-1, 1] mapped to (0, pi/2); memoized by node count."""
+        nodes, weights = rule
+
         def build():
             s = self.reduced_delta
-            n = s.shape[0]
-            nodes, weights = roots_legendre(npoints)
+            diag = np.diag_indices(s.shape[0])
             theta = 0.25 * np.pi * (nodes + 1.0)
             out = np.zeros_like(s)
             for t, w in zip(theta, weights):
-                out += w * np.linalg.inv(np.cos(t) ** 2 * s
-                                         + np.sin(t) ** 2 * np.eye(n))
+                m = np.cos(t) ** 2 * s
+                m[diag] += np.sin(t) ** 2
+                out += w * np.linalg.inv(m)
             return (0.25 * np.pi) * (2.0 / np.pi) * out
-        return self._memo("sqrt_quadrature", npoints, build)
+        return self._memo("sqrt_quadrature", len(nodes), build)
 
     # -- change of gauge (Feynman vs Landau) --------------------------------
 

@@ -7,9 +7,10 @@ factored by one SVD of K into an orthonormal basis B of ker K, which every
 fiber shares, and the lift pinv(K) E to a point of each fiber.  Every
 surface integral goes through one type, SurfaceGaussian(F, surface): it
 reduces F once to the kernel coordinates, R = B^T F B (the null-space
-method), where the Gaussian is finite-dimensional and explicit, and the
-Cholesky factor of R is both the positivity certificate and the solver of
-its minimizer map, covariance, log-partition and pushforward.  Only this
+method), where the Gaussian is finite-dimensional and explicit.  The
+Cholesky factor of R is the positivity certificate and gives the
+log-determinant; solves with R, taken after the certificate, give the
+minimizer map, covariance, log-partition and pushforward.  Only this
 module reads a surface's basis and lift; `kernel_basis` is the one kernel
 accessor for the rest.
 
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 RANK_TOL = 1e-9
@@ -179,8 +179,9 @@ class SurfaceGaussian:
 
     The reduced form R = B^T F B (B the surface's kernel basis, which every
     fiber shares) is formed here; its Cholesky factor, formed when an output
-    first needs it, is both the positivity certificate and the solver of
-    every output.  The form is held by reference, not copied.
+    first needs it, is the positivity certificate and gives the
+    log-determinant, and every output solves with R once it is certified.
+    The form is held by reference, not copied.
     """
 
     def __init__(self, form: np.ndarray, surface: AffineSurface):
@@ -200,6 +201,11 @@ class SurfaceGaussian:
     def _chol(self) -> np.ndarray:
         return positive_cholesky(self.reduced)
 
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        """R^-1 rhs, once R is certified positive definite."""
+        self._chol      # the certificate: raises unless R is positive
+        return np.linalg.solve(self.reduced, rhs)
+
     @cached_property
     def minimizer(self) -> np.ndarray:
         """Matrix H with H @ A = argmin 1/2 <v, F v> subject to K v = E A:
@@ -208,14 +214,13 @@ class SurfaceGaussian:
         B, W = self.surface.basis, self.surface.lift
         if W is None:
             raise ValueError("the constraints carry no fiber map E")
-        return _frozen(W - B @ sla.cho_solve((self._chol, True),
-                                             B.T @ self.form @ W))
+        return _frozen(W - B @ self._solve(B.T @ self.form @ W))
 
     def covariance(self) -> np.ndarray:
         """Ambient covariance B R^-1 B^T of the surface Gaussian (it kills
         the row space of K)."""
         B = self.surface.basis
-        cov = B @ sla.cho_solve((self._chol, True), B.T)
+        cov = B @ self._solve(B.T)
         return 0.5 * (cov + cov.T)
 
     def log_partition(self, linear: np.ndarray = None,
@@ -230,7 +235,7 @@ class SurfaceGaussian:
         F, B = self.form, self.surface.basis
         l = np.zeros(F.shape[0]) if linear is None else linear
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        vstar = B @ sla.cho_solve((chol, True), B.T @ l)
+        vstar = B @ self._solve(B.T @ l)
         value = (0.5 * chol.shape[0] * LOG_2PI - 0.5 * logdet
                  - 0.5 * vstar @ F @ vstar + l @ vstar + log_const)
         return float(value - 0.5 * self.surface.log_gram)

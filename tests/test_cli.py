@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import subprocess
 import sys
 import tracemalloc
 import weakref
@@ -11,6 +12,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from caxial import averaging as av
 from caxial import cli, gauge_ops, gaussian, lattice, rg_flow
@@ -191,20 +193,23 @@ def test_rg_runs_the_flow_once_per_instance(monkeypatch):
 
 
 def test_sqrt_evaluates_each_root_once_per_instance(monkeypatch):
-    # the level context memoizes both roots: count the Gauss-Legendre rules
-    # and the eigendecompositions they are built from (no other check of
-    # the suite takes an eigh)
-    legendre, eigh = gauge_ops.roots_legendre, np.linalg.eigh
+    # the level context memoizes both roots: count the quadrature builds of
+    # its memo, by node count, and the eigendecompositions the spectral
+    # root is built from (no other check of the suite takes an eigh)
+    memo, eigh = GaugeContext._memo, np.linalg.eigh
     nodes, roots = [], []
 
-    def counted_legendre(npoints):
-        nodes.append(npoints)
-        return legendre(npoints)
+    def counted_memo(self, name, arg, build):
+        def counted():
+            if name == "sqrt_quadrature":
+                nodes.append(arg)
+            return build()
+        return memo(self, name, arg, counted)
 
     def counted_eigh(m):
         roots.append(m.shape)
         return eigh(m)
-    monkeypatch.setattr(gauge_ops, "roots_legendre", counted_legendre)
+    monkeypatch.setattr(GaugeContext, "_memo", counted_memo)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     config = small_config(instances=((2, 3, 1), (2, 5, 1)), suites=("sqrt",))
     report, _ = run_verification(config)
@@ -221,6 +226,35 @@ def test_sqrt_evaluates_each_root_once_per_instance(monkeypatch):
     report, _ = run_verification(small_config(suites=("sqrt",)))
     assert [c["status"] for c in report["checks"]] == ["ERROR"] * 3
     assert len(roots) == 3
+
+
+@pytest.mark.parametrize("rule", ("RULE", "HALF_RULE"))
+def test_quadrature_rules_are_gauss_legendre(rule):
+    # an n-node Gauss-Legendre rule integrates x^(2n-2) on [-1, 1] exactly
+    nodes, weights = getattr(cli, rule)
+    n = len(nodes)
+    assert abs(weights @ nodes ** (2 * n - 2) - 2 / (2 * n - 1)) < 1e-14
+
+
+def test_verify_loads_neither_scipy_linalg_nor_special():
+    # numpy and scipy.sparse are the linear-algebra backends of the package:
+    # importing it and running every suite loads neither scipy.linalg nor
+    # scipy.special.  A fresh process, since the test modules import
+    # scipy.linalg
+    code = (
+        "import sys\n"
+        "from caxial.cli import RunConfig, run_verification\n"
+        "config = RunConfig(instances=((2, 3, 1),)).validate()\n"
+        "report, _ = run_verification(config)\n"
+        "print({c['status'] for c in report['checks']})\n"
+        "print([m for m in ('scipy.linalg', 'scipy.special')\n"
+        "       if m in sys.modules])\n")
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["{'PASS'}", "[]"]
 
 
 RG_BUILDERS = (rg_flow._one_shot_winding_constraints,
@@ -361,14 +395,15 @@ def test_library_caches_are_shared_and_read_only():
     states = rg_flow.flow_states(2, 3, 2)
     c = gauge_ops.get_context(2, 3, 2, 1)
     reads = (lambda: rg_flow.flow_states(2, 3, 2), c.cov_sqrt_spectral,
-             lambda: c.cov_sqrt_quadrature(20), c.minimizer_profile)
+             lambda: c.cov_sqrt_quadrature(leggauss(20)),
+             c.minimizer_profile)
     for read in reads:
         assert read() is read()
     assert c.feynman(1.0) is c.feynman(1.0)
     assert c.axial_density is c.axial_density
     arrays = [s.density.form for s in states] \
         + [s.density.linear for s in states] \
-        + [c.cov_sqrt_spectral(), c.cov_sqrt_quadrature(20),
+        + [c.cov_sqrt_spectral(), c.cov_sqrt_quadrature(leggauss(20)),
            c.green_scalar(), c.proj_div(), c.proj_div_next(),
            av.fluctuation_basis(c.unit), c.grad_fine, c.lap_fine,
            c.axial_minimizer, c.delta, c.div_penalty, c.reduced_delta,

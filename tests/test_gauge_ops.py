@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from numpy.polynomial.legendre import leggauss
 
 from caxial import averaging as av
 from caxial import gauge_ops
@@ -310,10 +311,10 @@ def test_cholesky_certificates_raise_the_callers_errors():
 def test_cov_sqrt_quadrature_matches_spectral():
     c = ctx1()
     ref = c.cov_sqrt_spectral()
-    err = np.abs(c.cov_sqrt_quadrature(200) - ref).max()
+    err = np.abs(c.cov_sqrt_quadrature(leggauss(200)) - ref).max()
     assert err < 1e-8
     # the rule converges: coarser grids are strictly worse
-    err_coarse = np.abs(c.cov_sqrt_quadrature(20) - ref).max()
+    err_coarse = np.abs(c.cov_sqrt_quadrature(leggauss(20)) - ref).max()
     assert err < err_coarse
 
 
