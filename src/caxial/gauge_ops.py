@@ -13,7 +13,14 @@ quadrature node count, alpha) where there is one, read-only when they are
 arrays; an exception is not memoized.  Its Gaussians, the curl energy on
 the axial surface, Delta on one blocking step and the Feynman form per
 alpha, are each reduced once, and the memo keeps their outputs, not their
-factors.  On top of it live
+factors.  Their surfaces come from `average_constraints` and
+`one_shot_constraints`, cached on the spacing-free shape of the lattice:
+the averaging matrices do not depend on the spacing, so the level-k axial
+surface on the fine lattice is the one of the unit torus with as many
+sites per side, which the flow's step surfaces share.  At level 0 the
+block average is the identity, a point surface that takes no SVD; there
+the Feynman minimizer is the axial one and no penalty is built.  On top
+of it live
 
 * the scalar Green's function G = (-Lap + a Q^T Q)^-1,
 * the projector R onto Lap(ker Q),
@@ -46,7 +53,8 @@ from . import averaging as av
 from .fields import curl_energy_form, grad_matrix
 from .gaussian import (RANK_TOL, AffineSurface, IndefiniteOnSurface,
                        SingularOperator, SurfaceGaussian, positive_cholesky)
-from .lattice import Lattice, LatticeSpec, build_lattice, instance_cache
+from .lattice import (Lattice, LatticeSpec, build_lattice, instance_cache,
+                      shape_cache)
 
 
 DECAY_FLOOR = 1e-13   # decay classes peaking at or below it are left unfitted
@@ -261,8 +269,14 @@ class GaugeContext:
         """(minimizer, covariance) of the Feynman Gaussian, curl energy plus
         the projected-divergence penalty over alpha on the block-average
         surface; memoized per alpha.  The covariance is formed only at
-        alpha = 1, whose moments change_of_gauge_check reads (else None)."""
+        alpha = 1, whose moments change_of_gauge_check reads (else None).
+        At level 0 the block average is the identity: the surface is the
+        axial one, a point per coarse field, where every form has the axial
+        minimizer and the covariance is zero, so neither the penalty nor a
+        Gaussian is built there and the covariance is None."""
         def build():
+            if self.level == 0:
+                return self.axial_minimizer, None
             g = SurfaceGaussian(
                 curl_energy_form(self.fine) + self.div_penalty / alpha,
                 average_constraints(self.fine, self.level))
@@ -413,15 +427,16 @@ class GaugeContext:
             - dg @ self.green_scalar() @ self.proj_div() @ dg.T
 
 
-@instance_cache
+@shape_cache
 def average_constraints(fine: Lattice, k: int) -> AffineSurface:
     """The k-fold block average fixed to the coarse field A, K = Q_b and
-    E = I: the surface of the Feynman minimizer."""
+    E = I: the surface of the Feynman minimizer.  At k = 0, K = I and the
+    surface is a point per coarse field, factored by no SVD."""
     qb = av.bond_average_matrix(fine, k)
     return AffineSurface(qb, np.eye(qb.shape[0]))
 
 
-@instance_cache
+@shape_cache
 def one_shot_constraints(fine: Lattice, k: int) -> AffineSurface:
     """The level-k axial surface on the fine lattice: the k-fold block
     average fixed to the coarse field A and the hierarchical path averages

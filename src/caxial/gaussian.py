@@ -4,7 +4,12 @@ A QuadraticDensity is c * exp(-1/2 <v, F v> + <l, v>) on a coordinate space.
 An AffineSurface is the one surface type: the parallel fibers
 {v : K v = E A} over a coarse field A (without E, the surface K v = 0),
 factored by one SVD of K into an orthonormal basis B of ker K, which every
-fiber shares, and the lift pinv(K) E to a point of each fiber.  Every
+fiber shares, and the lift pinv(K) E to a point of each fiber.  A K equal
+to the identity, read off its entries, is a point surface and takes no SVD:
+its kernel is empty and its lift is E itself, so a Gaussian there never
+reads its form.  The cached surface builders (`gauge_ops`, `rg_flow`) key
+on the spacing-free shape of their lattice, so each distinct K is factored
+once per instance.  Every
 surface integral goes through one type, SurfaceGaussian(F, surface): it
 reduces F once to the kernel coordinates, R = B^T F B (the null-space
 method), where the Gaussian is finite-dimensional and explicit.  The
@@ -71,6 +76,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _is_identity(K: np.ndarray) -> bool:
+    """Whether the dense K is the identity: square, with n nonzero entries,
+    all of them ones on the diagonal."""
+    n = K.shape[0]
+    return K.shape == (n, n) and np.count_nonzero(K) == n \
+        and bool((np.diagonal(K) == 1.0).all())
+
+
 class AffineSurface:
     """The parallel affine surfaces {v : K v = E A} over a coarse field A,
     factored by one SVD K = U S V^T; without E, the one surface K v = 0.
@@ -83,28 +96,32 @@ class AffineSurface:
     lift @ A.  When the rows are dependent, E must map into the range of K
     (every fiber nonempty), or SingularOperator is raised.  All arrays are
     read-only, so a surface can be cached and shared.  A sparse K is
-    densified here, for the SVD.
+    densified here, for the SVD.  K = I takes none: its rank is n, its
+    kernel basis empty, its log-Gram 0 and its lift E itself, not a copy.
     """
 
     def __init__(self, K, E=None):
         K = K.toarray() if sp.issparse(K) else K
         K = np.atleast_2d(np.asarray(K, dtype=float))
+        E = None if E is None else _frozen(np.asarray(E, dtype=float))
+        self.matrix, self.fiber, self.lift = _frozen(K), E, None
+        if _is_identity(K):
+            self.basis = _frozen(np.zeros((K.shape[1], 0)))
+            self.rank, self.log_gram, self.lift = K.shape[0], 0.0, E
+            return
         u, s, vt = np.linalg.svd(K)
         r = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
-        self.matrix = _frozen(K)
         self.basis = _frozen(vt[r:].copy().T)    # frees the rows of vt
         self.rank = r
         self.log_gram = float(2.0 * np.sum(np.log(s[:r])))
-        self.fiber = self.lift = None
         if E is not None:
-            E = np.asarray(E, dtype=float)
             lift = vt[:r].T @ ((u[:, :r].T @ E).T / s[:r]).T
             if r < K.shape[0]:
                 res = np.abs(K @ lift - E).max(initial=0.0)
                 if res > 1e-8 * max(1.0, np.abs(E).max(initial=0.0)):
                     raise SingularOperator(
                         f"constraints inconsistent (residual {res:g})")
-            self.fiber, self.lift = _frozen(E), _frozen(lift)
+            self.lift = _frozen(lift)
 
 
 def kernel_basis(K) -> np.ndarray:
@@ -214,6 +231,8 @@ class SurfaceGaussian:
         B, W = self.surface.basis, self.surface.lift
         if W is None:
             raise ValueError("the constraints carry no fiber map E")
+        if not B.shape[1]:      # a point surface: each fiber is its lift
+            return W
         return _frozen(W - B @ self._solve(B.T @ self.form @ W))
 
     def covariance(self) -> np.ndarray:
@@ -233,6 +252,8 @@ class SurfaceGaussian:
             raise SingularOperator("the Dirac measure needs independent "
                                    "constraint rows")
         F, B = self.form, self.surface.basis
+        if not B.shape[1]:      # a point surface: only the Gram factor
+            return float(log_const - 0.5 * self.surface.log_gram)
         l = np.zeros(F.shape[0]) if linear is None else linear
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
         vstar = B @ self._solve(B.T @ l)

@@ -11,14 +11,16 @@ Every matrix built elsewhere in this package uses this ordering.
 
 Every cache of the package is an `instance_cache`, keyed directly or through
 a lattice on one instance's tower of blocked lattices; `clear_caches` drops
-them all when a run moves to the next instance.
+them all when a run moves to the next instance.  A `shape_cache` keys on
+the spacing-free shape of its lattice instead (dim, L, sites per side,
+boundary), for builders whose output does not depend on the spacing.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -32,6 +34,23 @@ def instance_cache(fn):
     """lru_cache(maxsize=CACHE_SIZE), emptied by clear_caches."""
     _caches.append(lru_cache(maxsize=CACHE_SIZE)(fn))
     return _caches[-1]
+
+
+def shape_cache(build):
+    """An instance_cache of build(lattice, *args) keyed on the spacing-free
+    shape of the lattice: build runs on the unit-spacing lattice with the
+    same dim, L, sites per side and boundary, so every spacing of one shape
+    shares one value."""
+    cached = lru_cache(maxsize=CACHE_SIZE)(build)
+
+    @wraps(build)
+    def on_shape(lattice, *args):
+        spec = lattice.spec
+        return cached(build_lattice(spec.rescaled(-spec.scale_exp)), *args)
+    on_shape.cache_info, on_shape.cache_clear = (cached.cache_info,
+                                                 cached.cache_clear)
+    _caches.append(on_shape)
+    return on_shape
 
 
 def clear_caches():

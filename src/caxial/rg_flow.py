@@ -29,7 +29,7 @@ from . import averaging as av
 from .fields import curl_energy_form, grad_matrix
 from .gauge_ops import get_context, one_shot_constraints
 from .gaussian import AffineSurface, QuadraticDensity, SurfaceGaussian
-from .lattice import Lattice, fine_torus, instance_cache
+from .lattice import Lattice, fine_torus, instance_cache, shape_cache
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def final_step(state: RGState) -> float:
         d.linear, d.log_const) + counts.scale_log(counts.n_levels)
 
 
-@instance_cache
+@shape_cache
 def _one_shot_winding_constraints(fine: Lattice,
                                   n_levels: int) -> AffineSurface:
     """The one-shot last level: winding averages of the fully blocked field

@@ -262,7 +262,6 @@ RG_BUILDERS = (rg_flow._one_shot_winding_constraints,
 
 
 def test_rg_factors_each_builder_key_once(monkeypatch):
-    clear_caches()
     original = np.linalg.svd
     shapes = []
 
@@ -270,15 +269,24 @@ def test_rg_factors_each_builder_key_once(monkeypatch):
         shapes.append(np.shape(a))
         return original(a, *args, **kwargs)
     monkeypatch.setattr(np.linalg, "svd", counted)
-    report, _ = run_verification(small_config(instances=((2, 3, 2),),
-                                              suites=("rg",)))
-    assert {c["status"] for c in report["checks"]} == {"PASS"}
-    infos = [f.cache_info() for f in RG_BUILDERS]
-    # each key is factored once and then shared by the iterated and
-    # one-shot flows, the constants and the minimizers
-    assert all(i.misses == i.currsize for i in infos)
-    assert sum(i.hits for i in infos) > 0
-    assert len(shapes) <= sum(i.currsize for i in infos)
+    # the surfaces of one shape share a key at every spacing, so the flow's
+    # step surfaces are the level contexts' axial ones and, on one level,
+    # final_step's is one_shot_final's; the level-0 surface (K = I) takes
+    # no SVD, and the one SVD past the surfaces is the fluctuation basis.
+    # (2,3,2): steps at 9 and 3 sites per side, the level-2 axial surface
+    # and the two winding stacks; (3,3,1): the step and the winding stack
+    for inst, svds in (((2, 3, 2), 6), ((3, 3, 1), 3)):
+        clear_caches()
+        shapes.clear()
+        report, _ = run_verification(small_config(instances=(inst,),
+                                                  suites=("rg",)))
+        assert {c["status"] for c in report["checks"]} == {"PASS"}
+        infos = [f.cache_info() for f in RG_BUILDERS]
+        # each key is factored once and then shared by the iterated and
+        # one-shot flows, the constants and the minimizers
+        assert all(i.misses == i.currsize for i in infos), inst
+        assert sum(i.hits for i in infos) > 0, inst
+        assert len(shapes) == svds, (inst, shapes)
 
 
 def test_suites_reduce_each_shared_gaussian_once(monkeypatch):
@@ -301,12 +309,13 @@ def test_suites_reduce_each_shared_gaussian_once(monkeypatch):
     report, _ = run_verification(RunConfig(instances=((2, 3, 2),)).validate())
     assert {c["status"] for c in report["checks"]} == {"PASS"}
     # axial at levels 0-2, step at 0-1, Feynman at three alphas on level
-    # 1 and at alpha = 1 on level 0 (fluctuation_step), Landau once
+    # 1, Landau once; the level-0 Feynman minimizer (fluctuation_step) is
+    # the axial one, on the same point surface, and reduces nothing
     assert Counter(name for name, *_ in reductions) == {
-        "_axial": 3, "_step": 2, "build": 4, "rg_step": 2,
+        "_axial": 3, "_step": 2, "build": 3, "rg_step": 2,
         "surface_positive": 2, "final_step": 1, "one_shot_final": 1,
         "change_of_gauge_check": 1}
-    assert len(reductions) <= 16
+    assert len(reductions) <= 15
     pairs = Counter((id(surface), id(form)) for _, surface, form in reductions)
     twice = {name for name, surface, form in reductions
              if pairs[id(surface), id(form)] > 1}

@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from caxial import averaging as av
@@ -66,6 +67,30 @@ def kkt_minimizer(F, l, K, b):
 
 def test_kernel_basis_identity_empty():
     assert kernel_basis(np.eye(4)).shape == (4, 0)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_identity_surface_takes_no_svd(monkeypatch, sparse):
+    # K = I is a point surface read off its entries: rank n, an empty
+    # basis, log-Gram 0 and the lift E itself; a Gaussian there never
+    # reads its form (NaN here), its minimizer is E bit for bit and its
+    # log-partition 0
+    def refused(*args, **kwargs):
+        raise AssertionError("SVD of the identity")
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    n = 5
+    E = rng(7).standard_normal((n, 3))
+    s = AffineSurface(sp.identity(n, format="csr") if sparse else np.eye(n),
+                      E)
+    assert (s.rank, s.basis.shape, s.log_gram) == (n, (n, 0), 0.0)
+    assert np.shares_memory(s.lift, E) and np.array_equal(s.lift, E)
+    g = SurfaceGaussian(np.full((n, n), np.nan), s)
+    assert np.array_equal(g.minimizer, E)
+    assert g.log_partition() == 0.0
+    # anything else is factored: a scaled identity, a permutation
+    for K in (2.0 * np.eye(n), np.eye(n)[::-1]):
+        with pytest.raises(AssertionError, match="SVD of the identity"):
+            AffineSurface(K, E)
 
 
 def test_kernel_basis_orthonormal():
@@ -523,6 +548,43 @@ def test_cached_factor_matches_fresh_factorization(dim, L, levels):
         assert p_cached.log_const == p_fresh.log_const, name
         assert np.array_equal(minimizer_map(form, cached),
                               minimizer_map(form, fresh)), name
+
+
+@pytest.mark.parametrize("dim,L,levels", [(2, 3, 2), (2, 5, 1), (3, 3, 1)])
+def test_surface_builders_do_not_depend_on_the_spacing(dim, L, levels):
+    # on a torus of spacing L^-k the averaging matrices the builders stack,
+    # and the K and E of each builder, equal exactly those of the
+    # unit-spacing torus with the same sites per side; so the cached
+    # builders return one surface for both
+    def same(a, b):
+        return a.shape == b.shape and (a != b).nnz == 0
+
+    unit = unit_torus(dim, L, levels)
+    builders = ((one_shot_constraints, range(levels + 1)),
+                (average_constraints, range(levels + 1)),
+                (_one_shot_winding_constraints, (levels,)))
+    for k in range(1, levels + 1):
+        fine = fine_torus(dim, L, k, levels - k)
+        assert fine.spacing != unit.spacing
+        assert fine.n_side == unit.n_side
+        for j in range(levels + 1):
+            assert same(av.bond_average_matrix(fine, j),
+                        av.bond_average_matrix(unit, j)), (k, j)
+            assert same(av.axial_constraint_stack(fine, j).matrix,
+                        av.axial_constraint_stack(unit, j).matrix), (k, j)
+        assert same(av.toron_average_full_matrix(fine, levels),
+                    av.toron_average_full_matrix(unit, levels)), k
+        for builder, args in builders:
+            for j in args:
+                name = (builder.__name__, k, j)
+                on_fine = builder.__wrapped__(fine, j)
+                on_unit = builder.__wrapped__(unit, j)
+                assert np.array_equal(on_fine.matrix, on_unit.matrix), name
+                if on_unit.fiber is None:
+                    assert on_fine.fiber is None, name
+                else:
+                    assert np.array_equal(on_fine.fiber, on_unit.fiber), name
+                assert builder(fine, j) is builder(unit, j), name
 
 
 def test_cached_factors_are_read_only_and_shared():
