@@ -232,7 +232,7 @@ class GaugeContext:
         pushforward, the level-k one-shot density (Delta, log Z_k)."""
         g = SurfaceGaussian(curl_energy_form(self.fine), self.axial_surface)
         density = g.push()
-        density.form.flags.writeable = density.linear.flags.writeable = False
+        density.form.flags.writeable = False
         return g.minimizer, density
 
     axial_minimizer = property(lambda self: self._axial[0], doc="""Unit

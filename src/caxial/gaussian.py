@@ -1,21 +1,22 @@
 """Exact Gaussian integration over affine constraint surfaces.
 
-A QuadraticDensity is c * exp(-1/2 <v, F v> + <l, v>) on a coordinate space.
+A QuadraticDensity is a centered Gaussian c * exp(-1/2 <v, F v>) on a
+coordinate space: the RG flow starts from one and every push keeps it so.
 An AffineSurface is the one surface type: the parallel fibers
 {v : K v = E A} over a coarse field A (without E, the surface K v = 0),
 factored by one SVD of K into an orthonormal basis B of ker K, which every
 fiber shares, and the lift pinv(K) E to a point of each fiber.  A K equal
 to the identity, read off its entries, is a point surface and takes no SVD:
-its kernel is empty and its lift is E itself, so a Gaussian there never
-reads its form.  The cached surface builders (`gauge_ops`, `rg_flow`) key
-on the spacing-free shape of their lattice, so each distinct K is factored
-once per instance.  Every
-surface integral goes through one type, SurfaceGaussian(F, surface): it
-reduces F once to the kernel coordinates, R = B^T F B (the null-space
+its kernel is empty and its lift is E itself, so a Gaussian there takes
+its minimizer from E and, when E = I, pushes its form to itself.  The
+cached surface builders (`gauge_ops`, `rg_flow`) key on the spacing-free
+shape of their lattice, so each distinct K is factored once per instance.
+Every surface integral goes through one type, SurfaceGaussian(F, surface):
+it reduces F once to the kernel coordinates, R = B^T F B (the null-space
 method), where the Gaussian is finite-dimensional and explicit.  The
 Cholesky factor of R is the positivity certificate and gives the
-log-determinant; solves with R, taken after the certificate, give the
-minimizer map, covariance, log-partition and pushforward.  Only this
+log-determinant, hence the log-partition; solves with R, taken after the
+certificate, give the minimizer map, covariance and pushforward.  Only this
 module reads a surface's basis and lift; `kernel_basis` is the one kernel
 accessor for the rest.
 
@@ -77,8 +78,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _is_identity(K: np.ndarray) -> bool:
-    """Whether the dense K is the identity: square, with n nonzero entries,
-    all of them ones on the diagonal."""
+    """Whether the dense matrix K is the identity: square, with n nonzero
+    entries, all of them ones on the diagonal."""
     n = K.shape[0]
     return K.shape == (n, n) and np.count_nonzero(K) == n \
         and bool((np.diagonal(K) == 1.0).all())
@@ -171,18 +172,13 @@ def kernel_residual(T: np.ndarray, K: np.ndarray) -> float:
 
 @dataclass
 class QuadraticDensity:
-    """c * exp(-1/2 <v, form v> + <linear, v>) with log c = log_const."""
+    """The centered Gaussian c * exp(-1/2 <v, form v>), log c = log_const."""
 
     form: np.ndarray
-    linear: np.ndarray = None
     log_const: float = 0.0
 
     def __post_init__(self):
         self.form = np.asarray(self.form, dtype=float)
-        n = self.form.shape[0]
-        if self.linear is None:
-            self.linear = np.zeros(n)
-        self.linear = np.asarray(self.linear, dtype=float)
         asym = np.abs(self.form - self.form.T).max()
         scale = max(1.0, np.abs(self.form).max())
         if asym > 1e-12 * scale:
@@ -242,34 +238,26 @@ class SurfaceGaussian:
         cov = B @ self._solve(B.T)
         return 0.5 * (cov + cov.T)
 
-    def log_partition(self, linear: np.ndarray = None,
-                      log_const: float = 0.0) -> float:
-        """Log of the integral of exp(-1/2 <v, F v> + <linear, v>
-        + log_const) against delta(K v), the fiber over A = 0, under the
-        Dirac measure, which needs independent constraint rows."""
+    def log_partition(self) -> float:
+        """Log of the integral of exp(-1/2 <v, F v>) against delta(K v), the
+        fiber over A = 0, under the Dirac measure, which needs independent
+        constraint rows."""
         chol = self._chol
         if self.surface.rank < self.surface.matrix.shape[0]:
             raise SingularOperator("the Dirac measure needs independent "
                                    "constraint rows")
-        F, B = self.form, self.surface.basis
-        if not B.shape[1]:      # a point surface: only the Gram factor
-            return float(log_const - 0.5 * self.surface.log_gram)
-        l = np.zeros(F.shape[0]) if linear is None else linear
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        vstar = B @ self._solve(B.T @ l)
-        value = (0.5 * chol.shape[0] * LOG_2PI - 0.5 * logdet
-                 - 0.5 * vstar @ F @ vstar + l @ vstar + log_const)
-        return float(value - 0.5 * self.surface.log_gram)
+        return float(0.5 * chol.shape[0] * LOG_2PI - 0.5 * logdet
+                     - 0.5 * self.surface.log_gram)
 
-    def push(self, linear: np.ndarray = None,
-             log_const: float = 0.0) -> QuadraticDensity:
-        """Integrate the density exp(-1/2 <v, F v> + <linear, v>
-        + log_const) against delta(K v - E A) over v: the density of the
-        coarse variable A, with form H^T F H, linear term H^T linear and
-        constant log_partition(linear, log_const), H the minimizer.  The
-        fibers are parallel, so A enters only through H A."""
+    def push(self) -> QuadraticDensity:
+        """Integrate exp(-1/2 <v, F v>) against delta(K v - E A) over v: the
+        centered density of the coarse variable A, with form H^T F H and
+        constant log_partition(), H the minimizer.  The fibers are parallel,
+        so A enters only through H A.  An identity H (a point surface
+        lifted by I) pushes F to itself."""
         H = self.minimizer
-        l = np.zeros(self.form.shape[0]) if linear is None else linear
+        if _is_identity(H):
+            return QuadraticDensity(self.form, self.log_partition())
         m = H.T @ self.form @ H
-        return QuadraticDensity(0.5 * (m + m.T), H.T @ l,
-                                self.log_partition(l, log_const))
+        return QuadraticDensity(0.5 * (m + m.T), self.log_partition())

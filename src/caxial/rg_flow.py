@@ -67,8 +67,8 @@ class RGState:
 
     def gauge_residual(self) -> float:
         """Max of form @ grad: the density must not see pure gauges."""
-        g = grad_matrix(self.lattice).toarray()
-        return float(np.abs(self.density.form @ g).max())
+        grad = grad_matrix(self.lattice)
+        return float(np.abs((grad.T @ self.density.form.T).T).max())
 
 
 def init_rho0(dim: int, L: int, n_levels: int) -> RGState:
@@ -86,13 +86,13 @@ def rg_step(state: RGState) -> RGState:
         raise ValueError("flow already at the last level")
     d = state.density
     pushed = SurfaceGaussian(d.form, one_shot_constraints(
-        state.lattice, 1)).push(d.linear, d.log_const)
+        state.lattice, 1)).push()
     # relabeling to unit spacing multiplies values by L**((dim-2)/2), so
-    # the form and linear coefficients divide by its square and itself
+    # the form divides by its square
     s = float(counts.L) ** ((counts.dim - 2) / 2.0)
     new = QuadraticDensity(
-        pushed.form / (s * s), pushed.linear / s,
-        pushed.log_const + counts.scale_log(state.level + 1))
+        pushed.form / (s * s),
+        d.log_const + pushed.log_const + counts.scale_log(state.level + 1))
     coarse = fine_torus(counts.dim, counts.L, 0,
                         counts.n_levels - state.level - 1)
     return RGState(state.level + 1, coarse, new, counts)
@@ -105,8 +105,8 @@ def final_step(state: RGState) -> float:
     if state.level != counts.n_levels - 1:
         raise ValueError("final step applies at the next-to-last level")
     d, surface = state.density, _one_shot_winding_constraints(state.lattice, 1)
-    return SurfaceGaussian(d.form, surface).log_partition(
-        d.linear, d.log_const) + counts.scale_log(counts.n_levels)
+    return d.log_const + SurfaceGaussian(d.form, surface).log_partition() \
+        + counts.scale_log(counts.n_levels)
 
 
 @shape_cache
@@ -146,8 +146,8 @@ def flow_states(dim: int, L: int, n_levels: int) -> tuple:
     states = [init_rho0(dim, L, n_levels)]
     while states[-1].level < n_levels:
         states.append(rg_step(states[-1]))
-    for density in (state.density for state in states):
-        density.form.flags.writeable = density.linear.flags.writeable = False
+    for state in states:
+        state.density.form.flags.writeable = False
     return tuple(states)
 
 

@@ -411,13 +411,12 @@ def test_library_caches_are_shared_and_read_only():
     assert c.feynman(1.0) is c.feynman(1.0)
     assert c.axial_density is c.axial_density
     arrays = [s.density.form for s in states] \
-        + [s.density.linear for s in states] \
         + [c.cov_sqrt_spectral(), c.cov_sqrt_quadrature(leggauss(20)),
            c.green_scalar(), c.proj_div(), c.proj_div_next(),
            av.fluctuation_basis(c.unit), c.grad_fine, c.lap_fine,
            c.axial_minimizer, c.delta, c.div_penalty, c.reduced_delta,
            c.div_range_basis, c.fluct_basis, c.chi_star,
-           c.axial_density.linear, c.step_minimizer, c.step_covariance,
+           c.step_minimizer, c.step_covariance,
            *c.feynman(1.0), c.feynman(0.5)[0]]
     for a in arrays:
         with pytest.raises(ValueError):

@@ -41,28 +41,29 @@ def subspace_covariance(F, surface):
     return SurfaceGaussian(F, surface).covariance()
 
 
+# the density's constant is carried by the caller, as the flow does
 def log_partition(density, surface):
-    return SurfaceGaussian(density.form, surface).log_partition(
-        density.linear, density.log_const)
+    return density.log_const \
+        + SurfaceGaussian(density.form, surface).log_partition()
 
 
 def push_constraint(density, surface):
-    return SurfaceGaussian(density.form, surface).push(density.linear,
-                                                       density.log_const)
+    pushed = SurfaceGaussian(density.form, surface).push()
+    return QuadraticDensity(pushed.form,
+                            density.log_const + pushed.log_const)
 
 
 def log_value(density, v):
     """log of the density at the point v."""
-    return (density.log_const - 0.5 * v @ density.form @ v
-            + density.linear @ v)
+    return density.log_const - 0.5 * v @ density.form @ v
 
 
-def kkt_minimizer(F, l, K, b):
-    """argmin 1/2 <v, F v> - <l, v> subject to K v = b, from the KKT
-    system (full row rank K)."""
+def kkt_solve(F, K, J, b):
+    """x of [[F, K^T], [K, 0]] [x; mu] = [J; b]: the argmin of
+    1/2 <v, F v> - <J, v> subject to K v = b (full row rank K)."""
     n, m = F.shape[0], K.shape[0]
     kkt = np.block([[F, K.T], [K, np.zeros((m, m))]])
-    return np.linalg.solve(kkt, np.concatenate([l, b]))[:n]
+    return np.linalg.solve(kkt, np.concatenate([J, b]))[:n]
 
 
 def test_kernel_basis_identity_empty():
@@ -87,6 +88,16 @@ def test_identity_surface_takes_no_svd(monkeypatch, sparse):
     g = SurfaceGaussian(np.full((n, n), np.nan), s)
     assert np.array_equal(g.minimizer, E)
     assert g.log_partition() == 0.0
+    # lifted by I, the push returns the form bit for bit; lifted by a
+    # permutation P, it is still P^T F P
+    F = random_spd(n, rng(8))
+    F = 0.5 * (F + F.T)
+    pushed = SurfaceGaussian(F, AffineSurface(np.eye(n), np.eye(n))).push()
+    assert np.array_equal(pushed.form, F) and pushed.log_const == 0.0
+    P = np.eye(n)[::-1]
+    pushed = SurfaceGaussian(F, AffineSurface(np.eye(n), P)).push()
+    assert np.array_equal(pushed.form, P.T @ F @ P)
+    assert not np.array_equal(pushed.form, F)
     # anything else is factored: a scaled identity, a permutation
     for K in (2.0 * np.eye(n), np.eye(n)[::-1]):
         with pytest.raises(AssertionError, match="SVD of the identity"):
@@ -132,8 +143,7 @@ def test_minimize_first_order_optimality():
     assert np.abs(K @ v - E @ A).max() < 1e-10
     # gradient orthogonal to the surface directions
     assert np.abs(s.basis.T @ F @ v).max() < 1e-9
-    assert np.allclose(v, kkt_minimizer(F, np.zeros(7), K, E @ A),
-                       atol=1e-10)
+    assert np.allclose(v, kkt_solve(F, K, np.zeros(7), E @ A), atol=1e-10)
 
 
 def test_minimize_independent_of_particular_point():
@@ -295,11 +305,9 @@ def test_log_partition_1d():
 def test_log_partition_additivity():
     r = rng()
     F1, F2 = random_spd(3, r), random_spd(4, r)
-    d1 = QuadraticDensity(F1, r.standard_normal(3))
-    d2 = QuadraticDensity(F2, r.standard_normal(4))
+    d1, d2 = QuadraticDensity(F1, 0.3), QuadraticDensity(F2, -1.1)
     dd = QuadraticDensity(np.block([[F1, np.zeros((3, 4))],
-                                    [np.zeros((4, 3)), F2]]),
-                          np.concatenate([d1.linear, d2.linear]))
+                                    [np.zeros((4, 3)), F2]]), 0.3 - 1.1)
     lp = log_partition(dd, unconstrained(7))
     assert abs(lp - log_partition(d1, unconstrained(3))
                - log_partition(d2, unconstrained(4))) < 1e-10
@@ -307,7 +315,7 @@ def test_log_partition_additivity():
 
 def test_log_partition_invariant_under_reorthonormalization():
     r = rng()
-    d = QuadraticDensity(random_spd(8, r), r.standard_normal(8))
+    d = QuadraticDensity(random_spd(8, r), 0.4)
     s1 = AffineSurface(r.standard_normal((3, 8)))
     # rotate the kernel basis: same surface, different orthonormal basis
     n = s1.basis.shape[1]
@@ -341,15 +349,14 @@ def test_log_partition_dirac_needs_full_rank():
 
 def test_log_partition_matches_brute_force_eigen():
     r = rng()
-    d = QuadraticDensity(random_spd(6, r), r.standard_normal(6))
+    d = QuadraticDensity(random_spd(6, r), 0.3)
     K = r.standard_normal((2, 6))
     s = AffineSurface(K)
     R = s.basis.T @ d.form @ s.basis
     w = np.linalg.eigvalsh(R)
-    vstar = kkt_minimizer(d.form, d.linear, K, np.zeros(2))
     # the Dirac measure divides the surface integral by sqrt(det(K K^T))
     expect = (0.5 * len(w) * np.log(2 * np.pi) - 0.5 * np.sum(np.log(w))
-              + log_value(d, vstar) - 0.5 * np.linalg.slogdet(K @ K.T)[1])
+              + d.log_const - 0.5 * np.linalg.slogdet(K @ K.T)[1])
     assert abs(log_partition(d, s) - expect) < 1e-10
 
 
@@ -370,38 +377,40 @@ def test_covariance_identity_form():
                        np.eye(4), atol=1e-12)
 
 
-def test_moment_generating_matches_log_partition_shift():
-    # log E e^<v,J> = <mean, J> + 1/2 <J, cov J> for the normalized Gaussian
-    # on the surface, whose mean is the constrained minimizer;
-    # equals log_partition(with linear + J) - log_partition(base)
+def test_covariance_matches_kkt_solve():
+    # cov J is the mean of the surface Gaussian tilted by e^<v,J> (so
+    # log E e^<v,J> = 1/2 <J, cov J>): the argmin of 1/2 <v, F v> - <J, v>
+    # on ker K, from the KKT system of that minimization
     r = rng()
-    d = QuadraticDensity(random_spd(5, r), r.standard_normal(5))
+    F = random_spd(5, r)
     K = r.standard_normal((2, 5))
-    s = AffineSurface(K)
     J = r.standard_normal(5)
-    mean = kkt_minimizer(d.form, d.linear, K, np.zeros(2))
-    moment = mean @ J + 0.5 * J @ subspace_covariance(d.form, s) @ J
-    shifted = QuadraticDensity(d.form, d.linear + J, d.log_const)
-    assert abs(moment
-               - (log_partition(shifted, s) - log_partition(d, s))) < 1e-9
+    cov = subspace_covariance(F, AffineSurface(K))
+    tilted = kkt_solve(F, K, J, np.zeros(2))
+    assert np.abs(cov @ J - tilted).max() < 1e-10
 
 
 def test_push_constraint_matches_pointwise_partition():
     # the pushed density evaluated at A equals the fiber integral at A
     r = rng()
     F = random_spd(7, r)
-    l = r.standard_normal(7)
-    d = QuadraticDensity(F, l, 0.3)
+    d = QuadraticDensity(F, 0.3)
     K = r.standard_normal((3, 7))
     E = r.standard_normal((3, 2))
     pushed = push_constraint(d, AffineSurface(K, E))
-    homogeneous = AffineSurface(K)
+    B = sla.null_space(K)
+    R = B.T @ F @ B
     for A in (np.zeros(2), r.standard_normal(2), r.standard_normal(2)):
-        # v = p + u with K p = E A and K u = 0: the density of u
+        # v = p + B y with K p = E A: the density of y is the translated
+        # Gaussian exp(log d(p) - 1/2 <y, R y> + <B^T l, y>), l = -F p,
+        # whose Dirac integral is closed form
         p = np.linalg.lstsq(K, E @ A, rcond=None)[0]
-        translated = QuadraticDensity(F, l - F @ p, log_value(d, p))
-        assert abs(log_value(pushed, A)
-                   - log_partition(translated, homogeneous)) < 1e-9
+        lB = B.T @ (-F @ p)
+        fiber = (log_value(d, p) + 0.5 * lB @ np.linalg.solve(R, lB)
+                 + 0.5 * len(R) * np.log(2 * np.pi)
+                 - 0.5 * np.linalg.slogdet(R)[1]
+                 - 0.5 * np.linalg.slogdet(K @ K.T)[1])
+        assert abs(log_value(pushed, A) - fiber) < 1e-9
 
 
 def test_push_constraint_gaussian_marginal():
@@ -421,49 +430,43 @@ def test_push_constraint_gaussian_marginal():
 
 def _former_push(density, surface):
     """The pushforward as formed before the reduced Gaussian type:
-    W^T F W - FW^T M FW, W^T l - FW^T M l and its constant, with
-    M = B R^-1 B^T the n x n inverse on the kernel basis."""
-    F, l, B, W = density.form, density.linear, surface.basis, surface.lift
+    W^T F W - FW^T M FW and its constant, with M = B R^-1 B^T the n x n
+    inverse on the kernel basis."""
+    F, B, W = density.form, surface.basis, surface.lift
     R = B.T @ F @ B
     chol = positive_cholesky(0.5 * (R + R.T))
     M = B @ sla.cho_solve((chol, True), B.T)
     FW = F @ W
     phi = W.T @ FW - FW.T @ M @ FW
-    psi = W.T @ l - FW.T @ M @ l
-    const = (density.log_const + 0.5 * l @ M @ l
-             + 0.5 * chol.shape[0] * np.log(2.0 * np.pi)
+    const = (density.log_const + 0.5 * chol.shape[0] * np.log(2.0 * np.pi)
              - np.sum(np.log(np.diag(chol))) - 0.5 * surface.log_gram)
-    return (0.5 * (phi + phi.T), psi, const,
-            np.abs(W.T @ FW).max(), np.abs(W.T @ l).max())
+    return 0.5 * (phi + phi.T), const, np.abs(W.T @ FW).max()
 
 
 def _push_cases():
     r = rng(21)
     for n, m, c in ((7, 3, 2), (12, 5, 4), (9, 1, 1)):
         K = r.standard_normal((m, n))
-        yield (f"random_{n}_{m}",
-               QuadraticDensity(random_spd(n, r), r.standard_normal(n), 0.7),
+        yield (f"random_{n}_{m}", QuadraticDensity(random_spd(n, r), 0.7),
                AffineSurface(K, r.standard_normal((m, c))))
-    # the flow's own forms on its step surfaces, with a linear term added
+    # the flow's own forms on its step surfaces
     for inst in ((2, 3, 2), (3, 3, 1)):
         for state in flow_states(*inst)[:-1]:
-            form = state.density.form
             yield (f"flow_{inst}_{state.level}",
-                   QuadraticDensity(form, r.standard_normal(len(form)), 0.2),
+                   QuadraticDensity(state.density.form, 0.2),
                    one_shot_constraints(state.lattice, 1))
 
 
 @pytest.mark.parametrize("case", list(_push_cases()), ids=lambda c: c[0])
 def test_push_matches_the_former_pushforward(case):
-    # H^T F H and H^T l equal W^T F W - FW^T M FW and W^T l - FW^T M l,
-    # since M F M = M, relative to the terms the former formula subtracts
-    # (the last step of (3,3,1) pushes to a zero form); the constant is
-    # the log-partition of the fiber over A = 0
+    # H^T F H equals W^T F W - FW^T M FW, since M F M = M, relative to the
+    # terms the former formula subtracts (the last step of (3,3,1) pushes
+    # to a zero form); the constant is the log-partition of the fiber
+    # over A = 0
     _, density, surface = case
     pushed = push_constraint(density, surface)
-    phi, psi, const, phi_scale, psi_scale = _former_push(density, surface)
+    phi, const, phi_scale = _former_push(density, surface)
     assert np.abs(pushed.form - phi).max() <= 1e-12 * phi_scale
-    assert np.abs(pushed.linear - psi).max() <= 1e-12 * psi_scale
     assert abs(pushed.log_const - const) <= 1e-12 * max(1.0, abs(const))
 
 
@@ -525,7 +528,6 @@ def test_cached_factor_matches_fresh_factorization(dim, L, levels):
     # afresh from K and E; the step and winding surfaces come from the
     # one-shot builders at one level, whose K is [Q_b; tau] (or
     # [toron; tau]) exactly
-    r = rng(dim * L + levels)
     for name, lat, cached, K, E in _builder_surfaces(dim, L, levels):
         assert np.array_equal(cached.matrix, K), name
         fresh = AffineSurface(K, E)
@@ -533,7 +535,7 @@ def test_cached_factor_matches_fresh_factorization(dim, L, levels):
         assert (cached.rank, cached.log_gram) \
             == (fresh.rank, fresh.log_gram), name
         form = curl_energy_form(lat)
-        density = QuadraticDensity(form, r.standard_normal(lat.n_bonds))
+        density = QuadraticDensity(form)
         assert log_partition(density, cached) \
             == log_partition(density, fresh), name
         if E is None:
@@ -544,7 +546,6 @@ def test_cached_factor_matches_fresh_factorization(dim, L, levels):
         p_cached = push_constraint(density, cached)
         p_fresh = push_constraint(density, fresh)
         assert np.array_equal(p_cached.form, p_fresh.form), name
-        assert np.array_equal(p_cached.linear, p_fresh.linear), name
         assert p_cached.log_const == p_fresh.log_const, name
         assert np.array_equal(minimizer_map(form, cached),
                               minimizer_map(form, fresh)), name
