@@ -23,8 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .lattice import Lattice, LatticeError, build_lattice, instance_cache
-from .fields import (BOND, PLAQUETTE, SITE, _csr, block_symbol, ext_d_matrix,
-                     grad_matrix)
+from .fields import (BOND, PLAQUETTE, SITE, _block_ordinals, _csr,
+                     block_symbol, ext_d_matrix, grad_matrix)
 from .gaussian import kernel_basis
 
 
@@ -397,24 +397,45 @@ def solve_central(lattice: Lattice, values: np.ndarray) -> np.ndarray:
 
 @instance_cache
 def fluctuation_basis(lattice: Lattice) -> np.ndarray:
-    """Columns parametrizing {bond average = 0, path average = 0}.
+    """Columns parametrizing {bond average = 0, path average = 0}, block by
+    block: column y * n + j is parameter j of the block of coarse site y,
+    for n parameters per block.
 
-    First columns: an orthonormal basis of the path-average kernel on
-    in-block bonds, completed by the induced central values; remaining
-    columns: one per non-central linking bond, again with central values
-    solved for.  The map is injective and its range is exactly the
-    homogeneous constraint surface.
+    The block of coarse site 0 has, first, an orthonormal basis of the
+    path-average kernel on its in-block bonds, from one SVD of its slice of
+    the path averages, and then one column per non-central linking bond of
+    its coarse bonds; each column is completed by the induced central
+    values.  Every other block's columns are those translated by its block
+    position, so the basis commutes with the block translations and
+    `fields.block_symbol` reads it as a map from n values per coarse site.
+    The map is injective and its range is exactly the homogeneous
+    constraint surface.
     """
     split = fluctuation_split(lattice)
-    # dense for the kernel basis's SVD
-    tau = path_average_matrix(lattice).matrix.toarray()
-    if np.any(tau[:, split.linking] != 0):
+    paths = path_average_matrix(lattice)
+    linking = np.zeros(lattice.n_bonds, dtype=bool)
+    linking[split.linking] = True
+    if linking[paths.matrix.indices[paths.matrix.data != 0]].any():
         raise LatticeError("path averages touch linking bonds")
-    kernel = kernel_basis(tau[:, split.in_block])
-    n_kernel, noncentral = kernel.shape[1], split.noncentral
-    cols = np.zeros((lattice.n_bonds, n_kernel + len(noncentral)))
-    cols[split.in_block, :n_kernel] = kernel
-    cols[noncentral, n_kernel + np.arange(len(noncentral))] = 1.0
-    cols[split.central] = solve_central(lattice, cols)
+    coarse, grid = split.coarse, split.coarse.n_side
+    # block 0: the in-block bonds at its sites (ascending) and its rows,
+    # the first ones (rows go by coarse site), dense for the kernel's SVD
+    sites = np.zeros(lattice.n_sites, dtype=bool)
+    sites[_blocks(lattice, coarse)[0]] = True
+    in_block = split.in_block[sites[lattice.bond_sites[split.in_block]]]
+    tau = paths.matrix[:np.count_nonzero(paths.rows[:, 0] == 0)].toarray()
+    kernel = kernel_basis(tau[:, in_block])
+    noncentral = split.noncentral.reshape(coarse.n_sites, -1)[0]
+    n_kernel = kernel.shape[1]
+    first = np.zeros((lattice.n_bonds, n_kernel + len(noncentral)))
+    first[in_block, :n_kernel] = kernel
+    first[noncentral, n_kernel + np.arange(len(noncentral))] = 1.0
+    first[split.central] = solve_central(lattice, first)
+    # the block at position h: rows moved by h block positions per axis
+    bonds, _ = _block_ordinals((lattice, BOND), grid)
+    axes = tuple(range(0, 2 * lattice.dim, 2))
+    moved = [np.roll(bonds, h, axis=axes).ravel()
+             for h in np.ndindex((grid,) * lattice.dim)]
+    cols = first[np.stack(moved, axis=1)].reshape(lattice.n_bonds, -1)
     cols.flags.writeable = False    # cached and shared
     return cols

@@ -46,7 +46,11 @@ BOND = "bond"
 PLAQUETTE = "plaquette"
 
 
-def element_count(lattice: Lattice, kind: str) -> int:
+def element_count(lattice: Lattice, kind) -> int:
+    """Elements of one kind; an int kind n is a space of n values per site,
+    as the fluctuation basis has n parameters per coarse site."""
+    if isinstance(kind, int):
+        return lattice.n_sites * kind
     return {SITE: lattice.n_sites, BOND: lattice.n_bonds,
             PLAQUETTE: lattice.n_plaquettes}[kind]
 
@@ -74,13 +78,15 @@ def block_symbol(matrix, codomain, domain, grid: int) -> np.ndarray:
     Both spaces are cut into grid**dim blocks, so a fine index L*g + r
     along each axis is (block position g, offset r); a space whose side
     equals grid has one site per block.  The operator must commute exactly
-    with the block translations: it is compared, on its nonzeros, with its
-    conjugate by the shift of one block position along each axis, rows and
-    columns together, and LatticeError is raised if any entry differs.
+    with the block translations: its nonzero entries, moved by the shift
+    of one block position along each axis, rows and columns together, must
+    be its nonzero entries, and LatticeError is raised if any differs.  On
+    one block (grid 1) every shift is the identity and nothing is tested.
     Then it is the block convolution by its first block column C[g] (rows
     of block g, columns of block 0), and the symbol is the unnormalized DFT
     S[k] = sum_g C[g] exp(-2 pi i k.g / grid), an array of shape
-    (grid,)*dim + (a, b) for blocks of a rows and b columns.
+    (grid,)*dim + (a, b) for blocks of a rows and b columns: complex, or
+    the float matrix itself on one block.
     """
     dim = domain[0].dim
     rows, a = _block_ordinals(codomain, grid)
@@ -89,16 +95,36 @@ def block_symbol(matrix, codomain, domain, grid: int) -> np.ndarray:
     if m.shape != (rows.size, cols.size):
         raise LatticeError(f"matrix shape {m.shape} != "
                            f"{(rows.size, cols.size)}")
+    if grid == 1:
+        return m.toarray().reshape((1,) * dim + (a, b))
+    if not m.has_canonical_format:
+        m = m.copy()
+        m.sum_duplicates()
+    # the nonzero entries (i, j, v) in row-major order: their keys come sorted
+    nonzero = m.data != 0
+    r = np.repeat(np.arange(rows.size), np.diff(m.indptr))[nonzero]
+    c, v = m.indices[nonzero], m.data[nonzero]
+    key = r * cols.size + c
     for axis in range(dim):
         # p[.., g, ..] = index[.., g - 1, ..]: M commutes with the shift
-        # when M[p_rows][:, p_cols] == M
+        # when moving every entry (i, j) to (p[i], p[j]) maps the entries
+        # onto themselves, values included
         p_rows = np.roll(rows, 1, axis=2 * axis).ravel()
         p_cols = np.roll(cols, 1, axis=2 * axis).ravel()
-        if (m[p_rows][:, p_cols] != m).nnz:
+        moved = p_rows[r] * cols.size + p_cols[c]
+        # a shift leaves long sorted runs, which a stable sort merges
+        order = np.argsort(moved, kind="stable")
+        if not (np.array_equal(moved[order], key)
+                and np.array_equal(v[order], v)):
             raise LatticeError("operator does not commute with the block "
                                f"translations along axis {axis}")
-    first = cols[(0, slice(None)) * dim].ravel()    # block 0, within order
-    column = m[:, first].toarray().reshape(rows.shape + (b,))
+    # the first block column: the entries in the columns of block 0
+    within = np.full(cols.size, -1)
+    within[cols[(0, slice(None)) * dim].ravel()] = np.arange(b)
+    first = within[c] >= 0
+    column = np.zeros((rows.size, b))
+    column[r[first], within[c[first]]] = v[first]
+    column = column.reshape(rows.shape + (b,))
     row_pos = tuple(range(0, 2 * dim, 2))
     order = row_pos + tuple(p for p in range(column.ndim) if p not in row_pos)
     column = column.transpose(order).reshape((grid,) * dim + (a, b))

@@ -32,14 +32,25 @@ of it live
 * the bond-space Green's functions whose compression reproduces that
   covariance, and the integral representation of its square root.
 
-The averaging and recovery maps of a context (`scalar_average`,
-`bond_average`, their `_next` versions, `one_plus_grad_recovery` and
-`compression`) are the CSR matrices of the cached `averaging` builders,
-never densified: a CSR map times a dense matrix is a dense ndarray.  Their
-Gram matrices are formed once per context, in coordinate (COO) form, and
-added into the dense operators on their stored entries.  The gradient,
-the Laplacian, the Green's functions, projectors, minimizers and effective
-forms are dense ndarrays.
+The averaging maps of a context (`scalar_average`, `bond_average` and
+their `_next` versions) are the CSR matrices of the cached `averaging`
+builders, never densified: a CSR map times a dense matrix is a dense
+ndarray.  The gradient, the Laplacian, the scalar Green's function,
+projectors, minimizers and effective forms are dense ndarrays.  The
+covariance representation runs on block-Fourier symbols instead: every
+operator in it commutes with the translations by one block of the next
+averaging, so `fine_operator`, `fine_green` and `tilde_green` return
+symbol stacks, one small block per momentum, of shape (grid,)*dim +
+(b, b) for b bonds per block (the float matrix itself when the torus is
+one block).  `fields.block_symbol` reads the symbols, with its exact
+translation test, off the CSR builders (ext_d, grad, the next scalar and
+bond averages, the bond average, the scalar recovery and diag(chi*)) and
+off the fluctuation basis, which is built block by block; above level 0
+also off Delta, a computed form, which passes the test only on one
+block.  The curl form, the regularized Green's function and projector of
+the next scalar average, the regularized bond operator, its Green's
+functions, the compression and both sides of `rep_check` are products,
+sums and inverses taken block by block.
 """
 
 from __future__ import annotations
@@ -50,7 +61,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import averaging as av
-from .fields import curl_energy_form, grad_matrix
+from .fields import (BOND, PLAQUETTE, SITE, block_symbol, curl_energy_form,
+                     ext_d_matrix, grad_matrix)
 from .gaussian import (RANK_TOL, AffineSurface, IndefiniteOnSurface,
                        SingularOperator, SurfaceGaussian, positive_cholesky)
 from .lattice import (Lattice, LatticeSpec, build_lattice, instance_cache,
@@ -60,18 +72,48 @@ from .lattice import (Lattice, LatticeSpec, build_lattice, instance_cache,
 DECAY_FLOOR = 1e-13   # decay classes peaking at or below it are left unfitted
 
 
+def _h(m: np.ndarray) -> np.ndarray:
+    """The adjoint of a matrix, or of each block of a symbol stack: the
+    conjugate transpose of the last two axes (a view when real)."""
+    m = m.swapaxes(-1, -2)
+    return m.conj() if np.iscomplexobj(m) else m
+
+
 def sym_norm2(m: np.ndarray) -> float:
-    """Spectral norm of a symmetric matrix: the largest |eigenvalue| of its
-    symmetric part, one eigvalsh instead of the SVD of norm(m, 2)."""
-    w = np.linalg.eigvalsh(0.5 * (m + m.T))
-    return float(max(-w[0], w[-1]))
+    """Spectral norm of a symmetric matrix, or of the block-circulant
+    operator of a symbol stack: the largest |eigenvalue| of its Hermitian
+    part over all blocks, one (batched) eigvalsh instead of the SVD of
+    norm(m, 2)."""
+    w = np.linalg.eigvalsh(0.5 * (m + _h(m)))
+    return float(max(-w[..., 0].min(), w[..., -1].max()))
 
 
 def _spd_inverse(op: np.ndarray, error, what: str) -> np.ndarray:
-    """op^-1, once positive_cholesky(op, ...) certifies op positive
-    definite; its factor is dropped before the inverse is formed."""
+    """op^-1, or the inverse of each block of a symbol stack, once
+    positive_cholesky(op, ...) certifies op positive definite; its factor
+    is dropped before the inverse is formed."""
     positive_cholesky(op, error, what)
     return np.linalg.inv(op)
+
+
+def _scalar_green(lap: np.ndarray, reg: np.ndarray, a: float) -> np.ndarray:
+    """(-Lap + a Q^T Q)^-1 from -Lap and reg = a Q^T Q, dense or as
+    symbols, for a positive regulator a."""
+    if a <= 0:
+        raise SingularOperator(
+            "regulator a must be positive: constants are in ker(-Lap)")
+    op = lap + reg
+    return _spd_inverse(0.5 * (op + _h(op)), SingularOperator,
+                        "-Lap + a Q^T Q")
+
+
+def _projectors_for(q, q_adj, g):
+    """R = I - P for P the orthogonal projector onto range(G Q^T), G the
+    Green's function of Q; dense, or per block of symbols."""
+    qg = q @ g
+    core = qg @ g @ q_adj
+    p = g @ q_adj @ np.linalg.solve(core, qg)
+    return np.eye(p.shape[-1]) - 0.5 * (p + _h(p))
 
 
 def _shared(build):
@@ -79,13 +121,6 @@ def _shared(build):
     arrays are stored read-only."""
     return property(wraps(build)(
         lambda self: self._memo(build.__name__, None, lambda: build(self))))
-
-
-def _add_sparse(dense: np.ndarray, scale: float, m: sp.coo_matrix):
-    """dense += scale * m in place, on the stored entries of m (a sparse
-    product, so no entry repeats); equal to the dense sum, whose other
-    entries add zeros."""
-    dense[m.row, m.col] += scale * m.data
 
 
 class GaugeContext:
@@ -111,10 +146,6 @@ class GaugeContext:
                     a.flags.writeable = False
         return self._memos[name, arg]
 
-    def _adjoint(self, q: sp.csr_matrix, n: int) -> sp.csr_matrix:
-        """Weighted adjoint L**(n dim) Q^T of the n-level scalar average Q."""
-        return (float(self.L) ** (n * self.dim) * q.T).tocsr()
-
     # -- raw ingredients ----------------------------------------------------
 
     @cached_property
@@ -139,7 +170,8 @@ class GaugeContext:
     @cached_property
     def scalar_average_adj(self) -> sp.csr_matrix:
         """Weighted adjoint of Q; equals injection constant on blocks."""
-        return self._adjoint(self.scalar_average, self.level)
+        return (float(self.L) ** (self.level * self.dim)
+                * self.scalar_average.T).tocsr()
 
     @cached_property
     def bond_average(self) -> sp.csr_matrix:
@@ -152,12 +184,6 @@ class GaugeContext:
         return av.bond_average_matrix(self.fine, self.level + 1)
 
     @cached_property
-    def bond_average_next_gram(self) -> sp.coo_matrix:
-        """Q_next^T Q_next on fine bonds: the average regulator."""
-        qn = self.bond_average_next
-        return (qn.T @ qn).tocoo()
-
-    @cached_property
     def scalar_average_next(self) -> sp.csr_matrix:
         return av.scalar_average_matrix(self.fine, self.level + 1)
 
@@ -166,18 +192,6 @@ class GaugeContext:
         """The surface of the axial minimization (averages + stack), shared
         with the one-shot RG integration at this level."""
         return one_shot_constraints(self.fine, self.level)
-
-    @cached_property
-    def one_plus_grad_recovery(self) -> sp.csr_matrix:
-        """I + grad o recovery on unit bonds."""
-        gr = grad_matrix(self.unit) @ av.scalar_recovery_matrix(self.unit)
-        return sp.identity(self.unit.n_bonds, format="csr") + gr
-
-    @cached_property
-    def compression(self) -> sp.csr_matrix:
-        """(I + grad o recovery) Q_b: fine bonds -> unit bonds, the map that
-        compresses the bond Green's functions into the covariance."""
-        return self.one_plus_grad_recovery @ self.bond_average
 
     @_shared
     def chi_star(self) -> np.ndarray:
@@ -189,40 +203,17 @@ class GaugeContext:
 
     # -- scalar Green's function and projectors -----------------------------
 
-    def _green_for(self, q, q_adj, a: float) -> np.ndarray:
-        if a <= 0:
-            raise SingularOperator(
-                "regulator a must be positive: constants are in ker(-Lap)")
-        op = self.lap_fine + (a * q_adj @ q).toarray()
-        return _spd_inverse(0.5 * (op + op.T), SingularOperator,
-                            "-Lap + a Q^T Q")
-
     def green_scalar(self, a: float = 1.0) -> np.ndarray:
         """G = (-Lap + a Q^T Q)^-1 on fine scalars."""
-        return self._memo("green", a, lambda: self._green_for(
-            self.scalar_average, self.scalar_average_adj, a))
-
-    @staticmethod
-    def _projectors_for(q, q_adj, g):
-        """R = I - P for P the orthogonal projector onto range(G Q^T), G the
-        Green's function of Q."""
-        qg = q @ g
-        core = qg @ g @ q_adj
-        p = g @ q_adj @ np.linalg.solve(core, qg)
-        return np.eye(p.shape[0]) - 0.5 * (p + p.T)
+        q, q_adj = self.scalar_average, self.scalar_average_adj
+        return self._memo("green", a, lambda: _scalar_green(
+            self.lap_fine, (a * q_adj @ q).toarray(), a))
 
     def proj_div(self, a: float = 1.0) -> np.ndarray:
         """R: orthogonal projector onto Lap(ker Q)."""
-        return self._memo("proj_div", a, lambda: self._projectors_for(
+        return self._memo("proj_div", a, lambda: _projectors_for(
             self.scalar_average, self.scalar_average_adj,
             self.green_scalar(a)))
-
-    def proj_div_next(self, a: float = 1.0) -> np.ndarray:
-        """R built from the (k+1)-level scalar average."""
-        q = self.scalar_average_next
-        q_adj = self._adjoint(q, self.level + 1)
-        return self._memo("proj_div_next", a, lambda: self._projectors_for(
-            q, q_adj, self._green_for(q, q_adj, a)))
 
     # -- the Gaussians of the level: their outputs ---------------------------
 
@@ -231,9 +222,7 @@ class GaugeContext:
         """The curl Gaussian on the axial surface: its minimizer and its
         pushforward, the level-k one-shot density (Delta, log Z_k)."""
         g = SurfaceGaussian(curl_energy_form(self.fine), self.axial_surface)
-        density = g.push()
-        density.form.flags.writeable = False
-        return g.minimizer, density
+        return g.minimizer, g.push()
 
     axial_minimizer = property(lambda self: self._axial[0], doc="""Unit
         bonds -> fine bonds: least curl energy on the axial surface.""")
@@ -321,60 +310,120 @@ class GaugeContext:
             core, np.eye(core.shape[0]) - a * q @ g @ qt)
         return first + a * g @ qt
 
-    # -- bond-space Green's functions ---------------------------------------
+    # -- the covariance representation on block-Fourier symbols -------------
 
-    @cached_property
-    def x_gram(self) -> sp.coo_matrix:
-        """X^T X on fine bonds, for X = chi* (I + grad recovery) Q_b the
-        gauge-fixed compression."""
-        xm = sp.diags(self.chi_star) @ self.compression
-        return (xm.T @ xm).tocoo()
+    def _symbol(self, matrix, codomain, domain) -> np.ndarray:
+        """block_symbol on the blocks of the next averaging, each space a
+        (lattice, kind) pair."""
+        return block_symbol(matrix, codomain, domain,
+                            self.unit.n_side // self.L)
 
-    def _unshifted_operator(self, a: float) -> np.ndarray:
-        """The shift-free part of fine_operator, before symmetrizing."""
-        dg = self.grad_fine
-        op = curl_energy_form(self.fine) \
-            + self.weight * dg @ self.proj_div_next(a) @ dg.T
-        _add_sparse(op, a, self.bond_average_next_gram)
-        return op
+    @_shared
+    def _fine_symbols(self) -> tuple:
+        """Symbols of the gradient, the curl form w d^T d and the next
+        scalar average Q~ on fine fields."""
+        fs, fb = (self.fine, SITE), (self.fine, BOND)
+        nxt = av.coarsened(self.fine, self.level + 1)
+        d = self._symbol(ext_d_matrix(self.fine), (self.fine, PLAQUETTE), fb)
+        return (self._symbol(grad_matrix(self.fine), fb, fs),
+                self.weight * _h(d) @ d,
+                self._symbol(self.scalar_average_next, (nxt, SITE), fs))
 
-    def fine_operator(self, x: float = 0.0, a: float = 1.0,
-                      base: np.ndarray = None) -> np.ndarray:
-        """The regularized bond operator of the covariance representation:
-        curl + projected divergence + a Q_next^T Q_next + x X^T X; from a
-        given base = _unshifted_operator(a), which it leaves as it is."""
-        op = self._unshifted_operator(a) if base is None else base.copy()
+    @_shared
+    def bond_average_next_symbol(self) -> np.ndarray:
+        """Symbol of Q_next, the bond blocking one level above the unit
+        lattice."""
+        nxt = av.coarsened(self.fine, self.level + 1)
+        return self._symbol(self.bond_average_next, (nxt, BOND),
+                            (self.fine, BOND))
+
+    @_shared
+    def _unit_symbols(self) -> tuple:
+        """Symbols of the compression (I + grad recovery) Q_b, fine bonds
+        -> unit bonds, and of X^T X for X = chi* times it, the gauge-fixed
+        compression."""
+        ub, us = (self.unit, BOND), (self.unit, SITE)
+        grad = self._symbol(grad_matrix(self.unit), ub, us)
+        rec = self._symbol(av.scalar_recovery_matrix(self.unit), us, ub)
+        qb = self._symbol(self.bond_average, ub, (self.fine, BOND))
+        comp = (np.eye(grad.shape[-2]) + grad @ rec) @ qb
+        x = self._symbol(sp.diags(self.chi_star), ub, ub) @ comp
+        return comp, _h(x) @ x
+
+    def _operator_base(self, a: float) -> np.ndarray:
+        """The shift-free part of fine_operator, before symmetrizing:
+        curl + w grad R_next grad^T + a Q_next^T Q_next, for R_next the
+        divergence projector of the next scalar average; memoized."""
+        def build():
+            grad, curl, q = self._fine_symbols
+            q_adj = float(self.L) ** ((self.level + 1) * self.dim) * _h(q)
+            r = _projectors_for(q, q_adj, _scalar_green(
+                _h(grad) @ grad, a * q_adj @ q, a))
+            qn = self.bond_average_next_symbol
+            return (curl + self.weight * grad @ r @ _h(grad)
+                    + a * _h(qn) @ qn)
+        return self._memo("operator_base", a, build)
+
+    def fine_operator(self, x: float = 0.0, a: float = 1.0) -> np.ndarray:
+        """Symbol of the regularized bond operator of the covariance
+        representation: curl + projected divergence + a Q_next^T Q_next
+        + x X^T X."""
+        op = self._operator_base(a)
         if x:
-            _add_sparse(op, x, self.x_gram)
-        return 0.5 * (op + op.T)
+            op = op + x * self._unit_symbols[1]
+        return 0.5 * (op + _h(op))
 
-    def fine_green(self, x: float = 0.0, a: float = 1.0,
-                   base: np.ndarray = None) -> np.ndarray:
-        """Inverse of `fine_operator(x, a, base)`, by Cholesky."""
-        return _spd_inverse(self.fine_operator(x, a, base), SingularOperator,
+    def fine_green(self, x: float = 0.0, a: float = 1.0) -> np.ndarray:
+        """Symbol of the inverse of `fine_operator(x, a)`, by Cholesky."""
+        return _spd_inverse(self.fine_operator(x, a), SingularOperator,
                             "regularized bond operator")
 
-    def tilde_green(self, x: float = 0.0, a: float = 1.0,
-                    base: np.ndarray = None) -> np.ndarray:
-        """Green's function constrained to the kernel of the next averaging."""
-        g = self.fine_green(x, a, base)
-        qn = self.bond_average_next
-        # sparse times dense only: g Q^T = (Q g^T)^T
-        qng, gqt = qn @ g, (qn @ g.T).T
-        g -= gqt @ np.linalg.solve(qn @ gqt, qng)   # in place: g is ours
-        return 0.5 * (g + g.T)
+    def tilde_green(self, x: float = 0.0, a: float = 1.0) -> np.ndarray:
+        """Symbol of the Green's function constrained to the kernel of the
+        next averaging."""
+        g = self.fine_green(x, a)
+        qn = self.bond_average_next_symbol
+        gqt = g @ _h(qn)
+        g = g - gqt @ np.linalg.solve(qn @ gqt, qn @ g)
+        return 0.5 * (g + _h(g))
+
+    @_shared
+    def _fluct_symbols(self) -> tuple:
+        """Symbols of the fluctuation basis C (its parameters per coarse
+        site -> unit bonds) and of the reduced form C^T Delta C.  At level
+        0 Delta is the curl form; above it is the computed axial form,
+        which block_symbol reads exactly only on one block (and refuses
+        elsewhere)."""
+        ub = (self.unit, BOND)
+        C, coarse = self.fluct_basis, av.coarsened(self.unit)
+        c = self._symbol(C, ub, (coarse, C.shape[1] // coarse.n_sites))
+        delta = (self._fine_symbols[1] if self.level == 0
+                 else self._symbol(self.delta, ub, ub))
+        m = _h(c) @ delta @ c
+        return c, 0.5 * (m + _h(m))
+
+    def _covariance_symbol(self, x: float) -> tuple:
+        """C (C^T Delta C + x)^-1 C^T as a symbol on unit bonds, and its
+        spectral norm; memoized per shift, for it does not read the
+        regulator."""
+        def build():
+            c, m = self._fluct_symbols
+            lhs = c @ _spd_inverse(m + x * np.eye(m.shape[-1]),
+                                   IndefiniteOnSurface,
+                                   "reduced fluctuation form") @ _h(c)
+            return lhs, sym_norm2(lhs)
+        return self._memo("covariance_symbol", x, build)
 
     def rep_check(self, xs=(0.0,), a: float = 1.0) -> dict:
         """Relative residuals of C (C^T Delta C + x)^-1 C^T against the
-        compressed Green's-function representation at regulator a, per x."""
-        C, comp = self.fluct_basis, self.compression
-        base = self._unshifted_operator(a)
+        compressed Green's-function representation at regulator a, per x,
+        in the spectral norm over all momenta."""
+        comp = self._unit_symbols[0]
 
-        def residual(x):    # its matrices go before the next shift's
-            lhs = C @ self.fluct_cov(x) @ C.T
-            # the reduced Green's function is symmetric
-            rhs = comp @ (comp @ self.tilde_green(x, a, base)).T
-            return sym_norm2(lhs - rhs) / sym_norm2(lhs)
+        def residual(x):
+            lhs, norm = self._covariance_symbol(x)
+            rhs = comp @ self.tilde_green(x, a) @ _h(comp)
+            return sym_norm2(lhs - rhs) / norm
         return {x: residual(x) for x in xs}
 
     # -- square root of the fluctuation covariance --------------------------

@@ -31,7 +31,9 @@ values at or below RANK_TOL times the largest count as zero throughout.
 `kernel_residual` certifies that T vanishes on ker K by projecting onto the
 row space of K.  For block-Fourier symbol stacks (fields.block_symbol) it
 takes one batched SVD of the small blocks, with the rank rule applied to
-all of them at once.
+all of them at once.  `positive_cholesky` certifies such a stack block by
+block, and `operator_max_abs` reads the largest entry of the operator a
+stack stands for.
 """
 
 from __future__ import annotations
@@ -56,16 +58,19 @@ class SingularOperator(Exception):
 
 def positive_cholesky(m: np.ndarray, error=IndefiniteOnSurface,
                       what: str = "reduced form") -> np.ndarray:
-    """Lower Cholesky factor of the symmetric matrix m.
+    """Lower Cholesky factor of the symmetric matrix m, or of each block of
+    a stack of Hermitian blocks (leading axes, such as the momenta of a
+    block-Fourier symbol).
 
-    The factor exists exactly when m is positive definite, so it is the
-    positivity certificate; otherwise raises `error` (an exception type),
-    quoting the smallest eigenvalue.
+    The factor exists exactly when m is positive definite, on a stack when
+    every block is, so it is the positivity certificate; otherwise raises
+    `error` (an exception type), quoting the smallest eigenvalue over all
+    blocks.
     """
     try:
         return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
-        low = np.linalg.eigvalsh(m)[0]
+        low = np.linalg.eigvalsh(m).min()
         raise error(f"{what} is not positive definite "
                     f"(smallest eigenvalue {low:g})") from None
 
@@ -164,10 +169,16 @@ def kernel_residual(T: np.ndarray, K: np.ndarray) -> float:
     """
     T, K = np.atleast_2d(T), np.atleast_2d(K)
     vh, _ = row_space(K)
-    res = T - (T @ vh.conj().swapaxes(-1, -2)) @ vh
-    if res.ndim > 2:
-        res = np.fft.ifftn(res, axes=tuple(range(res.ndim - 2)))
-    return float(np.abs(res).max()) if res.size else 0.0
+    return operator_max_abs(T - (T @ vh.conj().swapaxes(-1, -2)) @ vh)
+
+
+def operator_max_abs(S: np.ndarray) -> float:
+    """max |entry| of a matrix, or of the block-circulant operator of a
+    block-Fourier symbol stack (fields.block_symbol): its first block
+    column, the inverse DFT over the momenta, holds every entry."""
+    if S.ndim > 2:
+        S = np.fft.ifftn(S, axes=tuple(range(S.ndim - 2)))
+    return float(np.abs(S).max()) if S.size else 0.0
 
 
 @dataclass
@@ -178,12 +189,17 @@ class QuadraticDensity:
     log_const: float = 0.0
 
     def __post_init__(self):
-        self.form = np.asarray(self.form, dtype=float)
-        asym = np.abs(self.form - self.form.T).max()
-        scale = max(1.0, np.abs(self.form).max())
-        if asym > 1e-12 * scale:
-            raise ValueError(f"form is not symmetric (residual {asym:g})")
-        self.form = 0.5 * (self.form + self.form.T)
+        """Checks the form symmetric and stores it read-only and
+        C-contiguous, as its symmetric part always was: an exactly symmetric
+        C-contiguous form is the caller's array itself, not a copy."""
+        form = np.asarray(self.form, dtype=float)
+        asym = np.abs(form - form.T).max()
+        if asym:
+            scale = max(1.0, np.abs(form).max())
+            if asym > 1e-12 * scale:
+                raise ValueError(f"form is not symmetric (residual {asym:g})")
+            form = 0.5 * (form + form.T)
+        self.form = _frozen(np.ascontiguousarray(form))
 
 
 class SurfaceGaussian:

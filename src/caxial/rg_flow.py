@@ -141,13 +141,11 @@ def one_shot_final(dim: int, L: int, n_levels: int) -> float:
 
 @instance_cache
 def flow_states(dim: int, L: int, n_levels: int) -> tuple:
-    """All states of the iterated flow, level 0 .. n_levels.  Shared, so
-    the arrays of their densities are read-only."""
+    """All states of the iterated flow, level 0 .. n_levels.  Shared; the
+    forms of their densities are read-only, as every density's is."""
     states = [init_rho0(dim, L, n_levels)]
     while states[-1].level < n_levels:
         states.append(rg_step(states[-1]))
-    for state in states:
-        state.density.form.flags.writeable = False
     return tuple(states)
 
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from caxial.lattice import build_lattice, open_cube, unit_torus, fine_torus
-from caxial.fields import (BOND, SITE, apply_symmetry, grad_matrix,
-                           random_field, scale_field)
+from caxial.fields import (BOND, SITE, apply_symmetry, block_symbol,
+                           grad_matrix, random_field, scale_field)
+from caxial.gaussian import kernel_basis
 from caxial import averaging as av
 
 RTOL = 1e-12
@@ -284,3 +285,40 @@ def test_fluctuation_basis_range_and_rank():
     assert kdim == null_dim
     assert np.linalg.matrix_rank(C, tol=1e-9) == kdim
 
+
+def _former_fluctuation_basis(lattice):
+    """The basis before it was built block by block: one SVD of all the
+    path averages on all in-block bonds."""
+    split = av.fluctuation_split(lattice)
+    tau = av.path_average_matrix(lattice).matrix.toarray()
+    kernel = kernel_basis(tau[:, split.in_block])
+    n_kernel, noncentral = kernel.shape[1], split.noncentral
+    cols = np.zeros((lattice.n_bonds, n_kernel + len(noncentral)))
+    cols[split.in_block, :n_kernel] = kernel
+    cols[noncentral, n_kernel + np.arange(len(noncentral))] = 1.0
+    cols[split.central] = av.solve_central(lattice, cols)
+    return cols
+
+
+@pytest.mark.parametrize("inst", [(2, 3, 1), (2, 5, 1), (3, 3, 1)])
+def test_one_block_fluctuation_basis_is_the_former_one(inst):
+    lat = unit_torus(*inst)
+    assert np.array_equal(av.fluctuation_basis(lat),
+                          _former_fluctuation_basis(lat))
+
+
+@pytest.mark.parametrize("inst", [(2, 3, 2), (2, 3, 3)])
+def test_fluctuation_basis_spans_the_former_space_covariantly(inst):
+    lat = unit_torus(*inst)
+    C, former = av.fluctuation_basis(lat), _former_fluctuation_basis(lat)
+    assert C.shape == former.shape
+
+    def projector(m):
+        q, _ = np.linalg.qr(m)
+        return q @ q.T
+    assert np.abs(projector(C) - projector(former)).max() <= 1e-12
+    # each block's columns are block 0's translated, so the basis is a
+    # map from its per-block parameters that block_symbol accepts
+    coarse = av.coarsened(lat)
+    block_symbol(C, (lat, BOND), (coarse, C.shape[1] // coarse.n_sites),
+                 coarse.n_side)

@@ -412,7 +412,8 @@ def test_library_caches_are_shared_and_read_only():
     assert c.axial_density is c.axial_density
     arrays = [s.density.form for s in states] \
         + [c.cov_sqrt_spectral(), c.cov_sqrt_quadrature(leggauss(20)),
-           c.green_scalar(), c.proj_div(), c.proj_div_next(),
+           c.green_scalar(), c.proj_div(), c.bond_average_next_symbol,
+           c._covariance_symbol(0.0)[0], *c._unit_symbols,
            av.fluctuation_basis(c.unit), c.grad_fine, c.lap_fine,
            c.axial_minimizer, c.delta, c.div_penalty, c.reduced_delta,
            c.div_range_basis, c.fluct_basis, c.chi_star,
@@ -614,12 +615,35 @@ def test_open_cube_checks_are_capped(monkeypatch, lattice_builds):
     assert not lattice_builds
 
 
+LINALG_CALLS = ("cholesky", "cond", "det", "eig", "eigh", "eigvals",
+                "eigvalsh", "inv", "lstsq", "matrix_rank", "norm", "pinv",
+                "qr", "slogdet", "solve", "svd")
+
+
+def test_representation_runs_on_blocks_smaller_than_the_bonds(monkeypatch):
+    # on (2,3,2) the representation suite runs on 9 momentum blocks of 18
+    # bonds: no linear-algebra call sees a matrix with a side of n_bonds
+    shapes = []
+    for name in LINALG_CALLS:
+        def recorded(a, *args, _call=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _call(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    report, _ = run_verification(RunConfig(
+        instances=((2, 3, 2),), suites=("representation",)).validate())
+    assert {c["status"] for c in report["checks"]} == {"PASS"}
+    assert shapes
+    n_bonds = LatticeSpec(2, 3, 0, 2).n_bonds
+    assert max(max(s[-2:]) for s in shapes) < n_bonds, shapes
+
+
 # Bound on the tracemalloc peak of one check run from empty caches, in
-# float64 entries per declared entry.  The small instances reach 17 in
-# representation.covariance_identity_* and 16 in rg on (2,3,2), which hold
-# that many dense bond matrices at once.  ALLOWANCE covers what a check
-# holds whatever its size (Python objects, cache entries, small tables):
-# 10-45 KB for the structure checks on (2,3,1).
+# float64 entries per declared entry.  The small instances reach 16 in
+# representation.covariance_identity_* on (2,5,1), one block, where each
+# symbol is a dense bond matrix (4 on (2,3,2), 9 blocks), and 16 in rg on
+# (2,3,2), which hold that many dense bond matrices at once.  ALLOWANCE
+# covers what a check holds whatever its size (Python objects, cache
+# entries, small tables): 10-45 KB for the structure checks on (2,3,1).
 PEAK_MULTIPLE = 24
 ALLOWANCE = 64 * 1024
 

@@ -73,38 +73,10 @@ def _dense(matrix):
 AS_KIND = {"csr": sp.csr_matrix, "dense": _dense}
 
 
-def _canonical_order(space, grid):
-    """Canonical ordinals listed in the symbol's (block, within) order."""
-    lat = space[0]
-    size = element_count(*space)
-    side = lat.n_side // grid
-    comps = size // lat.n_sites
-    idx = np.arange(size).reshape((grid, side) * lat.dim + (comps,))
-    order = (tuple(range(0, 2 * lat.dim, 2))
-             + tuple(range(1, 2 * lat.dim, 2)) + (2 * lat.dim,))
-    return idx.transpose(order).ravel()
-
-
-def _dense_from_symbol(S, codomain, domain, grid):
-    """The block-circulant operator whose symbol is S, in canonical
-    ordinals: block (g, h) is C[g - h] for C the inverse DFT of S."""
-    dim = codomain[0].dim
-    C = np.fft.ifftn(S, axes=tuple(range(dim))).real
-    pos = np.indices((grid,) * dim).reshape(dim, -1).T
-    diff = (pos[:, None, :] - pos[None, :, :]) % grid
-    blocks = C[tuple(np.moveaxis(diff, -1, 0))]       # (G, G, a, b)
-    G, _, a, b = blocks.shape
-    blocked = blocks.transpose(0, 2, 1, 3).reshape(G * a, G * b)
-    out = np.empty_like(blocked)
-    rows = _canonical_order(codomain, grid)
-    cols = _canonical_order(domain, grid)
-    out[np.ix_(rows, cols)] = blocked
-    return out
-
-
 @pytest.mark.parametrize("dim,L,levels", [(2, 3, 2), (2, 3, 3), (2, 5, 2),
                                           (3, 3, 1)])
-def test_inverse_transform_rebuilds_the_operator(dim, L, levels):
+def test_inverse_transform_rebuilds_the_operator(dim, L, levels,
+                                                dense_from_symbol):
     lat = unit_torus(dim, L, levels)
     grid = av.coarsened(lat).n_side
     for matrix, codomain, domain in _operators(lat):
@@ -115,7 +87,7 @@ def test_inverse_transform_rebuilds_the_operator(dim, L, levels):
         for as_kind in AS_KIND.values():
             assert block_symbol(as_kind(matrix), codomain, domain,
                                 grid).tobytes() == S.tobytes()
-        rebuilt = _dense_from_symbol(S, codomain, domain, grid)
+        rebuilt = dense_from_symbol(S, codomain, domain, grid)
         assert np.abs(rebuilt - _dense(matrix)).max() <= 1e-15
 
 
@@ -144,6 +116,21 @@ def test_operator_broken_only_at_the_wrap_around_is_not_reduced(kind):
     t[-1, :, :, :, :, 0] = 0.0
     with pytest.raises(LatticeError, match="translations along axis 0"):
         block_symbol(AS_KIND[kind](bad), (lat, BOND), (lat, SITE), grid)
+
+
+def test_one_block_symbol_is_the_real_matrix():
+    # grid 1: every translation is the identity, so nothing is tested and
+    # the symbol is the matrix itself, float64 as given
+    lat = unit_torus(3, 3, 1)
+    for matrix, codomain, domain in _operators(lat):
+        S = block_symbol(matrix, codomain, domain, 1)
+        assert S.dtype == np.float64
+        assert np.array_equal(S.reshape(S.shape[-2:]), _dense(matrix))
+    # any matrix of the right shape is one block's operator
+    noise = np.random.default_rng(2).standard_normal((lat.n_bonds,
+                                                      lat.n_sites))
+    S = block_symbol(noise, (lat, BOND), (lat, SITE), 1)
+    assert np.array_equal(S[0, 0, 0], noise)
 
 
 def test_symbol_needs_whole_blocks_on_a_torus():

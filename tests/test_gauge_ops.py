@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
-import scipy.linalg as sla
 import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
 from caxial import averaging as av
 from caxial import gauge_ops
-from caxial.fields import curl_energy_form, ext_d_matrix
+from caxial.fields import BOND, curl_energy_form, ext_d_matrix, grad_matrix
 from caxial.gauge_ops import (GaugeContext, change_of_gauge_check,
                               decay_profile, get_context,
                               one_shot_constraints, sym_norm2)
 from caxial.gaussian import (IndefiniteOnSurface, SingularOperator,
-                             SurfaceGaussian, kernel_basis, positive_cholesky)
+                             SurfaceGaussian, kernel_basis, operator_max_abs)
+from caxial.lattice import LatticeError
 
 TOL = 1e-10
 
@@ -149,7 +149,7 @@ def test_lambda0_independent_of_regulator():
 def test_tilde_green_annihilates_next_average(x):
     c = ctx0()
     g = c.tilde_green(x)
-    assert np.abs(c.bond_average_next @ g).max() < 1e-9
+    assert operator_max_abs(c.bond_average_next_symbol @ g) < 1e-9
 
 
 def test_tilde_green_projection_identity():
@@ -158,8 +158,9 @@ def test_tilde_green_projection_identity():
     g = c.tilde_green(x)
     op = c.fine_operator(x)
     # fine_green inverts the operator fine_operator assembles
-    assert np.abs(c.fine_green(x) @ op - np.eye(len(op))).max() < 1e-9
-    assert np.abs(g @ op @ g - g).max() < 1e-8
+    eye = np.eye(op.shape[-1])
+    assert operator_max_abs(c.fine_green(x) @ op - eye) < 1e-9
+    assert operator_max_abs(g @ op @ g - g) < 1e-8
 
 
 def test_tilde_green_independent_of_regulator():
@@ -181,17 +182,94 @@ def test_fluctuation_covariance_representation_level_one():
     assert max(res.values()) < 1e-9
 
 
+# the dense bond-space code the symbol path replaced, kept as its oracle
+
+def _add_sparse(dense, scale, m):
+    """dense += scale * m in place, on the stored entries of the COO m."""
+    dense[m.row, m.col] += scale * m.data
+
+
+def compression(c):
+    """(I + grad recovery) Q_b as CSR: fine bonds -> unit bonds."""
+    gr = grad_matrix(c.unit) @ av.scalar_recovery_matrix(c.unit)
+    return (sp.identity(c.unit.n_bonds, format="csr") + gr) @ c.bond_average
+
+
+def x_gram(c):
+    """X^T X on fine bonds for X = chi* (I + grad recovery) Q_b."""
+    xm = sp.diags(c.chi_star) @ compression(c)
+    return (xm.T @ xm).tocoo()
+
+
+def bond_average_next_gram(c):
+    """Q_next^T Q_next on fine bonds: the average regulator."""
+    qn = c.bond_average_next
+    return (qn.T @ qn).tocoo()
+
+
+def proj_div_next(c, a):
+    """The dense divergence projector R of the (k+1)-level scalar average."""
+    q = c.scalar_average_next
+    q_adj = (float(c.L) ** ((c.level + 1) * c.dim) * q.T).tocsr()
+    op = c.lap_fine + (a * q_adj @ q).toarray()
+    g = np.linalg.inv(0.5 * (op + op.T))
+    qg = q @ g
+    p = g @ q_adj @ np.linalg.solve(qg @ g @ q_adj, qg)
+    return np.eye(p.shape[0]) - 0.5 * (p + p.T)
+
+
+def _unshifted_operator(c, a):
+    """The shift-free part of the regularized bond operator."""
+    dg = c.grad_fine
+    op = curl_energy_form(c.fine) + c.weight * dg @ proj_div_next(c, a) @ dg.T
+    _add_sparse(op, a, bond_average_next_gram(c))
+    return op
+
+
+def _dense_oracle(c, x, a):
+    """The dense fine_operator, fine_green and tilde_green, and the
+    rep_check value with its two sides, lhs and rhs."""
+    op = _unshifted_operator(c, a)
+    if x:
+        _add_sparse(op, x, x_gram(c))
+    op = 0.5 * (op + op.T)
+    fine = np.linalg.inv(op)
+    qn = c.bond_average_next
+    qng, gqt = qn @ fine, (qn @ fine.T).T
+    tilde = fine - gqt @ np.linalg.solve(qn @ gqt, qng)
+    tilde = 0.5 * (tilde + tilde.T)
+    comp = compression(c)
+    rhs = comp @ (comp @ tilde).T
+    C = c.fluct_basis
+    lhs = C @ c.fluct_cov(x) @ C.T
+    value = sym_norm2(lhs - rhs) / sym_norm2(lhs)
+    return op, fine, tilde, value, lhs, rhs
+
+
+def _assert_matches_oracle(c, cases, dense_from_symbol):
+    grid, fb = c.unit.n_side // c.L, (c.fine, BOND)
+    for x, a in cases:
+        op, fine, tilde, value, _, _ = _dense_oracle(c, x, a)
+        got = (c.fine_operator(x, a), c.fine_green(x, a), c.tilde_green(x, a))
+        for name, ref, new in zip(("fine_operator", "fine_green",
+                                   "tilde_green"), (op, fine, tilde), got):
+            rebuilt = dense_from_symbol(new, fb, fb, grid)
+            assert np.abs(rebuilt - ref).max() <= 1e-12 * np.abs(ref).max(), \
+                (name, x, a)
+        # the check value, a round-off residual, on the scale of its
+        # denominator
+        assert abs(c.rep_check((x,), a)[x] - value) <= 1e-12, (x, a)
+
+
 @pytest.mark.parametrize("inst", [(2, 3, 1, 0), (2, 3, 2, 1), (3, 3, 1, 0)])
-def test_symmetric_norm_matches_svd_norm(inst):
+def test_symmetric_norm_matches_svd_norm(inst, dense_from_symbol):
     # the spectral norms of rep_check and change_of_gauge_check come from
     # eigvalsh; norm(., 2), the SVD they replaced, is the reference
     c = get_context(*inst)
-    C, comp = c.fluct_basis, c.compression
     sym = np.random.default_rng(5).standard_normal((40, 40))
     mats = [sym + sym.T, c.green_scalar(), -c.green_scalar(), c.proj_div()]
     for x in (0.0, 1.0):
-        lhs = C @ c.fluct_cov(x) @ C.T
-        rhs = comp @ c.tilde_green(x) @ comp.T
+        *_, lhs, rhs = _dense_oracle(c, x, 1.0)
         mats += [lhs, rhs]
         # the residual is round-off, so its asymmetric part is too: compare
         # the check value on the scale of its denominator
@@ -200,13 +278,16 @@ def test_symmetric_norm_matches_svd_norm(inst):
     for m in mats:
         ref = np.linalg.norm(m, 2)
         assert abs(sym_norm2(m) - ref) <= 1e-12 * ref
+    # on a symbol stack: the norm of the operator it stands for
+    c = get_context(2, 3, 2, 0)
+    g, fb = c.tilde_green(1.0), (c.fine, BOND)
+    ref = np.linalg.norm(dense_from_symbol(g, fb, fb, c.unit.n_side // 3), 2)
+    assert abs(sym_norm2(g) - ref) <= 1e-12 * ref
 
 
-# the averaging, recovery and compression maps a context keeps as CSR, and
-# their Grams
+# the averaging maps a context keeps as CSR
 SPARSE_MAPS = ("scalar_average", "scalar_average_adj", "scalar_average_next",
-               "bond_average", "bond_average_next", "one_plus_grad_recovery",
-               "compression", "bond_average_next_gram", "x_gram")
+               "bond_average", "bond_average_next")
 ORACLE = ((2, 3, 1, 0), (2, 3, 2, 1), (3, 3, 1, 0))
 
 
@@ -215,9 +296,6 @@ def test_averaging_maps_stay_sparse(inst):
     c = get_context(*inst)
     for name in SPARSE_MAPS:
         assert sp.issparse(getattr(c, name)), name
-    # the compression is the product it names
-    prod = c.one_plus_grad_recovery @ c.bond_average
-    assert (c.compression != prod).nnz == 0
 
 
 @pytest.mark.parametrize("inst", ORACLE)
@@ -227,7 +305,6 @@ def test_products_are_ndarrays(inst):
     assert type(np.eye(2) + sp.identity(2, format="csr")) is np.matrix
     c = get_context(*inst)
     mats = {"green_scalar": c.green_scalar(), "proj_div": c.proj_div(),
-            "proj_div_next": c.proj_div_next(),
             "fine_green": c.fine_green(0.5), "tilde_green": c.tilde_green(0.5),
             "lambda0_map": c.lambda0_map(),
             "feynman_minimizer": c.feynman_minimizer(),
@@ -237,58 +314,39 @@ def test_products_are_ndarrays(inst):
         assert type(m) is np.ndarray, name
 
 
-def _dense_green(lap, q, q_adj, a):
-    op = lap + a * q_adj @ q
-    chol = positive_cholesky(0.5 * (op + op.T))
-    return sla.cho_solve((chol, True), np.eye(op.shape[0]))
-
-
-def _dense_oracle(c, x, a):
-    """fine_operator, fine_green, tilde_green and the rep_check right-hand
-    side from the
-    dense averaging and recovery maps, as computed before the context kept
-    them sparse."""
-    dg = c.grad_fine
-    qs = c.scalar_average_next.toarray()
-    qs_adj = float(c.L) ** ((c.level + 1) * c.dim) * qs.T
-    g = _dense_green(c.lap_fine, qs, qs_adj, a)
-    p = g @ qs_adj @ np.linalg.solve(qs @ g @ g @ qs_adj, qs @ g)
-    r_next = np.eye(p.shape[0]) - 0.5 * (p + p.T)
-    qn = c.bond_average_next.toarray()
-    qb = c.bond_average.toarray()
-    ipd = c.one_plus_grad_recovery.toarray()
-    op = (curl_energy_form(c.fine) + c.weight * dg @ r_next @ dg.T
-          + a * qn.T @ qn)
-    if x:
-        xm = (c.chi_star[:, None] * ipd) @ qb
-        op = op + x * xm.T @ xm
-    op = 0.5 * (op + op.T)
-    chol = positive_cholesky(op)
-    fine = sla.cho_solve((chol, True), np.eye(op.shape[0]))
-    tilde = fine - fine @ qn.T @ np.linalg.solve(qn @ fine @ qn.T,
-                                                 qn @ fine)
-    tilde = 0.5 * (tilde + tilde.T)
-    return op, fine, tilde, ipd @ qb @ tilde @ qb.T @ ipd.T
-
-
 @pytest.mark.parametrize("inst", ORACLE)
-def test_sparse_maps_match_the_dense_oracle(inst):
-    c = get_context(*inst)
-    C, comp = c.fluct_basis, c.compression
-    for x, a in ((0.0, 1.0), (1.0, 2.0)):
-        op, fine, tilde, rhs = _dense_oracle(c, x, a)
-        got = (c.fine_operator(x, a), c.fine_green(x, a),
-               c.tilde_green(x, a), comp @ c.tilde_green(x, a) @ comp.T)
-        for name, ref, new in zip(("fine_operator", "fine_green",
-                                   "tilde_green", "rhs"),
-                                  (op, fine, tilde, rhs), got):
-            assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max(), \
-                (name, x, a)
-        # the check value, a round-off residual, on the scale of its
-        # denominator
-        lhs = C @ c.fluct_cov(x) @ C.T
-        old = sym_norm2(lhs - rhs) / sym_norm2(lhs)
-        assert abs(c.rep_check((x,), a)[x] - old) <= 1e-12
+def test_sparse_maps_match_the_dense_oracle(inst, dense_from_symbol):
+    _assert_matches_oracle(get_context(*inst), ((0.0, 1.0), (1.0, 2.0)),
+                           dense_from_symbol)
+
+
+@pytest.mark.parametrize("inst,cases", [
+    ((2, 3, 1), ((0.0, 1.0), (1.0, 2.0))),
+    ((2, 3, 2), ((0.0, 1.0), (1.0, 2.0))),
+    ((2, 5, 1), ((0.0, 1.0), (1.0, 2.0))),
+    ((3, 3, 1), ((0.0, 1.0), (1.0, 2.0))),
+    ((2, 3, 3), ((0.0, 1.0), (1.0, 1.0)))])
+def test_symbol_path_matches_the_dense_oracle(inst, cases, dense_from_symbol):
+    # level 0, where the representation suite runs: one block on the
+    # one-level instances, 9 blocks of 18 bonds on (2,3,2) and 81 on (2,3,3)
+    _assert_matches_oracle(get_context(*inst, 0), cases, dense_from_symbol)
+
+
+def test_one_block_symbols_stay_real():
+    # on one block the symbols are the float matrices themselves, so the
+    # one-level instances keep the real LAPACK calls
+    c = get_context(3, 3, 1, 0)
+    for m in (c.fine_operator(1.0), c.fine_green(1.0), c.tilde_green(1.0),
+              c.bond_average_next_symbol):
+        assert m.dtype == np.float64 and m.shape[:3] == (1, 1, 1)
+    assert np.iscomplexobj(get_context(2, 3, 2, 0).fine_green(1.0))
+
+
+def test_computed_form_above_level_zero_is_refused_off_one_block():
+    # above level 0 Delta is a computed form: its exact translation test
+    # passes on one block, (2,3,2) at level 1, and refuses it elsewhere
+    with pytest.raises(LatticeError, match="block translations"):
+        get_context(2, 3, 3, 1).rep_check((0.0,))
 
 
 def test_cov_sqrt_spectral_squares_to_covariance():

@@ -185,6 +185,46 @@ def test_zero_eigenvalue_is_not_positive_definite():
                        np.diag([2.0, 1.0]))
 
 
+def test_cholesky_certificate_of_a_stack_quotes_the_smallest_eigenvalue():
+    # a stack of Hermitian blocks, as of a block-Fourier symbol, one of
+    # them indefinite: the certificate fails for the whole stack and quotes
+    # the smallest eigenvalue over all blocks
+    r = rng()
+    blocks = np.stack([random_spd(4, r) + 0j for _ in range(5)])
+    blocks[2, 1, 2] += 1j
+    blocks[2, 2, 1] -= 1j
+    assert np.allclose(positive_cholesky(blocks) @ positive_cholesky(blocks)
+                       .conj().swapaxes(-1, -2), blocks)
+    bad = blocks.copy()
+    bad[3] -= 50.0 * np.eye(4)
+    low = np.linalg.eigvalsh(bad).min()
+    assert low < 0 and np.linalg.eigvalsh(bad[3]).min() == low
+    with pytest.raises(SingularOperator,
+                       match=f"smallest eigenvalue {low:g}"):
+        positive_cholesky(bad, SingularOperator, "stack")
+
+
+def test_density_stores_a_symmetric_form_read_only_without_a_copy():
+    F = random_spd(6, rng())
+    F = 0.5 * (F + F.T)
+    d = QuadraticDensity(F)
+    # the caller's array itself, read-only through the density only
+    assert np.shares_memory(d.form, F) and np.array_equal(d.form, F)
+    assert not d.form.flags.writeable and F.flags.writeable
+    # a symmetric Fortran-ordered form is stored C-contiguous, as its
+    # symmetric part was, so that the products with it round alike
+    f = QuadraticDensity(np.asfortranarray(F))
+    assert f.form.flags.c_contiguous and np.array_equal(f.form, F)
+    # a round-off asymmetry is symmetrized into a new read-only array
+    G = F.copy()
+    G[0, 1] = np.nextafter(G[0, 1], np.inf)
+    e = QuadraticDensity(G)
+    assert not np.shares_memory(e.form, G) and not e.form.flags.writeable
+    assert np.array_equal(e.form, 0.5 * (G + G.T))
+    with pytest.raises(ValueError, match="not symmetric"):
+        QuadraticDensity(np.triu(F))
+
+
 def test_fibers_need_the_range_of_the_constraints():
     # dependent rows: every fiber is nonempty only if E maps into range(K)
     row = rng().standard_normal(5)
