@@ -140,8 +140,8 @@ class RunConfig:
                               "instance")
         if not _number(self.identity_tol):
             raise ConfigError("identity_tol must be a number")
-        if not self.identity_tol > 0:
-            raise ConfigError("identity_tol must be positive")
+        if not 0 < self.identity_tol < np.inf:
+            raise ConfigError("identity_tol must be positive and finite")
         if not _integer(self.seed) or self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
         for name in ("report", "csv_dir"):
@@ -638,7 +638,7 @@ def suite_rg(run: Runner, inst):
     def fluct():
         ctx = get_context(*inst, 0)
         m = curl_energy_form(ctx.unit)
-        return fluctuation_step(dim, L, levels, 0, m).cross_residual
+        return fluctuation_step(dim, L, levels, m).cross_residual
     run.check("rg.fluctuation_transport",
               "transporting a quadratic functional through the "
               "fluctuation integral agrees between the direct and the "

@@ -17,10 +17,11 @@ factors.  Their surfaces come from `average_constraints` and
 `one_shot_constraints`, cached on the spacing-free shape of the lattice:
 the averaging matrices do not depend on the spacing, so the level-k axial
 surface on the fine lattice is the one of the unit torus with as many
-sites per side, which the flow's step surfaces share.  At level 0 the
-block average is the identity, a point surface that takes no SVD; there
-the Feynman minimizer is the axial one and no penalty is built.  On top
-of it live
+sites per side, which the flow's step surfaces share.  Level 0 is the
+curl Gaussian itself: zero blockings average nothing, so the axial
+minimizer is the identity and the density the curl form with log Z_0 = 0.
+No surface and no Gaussian is built there; the Feynman minimizer is the
+axial one and no penalty is built.  On top of it live
 
 * the scalar Green's function G = (-Lap + a Q^T Q)^-1,
 * the projector R onto Lap(ker Q),
@@ -62,9 +63,10 @@ import scipy.sparse as sp
 
 from . import averaging as av
 from .fields import (BOND, PLAQUETTE, SITE, block_symbol, curl_energy_form,
-                     ext_d_matrix, grad_matrix)
+                     ext_d_matrix, grad_matrix, laplacian_matrix)
 from .gaussian import (RANK_TOL, AffineSurface, IndefiniteOnSurface,
-                       SingularOperator, SurfaceGaussian, positive_cholesky)
+                       QuadraticDensity, SingularOperator, SurfaceGaussian,
+                       positive_cholesky)
 from .lattice import (Lattice, LatticeSpec, build_lattice, instance_cache,
                       shape_cache)
 
@@ -160,7 +162,7 @@ class GaugeContext:
     @_shared
     def lap_fine(self) -> np.ndarray:
         """Matrix of -Laplacian on fine scalars (positive semidefinite)."""
-        return self.grad_fine.T @ self.grad_fine
+        return laplacian_matrix(self.fine).toarray()
 
     @cached_property
     def scalar_average(self) -> sp.csr_matrix:
@@ -190,7 +192,8 @@ class GaugeContext:
     @property
     def axial_surface(self) -> AffineSurface:
         """The surface of the axial minimization (averages + stack), shared
-        with the one-shot RG integration at this level."""
+        with the one-shot RG integration at this level; above level 0
+        only."""
         return one_shot_constraints(self.fine, self.level)
 
     @_shared
@@ -220,8 +223,13 @@ class GaugeContext:
     @_shared
     def _axial(self) -> tuple:
         """The curl Gaussian on the axial surface: its minimizer and its
-        pushforward, the level-k one-shot density (Delta, log Z_k)."""
-        g = SurfaceGaussian(curl_energy_form(self.fine), self.axial_surface)
+        pushforward, the level-k one-shot density (Delta, log Z_k).  At
+        level 0 nothing is integrated: the minimizer is the identity and
+        the density the curl form, log Z_0 = 0, the start of the flow."""
+        form = curl_energy_form(self.fine)
+        if self.level == 0:
+            return np.eye(self.fine.n_bonds), QuadraticDensity(form)
+        g = SurfaceGaussian(form, self.axial_surface)
         return g.minimizer, g.push()
 
     axial_minimizer = property(lambda self: self._axial[0], doc="""Unit
@@ -259,10 +267,10 @@ class GaugeContext:
         the projected-divergence penalty over alpha on the block-average
         surface; memoized per alpha.  The covariance is formed only at
         alpha = 1, whose moments change_of_gauge_check reads (else None).
-        At level 0 the block average is the identity: the surface is the
-        axial one, a point per coarse field, where every form has the axial
-        minimizer and the covariance is zero, so neither the penalty nor a
-        Gaussian is built there and the covariance is None."""
+        At level 0 the block average is the identity, which fixes the
+        field: every form has the axial minimizer and the covariance is
+        zero, so neither the penalty nor a Gaussian is built there and the
+        covariance is None."""
         def build():
             if self.level == 0:
                 return self.axial_minimizer, None
@@ -479,8 +487,8 @@ class GaugeContext:
 @shape_cache
 def average_constraints(fine: Lattice, k: int) -> AffineSurface:
     """The k-fold block average fixed to the coarse field A, K = Q_b and
-    E = I: the surface of the Feynman minimizer.  At k = 0, K = I and the
-    surface is a point per coarse field, factored by no SVD."""
+    E = I: the surface of the Feynman minimizer, built for k >= 1 only
+    (level 0 integrates nothing)."""
     qb = av.bond_average_matrix(fine, k)
     return AffineSurface(qb, np.eye(qb.shape[0]))
 
@@ -489,15 +497,11 @@ def average_constraints(fine: Lattice, k: int) -> AffineSurface:
 def one_shot_constraints(fine: Lattice, k: int) -> AffineSurface:
     """The level-k axial surface on the fine lattice: the k-fold block
     average fixed to the coarse field A and the hierarchical path averages
-    to zero, K = [Q_b; stack] and E = [I; 0].  At k = 1 it is the surface
-    of one blocking step of the flow."""
-    stack = av.axial_constraint_stack(fine, k).matrix
-    if not stack.shape[0]:
-        # no path averages below the unit scale (k = 0): the axial surface
-        # is the block-average one
-        return average_constraints(fine, k)
+    to zero, K = [Q_b; stack] and E = [I; 0], built for k >= 1 only
+    (level 0 integrates nothing).  At k = 1 it is the surface of one
+    blocking step of the flow."""
     qb = av.bond_average_matrix(fine, k)
-    K = sp.vstack([qb, stack])
+    K = sp.vstack([qb, av.axial_constraint_stack(fine, k).matrix])
     return AffineSurface(K, np.eye(K.shape[0], qb.shape[0]))
 
 

@@ -5,10 +5,9 @@ coordinate space: the RG flow starts from one and every push keeps it so.
 An AffineSurface is the one surface type: the parallel fibers
 {v : K v = E A} over a coarse field A (without E, the surface K v = 0),
 factored by one SVD of K into an orthonormal basis B of ker K, which every
-fiber shares, and the lift pinv(K) E to a point of each fiber.  A K equal
-to the identity, read off its entries, is a point surface and takes no SVD:
-its kernel is empty and its lift is E itself, so a Gaussian there takes
-its minimizer from E and, when E = I, pushes its form to itself.  The
+fiber shares, and the lift pinv(K) E to a point of each fiber.  Every
+surface takes that one SVD: level 0 of the flow, where nothing is
+integrated, builds no surface (`gauge_ops.GaugeContext`).  The
 cached surface builders (`gauge_ops`, `rg_flow`) key on the spacing-free
 shape of their lattice, so each distinct K is factored once per instance.
 Every surface integral goes through one type, SurfaceGaussian(F, surface):
@@ -82,14 +81,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _is_identity(K: np.ndarray) -> bool:
-    """Whether the dense matrix K is the identity: square, with n nonzero
-    entries, all of them ones on the diagonal."""
-    n = K.shape[0]
-    return K.shape == (n, n) and np.count_nonzero(K) == n \
-        and bool((np.diagonal(K) == 1.0).all())
-
-
 class AffineSurface:
     """The parallel affine surfaces {v : K v = E A} over a coarse field A,
     factored by one SVD K = U S V^T; without E, the one surface K v = 0.
@@ -102,8 +93,7 @@ class AffineSurface:
     lift @ A.  When the rows are dependent, E must map into the range of K
     (every fiber nonempty), or SingularOperator is raised.  All arrays are
     read-only, so a surface can be cached and shared.  A sparse K is
-    densified here, for the SVD.  K = I takes none: its rank is n, its
-    kernel basis empty, its log-Gram 0 and its lift E itself, not a copy.
+    densified here, for the SVD.
     """
 
     def __init__(self, K, E=None):
@@ -111,10 +101,6 @@ class AffineSurface:
         K = np.atleast_2d(np.asarray(K, dtype=float))
         E = None if E is None else _frozen(np.asarray(E, dtype=float))
         self.matrix, self.fiber, self.lift = _frozen(K), E, None
-        if _is_identity(K):
-            self.basis = _frozen(np.zeros((K.shape[1], 0)))
-            self.rank, self.log_gram, self.lift = K.shape[0], 0.0, E
-            return
         u, s, vt = np.linalg.svd(K)
         r = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
         self.basis = _frozen(vt[r:].copy().T)    # frees the rows of vt
@@ -243,8 +229,6 @@ class SurfaceGaussian:
         B, W = self.surface.basis, self.surface.lift
         if W is None:
             raise ValueError("the constraints carry no fiber map E")
-        if not B.shape[1]:      # a point surface: each fiber is its lift
-            return W
         return _frozen(W - B @ self._solve(B.T @ self.form @ W))
 
     def covariance(self) -> np.ndarray:
@@ -270,10 +254,7 @@ class SurfaceGaussian:
         """Integrate exp(-1/2 <v, F v>) against delta(K v - E A) over v: the
         centered density of the coarse variable A, with form H^T F H and
         constant log_partition(), H the minimizer.  The fibers are parallel,
-        so A enters only through H A.  An identity H (a point surface
-        lifted by I) pushes F to itself."""
+        so A enters only through H A."""
         H = self.minimizer
-        if _is_identity(H):
-            return QuadraticDensity(self.form, self.log_partition())
         m = H.T @ self.form @ H
         return QuadraticDensity(0.5 * (m + m.T), self.log_partition())

@@ -72,10 +72,11 @@ class RGState:
 
 
 def init_rho0(dim: int, L: int, n_levels: int) -> RGState:
-    """Level-0 state: the curl-energy Gaussian."""
-    lat = fine_torus(dim, L, 0, n_levels)
-    density = QuadraticDensity(curl_energy_form(lat))
-    return RGState(0, lat, density, FlowCounts(dim, L, n_levels))
+    """Level-0 state: the curl-energy Gaussian, the axial density of the
+    level-0 context (shared, read-only)."""
+    ctx = get_context(dim, L, n_levels, 0)
+    return RGState(0, ctx.fine, ctx.axial_density,
+                   FlowCounts(dim, L, n_levels))
 
 
 def rg_step(state: RGState) -> RGState:
@@ -213,27 +214,28 @@ class FluctuationStep:
     cross_residual: float       # direct vs square-root parametrization
 
 
-def fluctuation_step(dim: int, L: int, n_levels: int, k: int,
+def fluctuation_step(dim: int, L: int, n_levels: int,
                      functional) -> FluctuationStep:
-    """Transport F(v) = <v, J> or F(v) = <v, M v> through the level-k
-    fluctuation integral.
+    """Transport F(v) = <v, J> or F(v) = <v, M v> through the first
+    fluctuation integral, from level 0 (unit bonds of the finest torus) to
+    level 1.
 
     The fluctuation Gaussian is centered, so a linear functional only sees
     the conditional mean of the fine field; a quadratic one adds the trace
-    of M against the transported fluctuation covariance.  The covariance is
-    also assembled through its symmetric square root in the whitened
+    of M against the fluctuation covariance.  The covariance is also
+    assembled through its symmetric square root in the whitened
     parametrization and the two agree for gauge-invariant functionals.
+    At level 0 the fine field is the unit field, so neither needs a
+    minimizer to reach it.
     """
-    ctx = get_context(dim, L, n_levels, k)
+    ctx = get_context(dim, L, n_levels, 0)
     s = float(L) ** ((dim - 2) / 2.0)
-    cov = ctx.step_covariance
-    h_ax = ctx.axial_minimizer
     functional = np.asarray(functional, dtype=float)
     if functional.ndim == 1:
-        # <A_k, J> -> <mean(A_k | A_{k+1}), J>, relabeled; cross-checked
+        # <A_0, J> -> <mean(A_0 | A_1), J>, relabeled; cross-checked
         # against E^T mu for [[Delta, K^T], [K, 0]] [x; mu] = [J; 0], the
         # KKT system of the same minimization (mean = KKT^-1 [0; E A])
-        shift = coarse_minimizer_map(dim, L, n_levels, k).T \
+        shift = coarse_minimizer_map(dim, L, n_levels, 0).T \
             @ functional / (s * s)
         surface = one_shot_constraints(ctx.unit, 1)
         K, m = surface.matrix, surface.matrix.shape[0]
@@ -243,11 +245,9 @@ def fluctuation_step(dim: int, L: int, n_levels: int, k: int,
                       / max(np.linalg.norm(shift), 1e-300))
         return FluctuationStep(shift, 0.0, cross)
     M = functional
-    trace = float(np.trace(M @ h_ax @ cov @ h_ax.T))
-    # whitened form: fluctuation = (Feynman minimizer) C sqrt(C_k) W
-    h_fey = ctx.feynman_minimizer()
-    root = ctx.cov_sqrt_spectral()
-    carrier = h_fey @ ctx.fluct_basis @ root
+    trace = float(np.trace(M @ ctx.step_covariance))
+    # whitened form: fluctuation = C sqrt(C_0) W
+    carrier = ctx.fluct_basis @ ctx.cov_sqrt_spectral()
     trace_w = float(np.trace(M @ carrier @ carrier.T))
     return FluctuationStep(None, trace,
                            abs(trace - trace_w) / max(abs(trace), 1e-300))

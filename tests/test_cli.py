@@ -271,8 +271,8 @@ def test_rg_factors_each_builder_key_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     # the surfaces of one shape share a key at every spacing, so the flow's
     # step surfaces are the level contexts' axial ones and, on one level,
-    # final_step's is one_shot_final's; the level-0 surface (K = I) takes
-    # no SVD, and the one SVD past the surfaces is the fluctuation basis.
+    # final_step's is one_shot_final's; level 0 builds no surface, and the
+    # one SVD past the surfaces is the fluctuation basis.
     # (2,3,2): steps at 9 and 3 sites per side, the level-2 axial surface
     # and the two winding stacks; (3,3,1): the step and the winding stack
     for inst, svds in (((2, 3, 2), 6), ((3, 3, 1), 3)):
@@ -293,8 +293,7 @@ def test_suites_reduce_each_shared_gaussian_once(monkeypatch):
     # every surface integral is a SurfaceGaussian, which forms its reduced
     # form once; the level contexts keep the outputs of their axial, step
     # and per-alpha Feynman Gaussians, so on (2,3,2) only the flow's own
-    # step pairs are reduced twice, by rg_step and by
-    # lower_bound.flow_forms_positive
+    # step pairs are reduced more than once
     clear_caches()
     init = gaussian.SurfaceGaussian.__init__
     reductions = []     # holding the objects keeps their ids unique
@@ -308,19 +307,25 @@ def test_suites_reduce_each_shared_gaussian_once(monkeypatch):
     monkeypatch.setattr(gaussian.SurfaceGaussian, "__init__", counted)
     report, _ = run_verification(RunConfig(instances=((2, 3, 2),)).validate())
     assert {c["status"] for c in report["checks"]} == {"PASS"}
-    # axial at levels 0-2, step at 0-1, Feynman at three alphas on level
-    # 1, Landau once; the level-0 Feynman minimizer (fluctuation_step) is
-    # the axial one, on the same point surface, and reduces nothing
+    # axial at levels 1-2, step at 0-1, Feynman at three alphas on level
+    # 1, Landau once; level 0 integrates nothing, so its axial density is
+    # the curl form and its Feynman minimizer the axial one, the identity
     assert Counter(name for name, *_ in reductions) == {
-        "_axial": 3, "_step": 2, "build": 3, "rg_step": 2,
+        "_axial": 2, "_step": 2, "build": 3, "rg_step": 2,
         "surface_positive": 2, "final_step": 1, "one_shot_final": 1,
         "change_of_gauge_check": 1}
-    assert len(reductions) <= 15
-    pairs = Counter((id(surface), id(form)) for _, surface, form in reductions)
-    twice = {name for name, surface, form in reductions
-             if pairs[id(surface), id(form)] > 1}
-    assert set(pairs.values()) == {1, 2}
-    assert twice == {"rg_step", "surface_positive"}
+    assert len(reductions) <= 14
+    # the flow's two step pairs are reduced by rg_step and by
+    # lower_bound.flow_forms_positive; the first is also the level-0
+    # context's step Gaussian, for the flow starts from that context's
+    # density
+    by_pair = {}
+    for name, surface, form in reductions:
+        by_pair.setdefault((id(surface), id(form)), []).append(name)
+    assert sorted(sorted(names) for names in by_pair.values()
+                  if len(names) > 1) == [
+        ["_step", "rg_step", "surface_positive"],
+        ["rg_step", "surface_positive"]]
 
 
 def test_gauge_suites_build_one_context_per_level(monkeypatch):
@@ -514,6 +519,23 @@ def test_exit_code_two_on_bad_config(tmp_path, capsys):
     good.write_text(json.dumps({"suites": ["no-such-suite"]}))
     assert main(["verify", "--config", str(good)]) == 2
     assert main(["verify", "--dim", "2", "--L", "3"]) == 2  # missing levels
+
+
+def test_non_finite_tolerance_is_config_error(tmp_path, capsys):
+    # an infinite tolerance passes every identity check vacuously and
+    # writes Infinity, which is not JSON, into the report
+    report = tmp_path / "report.json"
+    assert main(["verify", "--dim", "2", "--L", "3", "--levels", "1",
+                 "--suite", "calculus", "--tol", "inf",
+                 "--report", str(report)]) == 2
+    assert "identity_tol" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"instances": [[2, 3, 1]], "suites": ["calculus"], '
+                   '"identity_tol": 1e400}')
+    assert main(["verify", "--config", str(cfg),
+                 "--report", str(report)]) == 2
+    assert "identity_tol" in capsys.readouterr().err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("key, value", [

@@ -3,7 +3,6 @@ import copy
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from caxial import averaging as av
@@ -13,7 +12,7 @@ from caxial.gaussian import (RANK_TOL, AffineSurface, IndefiniteOnSurface,
                              SurfaceGaussian, kernel_basis, kernel_residual,
                              positive_cholesky)
 from caxial.gauge_ops import average_constraints, get_context
-from caxial.lattice import fine_torus, unit_torus
+from caxial.lattice import clear_caches, fine_torus, unit_torus
 from caxial.rg_flow import (_one_shot_winding_constraints, flow_states,
                             one_shot_constraints)
 
@@ -70,38 +69,26 @@ def test_kernel_basis_identity_empty():
     assert kernel_basis(np.eye(4)).shape == (4, 0)
 
 
-@pytest.mark.parametrize("sparse", [False, True])
-def test_identity_surface_takes_no_svd(monkeypatch, sparse):
-    # K = I is a point surface read off its entries: rank n, an empty
-    # basis, log-Gram 0 and the lift E itself; a Gaussian there never
-    # reads its form (NaN here), its minimizer is E bit for bit and its
-    # log-partition 0
+def test_level_zero_builds_no_surface(monkeypatch):
+    # level 0 integrates nothing: its axial minimizer is the identity and
+    # its density the curl form with log Z_0 = 0, built with no SVD, no
+    # surface and no Gaussian; the flow starts from that same density
     def refused(*args, **kwargs):
-        raise AssertionError("SVD of the identity")
+        raise AssertionError("level 0 factors or integrates")
+    clear_caches()
     monkeypatch.setattr(np.linalg, "svd", refused)
-    n = 5
-    E = rng(7).standard_normal((n, 3))
-    s = AffineSurface(sp.identity(n, format="csr") if sparse else np.eye(n),
-                      E)
-    assert (s.rank, s.basis.shape, s.log_gram) == (n, (n, 0), 0.0)
-    assert np.shares_memory(s.lift, E) and np.array_equal(s.lift, E)
-    g = SurfaceGaussian(np.full((n, n), np.nan), s)
-    assert np.array_equal(g.minimizer, E)
-    assert g.log_partition() == 0.0
-    # lifted by I, the push returns the form bit for bit; lifted by a
-    # permutation P, it is still P^T F P
-    F = random_spd(n, rng(8))
-    F = 0.5 * (F + F.T)
-    pushed = SurfaceGaussian(F, AffineSurface(np.eye(n), np.eye(n))).push()
-    assert np.array_equal(pushed.form, F) and pushed.log_const == 0.0
-    P = np.eye(n)[::-1]
-    pushed = SurfaceGaussian(F, AffineSurface(np.eye(n), P)).push()
-    assert np.array_equal(pushed.form, P.T @ F @ P)
-    assert not np.array_equal(pushed.form, F)
-    # anything else is factored: a scaled identity, a permutation
-    for K in (2.0 * np.eye(n), np.eye(n)[::-1]):
-        with pytest.raises(AssertionError, match="SVD of the identity"):
-            AffineSurface(K, E)
+    monkeypatch.setattr(AffineSurface, "__init__", refused)
+    monkeypatch.setattr(SurfaceGaussian, "__init__", refused)
+    ctx = get_context(2, 3, 2, 0)
+    delta, h, density = ctx.delta, ctx.axial_minimizer, ctx.axial_density
+    assert type(h) is np.ndarray
+    assert np.array_equal(h, np.eye(ctx.fine.n_bonds))
+    assert np.array_equal(delta, curl_energy_form(ctx.fine))
+    assert delta.flags.c_contiguous
+    assert density.log_const == 0.0
+    monkeypatch.undo()
+    assert flow_states(2, 3, 2)[0].density is get_context(2, 3, 2, 0) \
+        .axial_density
 
 
 def test_kernel_basis_orthonormal():
@@ -637,10 +624,8 @@ def test_cached_factors_are_read_only_and_shared():
     K, E = np.eye(3), np.eye(3)
     AffineSurface(K, E)
     K[0, 0] = E[0, 0] = 2.0
-    # the axial minimizer factors the one-shot surface of its level; at
-    # level 0 that is the block-average surface of the Feynman minimizer
-    for level in (0, 1, 2):
+    # the axial minimizer factors the one-shot surface of its level (level
+    # 0 has none)
+    for level in (1, 2):
         ctx = get_context(2, 3, 2, level)
         assert ctx.axial_surface is one_shot_constraints(ctx.fine, level)
-    ctx = get_context(2, 3, 2, 0)
-    assert ctx.axial_surface is average_constraints(ctx.fine, 0)

@@ -103,7 +103,7 @@ def test_minimizer_composition(k):
 def test_fluctuation_step_linear():
     rng = np.random.default_rng(2)
     j = rng.standard_normal(get_context(2, 3, 2, 0).unit.n_bonds)
-    out = fluctuation_step(2, 3, 2, 0, j)
+    out = fluctuation_step(2, 3, 2, j)
     assert out.trace_term == 0.0
     # conditional-mean transport agrees with the fiber integration
     assert out.cross_residual < 1e-10
@@ -112,7 +112,7 @@ def test_fluctuation_step_linear():
 def test_fluctuation_step_quadratic_cross_check():
     ctx = get_context(2, 3, 2, 0)
     m = curl_energy_form(ctx.unit)
-    out = fluctuation_step(2, 3, 2, 0, m)
+    out = fluctuation_step(2, 3, 2, m)
     assert out.trace_term > 0
     assert out.cross_residual < 1e-9
 
