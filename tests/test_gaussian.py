@@ -69,17 +69,21 @@ def test_kernel_basis_identity_empty():
     assert kernel_basis(np.eye(4)).shape == (4, 0)
 
 
-def test_level_zero_builds_no_surface(monkeypatch):
+@pytest.mark.parametrize("three_d", [False, True])
+def test_identity_surface_takes_no_svd(monkeypatch, three_d):
     # level 0 integrates nothing: its axial minimizer is the identity and
     # its density the curl form with log Z_0 = 0, built with no SVD, no
-    # surface and no Gaussian; the flow starts from that same density
+    # surface and no Gaussian; the flow starts from that same density.
+    # On (2,3,2) and on (3,3,1)
+    instance = (3, 3, 1) if three_d else (2, 3, 2)
+
     def refused(*args, **kwargs):
         raise AssertionError("level 0 factors or integrates")
     clear_caches()
     monkeypatch.setattr(np.linalg, "svd", refused)
     monkeypatch.setattr(AffineSurface, "__init__", refused)
     monkeypatch.setattr(SurfaceGaussian, "__init__", refused)
-    ctx = get_context(2, 3, 2, 0)
+    ctx = get_context(*instance, 0)
     delta, h, density = ctx.delta, ctx.axial_minimizer, ctx.axial_density
     assert type(h) is np.ndarray
     assert np.array_equal(h, np.eye(ctx.fine.n_bonds))
@@ -87,8 +91,8 @@ def test_level_zero_builds_no_surface(monkeypatch):
     assert delta.flags.c_contiguous
     assert density.log_const == 0.0
     monkeypatch.undo()
-    assert flow_states(2, 3, 2)[0].density is get_context(2, 3, 2, 0) \
-        .axial_density
+    assert flow_states(*instance)[0].density \
+        is get_context(*instance, 0).axial_density
 
 
 def test_kernel_basis_orthonormal():
