@@ -6,12 +6,14 @@ the stacked hierarchical constraint map, the scalar-recovery operator that
 turns a bond field into the gauge potential solving the path-average
 equations, and the in-block/linking-bond fluctuation parametrization.
 
-All builders return coefficient matrices in canonical ordinals, as CSR
-in canonical form (sorted columns, no repeats), together with the lattices
-involved.  The local averages are assembled from (row, column, value)
-triplets by `fields._csr`, which sums repeated triplets; the composite
-maps are sparse products, sums and row gathers of them.  Checks that need
-dense linear algebra densify with `.toarray()`.
+All builders return coefficient matrices in canonical ordinals, as
+canonical CSR (`caxial.csr`), together with the lattices involved.  The
+local averages are assembled from (row, column, value) triplets by
+`csr.from_triplets`, which sums repeated triplets; a triplet repeats only
+with the same value (a bond met by several paths of one row, always in the
+same direction).  The composite maps are sparse products, differences and
+row gathers of them.  Checks that need dense linear algebra densify with
+`.toarray()`.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
+from . import csr
+from .csr import CSR
 from .lattice import Lattice, LatticeError, build_lattice, instance_cache
-from .fields import (BOND, PLAQUETTE, SITE, _block_ordinals, _csr,
-                     block_symbol, ext_d_matrix, grad_matrix)
+from .fields import (BOND, PLAQUETTE, SITE, _block_ordinals, block_symbol,
+                     ext_d_matrix, grad_matrix)
 from .gaussian import kernel_basis
 
 
@@ -43,15 +46,8 @@ def _blocks(fine: Lattice, coarse: Lattice, n: int = 1) -> np.ndarray:
     return fine.site_ordinals(centers[:, None, :] + fine.block_offsets(n))
 
 
-def _canonical(m: sp.csr_matrix) -> sp.csr_matrix:
-    """m in canonical form, in place: repeats summed and the column indices
-    of each row sorted (a sparse product leaves them unsorted)."""
-    m.sum_duplicates()
-    return m
-
-
 def _path_sums(fine: Lattice, row_of, starts, deltas, orders, w,
-               n_rows: int) -> sp.csr_matrix:
+               n_rows: int) -> CSR:
     """n_rows x bonds matrix of weighted path sums.
 
     Path start i walks by deltas[i] once per axis order in orders; each step
@@ -63,8 +59,8 @@ def _path_sums(fine: Lattice, row_of, starts, deltas, orders, w,
     signs = np.hstack([s for _, s, _ in walks])
     step = signs != 0
     rows = np.broadcast_to(np.asarray(row_of)[:, None], step.shape)
-    return _csr(rows[step], bonds[step], w * signs[step],
-                (n_rows, fine.n_bonds))
+    return csr.from_triplets(rows[step], bonds[step], w * signs[step],
+                             (n_rows, fine.n_bonds))
 
 
 def _axis_deltas(axes, length: int, dim: int) -> np.ndarray:
@@ -77,16 +73,17 @@ def _axis_deltas(axes, length: int, dim: int) -> np.ndarray:
 # -- block averages ----------------------------------------------------------
 
 @instance_cache
-def scalar_average_matrix(fine: Lattice, n: int = 1) -> sp.csr_matrix:
+def scalar_average_matrix(fine: Lattice, n: int = 1) -> CSR:
     """Block average of site fields over side-L**n blocks, weight L**(-dim*n)."""
     coarse = coarsened(fine, n)
     w = float(fine.L) ** (-fine.dim * n)
     members = _blocks(fine, coarse, n)
     rows = np.broadcast_to(np.arange(coarse.n_sites)[:, None], members.shape)
-    return _csr(rows, members, w, (coarse.n_sites, fine.n_sites))
+    return csr.from_triplets(rows, members, w,
+                             (coarse.n_sites, fine.n_sites))
 
 
-def _straight_average(fine: Lattice, n: int) -> sp.csr_matrix:
+def _straight_average(fine: Lattice, n: int) -> CSR:
     """Row (y, mu) of the coarse lattice n levels up: weight L**-(dim+1)n
     times the sum over block sites x of the unweighted sum of the L**n bonds
     on the straight path from x to x + L**n e_mu."""
@@ -100,24 +97,24 @@ def _straight_average(fine: Lattice, n: int) -> sp.csr_matrix:
 
 
 @instance_cache
-def _bond_average_one(fine: Lattice) -> sp.csr_matrix:
+def _bond_average_one(fine: Lattice) -> CSR:
     """One level of bond blocking: average of straight-path sums."""
     return _straight_average(fine, 1)
 
 
 @instance_cache
-def bond_average_matrix(fine: Lattice, n: int = 1) -> sp.csr_matrix:
+def bond_average_matrix(fine: Lattice, n: int = 1) -> CSR:
     """n-fold bond blocking (composition of single levels; n = 0 blocks
     nothing, the straight paths of length 1)."""
     if n == 0:
         return _straight_average(fine, 0)
     if n == 1:
         return _bond_average_one(fine)
-    return _canonical(_bond_average_one(coarsened(fine, n - 1))
-                      @ bond_average_matrix(fine, n - 1))
+    return (_bond_average_one(coarsened(fine, n - 1))
+            @ bond_average_matrix(fine, n - 1))
 
 
-def bond_average_direct_matrix(fine: Lattice, n: int) -> sp.csr_matrix:
+def bond_average_direct_matrix(fine: Lattice, n: int) -> CSR:
     """Direct n-level form: paths of length L**n, weight L**-(dim+1)n.
 
     Equal to the composed form; kept as an independent cross-check.
@@ -128,7 +125,7 @@ def bond_average_direct_matrix(fine: Lattice, n: int) -> sp.csr_matrix:
 # -- toron averages ----------------------------------------------------------
 
 @instance_cache
-def toron_average_matrix(lattice: Lattice) -> sp.csr_matrix:
+def toron_average_matrix(lattice: Lattice) -> CSR:
     """dim x n_bonds matrix of site-averaged winding-loop sums."""
     if not lattice.is_torus:
         raise LatticeError("toron averages require a torus")
@@ -141,10 +138,10 @@ def toron_average_matrix(lattice: Lattice) -> sp.csr_matrix:
 
 
 def toron_average_full_matrix(fine: Lattice,
-                              n_levels: int) -> sp.csr_matrix:
+                              n_levels: int) -> CSR:
     """Toron average after n_levels - 1 bond blockings (the last-step map)."""
     qb = bond_average_matrix(fine, n_levels - 1)
-    return _canonical(toron_average_matrix(coarsened(fine, n_levels - 1)) @ qb)
+    return toron_average_matrix(coarsened(fine, n_levels - 1)) @ qb
 
 
 # -- path averages from block centers ---------------------------------------
@@ -154,7 +151,7 @@ class PathAverageMap:
     """Rows indexed by (coarse site ordinal, fine site ordinal), x != center:
     rows[i] is the read-only (y, x) pair of row i."""
 
-    matrix: sp.csr_matrix
+    matrix: CSR
     rows: np.ndarray
     fine: Lattice
     coarse: Lattice
@@ -204,26 +201,24 @@ class ConstraintStack:
     average they exhaust the scalar degrees of freedom.
     """
 
-    matrix: sp.csr_matrix
+    matrix: CSR
     rows_per_level: tuple
     fine: Lattice
 
 
 def axial_constraint_stack(fine: Lattice, k: int) -> ConstraintStack:
     # level 0 is the path averages themselves (the 0-fold blocking is the
-    # identity); sp.vstack copies even a single block, so the stack never
-    # shares storage with a cached path-average matrix
+    # identity)
     levels = [path_average_matrix(coarsened(fine, j)).matrix
               @ bond_average_matrix(fine, j) if j
               else path_average_matrix(fine).matrix for j in range(k)]
-    matrix = (sp.vstack(levels, format="csr") if levels
-              else sp.csr_matrix((0, fine.n_bonds)))
-    return ConstraintStack(_canonical(matrix),
-                           tuple(m.shape[0] for m in levels), fine)
+    matrix = (csr.vstack(levels) if levels
+              else csr.from_triplets([], [], 0.0, (0, fine.n_bonds)))
+    return ConstraintStack(matrix, tuple(m.shape[0] for m in levels), fine)
 
 
 def hierarchical_scalar_bijection_matrix(fine: Lattice,
-                                         n_levels: int) -> sp.csr_matrix:
+                                         n_levels: int) -> CSR:
     """Square change of variables on fine scalars: one fully blocked average
     plus, per level j, the in-block differences of the level-j averages
     against their block centers.
@@ -240,7 +235,7 @@ def hierarchical_scalar_bijection_matrix(fine: Lattice,
         # block by block, each non-center site against the block's center
         centers = np.repeat(blocks[:, ~keep], keep.sum(), axis=1)
         rows.append(qj[blocks[:, keep].ravel()] - qj[centers.ravel()])
-    return _canonical(sp.vstack(rows, format="csr"))
+    return csr.vstack(rows)
 
 
 def _level_blocks(fine: Lattice, j: int) -> np.ndarray:
@@ -272,7 +267,7 @@ def hierarchical_scalar_row_groups(fine: Lattice, n_levels: int) -> tuple:
 # -- scalar recovery ---------------------------------------------------------
 
 @instance_cache
-def scalar_recovery_matrix(lattice: Lattice) -> sp.csr_matrix:
+def scalar_recovery_matrix(lattice: Lattice) -> CSR:
     """Site x bond matrix turning Z into the potential mu with
     path-average(Z + grad mu) = 0 on every block and block-average(mu) = 0.
 
@@ -291,9 +286,11 @@ def scalar_recovery_matrix(lattice: Lattice) -> sp.csr_matrix:
         np.arange(coarse.n_sites)
     # the rows of each block summed in row order, and each row moved to
     # its site (the centers get none)
-    block_sum = _csr(ys, rows, 1.0, (coarse.n_sites, len(rows))) @ tau.matrix
-    at_sites = _csr(xs, rows, 1.0, (lattice.n_sites, len(rows))) @ tau.matrix
-    return _canonical(w * block_sum[block_of] - at_sites)
+    block_sum = csr.from_triplets(ys, rows, 1.0,
+                                  (coarse.n_sites, len(rows))) @ tau.matrix
+    at_sites = csr.from_triplets(xs, rows, 1.0,
+                                 (lattice.n_sites, len(rows))) @ tau.matrix
+    return w * block_sum[block_of] - at_sites
 
 
 # -- kernel identities as block-Fourier symbols ------------------------------
@@ -367,7 +364,9 @@ def fluctuation_split(lattice: Lattice) -> FluctuationSplit:
     bonds = lattice.bond_index[sites, coarse.bond_axes[:, None]]
     mid = bonds.shape[1] // 2
     central = bonds[:, mid]
-    in_block = np.setdiff1d(np.arange(lattice.n_bonds), bonds)
+    in_block = np.ones(lattice.n_bonds, dtype=bool)
+    in_block[bonds] = False
+    in_block = np.flatnonzero(in_block)
     noncentral = np.delete(bonds, mid, axis=1)
     chi = np.ones(lattice.n_bonds)
     chi[central] = 0.0
@@ -387,7 +386,7 @@ def solve_central(lattice: Lattice, values: np.ndarray) -> np.ndarray:
     """
     central = fluctuation_split(lattice).central
     qb = bond_average_matrix(lattice, 1)
-    c0 = np.asarray(qb[np.arange(len(central)), central]).ravel()
+    c0 = qb[np.arange(len(central)), central]
     if not c0.all():
         raise LatticeError("central bond has zero averaging coefficient")
     v = np.array(values, dtype=float)
@@ -415,7 +414,8 @@ def fluctuation_basis(lattice: Lattice) -> np.ndarray:
     paths = path_average_matrix(lattice)
     linking = np.zeros(lattice.n_bonds, dtype=bool)
     linking[split.linking] = True
-    if linking[paths.matrix.indices[paths.matrix.data != 0]].any():
+    _, cols, vals = paths.matrix.entries()
+    if linking[cols[vals != 0]].any():
         raise LatticeError("path averages touch linking bonds")
     coarse, grid = split.coarse, split.coarse.n_side
     # block 0: the in-block bonds at its sites (ascending) and its rows,

@@ -27,6 +27,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random     # loaded with the package, not inside a check
 
 from . import averaging as av
 from . import spectral
@@ -147,6 +148,16 @@ class RunConfig:
         for name in ("report", "csv_dir"):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise ConfigError(f"{name} must be a path")
+        # the outputs are written after every check has run
+        if self.report is not None and (
+                os.path.isdir(self.report) or not os.path.isdir(
+                    os.path.dirname(os.path.abspath(self.report)))):
+            raise ConfigError(f"report: {self.report!r} is not a file in "
+                              "an existing directory")
+        if self.csv_dir is not None and os.path.exists(self.csv_dir) \
+                and not os.path.isdir(self.csv_dir):
+            raise ConfigError(f"csv_dir: {self.csv_dir!r} is not a "
+                              "directory")
         try:
             max_ambient_dim()
         except ValueError as exc:

@@ -21,12 +21,13 @@ the gradient, path averages of gradients telescope with an L**k factor,
 and the curl energy is invariant under field rescaling.
 
 The calculus operators, like the averaging operators of `averaging`, are
-assembled as CSR at every size; checks that need dense linear algebra
-densify them with `.toarray()`.  The curl-energy form is the one operator
-kept dense: it is formed once per lattice as a sparse product and densified
-for the factorizations it feeds.  The functions here work on any lattice they
-are given: the resource cap is enforced once, by `cli`, on each check's
-declared cost before the check runs.
+assembled as canonical CSR (`caxial.csr`) at every size; checks that need
+dense linear algebra densify them with `.toarray()`.  The curl-energy form
+is the one operator kept dense: it is formed once per lattice as a sparse
+product and densified, C-ordered, for the factorizations it feeds.  The
+functions here work on any lattice they are given: the resource cap is
+enforced once, by `cli`, on each check's declared cost before the check
+runs.
 
 On a torus the calculus and averaging operators commute with translations
 by a block; `block_symbol` verifies that exactly and returns the
@@ -37,8 +38,10 @@ block-Fourier symbol, one small block per momentum (docs/indexing.md,
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
+import numpy.fft        # loaded with the package, not inside a check
 
+from . import csr
+from .csr import CSR
 from .lattice import Lattice, LatticeError, instance_cache
 
 SITE = "site"
@@ -72,7 +75,7 @@ def _block_ordinals(space, grid: int):
 
 
 def block_symbol(matrix, codomain, domain, grid: int) -> np.ndarray:
-    """Block-Fourier symbol of an operator, dense or sparse, between torus
+    """Block-Fourier symbol of an operator, dense or CSR, between torus
     spaces, each given as a (lattice, kind) pair.
 
     Both spaces are cut into grid**dim blocks, so a fine index L*g + r
@@ -91,19 +94,16 @@ def block_symbol(matrix, codomain, domain, grid: int) -> np.ndarray:
     dim = domain[0].dim
     rows, a = _block_ordinals(codomain, grid)
     cols, b = _block_ordinals(domain, grid)
-    m = sp.csr_matrix(matrix, dtype=float)
+    m = csr.as_csr(matrix)
     if m.shape != (rows.size, cols.size):
         raise LatticeError(f"matrix shape {m.shape} != "
                            f"{(rows.size, cols.size)}")
     if grid == 1:
         return m.toarray().reshape((1,) * dim + (a, b))
-    if not m.has_canonical_format:
-        m = m.copy()
-        m.sum_duplicates()
     # the nonzero entries (i, j, v) in row-major order: their keys come sorted
-    nonzero = m.data != 0
-    r = np.repeat(np.arange(rows.size), np.diff(m.indptr))[nonzero]
-    c, v = m.indices[nonzero], m.data[nonzero]
+    r, c, v = m.entries()
+    nonzero = v != 0
+    r, c, v = r[nonzero], c[nonzero], v[nonzero]
     key = r * cols.size + c
     for axis in range(dim):
         # p[.., g, ..] = index[.., g - 1, ..]: M commutes with the shift
@@ -133,38 +133,20 @@ def block_symbol(matrix, codomain, domain, grid: int) -> np.ndarray:
 
 # -- operator assembly -------------------------------------------------------
 
-def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
-    """Canonical CSR matrix (sorted columns, no repeats) of (row, col,
-    value) triplets, repeats summed.
-
-    The builders repeat a triplet only with the same value (a bond met by
-    several paths of one row, always in the same direction), so the sum
-    does not depend on the order in which repeats are added.
-    """
-    rows, cols = np.ravel(rows), np.ravel(cols)
-    order = np.argsort(rows, kind="stable")
-    indptr = np.searchsorted(rows[order], np.arange(shape[0] + 1))
-    mat = sp.csr_matrix(
-        (np.broadcast_to(vals, rows.shape)[order], cols[order], indptr),
-        shape=shape)
-    mat.sum_duplicates()
-    return mat
-
-
 @instance_cache
-def grad_matrix(lattice: Lattice) -> sp.csr_matrix:
+def grad_matrix(lattice: Lattice) -> CSR:
     """Bonds x sites CSR matrix of the divided-difference gradient."""
     inv_eta = 1.0 / lattice.spacing
     s, mu = lattice.bond_sites, lattice.bond_axes
     # row b = (s, mu): -1/eta at s, then +1/eta at s + e_mu
     cols = np.stack([s, lattice.next[mu, s]], axis=1)
     vals = np.tile([-inv_eta, inv_eta], lattice.n_bonds)
-    return _csr(np.repeat(np.arange(lattice.n_bonds), 2), cols, vals,
-                (lattice.n_bonds, lattice.n_sites))
+    return csr.from_triplets(np.repeat(np.arange(lattice.n_bonds), 2), cols,
+                             vals, (lattice.n_bonds, lattice.n_sites))
 
 
 @instance_cache
-def ext_d_matrix(lattice: Lattice) -> sp.csr_matrix:
+def ext_d_matrix(lattice: Lattice) -> CSR:
     """Plaquettes x bonds CSR matrix of the oriented boundary sum over
     1/eta."""
     inv_eta = 1.0 / lattice.spacing
@@ -176,15 +158,16 @@ def ext_d_matrix(lattice: Lattice) -> sp.csr_matrix:
                      bond[lattice.next[nu, s], mu], bond[s, nu]], axis=1)
     vals = np.tile([inv_eta, inv_eta, -inv_eta, -inv_eta],
                    lattice.n_plaquettes)
-    return _csr(np.repeat(np.arange(lattice.n_plaquettes), 4), cols, vals,
-                (lattice.n_plaquettes, lattice.n_bonds))
+    return csr.from_triplets(np.repeat(np.arange(lattice.n_plaquettes), 4),
+                             cols, vals,
+                             (lattice.n_plaquettes, lattice.n_bonds))
 
 
-def laplacian_matrix(lattice: Lattice) -> sp.csr_matrix:
+def laplacian_matrix(lattice: Lattice) -> CSR:
     """CSR matrix of -Laplacian = (codiff of grad) of grad; positive
     semidefinite."""
     g = grad_matrix(lattice)
-    return (g.T @ g).tocsr()
+    return g.T @ g
 
 
 @instance_cache
@@ -197,13 +180,13 @@ def curl_energy_form(lattice: Lattice) -> np.ndarray:
     return form
 
 
-def codiff(kind: str, lattice: Lattice) -> sp.csr_matrix:
+def codiff(kind: str, lattice: Lattice) -> CSR:
     """Weighted adjoint of grad (kind='bond') or of ext_d (kind='plaquette'):
     the CSR transpose, since both spaces carry the weight eta**dim."""
     build = {BOND: grad_matrix, PLAQUETTE: ext_d_matrix}.get(kind)
     if build is None:
         raise LatticeError(f"codiff undefined for kind {kind!r}")
-    return build(lattice).T.tocsr()
+    return build(lattice).T
 
 
 # -- field-level operations --------------------------------------------------

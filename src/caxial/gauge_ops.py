@@ -59,9 +59,10 @@ from __future__ import annotations
 from functools import cached_property, wraps
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import averaging as av
+from . import csr
+from .csr import CSR
 from .fields import (BOND, PLAQUETTE, SITE, block_symbol, curl_energy_form,
                      ext_d_matrix, grad_matrix, laplacian_matrix)
 from .gaussian import (RANK_TOL, AffineSurface, IndefiniteOnSurface,
@@ -165,28 +166,28 @@ class GaugeContext:
         return laplacian_matrix(self.fine).toarray()
 
     @cached_property
-    def scalar_average(self) -> sp.csr_matrix:
+    def scalar_average(self) -> CSR:
         """Q: fine scalars -> unit scalars (k levels of blocking)."""
         return av.scalar_average_matrix(self.fine, self.level)
 
     @cached_property
-    def scalar_average_adj(self) -> sp.csr_matrix:
+    def scalar_average_adj(self) -> CSR:
         """Weighted adjoint of Q; equals injection constant on blocks."""
         return (float(self.L) ** (self.level * self.dim)
-                * self.scalar_average.T).tocsr()
+                * self.scalar_average.T)
 
     @cached_property
-    def bond_average(self) -> sp.csr_matrix:
+    def bond_average(self) -> CSR:
         """Bond blocking fine -> unit (identity at level 0)."""
         return av.bond_average_matrix(self.fine, self.level)
 
     @cached_property
-    def bond_average_next(self) -> sp.csr_matrix:
+    def bond_average_next(self) -> CSR:
         """Bond blocking fine -> one level above the unit lattice."""
         return av.bond_average_matrix(self.fine, self.level + 1)
 
     @cached_property
-    def scalar_average_next(self) -> sp.csr_matrix:
+    def scalar_average_next(self) -> CSR:
         return av.scalar_average_matrix(self.fine, self.level + 1)
 
     @property
@@ -355,7 +356,10 @@ class GaugeContext:
         rec = self._symbol(av.scalar_recovery_matrix(self.unit), us, ub)
         qb = self._symbol(self.bond_average, ub, (self.fine, BOND))
         comp = (np.eye(grad.shape[-2]) + grad @ rec) @ qb
-        x = self._symbol(sp.diags(self.chi_star), ub, ub) @ comp
+        n = self.unit.n_bonds
+        chi = csr.from_triplets(np.arange(n), np.arange(n), self.chi_star,
+                                (n, n))
+        x = self._symbol(chi, ub, ub) @ comp
         return comp, _h(x) @ x
 
     def _operator_base(self, a: float) -> np.ndarray:
@@ -501,7 +505,7 @@ def one_shot_constraints(fine: Lattice, k: int) -> AffineSurface:
     (level 0 integrates nothing).  At k = 1 it is the surface of one
     blocking step of the flow."""
     qb = av.bond_average_matrix(fine, k)
-    K = sp.vstack([qb, av.axial_constraint_stack(fine, k).matrix])
+    K = csr.vstack([qb, av.axial_constraint_stack(fine, k).matrix])
     return AffineSurface(K, np.eye(K.shape[0], qb.shape[0]))
 
 

@@ -41,7 +41,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
+import numpy.fft        # loaded with the package, not inside a check
+
+from .csr import CSR
 
 RANK_TOL = 1e-9
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -92,12 +94,12 @@ class AffineSurface:
     pinv(K) E = V_r S_r^-1 U_r^T E, the fiber over A passing through
     lift @ A.  When the rows are dependent, E must map into the range of K
     (every fiber nonempty), or SingularOperator is raised.  All arrays are
-    read-only, so a surface can be cached and shared.  A sparse K is
+    read-only, so a surface can be cached and shared.  A CSR K is
     densified here, for the SVD.
     """
 
     def __init__(self, K, E=None):
-        K = K.toarray() if sp.issparse(K) else K
+        K = K.toarray() if isinstance(K, CSR) else K
         K = np.atleast_2d(np.asarray(K, dtype=float))
         E = None if E is None else _frozen(np.asarray(E, dtype=float))
         self.matrix, self.fiber, self.lift = _frozen(K), E, None
@@ -117,7 +119,7 @@ class AffineSurface:
 
 
 def kernel_basis(K) -> np.ndarray:
-    """Orthonormal basis of the numerical null space of K, dense or sparse
+    """Orthonormal basis of the numerical null space of K, dense or CSR
     (read-only).
 
     Singular values at or below RANK_TOL * sigma_max count as zero.

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from math import log
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import averaging as av
+from . import csr
 from .fields import curl_energy_form, grad_matrix
 from .gauge_ops import get_context, one_shot_constraints
 from .gaussian import AffineSurface, QuadraticDensity, SurfaceGaussian
@@ -68,7 +68,7 @@ class RGState:
     def gauge_residual(self) -> float:
         """Max of form @ grad: the density must not see pure gauges."""
         grad = grad_matrix(self.lattice)
-        return float(np.abs((grad.T @ self.density.form.T).T).max())
+        return float(np.abs(self.density.form @ grad).max())
 
 
 def init_rho0(dim: int, L: int, n_levels: int) -> RGState:
@@ -116,7 +116,7 @@ def _one_shot_winding_constraints(fine: Lattice,
     """The one-shot last level: winding averages of the fully blocked field
     and the hierarchical path averages fixed to zero.  At n_levels = 1 it
     is the surface of the iterated flow's last step."""
-    return AffineSurface(sp.vstack([
+    return AffineSurface(csr.vstack([
         av.toron_average_full_matrix(fine, n_levels),
         av.axial_constraint_stack(fine, n_levels).matrix]))
 

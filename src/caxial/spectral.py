@@ -11,7 +11,7 @@ eigenvalue / singular-value computation on a desk-scale lattice:
 
 Norms here are plain coordinate sums (unit spacing), matching the scale
 on which the constants below are stated; there the curl-energy form is
-d^T d.  The operators are stacked sparse and densified for the
+d^T d.  The operators are stacked as CSR and densified for the
 factorizations.
 
 The hierarchical scalar change of variables M is certified by its row
@@ -26,9 +26,9 @@ variables", with the Weyl bound and the closed form L**(-dim (N+1)/2)).
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import averaging as av
+from . import csr
 from .fields import curl_energy_form, ext_d_matrix
 from .gaussian import kernel_basis
 from .lattice import Lattice
@@ -41,7 +41,7 @@ GRAM_TOL = 1e-12
 
 
 def grouped_singular_values(matrix, layout) -> np.ndarray:
-    """Singular values, largest first, of a matrix, dense or sparse, whose
+    """Singular values, largest first, of a matrix, dense or CSR, whose
     rows fall into mutually orthogonal groups with known column supports.
 
     layout lists (rows per group, supports) pairs in row order: supports is
@@ -53,7 +53,7 @@ def grouped_singular_values(matrix, layout) -> np.ndarray:
     SVD per pair of the (groups, rows, support) stack.  It raises
     LinAlgError if any of this fails; there is no dense fallback.
     """
-    m = sp.csr_matrix(matrix, dtype=float)
+    m = csr.as_csr(matrix)
     n_rows, n_cols = m.shape
     values, group_of = [], []
     start = 0
@@ -70,10 +70,10 @@ def grouped_singular_values(matrix, layout) -> np.ndarray:
                                         "matrix")
         block = m[start:stop]
         stack = block[np.arange(stop - start)[:, None],
-                      np.repeat(supports, rows, axis=0)].toarray()
+                      np.repeat(supports, rows, axis=0)]
         # a row meets each support column once, so equal counts leave no
         # nonzero entry off the support
-        if np.count_nonzero(stack) != block.count_nonzero():
+        if np.count_nonzero(stack) != np.count_nonzero(block.data):
             raise np.linalg.LinAlgError("a row has an entry off its group's "
                                         "support")
         stack = stack.reshape(n_groups, rows, width)
@@ -84,9 +84,9 @@ def grouped_singular_values(matrix, layout) -> np.ndarray:
     if start != n_rows:
         raise np.linalg.LinAlgError("layout leaves matrix rows ungrouped")
     s = np.sort(np.concatenate(values))[::-1]
-    gram = (m @ m.T).tocoo()
+    row, col, gram = (m @ m.T).entries()
     group_of = np.concatenate(group_of)
-    cross = gram.data[group_of[gram.row] != group_of[gram.col]]
+    cross = gram[group_of[row] != group_of[col]]
     if not np.linalg.norm(cross) <= GRAM_TOL * s[-1]**2:
         raise np.linalg.LinAlgError("row groups are not orthogonal to "
                                     "within GRAM_TOL")
@@ -104,16 +104,16 @@ def curl_path_kernel(lattice: Lattice, all_orders: bool = True) -> dict:
     gaussian.RANK_TOL * max_sv, means the pair is gauge-rigid."""
     tau = (av.path_average_matrix(lattice) if all_orders
            else av.tree_path_matrix(lattice)).matrix
-    lo, hi = _min_max_sv(sp.vstack([ext_d_matrix(lattice), tau]).toarray())
+    lo, hi = _min_max_sv(csr.vstack([ext_d_matrix(lattice), tau]).toarray())
     return {"min_sv": lo, "max_sv": hi}
 
 
 def toron_closure_kernel(lattice: Lattice) -> dict:
     """As curl_path_kernel (tree version) with the winding averages added;
     on a torus this is what removes the constant-shift kernel."""
-    stack = sp.vstack([ext_d_matrix(lattice),
-                       av.tree_path_matrix(lattice).matrix,
-                       av.toron_average_matrix(lattice)])
+    stack = csr.vstack([ext_d_matrix(lattice),
+                        av.tree_path_matrix(lattice).matrix,
+                        av.toron_average_matrix(lattice)])
     lo, hi = _min_max_sv(stack.toarray())
     return {"min_sv": lo, "max_sv": hi}
 

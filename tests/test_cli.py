@@ -236,25 +236,30 @@ def test_quadrature_rules_are_gauss_legendre(rule):
     assert abs(weights @ nodes ** (2 * n - 2) - 2 / (2 * n - 1)) < 1e-14
 
 
-def test_verify_loads_neither_scipy_linalg_nor_special():
-    # numpy and scipy.sparse are the linear-algebra backends of the package:
-    # importing it and running every suite loads neither scipy.linalg nor
-    # scipy.special.  A fresh process, since the test modules import
-    # scipy.linalg
+def test_verify_loads_no_scipy_and_imports_nothing_during_the_run():
+    # numpy is the one backend of the package: importing it and running
+    # every suite loads no scipy module, nor numpy.f2py, numpy.testing or
+    # numpy.ma (which a scipy import brings in).  Every module is loaded
+    # with the package, so the run itself imports nothing.  A fresh
+    # process, since the test modules import scipy
     code = (
         "import sys\n"
         "from caxial.cli import RunConfig, run_verification\n"
         "config = RunConfig(instances=((2, 3, 1),)).validate()\n"
+        "before = set(sys.modules)\n"
         "report, _ = run_verification(config)\n"
         "print({c['status'] for c in report['checks']})\n"
-        "print([m for m in ('scipy.linalg', 'scipy.special')\n"
-        "       if m in sys.modules])\n")
+        "print(sorted(set(sys.modules) - before))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "             or m.split('.')[:2] in (['numpy', 'f2py'],\n"
+        "                                     ['numpy', 'testing'],\n"
+        "                                     ['numpy', 'ma'])))\n")
     src = str(pathlib.Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines() == ["{'PASS'}", "[]"]
+    assert out.stdout.splitlines() == ["{'PASS'}", "[]", "[]"]
 
 
 RG_BUILDERS = (rg_flow._one_shot_winding_constraints,
@@ -567,6 +572,29 @@ def test_malformed_config_value_is_config_error(key, value, tmp_path,
     # the message names the offending key ("suites": "rg" once read as
     # the suites 'r' and 'g')
     assert key in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_report_in_a_missing_directory_is_config_error(tmp_path, capsys):
+    # rejected before any check runs: no summary and no report
+    report = tmp_path / "missing" / "r.json"
+    assert main(["verify", "--dim", "2", "--L", "3", "--levels", "1",
+                 "--report", str(report)]) == 2
+    out = capsys.readouterr()
+    assert "report" in out.err and out.out == ""
+    assert not report.parent.exists()
+    assert main(["verify", "--dim", "2", "--L", "3", "--levels", "1",
+                 "--report", str(tmp_path)]) == 2
+
+
+def test_csv_dir_naming_a_file_is_config_error(tmp_path, capsys):
+    not_a_dir = tmp_path / "tables"
+    not_a_dir.write_text("")
+    report = tmp_path / "r.json"
+    assert main(["verify", "--dim", "2", "--L", "3", "--levels", "1",
+                 "--csv-dir", str(not_a_dir), "--report", str(report)]) == 2
+    out = capsys.readouterr()
+    assert "csv_dir" in out.err and out.out == ""
     assert not report.exists()
 
 

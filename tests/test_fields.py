@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from caxial.csr import CSR
 from caxial.lattice import build_lattice, open_cube, unit_torus, fine_torus
 from caxial.fields import (codiff, scale_field, apply_symmetry, random_field,
                            grad_matrix, ext_d_matrix, laplacian_matrix,
@@ -72,7 +73,7 @@ def test_adjointness():
 def test_codiff_of_grad_is_laplacian():
     lat = fine_torus(2, 3, 1, 1)
     delta = codiff(BOND, lat)
-    assert delta.format == "csr"
+    assert isinstance(delta, CSR)
     lap = delta.toarray() @ grad_matrix(lat).toarray()
     assert np.allclose(lap, laplacian_matrix(lat).toarray(), rtol=0,
                        atol=1e-12)

@@ -6,9 +6,9 @@ symbol path of `gaussian.kernel_residual`.
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from caxial import averaging as av
+from caxial import csr
 from caxial.fields import (BOND, PLAQUETTE, SITE, block_symbol, element_count,
                            ext_d_matrix, grad_matrix)
 from caxial.gaussian import RANK_TOL, kernel_residual, row_space
@@ -66,11 +66,12 @@ def _operators(lat):
 
 
 def _dense(matrix):
-    return matrix.toarray() if sp.issparse(matrix) else np.array(matrix)
+    return (matrix.toarray() if isinstance(matrix, csr.CSR)
+            else np.array(matrix))
 
 
 # block_symbol reads either kind of input; each refusal is tested on both
-AS_KIND = {"csr": sp.csr_matrix, "dense": _dense}
+AS_KIND = {"csr": csr.as_csr, "dense": _dense}
 
 
 @pytest.mark.parametrize("dim,L,levels", [(2, 3, 2), (2, 3, 3), (2, 5, 2),

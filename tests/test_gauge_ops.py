@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import scipy_csr
 from numpy.polynomial.legendre import leggauss
 
 from caxial import averaging as av
-from caxial import gauge_ops
+from caxial import csr, gauge_ops
+from caxial.csr import CSR
 from caxial.fields import BOND, curl_energy_form, ext_d_matrix, grad_matrix
 from caxial.gauge_ops import (GaugeContext, change_of_gauge_check,
                               decay_profile, get_context,
@@ -191,8 +193,10 @@ def _add_sparse(dense, scale, m):
 
 def compression(c):
     """(I + grad recovery) Q_b as CSR: fine bonds -> unit bonds."""
-    gr = grad_matrix(c.unit) @ av.scalar_recovery_matrix(c.unit)
-    return (sp.identity(c.unit.n_bonds, format="csr") + gr) @ c.bond_average
+    gr = (scipy_csr(grad_matrix(c.unit))
+          @ scipy_csr(av.scalar_recovery_matrix(c.unit)))
+    return ((sp.identity(c.unit.n_bonds, format="csr") + gr)
+            @ scipy_csr(c.bond_average))
 
 
 def x_gram(c):
@@ -203,13 +207,13 @@ def x_gram(c):
 
 def bond_average_next_gram(c):
     """Q_next^T Q_next on fine bonds: the average regulator."""
-    qn = c.bond_average_next
+    qn = scipy_csr(c.bond_average_next)
     return (qn.T @ qn).tocoo()
 
 
 def proj_div_next(c, a):
     """The dense divergence projector R of the (k+1)-level scalar average."""
-    q = c.scalar_average_next
+    q = scipy_csr(c.scalar_average_next)
     q_adj = (float(c.L) ** ((c.level + 1) * c.dim) * q.T).tocsr()
     op = c.lap_fine + (a * q_adj @ q).toarray()
     g = np.linalg.inv(0.5 * (op + op.T))
@@ -295,14 +299,17 @@ ORACLE = ((2, 3, 1, 0), (2, 3, 2, 1), (3, 3, 1, 0))
 def test_averaging_maps_stay_sparse(inst):
     c = get_context(*inst)
     for name in SPARSE_MAPS:
-        assert sp.issparse(getattr(c, name)), name
+        assert isinstance(getattr(c, name), CSR), name
 
 
 @pytest.mark.parametrize("inst", ORACLE)
 def test_products_are_ndarrays(inst):
-    # a dense matrix plus a csr_matrix is an np.matrix, whose * and
-    # indexing differ from an ndarray's; no product may leak one
+    # a dense matrix plus a scipy csr_matrix is an np.matrix, whose * and
+    # indexing differ from an ndarray's; a CSR refuses the sum, and no
+    # product may leak one
     assert type(np.eye(2) + sp.identity(2, format="csr")) is np.matrix
+    with pytest.raises(TypeError):
+        np.eye(2) + csr.as_csr(np.eye(2))
     c = get_context(*inst)
     mats = {"green_scalar": c.green_scalar(), "proj_div": c.proj_div(),
             "fine_green": c.fine_green(0.5), "tilde_green": c.tilde_green(0.5),

@@ -15,10 +15,13 @@ import pytest
 import scipy.sparse as sp
 
 from caxial import averaging as av
-from caxial.fields import BOND, apply_symmetry, ext_d_matrix, grad_matrix
+from caxial.csr import CSR
+from caxial.fields import (BOND, PLAQUETTE, apply_symmetry, codiff,
+                           curl_energy_form, ext_d_matrix, grad_matrix,
+                           laplacian_matrix)
 from caxial.gauge_ops import _element_points, decay_profile, get_context
 from caxial.lattice import (OPEN_CUBE, TORUS, Lattice, LatticeError,
-                            LatticeSpec, build_lattice)
+                            LatticeSpec, build_lattice, clear_caches)
 
 
 # -- loop references -----------------------------------------------------------
@@ -485,13 +488,15 @@ def test_calculus_matrices_match_loops(spec):
     # one format at every size: CSR, equal entry for entry to the loops
     for matrix, loop in ((grad_matrix(lat), loop_grad_matrix(ref)),
                          (ext_d_matrix(lat), loop_ext_d_matrix(ref))):
-        assert sp.issparse(matrix)
+        assert isinstance(matrix, CSR)
         assert np.array_equal(matrix.toarray(), loop)
 
 
 def _assert_canonical_csr(matrix):
-    assert sp.issparse(matrix) and matrix.format == "csr"
-    assert matrix.has_canonical_format
+    assert isinstance(matrix, CSR)
+    rows, cols, _ = matrix.entries()
+    # row by row, the columns ascend and none repeats
+    assert np.all(np.diff(rows * matrix.shape[1] + cols) > 0)
 
 
 @pytest.mark.parametrize("spec", BLOCKED, ids=_id)
@@ -532,6 +537,34 @@ def test_averaging_matrices_match_loops(spec):
         _assert_canonical_csr(av.toron_average_full_matrix(lat, n_levels))
 
 
+@pytest.mark.parametrize("spec", SPECS, ids=_id)
+def test_builders_match_the_scipy_construction(spec, scipy_checked):
+    # every CSR builder, and every sparse product, stack and gather the
+    # composite ones take, equals the scipy.sparse construction it replaced
+    clear_caches()
+    lat = build_lattice(spec)
+    for kind in (BOND, PLAQUETTE):
+        codiff(kind, lat)
+    laplacian_matrix(lat)
+    curl_energy_form(lat)
+    n_levels = _levels(spec)
+    for n in range(n_levels + 1):
+        av.scalar_average_matrix(lat, n)
+        av.bond_average_matrix(lat, n)
+        av.axial_constraint_stack(lat, n)
+    if n_levels:
+        av.bond_average_direct_matrix(lat, n_levels)
+        av.path_average_matrix(lat)
+        av.tree_path_matrix(lat)
+        av.scalar_recovery_matrix(lat)
+        av.hierarchical_scalar_bijection_matrix(lat, n_levels)
+        if spec.boundary == TORUS:
+            av.toron_average_full_matrix(lat, n_levels)
+            av.fluctuation_basis(lat)
+    clear_caches()
+    assert scipy_checked["from_triplets"] and scipy_checked["__matmul__"]
+
+
 @pytest.mark.parametrize("spec", BLOCKED, ids=_id)
 def test_axial_stack_level_zero_is_an_unaliased_copy(spec):
     lat = build_lattice(spec)
@@ -544,10 +577,14 @@ def test_axial_stack_level_zero_is_an_unaliased_copy(spec):
         tau = av.path_average_matrix(av.coarsened(lat, j)).matrix
         assert np.array_equal(stack.matrix[start:stop].toarray(),
                               (tau @ av.bond_average_matrix(lat, j)).toarray())
+    # the stack's arrays are its own, and neither it nor the cached path
+    # averages can be written
     cached = av.path_average_matrix(lat).matrix
-    before = cached.copy()
-    stack.matrix.data[...] = 7.0
-    assert (cached != before).nnz == 0
+    assert not np.shares_memory(stack.matrix.data, cached.data)
+    for m in (stack.matrix, cached):
+        for a in (m.data, m.indices, m.indptr):
+            with pytest.raises(ValueError):
+                a[...] = 7
 
 
 @pytest.mark.parametrize("spec", BLOCKED, ids=_id)
