@@ -33,10 +33,8 @@ from . import averaging as av
 from . import spectral
 from .fields import (apply_symmetry, codiff, curl_energy_form, ext_d_matrix,
                      grad_matrix, laplacian_matrix, random_field, scale_field)
-from .gauge_ops import (change_of_gauge_check, decay_profile, get_context,
-                        one_shot_constraints)
-from .gaussian import (RANK_TOL, SurfaceGaussian, kernel_residual,
-                       operator_max_abs)
+from .gauge_ops import change_of_gauge_check, decay_profile, get_context
+from .gaussian import RANK_TOL, kernel_residual, operator_max_abs
 from .lattice import (OPEN_CUBE, LatticeSpec, build_lattice, clear_caches,
                       fine_torus, instance_cache, open_cube, unit_torus)
 from .rg_flow import (final_step, fluctuation_step, flow_states,
@@ -556,8 +554,7 @@ def suite_lower_bound(run: Runner, inst):
               coercive, 0.0, "floor", cost=_dense(LatticeSpec(dim, L, 0, 1)))
 
     def surface_positive():
-        return min(SurfaceGaussian(s.density.form, one_shot_constraints(
-            s.lattice, 1)).min_eig() for s in flow_states(*inst)[:levels])
+        return min(s.step.min_eig for s in flow_states(*inst)[:levels])
     run.check("lower_bound.flow_forms_positive",
               "every flow density is positive definite on its fluctuation "
               "surface", inst, surface_positive, 0.0, "floor",

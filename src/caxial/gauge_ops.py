@@ -12,15 +12,17 @@ checks of its level share in its one memo, per argument (regulator a,
 quadrature node count, alpha) where there is one, read-only when they are
 arrays; an exception is not memoized.  Its Gaussians, the curl energy on
 the axial surface, Delta on one blocking step and the Feynman form per
-alpha, are each reduced once, and the memo keeps their outputs, not their
-factors.  Their surfaces come from `average_constraints` and
-`one_shot_constraints`, cached on the spacing-free shape of the lattice:
-the averaging matrices do not depend on the spacing, so the level-k axial
-surface on the fine lattice is the one of the unit torus with as many
-sites per side, which the flow's step surfaces share.  Level 0 is the
-curl Gaussian itself: zero blockings average nothing, so the axial
-minimizer is the identity and the density the curl form with log Z_0 = 0.
-No surface and no Gaussian is built there; the Feynman minimizer is the
+alpha, are each reduced once.  The memo keeps the outputs of the axial
+and Feynman Gaussians, not their reduced forms; the step Gaussian is kept
+whole, as `step`, for the flow steps through it at level 0.  Their
+surfaces come from `average_constraints` and `one_shot_constraints`,
+cached on the spacing-free shape of the lattice: the averaging matrices
+do not depend on the spacing, so the level-k axial surface on the fine
+lattice is the one of the unit torus with as many sites per side, which
+the flow's step surfaces share.  Level 0 is the curl Gaussian itself:
+zero blockings average nothing, so the axial minimizer is the identity
+and the density the curl form with log Z_0 = 0.  No axial surface and no
+axial or Feynman Gaussian is built there; the Feynman minimizer is the
 axial one and no penalty is built.  On top of it live
 
 * the scalar Green's function G = (-Lap + a Q^T Q)^-1,
@@ -219,7 +221,7 @@ class GaugeContext:
             self.scalar_average, self.scalar_average_adj,
             self.green_scalar(a)))
 
-    # -- the Gaussians of the level: their outputs ---------------------------
+    # -- the Gaussians of the level ------------------------------------------
 
     @_shared
     def _axial(self) -> tuple:
@@ -231,7 +233,7 @@ class GaugeContext:
         if self.level == 0:
             return np.eye(self.fine.n_bonds), QuadraticDensity(form)
         g = SurfaceGaussian(form, self.axial_surface)
-        return g.minimizer, g.push()
+        return g.minimizer, g.push
 
     axial_minimizer = property(lambda self: self._axial[0], doc="""Unit
         bonds -> fine bonds: least curl energy on the axial surface.""")
@@ -239,17 +241,13 @@ class GaugeContext:
     delta = property(lambda self: self._axial[1].form, doc="""Delta: the
         curl energy of the axial minimizer, as a unit-bond form.""")
 
-    @_shared
-    def _step(self) -> tuple:
+    @cached_property
+    def step(self) -> SurfaceGaussian:
         """Delta on the surface of one blocking step of the unit lattice:
-        log Z_f, the minimizer with the block average fixed to the next
-        level's field, and the fluctuation covariance on unit bonds."""
-        g = SurfaceGaussian(self.delta, one_shot_constraints(self.unit, 1))
-        return g.log_partition(), g.minimizer, g.covariance()
-
-    step_log_z = property(lambda self: self._step[0])
-    step_minimizer = property(lambda self: self._step[1])
-    step_covariance = property(lambda self: self._step[2])
+        its log_partition is log Z_f, its minimizer fixes the block average
+        to the next level's field, its covariance is the fluctuation
+        covariance on unit bonds.  At level 0 it is the flow's first step."""
+        return SurfaceGaussian(self.delta, one_shot_constraints(self.unit, 1))
 
     def minimizer_profile(self) -> dict:
         """`decay_profile` of the axial minimizer; memoized."""
@@ -278,7 +276,7 @@ class GaugeContext:
             g = SurfaceGaussian(
                 curl_energy_form(self.fine) + self.div_penalty / alpha,
                 average_constraints(self.fine, self.level))
-            return g.minimizer, g.covariance() if alpha == 1.0 else None
+            return g.minimizer, g.covariance if alpha == 1.0 else None
         return self._memo("feynman", alpha, build)
 
     def feynman_minimizer(self, alpha: float = 1.0) -> np.ndarray:
@@ -535,8 +533,8 @@ def change_of_gauge_check(ctx: GaugeContext, coarse_field: np.ndarray) -> dict:
     k_landau = np.vstack([qb, ctx.div_range_basis.T @ ctx.grad_fine.T])
     landau = SurfaceGaussian(curl_energy_form(ctx.fine), AffineSurface(
         k_landau, np.eye(k_landau.shape[0], qb.shape[0])))
-    mean_l, cov_l = landau.minimizer @ coarse_field, landau.covariance()
-    del landau      # its reduced form and factor
+    mean_l, cov_l = landau.minimizer @ coarse_field, landau.covariance
+    del landau      # its reduced form
     t = ctx.feynman_to_landau()
     mean_res = np.linalg.norm(t @ mean_f - mean_l) \
         / max(np.linalg.norm(mean_l), 1e-300)

@@ -15,9 +15,12 @@ it reduces F once to the kernel coordinates, R = B^T F B (the null-space
 method), where the Gaussian is finite-dimensional and explicit.  The
 Cholesky factor of R is the positivity certificate and gives the
 log-determinant, hence the log-partition; solves with R, taken after the
-certificate, give the minimizer map, covariance and pushforward.  Only this
-module reads a surface's basis and lift; `kernel_basis` is the one kernel
-accessor for the rest.
+certificate, give the minimizer map, covariance and pushforward.  Each
+output is a cached property, computed once for all who hold the Gaussian
+(a level context shares its step Gaussian with the flow), and of the
+factor only its log-determinant is kept.  Only this module reads a
+surface's basis and lift; `kernel_basis` is the one kernel accessor for
+the rest.
 
 Delta-function constraints carry true Dirac semantics: integrating
 delta(K v - E A) over the ambient space equals the surface integral (the
@@ -195,10 +198,12 @@ class SurfaceGaussian:
     of an AffineSurface, reduced once to the kernel coordinates.
 
     The reduced form R = B^T F B (B the surface's kernel basis, which every
-    fiber shares) is formed here; its Cholesky factor, formed when an output
-    first needs it, is the positivity certificate and gives the
-    log-determinant, and every output solves with R once it is certified.
-    The form is held by reference, not copied.
+    fiber shares) is formed here.  Every output is a cached property,
+    computed when first read, so whoever holds the Gaussian computes each
+    output once.  The Cholesky factor of R, formed when an output first
+    needs it, is the positivity certificate; only its log-determinant is
+    kept, and every output solves with R once it is certified.  Array
+    outputs are read-only.  The form is held by reference, not copied.
     """
 
     def __init__(self, form: np.ndarray, surface: AffineSurface):
@@ -207,6 +212,7 @@ class SurfaceGaussian:
         R = B.T @ form @ B
         self.reduced = 0.5 * (R + R.T)
 
+    @cached_property
     def min_eig(self) -> float:
         """Smallest eigenvalue of R, the form on the surface directions;
         no certificate (inf on a zero-dimensional surface)."""
@@ -215,48 +221,52 @@ class SurfaceGaussian:
         return float(np.linalg.eigvalsh(self.reduced)[0])
 
     @cached_property
-    def _chol(self) -> np.ndarray:
-        return positive_cholesky(self.reduced)
+    def _logdet(self) -> float:
+        """log det R from the certificate, whose factor is not kept."""
+        chol = positive_cholesky(self.reduced)
+        return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         """R^-1 rhs, once R is certified positive definite."""
-        self._chol      # the certificate: raises unless R is positive
+        self._logdet    # the certificate: raises unless R is positive
         return np.linalg.solve(self.reduced, rhs)
 
     @cached_property
     def minimizer(self) -> np.ndarray:
         """Matrix H with H @ A = argmin 1/2 <v, F v> subject to K v = E A:
-        W - B R^-1 B^T F W for the lift W (read-only).  The minimizer of a
-        homogeneous quadratic on the fiber over A is linear in A."""
+        W - B R^-1 B^T F W for the lift W.  The minimizer of a homogeneous
+        quadratic on the fiber over A is linear in A."""
         B, W = self.surface.basis, self.surface.lift
         if W is None:
             raise ValueError("the constraints carry no fiber map E")
         return _frozen(W - B @ self._solve(B.T @ self.form @ W))
 
+    @cached_property
     def covariance(self) -> np.ndarray:
         """Ambient covariance B R^-1 B^T of the surface Gaussian (it kills
         the row space of K)."""
         B = self.surface.basis
         cov = B @ self._solve(B.T)
-        return 0.5 * (cov + cov.T)
+        return _frozen(0.5 * (cov + cov.T))
 
+    @cached_property
     def log_partition(self) -> float:
         """Log of the integral of exp(-1/2 <v, F v>) against delta(K v), the
         fiber over A = 0, under the Dirac measure, which needs independent
         constraint rows."""
-        chol = self._chol
+        logdet = self._logdet
         if self.surface.rank < self.surface.matrix.shape[0]:
             raise SingularOperator("the Dirac measure needs independent "
                                    "constraint rows")
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        return float(0.5 * chol.shape[0] * LOG_2PI - 0.5 * logdet
+        return float(0.5 * self.reduced.shape[0] * LOG_2PI - 0.5 * logdet
                      - 0.5 * self.surface.log_gram)
 
+    @cached_property
     def push(self) -> QuadraticDensity:
         """Integrate exp(-1/2 <v, F v>) against delta(K v - E A) over v: the
         centered density of the coarse variable A, with form H^T F H and
-        constant log_partition(), H the minimizer.  The fibers are parallel,
+        constant log_partition, H the minimizer.  The fibers are parallel,
         so A enters only through H A."""
         H = self.minimizer
         m = H.T @ self.form @ H
-        return QuadraticDensity(0.5 * (m + m.T), self.log_partition())
+        return QuadraticDensity(0.5 * (m + m.T), self.log_partition)

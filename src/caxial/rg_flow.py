@@ -58,12 +58,15 @@ class FlowCounts:
 
 @dataclass
 class RGState:
-    """Density of the coarse field at one level of the flow."""
+    """Density of the coarse field at one level of the flow, and below the
+    last level the Gaussian of its step: the density's form on the surface
+    of one blocking step of its lattice."""
 
     level: int
     lattice: Lattice            # unit-spacing torus carrying the field
     density: QuadraticDensity
     counts: FlowCounts
+    step: SurfaceGaussian | None
 
     def gauge_residual(self) -> float:
         """Max of form @ grad: the density must not see pure gauges."""
@@ -73,10 +76,10 @@ class RGState:
 
 def init_rho0(dim: int, L: int, n_levels: int) -> RGState:
     """Level-0 state: the curl-energy Gaussian, the axial density of the
-    level-0 context (shared, read-only)."""
+    level-0 context, with that context's step Gaussian (both shared)."""
     ctx = get_context(dim, L, n_levels, 0)
     return RGState(0, ctx.fine, ctx.axial_density,
-                   FlowCounts(dim, L, n_levels))
+                   FlowCounts(dim, L, n_levels), ctx.step)
 
 
 def rg_step(state: RGState) -> RGState:
@@ -85,18 +88,18 @@ def rg_step(state: RGState) -> RGState:
     counts = state.counts
     if state.level >= counts.n_levels:
         raise ValueError("flow already at the last level")
-    d = state.density
-    pushed = SurfaceGaussian(d.form, one_shot_constraints(
-        state.lattice, 1)).push()
+    d, pushed = state.density, state.step.push
     # relabeling to unit spacing multiplies values by L**((dim-2)/2), so
     # the form divides by its square
     s = float(counts.L) ** ((counts.dim - 2) / 2.0)
     new = QuadraticDensity(
         pushed.form / (s * s),
         d.log_const + pushed.log_const + counts.scale_log(state.level + 1))
-    coarse = fine_torus(counts.dim, counts.L, 0,
-                        counts.n_levels - state.level - 1)
-    return RGState(state.level + 1, coarse, new, counts)
+    level = state.level + 1
+    coarse = fine_torus(counts.dim, counts.L, 0, counts.n_levels - level)
+    step = None if level == counts.n_levels else SurfaceGaussian(
+        new.form, one_shot_constraints(coarse, 1))
+    return RGState(level, coarse, new, counts, step)
 
 
 def final_step(state: RGState) -> float:
@@ -106,7 +109,7 @@ def final_step(state: RGState) -> float:
     if state.level != counts.n_levels - 1:
         raise ValueError("final step applies at the next-to-last level")
     d, surface = state.density, _one_shot_winding_constraints(state.lattice, 1)
-    return d.log_const + SurfaceGaussian(d.form, surface).log_partition() \
+    return d.log_const + SurfaceGaussian(d.form, surface).log_partition \
         + counts.scale_log(counts.n_levels)
 
 
@@ -129,7 +132,7 @@ def one_shot_state(dim: int, L: int, n_levels: int, k: int) -> RGState:
         raise ValueError("need 1 <= k <= n_levels")
     ctx = get_context(dim, L, n_levels, k)
     return RGState(k, ctx.unit, ctx.axial_density,
-                   FlowCounts(dim, L, n_levels))
+                   FlowCounts(dim, L, n_levels), None)
 
 
 def one_shot_final(dim: int, L: int, n_levels: int) -> float:
@@ -137,7 +140,7 @@ def one_shot_final(dim: int, L: int, n_levels: int) -> float:
     blocked field are fixed to zero; returns the log constant."""
     fine = fine_torus(dim, L, n_levels, 0)
     surface = _one_shot_winding_constraints(fine, n_levels)
-    return SurfaceGaussian(curl_energy_form(fine), surface).log_partition()
+    return SurfaceGaussian(curl_energy_form(fine), surface).log_partition
 
 
 @instance_cache
@@ -172,7 +175,7 @@ def z_constants(dim: int, L: int, n_levels: int) -> FlowConstants:
     counts = FlowCounts(dim, L, n_levels)
     log_z = {k: one_shot_state(dim, L, n_levels, k).density.log_const
              for k in range(1, n_levels + 1)}
-    log_zf = {k: get_context(dim, L, n_levels, k).step_log_z
+    log_zf = {k: get_context(dim, L, n_levels, k).step.log_partition
               for k in range(0, n_levels)}
     residuals = {}
     for k in range(1, n_levels):
@@ -189,7 +192,7 @@ def coarse_minimizer_map(dim: int, L: int, n_levels: int, k: int) -> np.ndarray:
     to the relabeled next-level field (unit bonds <- next-level bonds).
     The relabeling scales the field by s, and the minimizer is linear in it."""
     s = float(L) ** ((dim - 2) / 2.0)
-    return s * get_context(dim, L, n_levels, k).step_minimizer
+    return s * get_context(dim, L, n_levels, k).step.minimizer
 
 
 def minimizer_composition_residual(dim: int, L: int, n_levels: int,
@@ -206,22 +209,18 @@ def minimizer_composition_residual(dim: int, L: int, n_levels: int,
 
 @dataclass
 class FluctuationStep:
-    """Transport of a linear or quadratic functional through one step."""
+    """Transport of a quadratic functional through one step."""
 
-    mean_shift: np.ndarray      # linear case: the coefficient on the
-                                # relabeled coarse field
-    trace_term: float           # quadratic case: the constant added
+    trace_term: float           # the constant added
     cross_residual: float       # direct vs square-root parametrization
 
 
 def fluctuation_step(dim: int, L: int, n_levels: int,
-                     functional) -> FluctuationStep:
-    """Transport F(v) = <v, J> or F(v) = <v, M v> through the first
-    fluctuation integral, from level 0 (unit bonds of the finest torus) to
-    level 1.
+                     M: np.ndarray) -> FluctuationStep:
+    """Transport F(v) = <v, M v> through the first fluctuation integral,
+    from level 0 (unit bonds of the finest torus) to level 1.
 
-    The fluctuation Gaussian is centered, so a linear functional only sees
-    the conditional mean of the fine field; a quadratic one adds the trace
+    The fluctuation Gaussian is centered, so the functional adds the trace
     of M against the fluctuation covariance.  The covariance is also
     assembled through its symmetric square root in the whitened
     parametrization and the two agree for gauge-invariant functionals.
@@ -229,25 +228,9 @@ def fluctuation_step(dim: int, L: int, n_levels: int,
     minimizer to reach it.
     """
     ctx = get_context(dim, L, n_levels, 0)
-    s = float(L) ** ((dim - 2) / 2.0)
-    functional = np.asarray(functional, dtype=float)
-    if functional.ndim == 1:
-        # <A_0, J> -> <mean(A_0 | A_1), J>, relabeled; cross-checked
-        # against E^T mu for [[Delta, K^T], [K, 0]] [x; mu] = [J; 0], the
-        # KKT system of the same minimization (mean = KKT^-1 [0; E A])
-        shift = coarse_minimizer_map(dim, L, n_levels, 0).T \
-            @ functional / (s * s)
-        surface = one_shot_constraints(ctx.unit, 1)
-        K, m = surface.matrix, surface.matrix.shape[0]
-        kkt = np.block([[ctx.delta, K.T], [K, np.zeros((m, m))]])
-        mu = np.linalg.solve(kkt, np.concatenate([functional, np.zeros(m)]))
-        cross = float(np.linalg.norm(shift - surface.fiber.T @ mu[-m:] / s)
-                      / max(np.linalg.norm(shift), 1e-300))
-        return FluctuationStep(shift, 0.0, cross)
-    M = functional
-    trace = float(np.trace(M @ ctx.step_covariance))
+    trace = float(np.trace(M @ ctx.step.covariance))
     # whitened form: fluctuation = C sqrt(C_0) W
     carrier = ctx.fluct_basis @ ctx.cov_sqrt_spectral()
     trace_w = float(np.trace(M @ carrier @ carrier.T))
-    return FluctuationStep(None, trace,
+    return FluctuationStep(trace,
                            abs(trace - trace_w) / max(abs(trace), 1e-300))

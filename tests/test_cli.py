@@ -296,9 +296,10 @@ def test_rg_factors_each_builder_key_once(monkeypatch):
 
 def test_suites_reduce_each_shared_gaussian_once(monkeypatch):
     # every surface integral is a SurfaceGaussian, which forms its reduced
-    # form once; the level contexts keep the outputs of their axial, step
-    # and per-alpha Feynman Gaussians, so on (2,3,2) only the flow's own
-    # step pairs are reduced more than once
+    # form once and each output at most once; the level contexts keep the
+    # outputs of their axial and per-alpha Feynman Gaussians and their step
+    # Gaussians whole, and the flow steps through the level-0 one, so on
+    # (2,3,2) no (surface, form) pair is reduced twice
     clear_caches()
     init = gaussian.SurfaceGaussian.__init__
     reductions = []     # holding the objects keeps their ids unique
@@ -314,23 +315,16 @@ def test_suites_reduce_each_shared_gaussian_once(monkeypatch):
     assert {c["status"] for c in report["checks"]} == {"PASS"}
     # axial at levels 1-2, step at 0-1, Feynman at three alphas on level
     # 1, Landau once; level 0 integrates nothing, so its axial density is
-    # the curl form and its Feynman minimizer the axial one, the identity
+    # the curl form and its Feynman minimizer the axial one, the identity.
+    # The flow reduces only its level-1 step, whose form is iterated
     assert Counter(name for name, *_ in reductions) == {
-        "_axial": 2, "_step": 2, "build": 3, "rg_step": 2,
-        "surface_positive": 2, "final_step": 1, "one_shot_final": 1,
-        "change_of_gauge_check": 1}
-    assert len(reductions) <= 14
-    # the flow's two step pairs are reduced by rg_step and by
-    # lower_bound.flow_forms_positive; the first is also the level-0
-    # context's step Gaussian, for the flow starts from that context's
-    # density
-    by_pair = {}
-    for name, surface, form in reductions:
-        by_pair.setdefault((id(surface), id(form)), []).append(name)
-    assert sorted(sorted(names) for names in by_pair.values()
-                  if len(names) > 1) == [
-        ["_step", "rg_step", "surface_positive"],
-        ["rg_step", "surface_positive"]]
+        "_axial": 2, "step": 2, "build": 3, "rg_step": 1, "final_step": 1,
+        "one_shot_final": 1, "change_of_gauge_check": 1}
+    assert len(reductions) == 11
+    pairs = {(id(surface), id(form)) for _, surface, form in reductions}
+    assert len(pairs) == len(reductions)
+    assert rg_flow.flow_states(2, 3, 2)[0].step \
+        is gauge_ops.get_context(2, 3, 2, 0).step
 
 
 def test_gauge_suites_build_one_context_per_level(monkeypatch):
@@ -427,7 +421,7 @@ def test_library_caches_are_shared_and_read_only():
            av.fluctuation_basis(c.unit), c.grad_fine, c.lap_fine,
            c.axial_minimizer, c.delta, c.div_penalty, c.reduced_delta,
            c.div_range_basis, c.fluct_basis, c.chi_star,
-           c.step_minimizer, c.step_covariance,
+           c.step.minimizer, c.step.covariance,
            *c.feynman(1.0), c.feynman(0.5)[0]]
     for a in arrays:
         with pytest.raises(ValueError):

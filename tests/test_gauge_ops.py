@@ -131,7 +131,7 @@ def test_effective_form_kills_coarse_gradients():
 def test_effective_form_positive_on_fluctuation_surface():
     c = ctx1()
     step = SurfaceGaussian(c.delta, one_shot_constraints(c.unit, 1))
-    assert step.min_eig() > 0
+    assert step.min_eig > 0
 
 
 def test_lambda0_solves_defining_equations():

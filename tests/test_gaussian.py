@@ -1,4 +1,5 @@
 import copy
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -37,17 +38,17 @@ def minimizer_map(F, surface):
 
 
 def subspace_covariance(F, surface):
-    return SurfaceGaussian(F, surface).covariance()
+    return SurfaceGaussian(F, surface).covariance
 
 
 # the density's constant is carried by the caller, as the flow does
 def log_partition(density, surface):
     return density.log_const \
-        + SurfaceGaussian(density.form, surface).log_partition()
+        + SurfaceGaussian(density.form, surface).log_partition
 
 
 def push_constraint(density, surface):
-    pushed = SurfaceGaussian(density.form, surface).push()
+    pushed = SurfaceGaussian(density.form, surface).push
     return QuadraticDensity(pushed.form,
                             density.log_const + pushed.log_const)
 
@@ -154,8 +155,8 @@ def test_indefinite_raises():
         minimizer_map(F, AffineSurface(np.zeros((0, 2)), np.zeros((0, 1))))
     # but a constraint removing the bad direction makes it fine
     assert SurfaceGaussian(F, AffineSurface(np.array([[0.0, 1.0]]))) \
-        .min_eig() > 0
-    assert SurfaceGaussian(F, AffineSurface(np.eye(2))).min_eig() == np.inf
+        .min_eig > 0
+    assert SurfaceGaussian(F, AffineSurface(np.eye(2))).min_eig == np.inf
 
 
 def test_zero_eigenvalue_is_not_positive_definite():
@@ -501,17 +502,30 @@ def test_push_matches_the_former_pushforward(case):
     assert abs(pushed.log_const - const) <= 1e-12 * max(1.0, abs(const))
 
 
-def test_one_reduction_serves_every_output():
+def test_one_reduction_serves_every_output(monkeypatch):
     # the reduced form is formed once and factored once, however many
-    # outputs read it
+    # outputs read it; a second read of an output computes nothing and
+    # returns the same object, and the Gaussian keeps no factor
     r = rng(5)
     F = random_spd(6, r)
     g = SurfaceGaussian(F, AffineSurface(r.standard_normal((2, 6)),
                                          r.standard_normal((2, 1))))
     reduced = g.reduced
-    g.minimizer, g.covariance(), g.log_partition(), g.push()
+    calls = Counter()
+    for name in ("cholesky", "eigvalsh", "solve"):
+        def counted(*args, _f=getattr(np.linalg, name), _n=name, **kwargs):
+            calls[_n] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    names = ("minimizer", "covariance", "log_partition", "push", "min_eig")
+    first = [getattr(g, n) for n in names]
+    assert calls == {"cholesky": 1, "eigvalsh": 1, "solve": 2}
+    assert all(getattr(g, n) is out for n, out in zip(names, first))
+    assert calls == {"cholesky": 1, "eigvalsh": 1, "solve": 2}
     assert g.reduced is reduced and g.form is F
-    assert g.minimizer is g.minimizer
+    held = [v for v in vars(g).values() if isinstance(v, np.ndarray)]
+    assert all(any(v is a for a in (F, reduced, g.minimizer, g.covariance))
+               for v in held)
 
 
 @settings(max_examples=20, deadline=None)
