@@ -97,20 +97,13 @@ def _straight_average(fine: Lattice, n: int) -> CSR:
 
 
 @instance_cache
-def _bond_average_one(fine: Lattice) -> CSR:
-    """One level of bond blocking: average of straight-path sums."""
-    return _straight_average(fine, 1)
-
-
-@instance_cache
 def bond_average_matrix(fine: Lattice, n: int = 1) -> CSR:
-    """n-fold bond blocking (composition of single levels; n = 0 blocks
-    nothing, the straight paths of length 1)."""
-    if n == 0:
-        return _straight_average(fine, 0)
-    if n == 1:
-        return _bond_average_one(fine)
-    return (_bond_average_one(coarsened(fine, n - 1))
+    """n-fold bond blocking, the composition of single levels, each the
+    average of straight-path sums (n = 0 blocks nothing, the straight paths
+    of length 1)."""
+    if n <= 1:
+        return _straight_average(fine, n)
+    return (bond_average_matrix(coarsened(fine, n - 1), 1)
             @ bond_average_matrix(fine, n - 1))
 
 
@@ -436,6 +429,4 @@ def fluctuation_basis(lattice: Lattice) -> np.ndarray:
     axes = tuple(range(0, 2 * lattice.dim, 2))
     moved = [np.roll(bonds, h, axis=axes).ravel()
              for h in np.ndindex((grid,) * lattice.dim)]
-    cols = first[np.stack(moved, axis=1)].reshape(lattice.n_bonds, -1)
-    cols.flags.writeable = False    # cached and shared
-    return cols
+    return first[np.stack(moved, axis=1)].reshape(lattice.n_bonds, -1)

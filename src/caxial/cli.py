@@ -33,7 +33,8 @@ from . import averaging as av
 from . import spectral
 from .fields import (apply_symmetry, codiff, curl_energy_form, ext_d_matrix,
                      grad_matrix, laplacian_matrix, random_field, scale_field)
-from .gauge_ops import change_of_gauge_check, decay_profile, get_context
+from .gauge_ops import (NPOINTS, change_of_gauge_check, decay_profile,
+                        get_context)
 from .gaussian import RANK_TOL, kernel_residual, operator_max_abs
 from .lattice import (OPEN_CUBE, LatticeSpec, build_lattice, clear_caches,
                       fine_torus, instance_cache, open_cube, unit_torus)
@@ -58,11 +59,6 @@ DEFAULT_INSTANCES = (
 A_LIST = (1.0, 2.0)             # Green's-function regulators
 ALPHA_LIST = (0.5, 2.0)         # Feynman gauge-fixing weights
 X_LIST = (0.1, 1.0, 10.0)       # covariance shifts, besides 0
-NPOINTS = 200                   # square-root quadrature nodes
-# the Gauss-Legendre rules (nodes, weights) of the square-root quadrature
-# and of its convergence check, built once, outside every check
-RULE = np.polynomial.legendre.leggauss(NPOINTS)
-HALF_RULE = np.polynomial.legendre.leggauss(NPOINTS // 2)
 DECAY_MIN_CORR = 0.9            # floor of the decay fit's |correlation|
 DEFAULT_MAX_DIM = 5000          # the cap unless CAXIAL_MAX_DIM is set
 
@@ -103,8 +99,8 @@ class RunConfig:
     checks and the relative rank cut of every kernel certificate and
     constraint factor.  The regulators, gauge-fixing weights, shifts,
     quadrature nodes and decay floor are the module constants A_LIST,
-    ALPHA_LIST, X_LIST, NPOINTS (with its rules RULE and HALF_RULE) and
-    DECAY_MIN_CORR.
+    ALPHA_LIST, X_LIST, NPOINTS (of `gauge_ops`, with its Gauss-Legendre
+    rules) and DECAY_MIN_CORR.
     """
 
     instances: tuple = DEFAULT_INSTANCES
@@ -264,10 +260,6 @@ def _rel(a, b):
     return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1.0))
 
 
-def _maxabs(m):
-    return float(np.abs(m).max()) if np.size(m) else 0.0
-
-
 # -- declared costs ----------------------------------------------------------
 # Entries of the largest array a check builds, in closed form; a suite
 # computes one per lattice or level context (all share the fine lattice).
@@ -331,7 +323,7 @@ def suite_calculus(run: Runner, inst):
     def curl_grad():
         lattice = lat()
         prod = ext_d_matrix(lattice) @ grad_matrix(lattice)
-        return _maxabs(prod.data)       # the entries not stored are 0
+        return operator_max_abs(prod.data)  # the entries not stored are 0
     run.check("calculus.curl_of_gradient",
               "the curl of every gradient vanishes identically", inst,
               curl_grad, 0, cost=torus)
@@ -380,7 +372,7 @@ def suite_calculus(run: Runner, inst):
             if np.any(image < 0) or np.any(
                     ys[image] != tau.coarse.site_permutation(rinv)[ys]):
                 raise KeyError("a symmetry image of a row is not a row")
-            worst = max(worst, _maxabs(lhs - rhs[image]))
+            worst = max(worst, operator_max_abs(lhs - rhs[image]))
         return worst
     run.check("calculus.path_average_symmetry",
               "path averages commute with the point symmetries of the "
@@ -399,7 +391,7 @@ def suite_averaging(run: Runner, inst):
         qb = av.bond_average_matrix(lattice, 1)
         qs = av.scalar_average_matrix(lattice, 1)
         diff = qb @ grad_matrix(lattice) - grad_matrix(coarse) @ qs
-        return _maxabs(diff.data)       # the entries not stored are 0
+        return operator_max_abs(diff.data)  # the entries not stored are 0
     run.check("averaging.gradient_intertwining",
               "bond averaging of a gradient is the gradient of the scalar "
               "average", inst, intertwine, tol, cost=cost)
@@ -417,7 +409,8 @@ def suite_averaging(run: Runner, inst):
         tau = av.path_average_matrix(lattice).matrix
         g = grad_matrix(lattice)
         qs = av.scalar_average_matrix(lattice, 1)
-        return max(_maxabs(tau @ (Z + g @ mu)), _maxabs(qs @ mu))
+        return max(operator_max_abs(tau @ (Z + g @ mu)),
+                   operator_max_abs(qs @ mu))
     run.check("averaging.scalar_recovery",
               "the recovered potential cancels all in-block path averages "
               "and has zero block average", inst, recovery, tol, cost=cost)
@@ -477,11 +470,11 @@ def suite_feynman_landau(run: Runner, inst):
     dim, L, levels = inst
     tol = run.config.identity_tol
     cost = _dense(LatticeSpec(dim, L, 0, levels))
-    ctx = functools.partial(get_context, *inst, min(1, levels))
+    ctx = functools.partial(get_context, *inst, 1)
 
     def idempotent():
         r = ctx().proj_div()
-        return max(_maxabs(r @ r - r), _maxabs(r - r.T))
+        return max(operator_max_abs(r @ r - r), operator_max_abs(r - r.T))
     run.check("feynman_landau.projector_idempotent",
               "the divergence projector is symmetric idempotent", inst,
               idempotent, tol, cost=cost)
@@ -489,12 +482,13 @@ def suite_feynman_landau(run: Runner, inst):
     run.check("feynman_landau.average_green_projector",
               "averaging through the Green's function annihilates the "
               "divergence projector", inst,
-              lambda: _maxabs(ctx().scalar_average @ ctx().green_scalar()
-                              @ ctx().proj_div()), tol, cost=cost)
+              lambda: operator_max_abs(ctx().scalar_average
+                                       @ ctx().green_scalar()
+                                       @ ctx().proj_div()), tol, cost=cost)
 
     def a_indep():
         a1, a2 = A_LIST
-        return _maxabs(ctx().proj_div(a1) - ctx().proj_div(a2))
+        return operator_max_abs(ctx().proj_div(a1) - ctx().proj_div(a2))
     run.check("feynman_landau.projector_regulator_independence",
               "the divergence projector does not depend on the regulator",
               inst, a_indep, tol, cost=cost)
@@ -517,7 +511,7 @@ def suite_feynman_landau(run: Runner, inst):
         c = ctx()
         diff = c.feynman_minimizer() - c.axial_minimizer
         pot, *_ = np.linalg.lstsq(c.grad_fine, diff, rcond=None)
-        return _maxabs(c.grad_fine @ pot - diff)
+        return operator_max_abs(c.grad_fine @ pot - diff)
     run.check("feynman_landau.minimizers_differ_by_gradient",
               "the two minimizers differ by a pure gauge", inst,
               pure_gauge, tol, cost=cost)
@@ -525,9 +519,9 @@ def suite_feynman_landau(run: Runner, inst):
     def lambda0():
         c = ctx()
         lam = c.lambda0_map()
-        return max(_maxabs(c.scalar_average @ lam
-                           - np.eye(c.unit.n_sites)),
-                   _maxabs(c.proj_div() @ c.lap_fine @ lam))
+        return max(operator_max_abs(c.scalar_average @ lam
+                                    - np.eye(c.unit.n_sites)),
+                   operator_max_abs(c.proj_div() @ c.lap_fine @ lam))
     run.check("feynman_landau.scalar_potential_equations",
               "the distinguished scalar potential solves its defining "
               "equations", inst, lambda0, tol, cost=cost)
@@ -659,16 +653,16 @@ def suite_sqrt(run: Runner, inst):
     # at a single level the blocked lattice degenerates; stay at level 0
     ctx = functools.partial(get_context, *inst, 1 if levels >= 2 else 0)
 
-    def error(rule):
-        return _maxabs(ctx().cov_sqrt_quadrature(rule)
-                       - ctx().cov_sqrt_spectral())
+    def error(npoints):
+        return operator_max_abs(ctx().cov_sqrt_quadrature(npoints)
+                                - ctx().cov_sqrt_spectral())
 
     run.check("sqrt.quadrature_matches_spectral",
               "the quadrature square root matches the spectral one", inst,
-              lambda: error(RULE), 1e-6, cost=cost)
+              lambda: error(NPOINTS), 1e-6, cost=cost)
 
     def converges():
-        e_half, e_full = error(HALF_RULE), error(RULE)
+        e_half, e_full = error(NPOINTS // 2), error(NPOINTS)
         # both may already sit on the rounding floor; only a genuine
         # regression above it counts against convergence
         return e_full / max(e_half, 1e-12)
@@ -678,7 +672,7 @@ def suite_sqrt(run: Runner, inst):
 
     def square():
         root = ctx().cov_sqrt_spectral()
-        return _maxabs(root @ root - ctx().fluct_cov(0.0))
+        return operator_max_abs(root @ root - ctx().fluct_cov(0.0))
     run.check("sqrt.root_squares_to_covariance",
               "the square of the computed root is the fluctuation "
               "covariance", inst, square, run.config.identity_tol, cost=cost)

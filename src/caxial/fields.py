@@ -175,9 +175,7 @@ def curl_energy_form(lattice: Lattice) -> np.ndarray:
     """Dense quadratic form eta**dim d^T d of the curl energy on bonds,
     read-only, from the CSR product of the curl with itself."""
     d = ext_d_matrix(lattice)
-    form = (lattice.spacing**lattice.dim * d.T @ d).toarray()
-    form.flags.writeable = False
-    return form
+    return (lattice.spacing**lattice.dim * d.T @ d).toarray()
 
 
 def codiff(kind: str, lattice: Lattice) -> CSR:

@@ -7,14 +7,14 @@ blocking.  `get_context` caches one per instance level until a run moves
 to the next instance; it checks no resource cap, since `cli` checks each
 check's declared cost first.  The regulator a and the gauge-fixing weight
 alpha are arguments of the members that read them, not part of the
-context: the identities hold for every value.  A context keeps what the
-checks of its level share in its one memo, per argument (regulator a,
-quadrature node count, alpha) where there is one, read-only when they are
-arrays; an exception is not memoized.  Its Gaussians, the curl energy on
-the axial surface, Delta on one blocking step and the Feynman form per
-alpha, are each reduced once.  The memo keeps the outputs of the axial
-and Feynman Gaussians, not their reduced forms; the step Gaussian is kept
-whole, as `step`, for the flow steps through it at level 0.  Their
+context: the identities hold for every value.  What the checks of a
+level share is an `instance_cache` member, keyed on the context and its
+argument (regulator a, node count, alpha, shift) if any.  Its Gaussians,
+the curl energy on the axial surface, Delta on one blocking step and the
+Feynman form per alpha, are each reduced once.  The caches keep the
+outputs of the axial and Feynman Gaussians, not their reduced forms; the
+step Gaussian is kept whole, as `step`, for the flow steps through it at
+level 0.  Their
 surfaces come from `average_constraints` and `one_shot_constraints`,
 cached on the spacing-free shape of the lattice: the averaging matrices
 do not depend on the spacing, so the level-k axial surface on the fine
@@ -58,8 +58,6 @@ sums and inverses taken block by block.
 
 from __future__ import annotations
 
-from functools import cached_property, wraps
-
 import numpy as np
 
 from . import averaging as av
@@ -75,6 +73,11 @@ from .lattice import (Lattice, LatticeSpec, build_lattice, instance_cache,
 
 
 DECAY_FLOOR = 1e-13   # decay classes peaking at or below it are left unfitted
+NPOINTS = 200         # square-root quadrature nodes
+# the Gauss-Legendre rules (nodes, weights) of the square-root quadrature
+# and of its convergence check, built once, outside every check
+RULE = np.polynomial.legendre.leggauss(NPOINTS)
+HALF_RULE = np.polynomial.legendre.leggauss(NPOINTS // 2)
 
 
 def _h(m: np.ndarray) -> np.ndarray:
@@ -121,13 +124,6 @@ def _projectors_for(q, q_adj, g):
     return np.eye(p.shape[-1]) - 0.5 * (p + _h(p))
 
 
-def _shared(build):
-    """A property of a context built once, through its memo, so that its
-    arrays are stored read-only."""
-    return property(wraps(build)(
-        lambda self: self._memo(build.__name__, None, lambda: build(self))))
-
-
 class GaugeContext:
     """Operators of one RG level: fine torus at spacing L**-k, unit blocking."""
 
@@ -139,56 +135,44 @@ class GaugeContext:
         self.dim, self.L, self.n_levels, self.level = dim, L, n_levels, level
         self.fine = build_lattice(LatticeSpec(dim, L, level, n_levels - level))
         self.unit = build_lattice(LatticeSpec(dim, L, 0, n_levels - level))
-        self._memos = {}    # (name, argument) -> value built by _memo
-
-    def _memo(self, name, arg, build):
-        """The value `name` at argument arg, built once per argument and
-        shared, so its arrays (or a tuple's) are stored read-only."""
-        if (name, arg) not in self._memos:
-            value = self._memos[name, arg] = build()
-            for a in value if isinstance(value, tuple) else (value,):
-                if isinstance(a, np.ndarray):
-                    a.flags.writeable = False
-        return self._memos[name, arg]
+        self.weight = self.fine.spacing**dim    # inner-product weight
 
     # -- raw ingredients ----------------------------------------------------
 
-    @cached_property
-    def weight(self) -> float:
-        """Inner-product weight eta**dim of the fine lattice."""
-        return self.fine.spacing**self.dim
-
-    @_shared
+    @property
+    @instance_cache
     def grad_fine(self) -> np.ndarray:
         return grad_matrix(self.fine).toarray()
 
-    @_shared
+    @property
+    @instance_cache
     def lap_fine(self) -> np.ndarray:
         """Matrix of -Laplacian on fine scalars (positive semidefinite)."""
         return laplacian_matrix(self.fine).toarray()
 
-    @cached_property
+    @property
     def scalar_average(self) -> CSR:
         """Q: fine scalars -> unit scalars (k levels of blocking)."""
         return av.scalar_average_matrix(self.fine, self.level)
 
-    @cached_property
+    @property
+    @instance_cache
     def scalar_average_adj(self) -> CSR:
         """Weighted adjoint of Q; equals injection constant on blocks."""
         return (float(self.L) ** (self.level * self.dim)
                 * self.scalar_average.T)
 
-    @cached_property
+    @property
     def bond_average(self) -> CSR:
         """Bond blocking fine -> unit (identity at level 0)."""
         return av.bond_average_matrix(self.fine, self.level)
 
-    @cached_property
+    @property
     def bond_average_next(self) -> CSR:
         """Bond blocking fine -> one level above the unit lattice."""
         return av.bond_average_matrix(self.fine, self.level + 1)
 
-    @cached_property
+    @property
     def scalar_average_next(self) -> CSR:
         return av.scalar_average_matrix(self.fine, self.level + 1)
 
@@ -199,31 +183,32 @@ class GaugeContext:
         only."""
         return one_shot_constraints(self.fine, self.level)
 
-    @_shared
+    @property
     def chi_star(self) -> np.ndarray:
         return av.fluctuation_split(self.unit).chi_star
 
-    @_shared
+    @property
     def fluct_basis(self) -> np.ndarray:
         return av.fluctuation_basis(self.unit)
 
     # -- scalar Green's function and projectors -----------------------------
 
+    @instance_cache
     def green_scalar(self, a: float = 1.0) -> np.ndarray:
         """G = (-Lap + a Q^T Q)^-1 on fine scalars."""
         q, q_adj = self.scalar_average, self.scalar_average_adj
-        return self._memo("green", a, lambda: _scalar_green(
-            self.lap_fine, (a * q_adj @ q).toarray(), a))
+        return _scalar_green(self.lap_fine, (a * q_adj @ q).toarray(), a)
 
+    @instance_cache
     def proj_div(self, a: float = 1.0) -> np.ndarray:
         """R: orthogonal projector onto Lap(ker Q)."""
-        return self._memo("proj_div", a, lambda: _projectors_for(
-            self.scalar_average, self.scalar_average_adj,
-            self.green_scalar(a)))
+        return _projectors_for(self.scalar_average, self.scalar_average_adj,
+                               self.green_scalar(a))
 
     # -- the Gaussians of the level ------------------------------------------
 
-    @_shared
+    @property
+    @instance_cache
     def _axial(self) -> tuple:
         """The curl Gaussian on the axial surface: its minimizer and its
         pushforward, the level-k one-shot density (Delta, log Z_k).  At
@@ -241,7 +226,8 @@ class GaugeContext:
     delta = property(lambda self: self._axial[1].form, doc="""Delta: the
         curl energy of the axial minimizer, as a unit-bond form.""")
 
-    @cached_property
+    @property
+    @instance_cache
     def step(self) -> SurfaceGaussian:
         """Delta on the surface of one blocking step of the unit lattice:
         its log_partition is log Z_f, its minimizer fixes the block average
@@ -249,35 +235,34 @@ class GaugeContext:
         covariance on unit bonds.  At level 0 it is the flow's first step."""
         return SurfaceGaussian(self.delta, one_shot_constraints(self.unit, 1))
 
+    @instance_cache
     def minimizer_profile(self) -> dict:
-        """`decay_profile` of the axial minimizer; memoized."""
-        return self._memo("minimizer_profile", None, lambda: decay_profile(
-            self.axial_minimizer, self.fine, self.unit))
+        """`decay_profile` of the axial minimizer."""
+        return decay_profile(self.axial_minimizer, self.fine, self.unit)
 
-    @_shared
+    @property
+    @instance_cache
     def div_penalty(self) -> np.ndarray:
         """The projected-divergence penalty w grad R grad^T on fine bonds,
         at gauge-fixing weight alpha = 1."""
         dg = self.grad_fine
         return self.weight * dg @ self.proj_div() @ dg.T
 
+    @instance_cache
     def feynman(self, alpha: float = 1.0) -> tuple:
         """(minimizer, covariance) of the Feynman Gaussian, curl energy plus
         the projected-divergence penalty over alpha on the block-average
-        surface; memoized per alpha.  The covariance is formed only at
-        alpha = 1, whose moments change_of_gauge_check reads (else None).
-        At level 0 the block average is the identity, which fixes the
-        field: every form has the axial minimizer and the covariance is
-        zero, so neither the penalty nor a Gaussian is built there and the
-        covariance is None."""
-        def build():
-            if self.level == 0:
-                return self.axial_minimizer, None
-            g = SurfaceGaussian(
-                curl_energy_form(self.fine) + self.div_penalty / alpha,
-                average_constraints(self.fine, self.level))
-            return g.minimizer, g.covariance if alpha == 1.0 else None
-        return self._memo("feynman", alpha, build)
+        surface.  The covariance is formed only at alpha = 1, whose
+        moments change_of_gauge_check reads (else None).  At level 0 the
+        block average is the identity, which fixes the field: every form
+        has the axial minimizer and the covariance is zero, so neither the
+        penalty nor a Gaussian is built there and the covariance is None."""
+        if self.level == 0:
+            return self.axial_minimizer, None
+        g = SurfaceGaussian(
+            curl_energy_form(self.fine) + self.div_penalty / alpha,
+            average_constraints(self.fine, self.level))
+        return g.minimizer, g.covariance if alpha == 1.0 else None
 
     def feynman_minimizer(self, alpha: float = 1.0) -> np.ndarray:
         """Least curl energy + projected-divergence penalty, averages fixed."""
@@ -292,7 +277,8 @@ class GaugeContext:
 
     # -- fluctuation covariance ---------------------------------------------
 
-    @_shared
+    @property
+    @instance_cache
     def reduced_delta(self) -> np.ndarray:
         """C^T Delta C on the fluctuation parameters."""
         C = self.fluct_basis
@@ -325,7 +311,8 @@ class GaugeContext:
         return block_symbol(matrix, codomain, domain,
                             self.unit.n_side // self.L)
 
-    @_shared
+    @property
+    @instance_cache
     def _fine_symbols(self) -> tuple:
         """Symbols of the gradient, the curl form w d^T d and the next
         scalar average Q~ on fine fields."""
@@ -336,7 +323,8 @@ class GaugeContext:
                 self.weight * _h(d) @ d,
                 self._symbol(self.scalar_average_next, (nxt, SITE), fs))
 
-    @_shared
+    @property
+    @instance_cache
     def bond_average_next_symbol(self) -> np.ndarray:
         """Symbol of Q_next, the bond blocking one level above the unit
         lattice."""
@@ -344,7 +332,8 @@ class GaugeContext:
         return self._symbol(self.bond_average_next, (nxt, BOND),
                             (self.fine, BOND))
 
-    @_shared
+    @property
+    @instance_cache
     def _unit_symbols(self) -> tuple:
         """Symbols of the compression (I + grad recovery) Q_b, fine bonds
         -> unit bonds, and of X^T X for X = chi* times it, the gauge-fixed
@@ -360,19 +349,17 @@ class GaugeContext:
         x = self._symbol(chi, ub, ub) @ comp
         return comp, _h(x) @ x
 
+    @instance_cache
     def _operator_base(self, a: float) -> np.ndarray:
         """The shift-free part of fine_operator, before symmetrizing:
         curl + w grad R_next grad^T + a Q_next^T Q_next, for R_next the
-        divergence projector of the next scalar average; memoized."""
-        def build():
-            grad, curl, q = self._fine_symbols
-            q_adj = float(self.L) ** ((self.level + 1) * self.dim) * _h(q)
-            r = _projectors_for(q, q_adj, _scalar_green(
-                _h(grad) @ grad, a * q_adj @ q, a))
-            qn = self.bond_average_next_symbol
-            return (curl + self.weight * grad @ r @ _h(grad)
-                    + a * _h(qn) @ qn)
-        return self._memo("operator_base", a, build)
+        divergence projector of the next scalar average."""
+        grad, curl, q = self._fine_symbols
+        q_adj = float(self.L) ** ((self.level + 1) * self.dim) * _h(q)
+        r = _projectors_for(q, q_adj, _scalar_green(
+            _h(grad) @ grad, a * q_adj @ q, a))
+        qn = self.bond_average_next_symbol
+        return curl + self.weight * grad @ r @ _h(grad) + a * _h(qn) @ qn
 
     def fine_operator(self, x: float = 0.0, a: float = 1.0) -> np.ndarray:
         """Symbol of the regularized bond operator of the covariance
@@ -397,7 +384,8 @@ class GaugeContext:
         g = g - gqt @ np.linalg.solve(qn @ gqt, qn @ g)
         return 0.5 * (g + _h(g))
 
-    @_shared
+    @property
+    @instance_cache
     def _fluct_symbols(self) -> tuple:
         """Symbols of the fluctuation basis C (its parameters per coarse
         site -> unit bonds) and of the reduced form C^T Delta C.  At level
@@ -412,17 +400,16 @@ class GaugeContext:
         m = _h(c) @ delta @ c
         return c, 0.5 * (m + _h(m))
 
+    @instance_cache
     def _covariance_symbol(self, x: float) -> tuple:
         """C (C^T Delta C + x)^-1 C^T as a symbol on unit bonds, and its
-        spectral norm; memoized per shift, for it does not read the
+        spectral norm; cached per shift, for it does not read the
         regulator."""
-        def build():
-            c, m = self._fluct_symbols
-            lhs = c @ _spd_inverse(m + x * np.eye(m.shape[-1]),
-                                   IndefiniteOnSurface,
-                                   "reduced fluctuation form") @ _h(c)
-            return lhs, sym_norm2(lhs)
-        return self._memo("covariance_symbol", x, build)
+        c, m = self._fluct_symbols
+        lhs = c @ _spd_inverse(m + x * np.eye(m.shape[-1]),
+                               IndefiniteOnSurface,
+                               "reduced fluctuation form") @ _h(c)
+        return lhs, sym_norm2(lhs)
 
     def rep_check(self, xs=(0.0,), a: float = 1.0) -> dict:
         """Relative residuals of C (C^T Delta C + x)^-1 C^T against the
@@ -438,36 +425,34 @@ class GaugeContext:
 
     # -- square root of the fluctuation covariance --------------------------
 
+    @instance_cache
     def cov_sqrt_spectral(self) -> np.ndarray:
-        """S^-1/2 for S the reduced form, from one eigh; memoized."""
-        def build():
-            w, v = np.linalg.eigh(self.reduced_delta)
-            if w[0] <= 0:
-                raise IndefiniteOnSurface("reduced form not positive definite")
-            return (v / np.sqrt(w)) @ v.T
-        return self._memo("sqrt_spectral", None, build)
+        """S^-1/2 for S the reduced form, from one eigh."""
+        w, v = np.linalg.eigh(self.reduced_delta)
+        if w[0] <= 0:
+            raise IndefiniteOnSurface("reduced form not positive definite")
+        return (v / np.sqrt(w)) @ v.T
 
-    def cov_sqrt_quadrature(self, rule) -> np.ndarray:
+    @instance_cache
+    def cov_sqrt_quadrature(self, npoints: int = NPOINTS) -> np.ndarray:
         """Evaluate (1/pi) int_0^inf x^{-1/2} (S + x)^-1 dx for S the reduced
-        form, by x = tan^2(theta) and the Gauss-Legendre rule (nodes,
-        weights) on [-1, 1] mapped to (0, pi/2); memoized by node count."""
-        nodes, weights = rule
-
-        def build():
-            s = self.reduced_delta
-            diag = np.diag_indices(s.shape[0])
-            theta = 0.25 * np.pi * (nodes + 1.0)
-            out = np.zeros_like(s)
-            for t, w in zip(theta, weights):
-                m = np.cos(t) ** 2 * s
-                m[diag] += np.sin(t) ** 2
-                out += w * np.linalg.inv(m)
-            return (0.25 * np.pi) * (2.0 / np.pi) * out
-        return self._memo("sqrt_quadrature", len(nodes), build)
+        form, by x = tan^2(theta) and the npoints-node Gauss-Legendre rule,
+        RULE or HALF_RULE, on [-1, 1] mapped to (0, pi/2)."""
+        nodes, weights = {NPOINTS: RULE, NPOINTS // 2: HALF_RULE}[npoints]
+        s = self.reduced_delta
+        diag = np.diag_indices(s.shape[0])
+        theta = 0.25 * np.pi * (nodes + 1.0)
+        out = np.zeros_like(s)
+        for t, w in zip(theta, weights):
+            m = np.cos(t) ** 2 * s
+            m[diag] += np.sin(t) ** 2
+            out += w * np.linalg.inv(m)
+        return (0.25 * np.pi) * (2.0 / np.pi) * out
 
     # -- change of gauge (Feynman vs Landau) --------------------------------
 
-    @_shared
+    @property
+    @instance_cache
     def div_range_basis(self) -> np.ndarray:
         """Orthonormal basis of the range of R (columns)."""
         w, v = np.linalg.eigh(self.proj_div())

@@ -10,14 +10,16 @@ bonds by (site ordinal, axis), plaquettes by (site ordinal, axis pair).
 Every matrix built elsewhere in this package uses this ordering.
 
 Every cache of the package is an `instance_cache`, keyed directly or through
-a lattice on one instance's tower of blocked lattices; `clear_caches` drops
-them all when a run moves to the next instance.  A `shape_cache` keys on
-the spacing-free shape of its lattice instead (dim, L, sites per side,
-boundary), for builders whose output does not depend on the spacing.
+a lattice or a level context on one instance's tower of blocked lattices;
+`clear_caches` drops them all when a run moves to the next instance.  A
+`shape_cache` is one keyed on the spacing-free shape of its lattice (dim,
+L, sites per side, boundary), for builders whose output does not depend on
+the spacing.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache, wraps
@@ -30,10 +32,36 @@ CACHE_SIZE = 64    # above the keys any cache meets on one default instance
 _caches = []
 
 
-def instance_cache(fn):
-    """lru_cache(maxsize=CACHE_SIZE), emptied by clear_caches."""
-    _caches.append(lru_cache(maxsize=CACHE_SIZE)(fn))
-    return _caches[-1]
+def instance_cache(fn, key=None):
+    """lru_cache(maxsize=CACHE_SIZE) of fn on its bound arguments, defaults
+    included, so f(), f(d) and f(x=d) share one entry; key, if given, maps
+    them to the arguments fn is called with and keyed on.  An ndarray
+    value, or each of a tuple value, is stored read-only.  Only a call with
+    keywords is bound by the signature; a positional one is padded from
+    the defaults, which costs less.  Emptied by clear_caches."""
+    @lru_cache(maxsize=CACHE_SIZE)
+    def cached(*args, **kwargs):
+        value = fn(*args, **kwargs)
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        return value
+    signature = inspect.signature(fn)
+    n_args, defaults = fn.__code__.co_argcount, fn.__defaults__ or ()
+
+    @wraps(fn)
+    def lookup(*args, **kwargs):
+        if kwargs:
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args, kwargs = bound.args, bound.kwargs
+        elif 0 < n_args - len(args) <= len(defaults):
+            args += defaults[len(args) - n_args:]
+        return cached(*(key(*args) if key else args), **kwargs)
+    lookup.cache_info, lookup.cache_clear = (cached.cache_info,
+                                             cached.cache_clear)
+    _caches.append(lookup)
+    return lookup
 
 
 def shape_cache(build):
@@ -41,16 +69,8 @@ def shape_cache(build):
     shape of the lattice: build runs on the unit-spacing lattice with the
     same dim, L, sites per side and boundary, so every spacing of one shape
     shares one value."""
-    cached = lru_cache(maxsize=CACHE_SIZE)(build)
-
-    @wraps(build)
-    def on_shape(lattice, *args):
-        spec = lattice.spec
-        return cached(build_lattice(spec.rescaled(-spec.scale_exp)), *args)
-    on_shape.cache_info, on_shape.cache_clear = (cached.cache_info,
-                                                 cached.cache_clear)
-    _caches.append(on_shape)
-    return on_shape
+    return instance_cache(build, lambda lattice, *args: (build_lattice(
+        lattice.spec.rescaled(-lattice.spec.scale_exp)),) + args)
 
 
 def clear_caches():

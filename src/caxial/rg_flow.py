@@ -228,9 +228,10 @@ def fluctuation_step(dim: int, L: int, n_levels: int,
     minimizer to reach it.
     """
     ctx = get_context(dim, L, n_levels, 0)
-    trace = float(np.trace(M @ ctx.step.covariance))
-    # whitened form: fluctuation = C sqrt(C_0) W
+    # tr(M X) for symmetric X, without the product M X
+    trace = float(np.sum(M * ctx.step.covariance))
+    # whitened form: fluctuation = C sqrt(C_0) W, so X = carrier carrier^T
     carrier = ctx.fluct_basis @ ctx.cov_sqrt_spectral()
-    trace_w = float(np.trace(M @ carrier @ carrier.T))
+    trace_w = float(np.sum((M @ carrier) * carrier))
     return FluctuationStep(trace,
                            abs(trace - trace_w) / max(abs(trace), 1e-300))

@@ -12,12 +12,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
 
 from caxial import averaging as av
 from caxial import cli, gauge_ops, gaussian, lattice, rg_flow
 from caxial.cli import ConfigError, RunConfig, main, run_verification
-from caxial.gauge_ops import GaugeContext
+from caxial.gauge_ops import NPOINTS, GaugeContext
 from caxial.lattice import (OPEN_CUBE, Lattice, LatticeSpec, clear_caches,
                             unit_torus)
 
@@ -193,29 +192,33 @@ def test_rg_runs_the_flow_once_per_instance(monkeypatch):
 
 
 def test_sqrt_evaluates_each_root_once_per_instance(monkeypatch):
-    # the level context memoizes both roots: count the quadrature builds of
-    # its memo, by node count, and the eigendecompositions the spectral
-    # root is built from (no other check of the suite takes an eigh)
-    memo, eigh = GaugeContext._memo, np.linalg.eigh
-    nodes, roots = [], []
+    # the level context caches both roots: before each instance's caches
+    # are dropped, the quadrature root has missed once per node count and
+    # the spectral one once, and the eigendecompositions the spectral root
+    # is built from are counted (no other check of the suite takes an eigh)
+    cached = GaugeContext.cov_sqrt_quadrature, GaugeContext.cov_sqrt_spectral
+    infos, roots = [], []
 
-    def counted_memo(self, name, arg, build):
-        def counted():
-            if name == "sqrt_quadrature":
-                nodes.append(arg)
-            return build()
-        return memo(self, name, arg, counted)
+    def audited_clear():
+        infos.append([root.cache_info() for root in cached])
+        clear_caches()
+
+    eigh = np.linalg.eigh
 
     def counted_eigh(m):
         roots.append(m.shape)
         return eigh(m)
-    monkeypatch.setattr(GaugeContext, "_memo", counted_memo)
+    monkeypatch.setattr(cli, "clear_caches", audited_clear)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    clear_caches()
     config = small_config(instances=((2, 3, 1), (2, 5, 1)), suites=("sqrt",))
     report, _ = run_verification(config)
+    audited_clear()
     assert {c["status"] for c in report["checks"]} == {"PASS"}
-    n = cli.NPOINTS
-    assert nodes == [n, n // 2] * 2
+    # the quadrature at NPOINTS and NPOINTS // 2 nodes, the first read
+    # twice; the spectral root read four times by the three checks
+    assert [[(i.misses, i.hits) for i in info] for info in infos] == [
+        [(0, 0), (0, 0)], [(2, 1), (1, 3)], [(2, 1), (1, 3)]]
     assert len(roots) == 2
 
     def broken(m):
@@ -231,7 +234,7 @@ def test_sqrt_evaluates_each_root_once_per_instance(monkeypatch):
 @pytest.mark.parametrize("rule", ("RULE", "HALF_RULE"))
 def test_quadrature_rules_are_gauss_legendre(rule):
     # an n-node Gauss-Legendre rule integrates x^(2n-2) on [-1, 1] exactly
-    nodes, weights = getattr(cli, rule)
+    nodes, weights = getattr(gauge_ops, rule)
     n = len(nodes)
     assert abs(weights @ nodes ** (2 * n - 2) - 2 / (2 * n - 1)) < 1e-14
 
@@ -318,7 +321,7 @@ def test_suites_reduce_each_shared_gaussian_once(monkeypatch):
     # the curl form and its Feynman minimizer the axial one, the identity.
     # The flow reduces only its level-1 step, whose form is iterated
     assert Counter(name for name, *_ in reductions) == {
-        "_axial": 2, "step": 2, "build": 3, "rg_step": 1, "final_step": 1,
+        "_axial": 2, "step": 2, "feynman": 3, "rg_step": 1, "final_step": 1,
         "one_shot_final": 1, "change_of_gauge_check": 1}
     assert len(reductions) == 11
     pairs = {(id(surface), id(form)) for _, surface, form in reductions}
@@ -408,14 +411,14 @@ def test_library_caches_are_shared_and_read_only():
     states = rg_flow.flow_states(2, 3, 2)
     c = gauge_ops.get_context(2, 3, 2, 1)
     reads = (lambda: rg_flow.flow_states(2, 3, 2), c.cov_sqrt_spectral,
-             lambda: c.cov_sqrt_quadrature(leggauss(20)),
+             lambda: c.cov_sqrt_quadrature(NPOINTS // 2),
              c.minimizer_profile)
     for read in reads:
         assert read() is read()
     assert c.feynman(1.0) is c.feynman(1.0)
     assert c.axial_density is c.axial_density
     arrays = [s.density.form for s in states] \
-        + [c.cov_sqrt_spectral(), c.cov_sqrt_quadrature(leggauss(20)),
+        + [c.cov_sqrt_spectral(), c.cov_sqrt_quadrature(NPOINTS // 2),
            c.green_scalar(), c.proj_div(), c.bond_average_next_symbol,
            c._covariance_symbol(0.0)[0], *c._unit_symbols,
            av.fluctuation_basis(c.unit), c.grad_fine, c.lap_fine,

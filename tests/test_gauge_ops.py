@@ -8,7 +8,7 @@ from caxial import averaging as av
 from caxial import csr, gauge_ops
 from caxial.csr import CSR
 from caxial.fields import BOND, curl_energy_form, ext_d_matrix, grad_matrix
-from caxial.gauge_ops import (GaugeContext, change_of_gauge_check,
+from caxial.gauge_ops import (NPOINTS, GaugeContext, change_of_gauge_check,
                               decay_profile, get_context,
                               one_shot_constraints, sym_norm2)
 from caxial.gaussian import (IndefiniteOnSurface, SingularOperator,
@@ -373,14 +373,20 @@ def test_cholesky_certificates_raise_the_callers_errors():
                        np.eye(c.reduced_delta.shape[0]), atol=1e-9)
 
 
-def test_cov_sqrt_quadrature_matches_spectral():
+def test_cov_sqrt_quadrature_matches_spectral(monkeypatch):
     c = ctx1()
     ref = c.cov_sqrt_spectral()
-    err = np.abs(c.cov_sqrt_quadrature(leggauss(200)) - ref).max()
+    err = np.abs(c.cov_sqrt_quadrature() - ref).max()
     assert err < 1e-8
-    # the rule converges: coarser grids are strictly worse
-    err_coarse = np.abs(c.cov_sqrt_quadrature(leggauss(20)) - ref).max()
-    assert err < err_coarse
+    assert np.abs(c.cov_sqrt_quadrature(NPOINTS // 2) - ref).max() < 1e-8
+    # only the rules built at import are read
+    with pytest.raises(KeyError):
+        c.cov_sqrt_quadrature(20)
+    # the rule converges: a coarser grid, read as the half rule of a new
+    # context, is strictly worse
+    monkeypatch.setattr(gauge_ops, "HALF_RULE", leggauss(20))
+    coarse = GaugeContext(2, 3, 2, 1).cov_sqrt_quadrature(NPOINTS // 2)
+    assert err < np.abs(coarse - ref).max()
 
 
 def test_change_of_gauge_moments_and_dimension():

@@ -1,13 +1,17 @@
+import ast
 import importlib
 import itertools
+import pathlib
 import pkgutil
 
 import numpy as np
 import pytest
 
 import caxial
+from caxial import averaging as av
 from caxial import lattice
 from caxial.averaging import fluctuation_split
+from caxial.gauge_ops import GaugeContext, get_context
 from caxial.lattice import (LatticeSpec, LatticeError, build_lattice,
                             open_cube, unit_torus)
 
@@ -251,15 +255,131 @@ def test_symmetry_path_family_covariance():
         assert sorted(mapped) == sorted(target)
 
 
-def test_every_cache_is_one_bounded_instance_cache():
-    # every cache of the package is registered with clear_caches and has
-    # the one finite bound
+def _package_modules():
+    return {info.name: importlib.import_module(f"caxial.{info.name}")
+            for info in pkgutil.iter_modules(caxial.__path__)}
+
+
+def _package_caches():
+    """Every object with cache_info in a module of the package or in a
+    class of one, a property's getter included, by id."""
     caches = {}
-    for info in pkgutil.iter_modules(caxial.__path__):
-        mod = importlib.import_module(f"caxial.{info.name}")
-        for name, obj in vars(mod).items():
+    for mod_name, mod in _package_modules().items():
+        members = [(f"{mod_name}.{name}", obj)
+                   for name, obj in vars(mod).items()]
+        for cls_name, cls in list(members):
+            if isinstance(cls, type) and cls.__module__ == mod.__name__:
+                members += [(f"{cls_name}.{name}",
+                             getattr(obj, "fget", obj))
+                            for name, obj in vars(cls).items()]
+        for name, obj in members:
             if hasattr(obj, "cache_info"):
-                caches[id(obj)] = (f"{info.name}.{name}", obj)
+                caches[id(obj)] = (name, obj)
+    return caches
+
+
+def test_every_cache_is_one_bounded_instance_cache():
+    # every cache of the package, the level contexts' members included, is
+    # registered with clear_caches and has the one finite bound
+    caches = _package_caches()
     assert caches.keys() == {id(c) for c in lattice._caches}
+    assert "gauge_ops.GaugeContext.proj_div" in {
+        name for name, _ in caches.values()}
     for name, obj in caches.values():
         assert obj.cache_info().maxsize == lattice.CACHE_SIZE, name
+
+
+def test_default_and_keyword_arguments_share_one_entry():
+    # an instance_cache keys on the bound arguments with their defaults:
+    # f(), f(d) and f(x=d) are one cache miss and return one object
+    lattice.clear_caches()
+    lat = unit_torus(2, 3, 2)
+    ctx = get_context(2, 3, 1, 1)
+    for cached, calls in (
+            (av.coarsened, (lambda: av.coarsened(lat),
+                            lambda: av.coarsened(lat, 1),
+                            lambda: av.coarsened(lat, n=1))),
+            (GaugeContext.proj_div, (lambda: ctx.proj_div(),
+                                     lambda: ctx.proj_div(1.0),
+                                     lambda: ctx.proj_div(a=1.0)))):
+        values = [call() for call in calls]
+        assert all(v is values[0] for v in values)
+        info = cached.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+
+def test_caches_stay_bounded_over_many_arguments():
+    # a context member keyed on its regulator evicts past CACHE_SIZE keys
+    # instead of growing with every regulator it is asked for
+    lattice.clear_caches()
+    ctx = get_context(2, 3, 1, 1)
+    for a in range(1, 101):
+        ctx.proj_div(float(a))
+    for name, obj in _package_caches().values():
+        assert obj.cache_info().currsize <= lattice.CACHE_SIZE, name
+    assert GaugeContext.proj_div.cache_info().currsize == lattice.CACHE_SIZE
+    assert GaugeContext.green_scalar.cache_info().currsize \
+        == lattice.CACHE_SIZE
+    lattice.clear_caches()
+
+
+def _names(node):
+    """The identifiers a node names: a name, an attribute, an import."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [alias.name for alias in node.names]
+    return []
+
+
+def _dict_memos(tree):
+    """Functions that test a container for a key and store into it: the
+    shape `if key not in memo: memo[key] = build()`."""
+    memos = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            continue
+        stored = {ast.dump(t.value) for t in ast.walk(fn)
+                  if isinstance(t, ast.Subscript)
+                  and isinstance(t.ctx, ast.Store)}
+        probed = {ast.dump(c.comparators[0]) for c in ast.walk(fn)
+                  if isinstance(c, ast.Compare)
+                  and isinstance(c.ops[0], (ast.In, ast.NotIn))}
+        probed |= {ast.dump(c.func.value) for c in ast.walk(fn)
+                   if isinstance(c, ast.Call)
+                   and isinstance(c.func, ast.Attribute)
+                   and c.func.attr in ("get", "setdefault")}
+        if stored & probed:
+            memos.append(getattr(fn, "name", "<lambda>"))
+    return memos
+
+
+def test_lattice_holds_the_only_memo():
+    # one cache for every shared value: lru_cache, functools.cache and dict
+    # memos appear only in lattice (under instance_cache), and
+    # cached_property only for the lazy outputs of one SurfaceGaussian or
+    # one CSR, not for values shared under a key
+    lazy = {("gaussian", "SurfaceGaussian"), ("csr", "CSR")}
+    for mod_name, mod in _package_modules().items():
+        tree = ast.parse(pathlib.Path(mod.__file__).read_text())
+        if mod_name != "lattice":
+            assert not _dict_memos(tree), mod_name
+        classes = [c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
+        for node in ast.walk(tree):
+            names = _names(node)
+            if mod_name != "lattice":
+                assert "lru_cache" not in names, mod_name
+                assert not (isinstance(node, ast.Attribute)
+                            and node.attr == "cache"
+                            and _names(node.value) == ["functools"]), mod_name
+                assert not (isinstance(node, ast.ImportFrom)
+                            and node.module == "functools"
+                            and "cache" in names), mod_name
+            if "cached_property" in names:
+                owner = [c.name for c in classes if node in ast.walk(c)]
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    assert mod_name in {m for m, _ in lazy}, mod_name
+                else:
+                    assert (mod_name, *owner) in lazy, (mod_name, owner)
