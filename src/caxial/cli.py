@@ -27,7 +27,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random     # loaded with the package, not inside a check
 
 from . import averaging as av
 from . import spectral
@@ -233,13 +232,67 @@ class Runner:
         self.checks.append(record)
         return record
 
-    def rng(self, *salt) -> np.random.Generator:
-        return _rng(self.config.seed, *salt)
+    def rng(self, *salt) -> ProbeStream:
+        return ProbeStream(self.config.seed, *salt)
 
 
-def _rng(seed, *salt) -> np.random.Generator:
-    """The random stream of a check, salted by the check and instance."""
-    return np.random.default_rng((seed,) + salt)
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): its finalizer and step
+_MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_M1, _M2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
+def _mix(z: int) -> int:
+    """The SplitMix64 finalizer of a 64-bit word (a Python int)."""
+    z = (z ^ (z >> 30)) * _M1 & _MASK
+    z = (z ^ (z >> 27)) * _M2 & _MASK
+    return z ^ (z >> 31)
+
+
+class ProbeStream:
+    """The seeded random stream of a check, salted by the check and
+    instance: standard normals from a SplitMix64 counter stream on numpy
+    core.
+
+    The key folds the seed and salt, each a non-negative integer, in
+    64-bit words, low word first; draw i = 1, 2, ... is
+    mix(key + i * gamma), whose top 53 bits are a uniform.  Normal j is the
+    cosine (j even) or sine (j odd) branch of the Box-Muller transform of
+    the uniform pair j // 2, so successive calls continue one stream.
+    """
+
+    def __init__(self, seed, *salt):
+        key = 0
+        for word in map(int, (seed,) + salt):
+            if word < 0:
+                raise ValueError(f"stream words are non-negative, got {word}")
+            more = True
+            while more:         # a word's last 64-bit chunk adds gamma once
+                chunk, word = word & _MASK, word >> 64
+                more = word > 0
+                key = _mix((key ^ chunk) + (1 + more) * _GAMMA & _MASK)
+        self.key, self.count = key, 0
+
+    def standard_normal(self, n: int) -> np.ndarray:
+        """The next n standard normals of the stream."""
+        first, self.count = self.count, self.count + n
+        z = np.arange(first // 2 * 2 + 1, (first + n + 1) // 2 * 2 + 1,
+                      dtype=np.uint64)
+        z *= _GAMMA
+        z += self.key
+        z ^= z >> 30
+        z *= _M1
+        z ^= z >> 27
+        z *= _M2
+        z ^= z >> 31
+        u = (z >> 11).astype(float).reshape(-1, 2)
+        u *= 2.0**-53
+        r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))    # 1 - u in (0, 1]
+        theta = 2.0 * np.pi * u[:, 1]
+        out = np.empty_like(u)
+        np.multiply(r, np.cos(theta), out=out[:, 0])
+        np.multiply(r, np.sin(theta), out=out[:, 1])
+        return out.reshape(-1)[first % 2:first % 2 + n]
 
 
 # A value that several checks of an instance read is cached where it is
@@ -252,7 +305,7 @@ def _change_of_gauge(dim, L, n_levels, seed):
     """The appendix's change of gauge at level 1, applied to a random bond
     vector."""
     c = get_context(dim, L, n_levels, 1)
-    rng = _rng(seed, 9, dim, L, n_levels)
+    rng = ProbeStream(seed, 9, dim, L, n_levels)
     return change_of_gauge_check(c, rng.standard_normal(c.unit.n_bonds))
 
 

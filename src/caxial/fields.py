@@ -219,5 +219,7 @@ def apply_symmetry(r, lattice: Lattice, kind: str,
 
 
 def random_field(lattice: Lattice, kind: str, rng) -> np.ndarray:
-    """Standard normal values on the elements of one kind."""
+    """Standard normal values on the elements of one kind, drawn from rng
+    by rng.standard_normal(n): a numpy Generator or the seeded probe
+    stream of `caxial verify` (`cli.ProbeStream`)."""
     return rng.standard_normal(element_count(lattice, kind))

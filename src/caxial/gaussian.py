@@ -98,14 +98,14 @@ class AffineSurface:
     lift @ A.  When the rows are dependent, E must map into the range of K
     (every fiber nonempty), or SingularOperator is raised.  All arrays are
     read-only, so a surface can be cached and shared.  A CSR K is
-    densified here, for the SVD.
+    densified here, for the SVD; the surface keeps only its row count.
     """
 
     def __init__(self, K, E=None):
         K = K.toarray() if isinstance(K, CSR) else K
         K = np.atleast_2d(np.asarray(K, dtype=float))
         E = None if E is None else _frozen(np.asarray(E, dtype=float))
-        self.matrix, self.fiber, self.lift = _frozen(K), E, None
+        self.n_rows, self.fiber, self.lift = K.shape[0], E, None
         u, s, vt = np.linalg.svd(K)
         r = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
         self.basis = _frozen(vt[r:].copy().T)    # frees the rows of vt
@@ -255,7 +255,7 @@ class SurfaceGaussian:
         fiber over A = 0, under the Dirac measure, which needs independent
         constraint rows."""
         logdet = self._logdet
-        if self.surface.rank < self.surface.matrix.shape[0]:
+        if self.surface.rank < self.surface.n_rows:
             raise SingularOperator("the Dirac measure needs independent "
                                    "constraint rows")
         return float(0.5 * self.reduced.shape[0] * LOG_2PI - 0.5 * logdet

@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import weakref
 from collections import Counter
 
@@ -242,7 +243,8 @@ def test_quadrature_rules_are_gauss_legendre(rule):
 def test_verify_loads_no_scipy_and_imports_nothing_during_the_run():
     # numpy is the one backend of the package: importing it and running
     # every suite loads no scipy module, nor numpy.f2py, numpy.testing or
-    # numpy.ma (which a scipy import brings in).  Every module is loaded
+    # numpy.ma (which a scipy import brings in), nor numpy.random (the
+    # probes come from cli.ProbeStream).  Every module is loaded
     # with the package, so the run itself imports nothing.  A fresh
     # process, since the test modules import scipy
     code = (
@@ -256,7 +258,8 @@ def test_verify_loads_no_scipy_and_imports_nothing_during_the_run():
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
         "             or m.split('.')[:2] in (['numpy', 'f2py'],\n"
         "                                     ['numpy', 'testing'],\n"
-        "                                     ['numpy', 'ma'])))\n")
+        "                                     ['numpy', 'ma'],\n"
+        "                                     ['numpy', 'random'])))\n")
     src = str(pathlib.Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -468,6 +471,88 @@ def test_cli_caches_only_values_of_the_seed():
     assert cached and len(cached) == len(uses)
     for name, args in cached.items():
         assert "seed" in args, name
+
+
+PROBE_CHECKS = {"calculus.adjointness",
+                "calculus.curl_energy_scale_invariance",
+                "calculus.path_average_symmetry", "averaging.scalar_recovery",
+                "appendix.gauge_change_moments"}
+
+
+def _splitmix64(key, n):
+    """The first n outputs of SplitMix64 seeded with key, in Python ints."""
+    out = []
+    for _ in range(n):
+        key = (key + 0x9E3779B97F4A7C15) % 2**64
+        z = key
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def test_probe_stream_is_splitmix64_under_box_muller():
+    # the published first output of SplitMix64 seeded with 0
+    assert _splitmix64(0, 1) == [0xE220A8397B1DCDAF]
+    stream = cli.ProbeStream(42, 1, 2, 3, 1)
+    u = np.array(_splitmix64(stream.key, 6), dtype=np.uint64) >> 11
+    u = u.astype(float).reshape(3, 2) * 2.0**-53
+    r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
+    theta = 2.0 * np.pi * u[:, 1]
+    expected = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+    assert np.array_equal(stream.standard_normal(6), expected.ravel())
+
+
+def test_probe_stream_is_keyed_by_seed_and_salt():
+    draw = lambda *words: cli.ProbeStream(*words).standard_normal(5)
+    assert np.array_equal(draw(42, 1, 2, 3, 1), draw(42, 1, 2, 3, 1))
+    words = [(42, 1, 2, 3, 1), (42, 2, 2, 3, 1), (42, 1, 2, 3, 2),
+             (7, 1, 2, 3, 1), (0,), (0, 0), (5,), (5, 1), (2**64 + 5,),
+             (2**64, 5), (2**128,)]
+    assert len({draw(*w).tobytes() for w in words}) == len(words)
+    with pytest.raises(ValueError):
+        cli.ProbeStream(-1)
+
+
+def test_probe_stream_continues_across_calls():
+    # successive calls, of odd lengths too, continue one stream bit for bit
+    whole = cli.ProbeStream(42, 4).standard_normal(16)
+    stream = cli.ProbeStream(42, 4)
+    parts = [stream.standard_normal(n) for n in (3, 1, 0, 5, 2, 5)]
+    assert [len(p) for p in parts] == [3, 1, 0, 5, 2, 5]
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_probe_stream_is_standard_normal():
+    n = 10**6
+    x = cli.ProbeStream(42, 0).standard_normal(n)
+    assert x.shape == (n,) and x.dtype == np.float64
+    assert abs(x.mean()) <= 5 / math.sqrt(n)
+    assert abs(x.var() - 1) <= 5 * math.sqrt(2 / n)
+
+
+def test_probe_stream_raises_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cli.ProbeStream(2**64 - 1, 2**70, 1).standard_normal(1001)
+
+
+def test_seed_beyond_64_bits_runs_calculus():
+    report, _ = run_verification(RunConfig(
+        instances=((2, 3, 1),), suites=("calculus",),
+        seed=2**64 + 5).validate())
+    assert {c["status"] for c in report["checks"]} == {"PASS"}
+
+
+def test_seed_moves_only_the_probe_values():
+    runs = [run_verification(RunConfig(instances=((2, 3, 2),),
+                                       seed=seed).validate())[0]["checks"]
+            for seed in (42, 7)]
+    assert [c["check_id"] for c in runs[0]] \
+        == [c["check_id"] for c in runs[1]]
+    moved = {a["check_id"] for a, b in zip(*runs) if a["value"] != b["value"]}
+    assert moved and moved <= PROBE_CHECKS
+    assert PROBE_CHECKS <= {c["check_id"] for c in runs[0]}
 
 
 def test_path_average_symmetry_raises_on_an_image_that_is_no_row(

@@ -7,6 +7,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 from caxial import averaging as av
+from caxial import csr
 from caxial.fields import curl_energy_form, ext_d_matrix, grad_matrix
 from caxial.gaussian import (RANK_TOL, AffineSurface, IndefiniteOnSurface,
                              QuadraticDensity, SingularOperator,
@@ -20,6 +21,18 @@ from caxial.rg_flow import (_one_shot_winding_constraints, flow_states,
 
 def rng(seed=3):
     return np.random.default_rng(seed)
+
+
+def _builder_matrix(builder, fine, k):
+    """The K of a constraint builder (dense), restacked from the builder's
+    own csr.vstack inputs: a surface keeps only its row count."""
+    if builder is average_constraints:
+        return av.bond_average_matrix(fine, k).toarray()
+    top = (av.toron_average_full_matrix(fine, k)
+           if builder is _one_shot_winding_constraints
+           else av.bond_average_matrix(fine, k))
+    return csr.vstack([top, av.axial_constraint_stack(fine, k).matrix]
+                      ).toarray()
 
 
 def random_spd(n, r, shift=0.5):
@@ -238,10 +251,10 @@ def _constraint_cases():
     yield "full_rank", full, r.standard_normal((3, 2))
     yield "rank_deficient", deficient, deficient @ r.standard_normal((8, 3))
     yield "empty", np.zeros((0, 5)), np.zeros((0, 2))
-    step = one_shot_constraints(unit_torus(2, 3, 1), 1)
-    yield "step_2_3_1", step.matrix, step.fiber
-    one_shot = one_shot_constraints(fine_torus(2, 3, 1, 0), 1)
-    yield "one_shot_2_3_1", one_shot.matrix, one_shot.fiber
+    for name, lat in (("step_2_3_1", unit_torus(2, 3, 1)),
+                      ("one_shot_2_3_1", fine_torus(2, 3, 1, 0))):
+        yield (name, _builder_matrix(one_shot_constraints, lat, 1),
+               one_shot_constraints(lat, 1).fiber)
 
 
 @pytest.mark.parametrize("case", list(_constraint_cases()),
@@ -540,10 +553,12 @@ def test_minimizer_feasible_property(seed):
 
 
 def _builder_surfaces(dim, L, levels):
-    """(name, lattice, surface, K, E) of every lattice-keyed constraint
-    builder of one instance: the flow's step surfaces, the one-shot (axial)
-    surfaces at k = 0 .. levels, and the two winding stacks of the last
-    level.  K and E are assembled here from the averaging matrices."""
+    """(name, lattice, surface, K, E, builder K) of every lattice-keyed
+    constraint builder of one instance: the flow's step surfaces, the
+    one-shot (axial) surfaces at k = 0 .. levels, and the two winding
+    stacks of the last level.  K and E are assembled here from the
+    averaging matrices; the builder K is restacked from the builder's own
+    inputs."""
     def stacked(top, lat):
         """[top; tau] for tau the path averages of lat, and E = [I; 0]."""
         top = top.toarray()
@@ -553,17 +568,21 @@ def _builder_surfaces(dim, L, levels):
     for j in range(levels):
         lat = unit_torus(dim, L, levels - j)
         yield (f"step_{j}", lat, one_shot_constraints(lat, 1),
-               *stacked(av.bond_average_matrix(lat, 1), lat))
+               *stacked(av.bond_average_matrix(lat, 1), lat),
+               _builder_matrix(one_shot_constraints, lat, 1))
     for k in range(levels + 1):
         fine = fine_torus(dim, L, k, levels - k)
         f = one_shot_constraints(fine, k)
-        yield f"one_shot_{k}", fine, f, np.array(f.matrix), np.array(f.fiber)
+        K = _builder_matrix(one_shot_constraints, fine, k)
+        yield f"one_shot_{k}", fine, f, K, np.array(f.fiber), K
     lat = unit_torus(dim, L, 1)
     K, _ = stacked(av.toron_average_matrix(lat), lat)
-    yield "winding", lat, _one_shot_winding_constraints(lat, 1), K, None
+    yield ("winding", lat, _one_shot_winding_constraints(lat, 1), K, None,
+           _builder_matrix(_one_shot_winding_constraints, lat, 1))
     fine = fine_torus(dim, L, levels, 0)
     f = _one_shot_winding_constraints(fine, levels)
-    yield "one_shot_winding", fine, f, np.array(f.matrix), None
+    K = _builder_matrix(_one_shot_winding_constraints, fine, levels)
+    yield "one_shot_winding", fine, f, K, None, K
 
 
 @pytest.mark.parametrize("dim,L,levels",
@@ -573,8 +592,9 @@ def test_cached_factor_matches_fresh_factorization(dim, L, levels):
     # afresh from K and E; the step and winding surfaces come from the
     # one-shot builders at one level, whose K is [Q_b; tau] (or
     # [toron; tau]) exactly
-    for name, lat, cached, K, E in _builder_surfaces(dim, L, levels):
-        assert np.array_equal(cached.matrix, K), name
+    for name, lat, cached, K, E, built in _builder_surfaces(dim, L, levels):
+        assert np.array_equal(built, K), name
+        assert cached.n_rows == K.shape[0], name
         fresh = AffineSurface(K, E)
         assert np.array_equal(cached.basis, fresh.basis), name
         assert (cached.rank, cached.log_gram) \
@@ -626,7 +646,15 @@ def test_surface_builders_do_not_depend_on_the_spacing(dim, L, levels):
                 name = (builder.__name__, k, j)
                 on_fine = builder.__wrapped__(fine, j)
                 on_unit = builder.__wrapped__(unit, j)
-                assert np.array_equal(on_fine.matrix, on_unit.matrix), name
+                assert np.array_equal(_builder_matrix(builder, fine, j),
+                                      _builder_matrix(builder, unit, j)), name
+                assert np.array_equal(on_fine.basis, on_unit.basis), name
+                assert (on_fine.n_rows, on_fine.rank, on_fine.log_gram) \
+                    == (on_unit.n_rows, on_unit.rank, on_unit.log_gram), name
+                if on_unit.lift is None:
+                    assert on_fine.lift is None, name
+                else:
+                    assert np.array_equal(on_fine.lift, on_unit.lift), name
                 if on_unit.fiber is None:
                     assert on_fine.fiber is None, name
                 else:
@@ -635,8 +663,10 @@ def test_surface_builders_do_not_depend_on_the_spacing(dim, L, levels):
 
 
 def test_cached_factors_are_read_only_and_shared():
+    # a surface holds no K, only its row count
     f = one_shot_constraints(unit_torus(2, 3, 1), 1)
-    for a in (f.matrix, f.fiber, f.basis, f.lift):
+    assert not hasattr(f, "matrix") and f.n_rows == f.fiber.shape[0]
+    for a in (f.fiber, f.basis, f.lift):
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1.0
     # the caller's raw K and E keep their own flags
