@@ -115,6 +115,8 @@ class RunConfig:
         if not _list_of(self.suites, lambda s: isinstance(s, str)):
             raise ConfigError(f"suites must be a list of names, got "
                               f"{self.suites!r}")
+        if not self.suites:
+            raise ConfigError("no suites configured")
         for s in self.suites:
             if s not in SUITES:
                 raise ConfigError(f"unknown suite {s!r}")
@@ -181,7 +183,7 @@ def config_from_args(args) -> RunConfig:
         if None in (args.dim, args.L, args.levels):
             raise ConfigError("--dim, --L and --levels must be given together")
         cfg.instances = ((args.dim, args.L, args.levels),)
-    if args.suite and args.suite != "all":
+    if args.suite != "all":
         cfg.suites = tuple(args.suite.split(","))
     if args.tol is not None:
         cfg.identity_tol = args.tol

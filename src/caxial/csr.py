@@ -9,7 +9,8 @@ side, scalar multiples, differences, row gathers and slices, element
 fetches, `vstack`, `as_csr` and `toarray`.  No other module reads the
 layout arrays `indices` and `indptr`.  The arrays are read-only, so an
 operator can be cached and shared, and every operation returns a new
-matrix or array.
+matrix or array; a scalar multiple shares the layout and the row index
+of its matrix and holds only new values.
 
 The arithmetic is that of compressed-sparse kernels (`scipy.sparse`),
 reproduced bit for bit:
@@ -144,7 +145,9 @@ class CSR:
     def __mul__(self, scalar):
         if not np.isscalar(scalar):
             return NotImplemented
-        return CSR(self.data * scalar, self.indices, self.indptr, self.shape)
+        out = CSR(self.data * scalar, self.indices, self.indptr, self.shape)
+        out.__dict__["_rows"] = self._rows      # the layout is shared
+        return out
 
     __rmul__ = __mul__
 

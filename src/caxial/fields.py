@@ -21,13 +21,15 @@ the gradient, path averages of gradients telescope with an L**k factor,
 and the curl energy is invariant under field rescaling.
 
 The calculus operators, like the averaging operators of `averaging`, are
-assembled as canonical CSR (`caxial.csr`) at every size; checks that need
-dense linear algebra densify them with `.toarray()`.  The curl-energy form
-is the one operator kept dense: it is formed once per lattice as a sparse
-product and densified, C-ordered, for the factorizations it feeds.  The
-functions here work on any lattice they are given: the resource cap is
-enforced once, by `cli`, on each check's declared cost before the check
-runs.
+canonical CSR (`caxial.csr`) at every size.  Grad and ext_d are assembled
+once per lattice shape (`LatticeSpec.shape`), as a unit-spacing pattern of
++-1 entries; the operator of a lattice is that pattern times 1/eta, which
+shares its layout.  Checks that need dense linear algebra densify them
+with `.toarray()`.  The curl-energy form is the one operator kept dense:
+it is formed once per lattice as a sparse product and densified,
+C-ordered, for the factorizations it feeds.  The functions here work on
+any lattice they are given: the resource cap is enforced once, by `cli`,
+on each check's declared cost before the check runs.
 
 On a torus the calculus and averaging operators commute with translations
 by a block; `block_symbol` verifies that exactly and returns the
@@ -42,7 +44,7 @@ import numpy.fft        # loaded with the package, not inside a check
 
 from . import csr
 from .csr import CSR
-from .lattice import Lattice, LatticeError, instance_cache
+from .lattice import Lattice, LatticeError, index_tables, instance_cache
 
 SITE = "site"
 BOND = "bond"
@@ -134,33 +136,42 @@ def block_symbol(matrix, codomain, domain, grid: int) -> np.ndarray:
 # -- operator assembly -------------------------------------------------------
 
 @instance_cache
+def _grad_pattern(dim: int, n_side: int, boundary: str) -> CSR:
+    """The gradient of a shape at unit spacing: row b = (s, mu) holds -1
+    at s, then +1 at s + e_mu."""
+    t = index_tables(dim, n_side, boundary)
+    s, mu = t.bond_sites, t.bond_axes
+    cols = np.stack([s, t.next[mu, s]], axis=1)
+    return csr.from_triplets(np.repeat(np.arange(s.size), 2), cols,
+                             np.tile([-1.0, 1.0], s.size),
+                             (s.size, len(t.sites)))
+
+
+@instance_cache
+def _ext_d_pattern(dim: int, n_side: int, boundary: str) -> CSR:
+    """The curl of a shape at unit spacing: row p = (s, mu, nu) holds
+    +(s, mu), +(s + e_mu, nu), -(s + e_nu, mu), -(s, nu)."""
+    t = index_tables(dim, n_side, boundary)
+    s, bond = t.plaq_sites, t.bond_index
+    mu, nu = t.plaq_axes.T
+    cols = np.stack([bond[s, mu], bond[t.next[mu, s], nu],
+                     bond[t.next[nu, s], mu], bond[s, nu]], axis=1)
+    return csr.from_triplets(np.repeat(np.arange(s.size), 4), cols,
+                             np.tile([1.0, 1.0, -1.0, -1.0], s.size),
+                             (s.size, len(t.bond_sites)))
+
+
+@instance_cache
 def grad_matrix(lattice: Lattice) -> CSR:
     """Bonds x sites CSR matrix of the divided-difference gradient."""
-    inv_eta = 1.0 / lattice.spacing
-    s, mu = lattice.bond_sites, lattice.bond_axes
-    # row b = (s, mu): -1/eta at s, then +1/eta at s + e_mu
-    cols = np.stack([s, lattice.next[mu, s]], axis=1)
-    vals = np.tile([-inv_eta, inv_eta], lattice.n_bonds)
-    return csr.from_triplets(np.repeat(np.arange(lattice.n_bonds), 2), cols,
-                             vals, (lattice.n_bonds, lattice.n_sites))
+    return (1.0 / lattice.spacing) * _grad_pattern(*lattice.spec.shape)
 
 
 @instance_cache
 def ext_d_matrix(lattice: Lattice) -> CSR:
     """Plaquettes x bonds CSR matrix of the oriented boundary sum over
     1/eta."""
-    inv_eta = 1.0 / lattice.spacing
-    s = lattice.plaq_sites
-    mu, nu = lattice.plaq_axes.T
-    bond = lattice.bond_index
-    # row p: +(s, mu), +(s + e_mu, nu), -(s + e_nu, mu), -(s, nu)
-    cols = np.stack([bond[s, mu], bond[lattice.next[mu, s], nu],
-                     bond[lattice.next[nu, s], mu], bond[s, nu]], axis=1)
-    vals = np.tile([inv_eta, inv_eta, -inv_eta, -inv_eta],
-                   lattice.n_plaquettes)
-    return csr.from_triplets(np.repeat(np.arange(lattice.n_plaquettes), 4),
-                             cols, vals,
-                             (lattice.n_plaquettes, lattice.n_bonds))
+    return (1.0 / lattice.spacing) * _ext_d_pattern(*lattice.spec.shape)
 
 
 def laplacian_matrix(lattice: Lattice) -> CSR:

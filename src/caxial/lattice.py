@@ -9,12 +9,16 @@ Canonical ordinals: sites are ordered lexicographically by coordinates,
 bonds by (site ordinal, axis), plaquettes by (site ordinal, axis pair).
 Every matrix built elsewhere in this package uses this ordering.
 
+The index tables of a lattice depend only on its shape (`LatticeSpec.shape`:
+dim, sites per side, boundary), not on its spacing: `index_tables` builds
+them once per shape, and every `Lattice` of that shape holds the same
+read-only arrays.
+
 Every cache of the package is an `instance_cache`, keyed directly or through
 a lattice or a level context on one instance's tower of blocked lattices;
 `clear_caches` drops them all when a run moves to the next instance.  A
-`shape_cache` is one keyed on the spacing-free shape of its lattice (dim,
-L, sites per side, boundary), for builders whose output does not depend on
-the spacing.
+`shape_cache` is one keyed on the block side L and the shape of its
+lattice, for builders whose output does not depend on the spacing.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import inspect
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache, wraps
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,10 +70,9 @@ def instance_cache(fn, key=None):
 
 
 def shape_cache(build):
-    """An instance_cache of build(lattice, *args) keyed on the spacing-free
-    shape of the lattice: build runs on the unit-spacing lattice with the
-    same dim, L, sites per side and boundary, so every spacing of one shape
-    shares one value."""
+    """An instance_cache of build(lattice, *args) keyed on L and the shape
+    of the lattice: build runs on the unit-spacing lattice with the same
+    L and shape, so every spacing of one shape shares one value."""
     return instance_cache(build, lambda lattice, *args: (build_lattice(
         lattice.spec.rescaled(-lattice.spec.scale_exp)),) + args)
 
@@ -124,6 +128,12 @@ class LatticeSpec:
             raise LatticeError("lattice has fewer than one site per side")
         return self.L**exp
 
+    @property
+    def shape(self) -> tuple:
+        """(dim, sites per side, boundary): what the index tables of the
+        lattice depend on, at any spacing."""
+        return self.dim, self.n_side, self.boundary
+
     # closed-form element counts, known before anything is built
 
     @property
@@ -176,7 +186,9 @@ class LatticeSymmetry:
 class Lattice:
     """Concrete lattice with enumerated sites, bonds and plaquettes.
 
-    The geometry is held in index tables built by whole-array arithmetic:
+    The geometry is held in index tables built by whole-array arithmetic,
+    once per shape (`index_tables`): every lattice of one shape, at any
+    spacing, holds the same read-only arrays.
 
     next[axis, s], prev[axis, s] -- the site one step from s along +-axis,
                                     -1 where an open-cube step leaves it;
@@ -190,31 +202,13 @@ class Lattice:
 
     def __init__(self, spec: LatticeSpec):
         self.spec = spec
-        self.dim = dim = spec.dim
+        self.dim = spec.dim
         self.L = spec.L
         self.n_side = n = spec.n_side
         self.half = (n - 1) // 2
-        self._radix = n ** np.arange(dim - 1, -1, -1)
-        self.sites = np.indices((n,) * dim).reshape(dim, -1).T - self.half
-
-        grid = np.arange(n**dim).reshape((n,) * dim)
-        self.next = np.stack([np.roll(grid, -1, mu).ravel()
-                              for mu in range(dim)])
-        self.prev = np.stack([np.roll(grid, 1, mu).ravel()
-                              for mu in range(dim)])
-        if not self.is_torus:
-            self.next[self.sites.T == self.half] = -1
-            self.prev[self.sites.T == -self.half] = -1
-
-        has_bond = self.next.T >= 0
-        self.bond_sites, self.bond_axes = np.nonzero(has_bond)
-        self.bond_index = np.full(has_bond.shape, -1)
-        self.bond_index[has_bond] = np.arange(len(self.bond_sites))
-
-        pairs = np.array(list(itertools.combinations(range(dim), 2)))
-        has_plaq = has_bond[:, pairs[:, 0]] & has_bond[:, pairs[:, 1]]
-        self.plaq_sites, pair = np.nonzero(has_plaq)
-        self.plaq_axes = pairs[pair]
+        (self._radix, self.sites, self.next, self.prev, self.bond_sites,
+         self.bond_axes, self.bond_index, self.plaq_sites,
+         self.plaq_axes) = index_tables(*spec.shape)
 
     # -- basic counts -------------------------------------------------------
 
@@ -355,6 +349,47 @@ class Lattice:
         return (f"Lattice(dim={self.dim}, L={self.L}, "
                 f"scale_exp={self.spec.scale_exp}, size_exp={self.spec.size_exp}, "
                 f"{self.spec.boundary}, {self.n_sites} sites)")
+
+
+class IndexTables(NamedTuple):
+    """The index tables of one lattice shape, as a `Lattice` holds them."""
+
+    radix: np.ndarray
+    sites: np.ndarray
+    next: np.ndarray
+    prev: np.ndarray
+    bond_sites: np.ndarray
+    bond_axes: np.ndarray
+    bond_index: np.ndarray
+    plaq_sites: np.ndarray
+    plaq_axes: np.ndarray
+
+
+@instance_cache
+def index_tables(dim: int, n_side: int, boundary: str) -> IndexTables:
+    """The index tables of every lattice of a shape (`LatticeSpec.shape`),
+    whatever its spacing: built once per instance, read-only."""
+    half = (n_side - 1) // 2
+    radix = n_side ** np.arange(dim - 1, -1, -1)
+    sites = np.indices((n_side,) * dim).reshape(dim, -1).T - half
+
+    grid = np.arange(n_side**dim).reshape((n_side,) * dim)
+    nxt = np.stack([np.roll(grid, -1, mu).ravel() for mu in range(dim)])
+    prev = np.stack([np.roll(grid, 1, mu).ravel() for mu in range(dim)])
+    if boundary == OPEN_CUBE:
+        nxt[sites.T == half] = -1
+        prev[sites.T == -half] = -1
+
+    has_bond = nxt.T >= 0
+    bond_sites, bond_axes = np.nonzero(has_bond)
+    bond_index = np.full(has_bond.shape, -1)
+    bond_index[has_bond] = np.arange(len(bond_sites))
+
+    pairs = np.array(list(itertools.combinations(range(dim), 2)))
+    has_plaq = has_bond[:, pairs[:, 0]] & has_bond[:, pairs[:, 1]]
+    plaq_sites, pair = np.nonzero(has_plaq)
+    return IndexTables(radix, sites, nxt, prev, bond_sites, bond_axes,
+                       bond_index, plaq_sites, pairs[pair])
 
 
 @instance_cache

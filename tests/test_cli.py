@@ -625,6 +625,23 @@ def test_non_finite_tolerance_is_config_error(tmp_path, capsys):
     assert not report.exists()
 
 
+def test_empty_suite_selection_is_config_error(tmp_path, capsys):
+    # a run of no suite makes 0 checks and would exit 0; an empty --suite
+    # used to be skipped, so that every suite ran
+    with pytest.raises(ConfigError, match="no suites"):
+        RunConfig(suites=()).validate()
+    report = tmp_path / "report.json"
+    assert main(["verify", "--dim", "2", "--L", "3", "--levels", "1",
+                 "--suite", "", "--report", str(report)]) == 2
+    assert "suite" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"instances": [[2, 3, 1]], "suites": []}')
+    assert main(["verify", "--config", str(cfg),
+                 "--report", str(report)]) == 2
+    assert "no suites" in capsys.readouterr().err
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("instances", [[2, 3]]),
     ("instances", [[2, 3.0, 1]]),
@@ -806,6 +823,42 @@ def test_declared_cost_bounds_the_peak_memory(monkeypatch, suite):
     for check_id, inst, peak, cost in peaks:
         assert peak <= PEAK_MULTIPLE * 8 * cost + ALLOWANCE, \
             (check_id, inst, peak, cost)
+
+
+def test_scale_check_holds_one_shape_of_tables_and_curl(monkeypatch):
+    # curl_energy_scale_invariance compares a torus with its relabeling at
+    # a spacing L times finer: one shape, so one set of index tables and
+    # one ext_d layout (data, columns and rows per entry, and indptr).
+    # With a table set and a layout per lattice the peak on (2,3,3) was
+    # 3.2 times that; one of each, their assembly scratch and the probe
+    # fields stay below 2.5 times (2.0 measured).
+    spec = LatticeSpec(2, 3, 1, 3)
+    tables = (4 * spec.dim * spec.n_sites + 2 * spec.n_bonds
+              + 3 * spec.n_plaquettes)
+    layout = 3 * 4 * spec.n_plaquettes + spec.n_plaquettes + 1
+    peaks = []
+    check = cli.Runner.check
+
+    def only_scale(self, check_id, anchor, instance, fn, *args, cost):
+        if check_id != "calculus.curl_energy_scale_invariance":
+            return None
+
+        def measured():
+            clear_caches()
+            gc.collect()
+            tracemalloc.start()
+            try:
+                return fn()
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+        return check(self, check_id, anchor, instance, measured, *args,
+                     cost=cost)
+    monkeypatch.setattr(cli.Runner, "check", only_scale)
+    report, _ = run_verification(small_config(instances=((2, 3, 3),),
+                                              suites=("calculus",)))
+    assert [c["status"] for c in report["checks"]] == ["PASS"]
+    assert peaks[0] < 2.5 * 8 * (tables + layout), peaks[0]
 
 
 def test_only_gaussian_reads_a_surface_basis_or_lift():

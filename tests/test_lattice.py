@@ -11,6 +11,7 @@ import caxial
 from caxial import averaging as av
 from caxial import lattice
 from caxial.averaging import fluctuation_split
+from caxial.fields import ext_d_matrix, grad_matrix
 from caxial.gauge_ops import GaugeContext, get_context
 from caxial.lattice import (LatticeSpec, LatticeError, build_lattice,
                             open_cube, unit_torus)
@@ -53,6 +54,43 @@ def test_single_site_torus():
     assert lat.n_sites == 1
     assert lat.n_bonds == 2
     assert lat.next[0, 0] == lat.prev[0, 0] == 0
+
+
+TABLES = ("_radix", "sites", "next", "prev", "bond_sites", "bond_axes",
+          "bond_index", "plaq_sites", "plaq_axes")
+
+
+def _one_shape_two_spacings():
+    # the torus T^1_1 and its relabeling at spacing 1/9: 9 sites per side
+    lattice.clear_caches()
+    fine = build_lattice(LatticeSpec(2, 3, 1, 1))
+    return fine, build_lattice(fine.spec.rescaled(1))
+
+
+def test_lattices_of_one_shape_share_one_table_build():
+    fine, finer = _one_shape_two_spacings()
+    assert fine.spacing != finer.spacing
+    for name in TABLES:
+        assert getattr(fine, name) is getattr(finer, name), name
+    assert lattice.index_tables.cache_info().misses == 1
+
+
+def test_index_tables_are_read_only():
+    for name in TABLES:
+        table = getattr(unit_torus(2, 3, 1), name)
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 0
+
+
+def test_operators_of_one_shape_share_their_layout():
+    fine, finer = _one_shape_two_spacings()
+    for build in (grad_matrix, ext_d_matrix):
+        a, b = build(fine), build(finer)
+        for name in ("indices", "indptr", "_rows"):
+            assert getattr(a, name) is getattr(b, name), (build, name)
+        # the entries are +-1/eta
+        assert np.array_equal(a.data * fine.spacing, b.data * finer.spacing)
+        assert set(np.abs(a.data * fine.spacing)) == {1.0}
 
 
 def test_canonical_ordinals_lexicographic():

@@ -418,7 +418,11 @@ def _levels(spec):
 
 @pytest.mark.parametrize("spec", SPECS, ids=_id)
 def test_enumeration_matches_loops(spec):
-    lat, ref = _pair(spec)
+    _assert_enumeration_matches(*_pair(spec))
+
+
+def _assert_enumeration_matches(lat, ref):
+    spec = ref.spec
     assert np.array_equal(lat.sites, ref.sites)
     assert lat.sites.dtype == ref.sites.dtype
     assert list(zip(lat.bond_sites.tolist(), lat.bond_axes.tolist())) \
@@ -484,12 +488,29 @@ def test_counts_match_spec_closed_forms(dim, boundary):
 
 @pytest.mark.parametrize("spec", SPECS, ids=_id)
 def test_calculus_matrices_match_loops(spec):
-    lat, ref = _pair(spec)
+    _assert_calculus_matches(*_pair(spec))
+
+
+def _assert_calculus_matches(lat, ref):
     # one format at every size: CSR, equal entry for entry to the loops
     for matrix, loop in ((grad_matrix(lat), loop_grad_matrix(ref)),
                          (ext_d_matrix(lat), loop_ext_d_matrix(ref))):
         assert isinstance(matrix, CSR)
         assert np.array_equal(matrix.toarray(), loop)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("scales", [(1, 0, -1), (-1, 0, 1)],
+                         ids=["finest_first", "coarsest_first"])
+def test_one_shape_matches_loops_in_either_build_order(dim, scales):
+    # the spacings of one shape share the index tables and the grad and
+    # ext_d patterns that the first of them built: a 9-site-per-side torus
+    # at spacings 1/3, 1 and 3, built from empty caches in either order
+    clear_caches()
+    for scale in scales:
+        lat, ref = _pair(LatticeSpec(dim, 3, scale, 2 - scale))
+        _assert_enumeration_matches(lat, ref)
+        _assert_calculus_matches(lat, ref)
 
 
 def _assert_canonical_csr(matrix):
